@@ -717,7 +717,7 @@ def cmd_simulate(config: PipelineConfig) -> str:
                     continue
                 samples = []
                 for rep_i in range(config.runs):
-                    gen = rngmod.stream(config.seed, w_start, 0, rep_i, cls)
+                    gen = rngmod.stream(config.seed, w_start, rep_i, cls)
                     samples.append(simulate_growth_rate(setup, config.r0, config.delta, gen))
                 arr = np.asarray(samples)
                 w.writerow(

@@ -242,6 +242,20 @@ def swayable_recovered_count(n: int, r_inf: float, i0: float) -> int:
     return max(0, min(count, n_swayable))
 
 
+def recovered_follower_sums(
+    f_sw: np.ndarray, counts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Follower sums of uniformly drawn recovered subsets, one per count.
+
+    The first m users of one uniform permutation of the swayable pool form
+    a uniform m-subset drawn without replacement, and these subsets nest as
+    m grows, so a single permutation and its prefix sums serve every count.
+    """
+    prefix = np.zeros(len(f_sw) + 1, dtype=np.int64)
+    np.cumsum(f_sw[rng.permutation(len(f_sw))], out=prefix[1:])
+    return prefix[counts]
+
+
 def simulate_growth_rate(
     setup: CascadeSetup,
     r0_param: float,
@@ -253,7 +267,8 @@ def simulate_growth_rate(
     The final-size relation fixes how many swayable users the cascade
     reaches; those are drawn uniformly without replacement and their
     followers, scaled by delta, are compared with the aligned group's
-    follower mass.
+    follower mass. The draw is the one fit_parameters makes for the same
+    stream, so the estimate equals the fit's replicate at a grid R0.
     """
     if not (0.0 <= delta <= 1.0):
         raise ValueError(f"delta must be in [0, 1], got {delta}")
@@ -262,14 +277,8 @@ def simulate_growth_rate(
         raise ValueError("cascade setup has no aligned follower mass")
     r_inf = final_size(setup.s0, r0_param)
     count = swayable_recovered_count(setup.n, r_inf, setup.i0)
-    if count == 0:
-        return 0.0
-    if count >= len(setup.v_sw):
-        sampled = int(setup.f_sw.sum())
-    else:
-        idx = rng.choice(len(setup.v_sw), size=count, replace=False)
-        sampled = int(setup.f_sw[idx].sum())
-    return delta * sampled / sum_a
+    sampled = recovered_follower_sums(setup.f_sw, np.array([count]), rng)[0]
+    return float(delta * (sampled / sum_a))
 
 
 def window_loss(r_hat_by_class: Mapping[str, float], r_by_class: Mapping[str, float]) -> float:
@@ -377,8 +386,6 @@ class _WindowCache:
     classes: tuple[str, ...]
     rho: np.ndarray  # (grid, replicate, class): sampled follower sum / aligned mass
     r0_of_pair: np.ndarray  # (grid*replicate,) R0 value per flattened pair
-    grid_idx: np.ndarray
-    rep_idx: np.ndarray
     empirical: np.ndarray  # (class,)
 
 
@@ -393,53 +400,50 @@ def _precompute_window(
 ) -> _WindowCache:
     """Sample the replicate follower sums once; they do not depend on delta.
 
-    Each (grid point, replicate) task owns the stream keyed by
-    (seed, window start, grid index, replicate), so scheduling cannot
-    change results.
+    Each (replicate, class) draws one permutation of the swayable pool from
+    the stream keyed by (seed, window start, replicate, class); its prefix
+    sums give the sampled followers at every grid point, so the draws are
+    shared across the R0 grid and scheduling cannot change results.
     """
-    n_grid = len(grid)
-    rho = np.zeros((n_grid, runs, len(classes)), dtype=np.float64)
-    counts = np.zeros((n_grid, len(classes)), dtype=np.int64)
-    pools: list[np.ndarray] = []
+    rho = np.empty((len(grid), runs, len(classes)), dtype=np.float64)
     for c, cls in enumerate(classes):
         setup = setups[cls]
-        pools.append(setup.f_sw)
-        for gi, r0 in enumerate(grid):
-            r_inf = final_size(setup.s0, float(r0))
-            counts[gi, c] = swayable_recovered_count(setup.n, r_inf, setup.i0)
-    sums_a = np.array([setups[cls].sum_f_a for cls in classes], dtype=np.float64)
-    for gi in range(n_grid):
+        counts = np.array(
+            [swayable_recovered_count(setup.n, final_size(setup.s0, float(r0)), setup.i0) for r0 in grid],
+            dtype=np.int64,
+        )
+        sum_a = setup.sum_f_a
         for rep in range(runs):
-            gen = rngmod.stream(seed, window_start, gi, rep)
-            for c in range(len(classes)):
-                m = int(counts[gi, c])
-                pool = pools[c]
-                if m == 0:
-                    continue
-                if m >= len(pool):
-                    rho[gi, rep, c] = pool.sum() / sums_a[c]
-                else:
-                    idx = gen.choice(len(pool), size=m, replace=False)
-                    rho[gi, rep, c] = pool[idx].sum() / sums_a[c]
-    g_idx, r_idx = np.divmod(np.arange(n_grid * runs), runs)
+            gen = rngmod.stream(seed, window_start, rep, cls)
+            rho[:, rep, c] = recovered_follower_sums(setup.f_sw, counts, gen) / sum_a
     return _WindowCache(
         window_start=window_start,
         classes=tuple(classes),
         rho=rho,
-        r0_of_pair=grid[g_idx],
-        grid_idx=g_idx,
-        rep_idx=r_idx,
+        r0_of_pair=np.repeat(grid, runs),
         empirical=np.array([empirical[cls] for cls in classes], dtype=np.float64),
     )
 
 
+def _pair_losses(cache: _WindowCache, delta: float) -> np.ndarray:
+    """Loss of every (grid point, replicate) pair, flat index grid * runs + replicate."""
+    return ((delta * cache.rho - cache.empirical) ** 2).sum(axis=2).reshape(-1)
+
+
 def _window_acceptance(cache: _WindowCache, delta: float, tolerance_pct: float):
-    """Deterministic acceptance: lowest-loss pairs, ties broken by stream id."""
-    n_grid, runs, _ = cache.rho.shape
-    q = ((delta * cache.rho - cache.empirical) ** 2).sum(axis=2).reshape(-1)
-    order = np.lexsort((cache.rep_idx, cache.grid_idx, q))
-    n_accept = math.ceil(tolerance_pct * (n_grid * runs))
-    return q, order[:n_accept]
+    """Deterministic acceptance: lowest-loss pairs, ties broken by (grid index, replicate).
+
+    The flat pair index already has that order, so the accepted set is every
+    pair below the k-th loss plus the lowest-index pairs tied with it, and
+    only those k pairs are sorted.
+    """
+    q = _pair_losses(cache, delta)
+    n_accept = math.ceil(tolerance_pct * len(q))
+    kth = np.partition(q, n_accept - 1)[n_accept - 1]
+    below = np.flatnonzero(q < kth)
+    tied = np.flatnonzero(q == kth)[: n_accept - len(below)]
+    accepted = np.concatenate((below, tied))
+    return q, accepted[np.lexsort((accepted, q[accepted]))]
 
 
 def _objective(caches: Sequence[_WindowCache], delta: float, tolerance_pct: float) -> float:
@@ -518,8 +522,8 @@ def fit_parameters(
     accepted loss; Nelder-Mead minimizes the summed objective over delta.
     Windows missing a class setup, follower mass, or an empirical rate are
     excluded and reported. Deterministic for a fixed seed: replicate draws
-    are addressed by (seed, window, grid index, replicate) and never depend
-    on delta, scheduling, or window order.
+    are addressed by (seed, window, replicate, class), shared across the R0
+    grid, and never depend on delta, scheduling, or window order.
 
     With recompute_acceptance=False the acceptance set is frozen at the
     initial delta and only the scale is optimized (single-pass variant).
@@ -575,8 +579,7 @@ def fit_parameters(
         def objective(d: float) -> float:
             total = 0.0
             for accepted, cache in frozen:
-                q = ((d * cache.rho - cache.empirical) ** 2).sum(axis=2).reshape(-1)
-                total += float(q[accepted].mean())
+                total += float(_pair_losses(cache, d)[accepted].mean())
             return total
 
     # Coarse scan picks the simplex seed; the landscape can have shallow

@@ -403,12 +403,37 @@ def _tree_digest(root: str) -> str:
     return h.hexdigest()
 
 
-@criterion(10, "1M-event pipeline (excl. fit) under 60s and byte-identical across runs and thread counts")
-def test_c10_determinism_and_scale(tmp_path):
-    first = str(tmp_path / "one")
-    second = str(tmp_path / "two")
+@pytest.fixture(scope="module")
+def scale_trees(tmp_path_factory):
+    """The 1M-event artifact trees of one seed at threads 1 and 4, with build times."""
+    root = tmp_path_factory.mktemp("scale")
+    first = str(root / "one")
+    second = str(root / "two")
     elapsed_one = _run_scale_pipeline(first, seed=17, threads=1)
     elapsed_two = _run_scale_pipeline(second, seed=17, threads=4)
+    return ((first, 1, elapsed_one), (second, 4, elapsed_two))
+
+
+@criterion(10, "1M-event pipeline (excl. fit) under 60s and byte-identical across runs and thread counts")
+def test_c10_determinism_and_scale(scale_trees):
+    (first, _, elapsed_one), (second, _, elapsed_two) = scale_trees
     assert elapsed_one < 60.0, elapsed_one
     assert elapsed_two < 60.0, elapsed_two
     assert _tree_digest(first) == _tree_digest(second)
+
+
+# -- 11: fit determinism and scale ------------------------------------------------------
+
+
+@criterion(11, "fit --runs 10 on the 1M-event trees under 20s each and fit.json byte-identical across thread counts")
+def test_c11_fit_determinism_and_scale(scale_trees):
+    fit_docs = []
+    for out_dir, threads, _ in scale_trees:
+        started = time.perf_counter()
+        argv = ["fit", "--out", out_dir, "--runs", "10", "--seed", "17", "--threads", str(threads)]
+        assert cli_run(argv) == 0
+        elapsed = time.perf_counter() - started
+        assert elapsed < 20.0, (threads, elapsed)
+        with open(os.path.join(out_dir, "fit.json"), "rb") as fh:
+            fit_docs.append(fh.read())
+    assert fit_docs[0] == fit_docs[1]

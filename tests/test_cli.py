@@ -180,6 +180,28 @@ class TestPipeline:
         ) == 0
         assert (tmp_path / "simulate.csv").exists()
 
+    def test_simulate_repeats_fit_replicates_on_grid(self, tmp_path):
+        import csv
+
+        from swaynet import cli
+        from swaynet.sir import FitConfig, _precompute_window
+
+        run_pipeline(tmp_path, with_fit=False)
+        assert run(
+            ["simulate", "--out", str(tmp_path), "--delta", "0.05", "--r0", "2.0", "--runs", "10", "--seed", "9"]
+        ) == 0
+        config = PipelineConfig(out=str(tmp_path), seed=9, runs=10)
+        setups = cli._build_setups(config, cli._load_columns(config), cli._load_labels(config)[0])
+        grid = FitConfig().r0_grid()
+        assert grid[40] == 2.0
+        with open(tmp_path / "simulate.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["r_hat_mean"] != ""]
+        assert rows
+        for row in rows:
+            start, cls = int(row["window_start"]), row["class"]
+            cache = _precompute_window(start, {cls: setups[start][cls]}, {cls: 0.0}, (cls,), grid, 10, 9)
+            assert row["r_hat_mean"] == f"{(0.05 * cache.rho[40, :, 0]).mean():.8f}", (start, cls)
+
     def test_diagnose_stage(self, tmp_path):
         assert run(synth_args(tmp_path)) == 0
         assert run(["diagnose", "--out", str(tmp_path)]) == 0

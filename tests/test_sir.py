@@ -17,10 +17,14 @@ from swaynet.sir import (
     fit_parameters,
     follower_snapshot,
     nelder_mead_1d,
+    recovered_follower_sums,
     simulate_growth_rate,
     swayable_recovered_count,
     temporal_network,
     window_loss,
+    _precompute_window,
+    _window_acceptance,
+    _WindowCache,
 )
 
 DAY = 86_400
@@ -223,6 +227,89 @@ class TestSimulateGrowthRate:
         assert abs(draws.mean() - expected) < 3 * se
 
 
+class TestRecoveredFollowerSums:
+    """Prefix sums of one permutation against the hypergeometric law.
+
+    Followers are distinct powers of two, so each sampled sum spells out
+    the sampled subset as a bitmask.
+    """
+
+    N_POOL = 7
+    REPS = 20_000
+
+    @pytest.fixture(scope="class")
+    def masks(self):
+        f_sw = 2 ** np.arange(self.N_POOL, dtype=np.int64)
+        counts = np.arange(self.N_POOL + 1)
+        return np.array(
+            [recovered_follower_sums(f_sw, counts, rngmod.stream(41, "hyper", rep)) for rep in range(self.REPS)]
+        )
+
+    @staticmethod
+    def within_binomial_bounds(hits, p, reps):
+        sigma = math.sqrt(p * (1 - p) / reps)
+        return abs(hits / reps - p) <= 4.5 * sigma + 1e-12
+
+    def test_element_inclusion_frequency(self, masks):
+        n = self.N_POOL
+        for m in range(n + 1):
+            for i in range(n):
+                hits = int(((masks[:, m] >> i) & 1).sum())
+                assert self.within_binomial_bounds(hits, m / n, self.REPS), (m, i, hits)
+
+    def test_pair_inclusion_frequency(self, masks):
+        n = self.N_POOL
+        for m in range(n + 1):
+            p = m * (m - 1) / (n * (n - 1))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    pair = (1 << i) | (1 << j)
+                    hits = int(((masks[:, m] & pair) == pair).sum())
+                    assert self.within_binomial_bounds(hits, p, self.REPS), (m, i, j, hits)
+
+    def test_samples_nest_as_count_grows(self, masks):
+        for m in range(self.N_POOL + 1):
+            for m_big in range(m + 1, self.N_POOL + 1):
+                assert np.all(masks[:, m] & masks[:, m_big] == masks[:, m])
+
+    def test_subset_sizes_match_counts(self, masks):
+        popcount = np.array([[bin(int(v)).count("1") for v in row] for row in masks[:50]])
+        assert np.all(popcount == np.arange(self.N_POOL + 1))
+
+    def test_rho_non_decreasing_along_grid(self):
+        setup = make_setup(n_a=1, n_sw=self.N_POOL, f_a=(100,), f_sw=tuple(2**i for i in range(self.N_POOL)))
+        grid = FitConfig().r0_grid()
+        cache = _precompute_window(0, {"factual": setup}, {"factual": 0.1}, ("factual",), grid, 2_000, 41)
+        assert np.all(np.diff(cache.rho, axis=0) >= 0)
+        assert cache.rho[0].max() == 0.0 and cache.rho[-1].min() > 0.0
+
+
+class TestWindowAcceptance:
+    def test_partition_matches_full_lexsort_through_ties(self):
+        gen = rngmod.stream(8, "ties")
+        n_grid, runs = 21, 16
+        # Losses take only a handful of distinct values, so every cut of
+        # the sorted order lands inside a tie group.
+        rho = gen.integers(0, 4, size=(n_grid, runs, 2)) / 2.0
+        cache = _WindowCache(
+            window_start=0,
+            classes=("factual", "misleading"),
+            rho=rho,
+            r0_of_pair=np.repeat(np.arange(n_grid) * 0.25, runs),
+            empirical=np.array([0.5, 1.0]),
+        )
+        grid_idx, rep_idx = np.divmod(np.arange(n_grid * runs), runs)
+        cuts_in_ties = 0
+        for tolerance_pct in (0.01, 0.05, 0.1, 0.13, 0.25, 0.5, 0.77, 1.0):
+            q, accepted = _window_acceptance(cache, 1.0, tolerance_pct)
+            k = math.ceil(tolerance_pct * len(q))
+            oracle = np.lexsort((rep_idx, grid_idx, q))[:k]
+            assert np.array_equal(accepted, oracle), tolerance_pct
+            ordered = np.sort(q)
+            cuts_in_ties += int(k < len(q) and ordered[k - 1] == ordered[k])
+        assert cuts_in_ties >= 5
+
+
 class TestWindowLoss:
     def test_perfect_match(self):
         assert window_loss({"factual": 0.3}, {"factual": 0.3}) == 0.0
@@ -416,6 +503,21 @@ class TestFitParameters:
         empirical = {start: {"factual": None, "misleading": None, "uncertain": None}}
         with pytest.raises(ValueError, match="no simulable window"):
             fit_parameters(setups, empirical, FitConfig(runs_per_point=5))
+
+    def test_simulate_reproduces_fit_replicates_on_grid(self):
+        setups, empirical, _, _ = planted_fit_problem(n_windows=1)
+        (start, per_class), = setups.items()
+        classes = tuple(per_class)
+        grid = FitConfig().r0_grid()
+        runs, seed, delta = 12, 19, 0.07
+        cache = _precompute_window(start, per_class, empirical[start], classes, grid, runs, seed)
+        for gi in (0, 17, 40, 100):
+            for c, cls in enumerate(classes):
+                simulated = [
+                    simulate_growth_rate(per_class[cls], float(grid[gi]), delta, rngmod.stream(seed, start, rep, cls))
+                    for rep in range(runs)
+                ]
+                assert np.array_equal(simulated, delta * cache.rho[gi, :, c]), (gi, cls)
 
     def test_threads_do_not_change_result(self):
         setups, empirical, _, _ = planted_fit_problem(n_windows=3)
