@@ -29,17 +29,14 @@ from .events import (
     CONTENT_CLASSES,
     FollowerLog,
     ParseError,
-    RetweetEvent,
     UserFlagRates,
-    build_follower_logs,
     classify_category,
     parse_events,
-    user_flag_rates,
+    write_events_jsonl,
 )
 from .graph import (
     PartitionReport,
     WeightedDigraph,
-    build_network,
     creator_consumer_partition,
     node_degrees,
     reachable_set,
@@ -49,7 +46,6 @@ from .growth import (
     GrowthPoint,
     TimeWindow,
     active_users,
-    daily_counts,
     sliding_windows,
     trend_line,
     window_growth_rate,
@@ -66,6 +62,7 @@ from .sir import (
     temporal_network,
     window_loss,
 )
-from .synth import SynthConfig, generate_synthetic, synthesize
+from .store import EventColumns
+from .synth import SynthConfig, synthesize
 
 __version__ = "0.1.0"

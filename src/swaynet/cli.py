@@ -29,7 +29,15 @@ from .backbone import disparity_filter, edge_significance, global_threshold_back
 from .events import CONTENT_CLASSES, write_events_jsonl, write_flag_rates_csv, write_follower_logs_csv
 from .graph import WeightedDigraph, load_binary, save_binary
 from .growth import GrowthPoint, TimeWindow, sliding_windows, trend_line, window_growth_rate
-from .sir import FitConfig, FollowerSnapshots, build_cascade_setup, fit_parameters, simulate_growth_rate
+from .sir import (
+    LOOKBACK_MONTH_SECONDS,
+    FitConfig,
+    FollowerSnapshots,
+    build_cascade_setup,
+    fit_parameters,
+    simulate_growth_rate,
+    temporal_network,
+)
 from .store import EventColumns, file_sha256, load_or_parse
 from .synth import SynthConfig, synthesize
 
@@ -84,7 +92,6 @@ class PipelineConfig:
     tolerance: float = 0.10
     delta: float | None = None
     r0: float | None = None
-    single_pass: bool = False
     band_multiplier: float = 2.0
     fit_range: tuple[float, float] | None = None
     gtb_quantiles: tuple[float, ...] = (0.99, 0.999)
@@ -230,7 +237,7 @@ _TUPLE_FLOAT_KEYS = {
     "synth_reach_uncertain",
 }
 _TIME_KEYS = {"range_start", "range_end"}
-_BOOL_KEYS = {"unfiltered", "single_pass", "emit_significance", "strict"}
+_BOOL_KEYS = {"unfiltered", "emit_significance", "strict"}
 
 
 def _coerce_key(key: str, raw: str):
@@ -320,7 +327,11 @@ def _dataset_range(config: PipelineConfig, columns: EventColumns) -> tuple[int, 
     return start, end
 
 
-def _write_logs_and_rates(config: PipelineConfig, columns: EventColumns) -> None:
+def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
+    """events.jsonl, its column cache, follower logs and flag rates."""
+    with open(_path(config, EVENTS_FILE), "w") as fh:
+        write_events_jsonl(columns, fh)
+    columns.save(_path(config, CACHE_DIR), file_sha256(_path(config, EVENTS_FILE)))
     logs = columns.follower_logs()
     with open(_path(config, LOGS_FILE), "w", newline="") as fh:
         write_follower_logs_csv(logs, fh)
@@ -384,12 +395,12 @@ def cmd_ingest(config: PipelineConfig) -> str:
         with open(config.events, newline="") as fh:
             from .events import parse_events_csv
 
-            events, errors = parse_events_csv(fh, time_range)
+            columns, errors = parse_events_csv(fh, time_range)
     else:
         with open(config.events) as fh:
             from .events import parse_events
 
-            events, errors = parse_events(fh, time_range)
+            columns, errors = parse_events(fh, time_range)
     if errors:
         with open(_path(config, PARSE_ERRORS_FILE), "w", newline="") as fh:
             w = csv.writer(fh)
@@ -398,16 +409,12 @@ def cmd_ingest(config: PipelineConfig) -> str:
                 w.writerow([err.line_no, err.message])
         if config.strict:
             raise ValueError(f"{len(errors)} invalid lines (see {PARSE_ERRORS_FILE})")
-    with open(_path(config, EVENTS_FILE), "w") as fh:
-        write_events_jsonl(events, fh)
-    columns = EventColumns.from_events(events)
-    columns.save(_path(config, CACHE_DIR), file_sha256(_path(config, EVENTS_FILE)))
-    _write_logs_and_rates(config, columns)
+    _write_events(config, columns)
     _write_meta(
         config,
         "ingest",
         {
-            "n_events": len(events),
+            "n_events": len(columns),
             "n_users": len(columns.users),
             "n_errors": len(errors),
             "ts_min": int(columns.ts.min()) if len(columns) else None,
@@ -415,7 +422,7 @@ def cmd_ingest(config: PipelineConfig) -> str:
         },
         [config.events],
     )
-    return f"ingest: {len(events)} events, {len(columns.users)} users, {len(errors)} invalid lines -> {config.out}"
+    return f"ingest: {len(columns)} events, {len(columns.users)} users, {len(errors)} invalid lines -> {config.out}"
 
 
 def cmd_synth(config: PipelineConfig) -> str:
@@ -447,11 +454,8 @@ def cmd_synth(config: PipelineConfig) -> str:
         result = synthesize(synth_config, config.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    with open(_path(config, EVENTS_FILE), "w") as fh:
-        result.write_jsonl(fh)
-    columns = _columns_from_synth(result)
-    columns.save(_path(config, CACHE_DIR), file_sha256(_path(config, EVENTS_FILE)))
-    _write_logs_and_rates(config, columns)
+    columns = result.columns()
+    _write_events(config, columns)
     with open(_path(config, TRUTH_FILE), "w") as fh:
         json.dump(result.truth(), fh, sort_keys=True, indent=1)
     _write_meta(
@@ -476,35 +480,6 @@ def _optional_class_table(config: PipelineConfig, prefix: str) -> dict[str, tupl
         if values is not None:
             table[cls] = tuple(values)
     return table or None
-
-
-def _columns_from_synth(result) -> EventColumns:
-    from .events import CATEGORY_TOKENS
-
-    cat_index = {tok: i for i, tok in enumerate(CATEGORY_TOKENS)}
-    class_to_cat = np.array(
-        [cat_index[result._CAT_OF_CLASS[cls]] for cls in CONTENT_CLASSES], dtype=np.int8
-    )
-    src_bot = result.bot_flag[result.src]
-    dst_bot = result.bot_flag[result.dst]
-    src_ver = result.verified_flag[result.src]
-    dst_ver = result.verified_flag[result.dst]
-    flags = (
-        src_bot.astype(np.uint8)
-        | (dst_bot.astype(np.uint8) << 1)
-        | (src_ver.astype(np.uint8) << 2)
-        | (dst_ver.astype(np.uint8) << 3)
-    )
-    return EventColumns(
-        users=list(result.user_labels),
-        ts=result.ts.astype(np.int64),
-        src=result.src.astype(np.int64),
-        dst=result.dst.astype(np.int64),
-        cat=class_to_cat[result.cat],
-        src_followers=result.src_followers.astype(np.int64),
-        dst_followers=result.dst_followers.astype(np.int64),
-        flags=flags,
-    )
 
 
 def cmd_backbone(config: PipelineConfig) -> str:
@@ -676,7 +651,7 @@ def cmd_growth(config: PipelineConfig) -> str:
 
 def _fit_windows(config: PipelineConfig, columns: EventColumns) -> list[TimeWindow]:
     start, end = _dataset_range(config, columns)
-    lookback = config.lookback * 30 * 86400
+    lookback = config.lookback * LOOKBACK_MONTH_SECONDS
     return [
         w
         for w in sliding_windows(start, end, config.window_days * 86400, config.step_days * 86400)
@@ -687,12 +662,11 @@ def _fit_windows(config: PipelineConfig, columns: EventColumns) -> list[TimeWind
 def _build_setups(config: PipelineConfig, columns: EventColumns, by_class: dict[str, set[str]]):
     aligned_any = set().union(*by_class.values()) if by_class else set()
     snapshots = FollowerSnapshots(columns.follower_logs())
-    lookback = config.lookback * 30 * 86400
     setups: dict[int, dict[str, object]] = {}
     for window in _fit_windows(config, columns):
         per_class = {}
         for cls in CONTENT_CLASSES:
-            g = columns.build_graph(time_range=(window.start - lookback, window.start), content_class=cls)
+            g = temporal_network(columns, window, config.lookback, cls)
             per_class[cls] = build_cascade_setup(g, window, cls, by_class[cls], aligned_any, snapshots)
         setups[window.start] = per_class
     return setups
@@ -770,13 +744,7 @@ def cmd_fit(config: PipelineConfig) -> str:
         lookback_months=config.lookback,
         seed=config.seed,
     )
-    result = fit_parameters(
-        setups,
-        empirical,
-        fit_config,
-        recompute_acceptance=not config.single_pass,
-        threads=config.threads,
-    )
+    result = fit_parameters(setups, empirical, fit_config, threads=config.threads)
     doc = result.to_json_dict()
     with open(_path(config, FIT_FILE), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -966,7 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0-min", dest="r0_min", type=float, default=None)
     p.add_argument("--r0-max", dest="r0_max", type=float, default=None)
     p.add_argument("--r0-step", dest="r0_step", type=float, default=None)
-    p.add_argument("--single-pass", dest="single_pass", action="store_const", const=True, default=None)
 
     p = sub.add_parser("report", help="consolidated plot-ready bundle")
     _add_common(p)

@@ -12,7 +12,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+
+if TYPE_CHECKING:
+    from .store import EventColumns
 
 FACTUAL = "factual"
 MISLEADING = "misleading"
@@ -32,6 +35,8 @@ CATEGORY_TOKENS = (
     "SHADOW",
     "NA",
 )
+
+CATEGORY_INDEX = {tok: i for i, tok in enumerate(CATEGORY_TOKENS)}
 
 # Long-form spellings accepted on input alongside the wire tokens.
 _CATEGORY_ALIASES = {
@@ -76,6 +81,10 @@ EVENT_FIELDS = (
     "dst_verified",
 )
 
+# Bit per flag field in EventColumns.flags.
+SRC_BOT, DST_BOT, SRC_VERIFIED, DST_VERIFIED = 1, 2, 4, 8
+FLAG_BITS = (("src_bot", SRC_BOT), ("dst_bot", DST_BOT), ("src_verified", SRC_VERIFIED), ("dst_verified", DST_VERIFIED))
+
 
 def canonical_category(raw_category: str | None) -> str:
     """Normalize a category spelling to its wire token.
@@ -95,27 +104,6 @@ def canonical_category(raw_category: str | None) -> str:
 def classify_category(raw_category: str | None) -> str:
     """Map one of the ten categories (or NA) to factual/misleading/uncertain."""
     return CLASS_BY_CATEGORY[canonical_category(raw_category)]
-
-
-@dataclass(frozen=True, slots=True)
-class RetweetEvent:
-    """One retweet: `retweetee` was retweeted by `retweeter` at `timestamp`.
-
-    Follower counts and bot/verification flags are snapshots taken for both
-    users at the moment of the activity.
-    """
-
-    timestamp: int
-    retweetee: str
-    retweeter: str
-    raw_category: str
-    content_class: str
-    retweetee_followers: int
-    retweeter_followers: int
-    retweetee_bot: bool
-    retweeter_bot: bool
-    retweetee_verified: bool
-    retweeter_verified: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,162 +179,113 @@ def _coerce_flag(value, field: str) -> bool:
     raise ValueError(f"bad {field}: {value!r}")
 
 
-def event_from_record(rec: dict, time_range: tuple[int, int] | None = None) -> RetweetEvent:
-    """Build a validated event from a wire record (dict of EVENT_FIELDS)."""
+def event_row(rec: dict, time_range: tuple[int, int] | None = None) -> tuple[int, str, str, int, int, int, int]:
+    """Validate a wire record (dict of EVENT_FIELDS) into one EventColumns row:
+    (ts, src, dst, category index, src_followers, dst_followers, flag bits)."""
     missing = [f for f in EVENT_FIELDS if f not in rec]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
     ts = _coerce_timestamp(rec["ts"])
     if time_range is not None and not (time_range[0] <= ts < time_range[1]):
         raise ValueError(f"timestamp {ts} outside dataset range [{time_range[0]}, {time_range[1]})")
-    cat = canonical_category(rec["cat"])
-    return RetweetEvent(
-        timestamp=ts,
-        retweetee=str(rec["src"]),
-        retweeter=str(rec["dst"]),
-        raw_category=cat,
-        content_class=CLASS_BY_CATEGORY[cat],
-        retweetee_followers=_coerce_count(rec["src_followers"], "src_followers"),
-        retweeter_followers=_coerce_count(rec["dst_followers"], "dst_followers"),
-        retweetee_bot=_coerce_flag(rec["src_bot"], "src_bot"),
-        retweeter_bot=_coerce_flag(rec["dst_bot"], "dst_bot"),
-        retweetee_verified=_coerce_flag(rec["src_verified"], "src_verified"),
-        retweeter_verified=_coerce_flag(rec["dst_verified"], "dst_verified"),
-    )
+    cat = CATEGORY_INDEX[canonical_category(rec["cat"])]
+    src_followers = _coerce_count(rec["src_followers"], "src_followers")
+    dst_followers = _coerce_count(rec["dst_followers"], "dst_followers")
+    flags = 0
+    for field, bit in FLAG_BITS:
+        if _coerce_flag(rec[field], field):
+            flags |= bit
+    return ts, str(rec["src"]), str(rec["dst"]), cat, src_followers, dst_followers, flags
 
 
-def event_to_record(event: RetweetEvent) -> dict:
-    return {
-        "ts": event.timestamp,
-        "src": event.retweetee,
-        "dst": event.retweeter,
-        "cat": event.raw_category,
-        "src_followers": event.retweetee_followers,
-        "dst_followers": event.retweeter_followers,
-        "src_bot": event.retweetee_bot,
-        "dst_bot": event.retweeter_bot,
-        "src_verified": event.retweetee_verified,
-        "dst_verified": event.retweeter_verified,
-    }
+def _reject(errors: list[ParseError], line_no: int, exc: ValueError, strict: bool) -> None:
+    if strict:
+        raise ValueError(f"line {line_no}: {exc}") from None
+    errors.append(ParseError(line_no, str(exc)))
 
 
 def parse_events(
     lines: Iterable[str],
     time_range: tuple[int, int] | None = None,
     strict: bool = False,
-) -> tuple[list[RetweetEvent], list[ParseError]]:
-    """Parse JSON Lines into events, preserving input order.
+) -> tuple[EventColumns, list[ParseError]]:
+    """Parse JSON Lines into EventColumns, preserving input order.
 
     Invalid lines are reported with their 1-based line number; with
     strict=True the first bad line raises instead. I/O errors from the
     underlying stream propagate (stream-level failure aborts the parse).
     """
-    events: list[RetweetEvent] = []
+    from .store import EventColumns
+
     errors: list[ParseError] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ValueError("record is not an object")
-            events.append(event_from_record(rec, time_range))
-        except ValueError as exc:
-            if strict:
-                raise ValueError(f"line {line_no}: {exc}") from None
-            errors.append(ParseError(line_no, str(exc)))
-    return events, errors
+
+    def rows() -> Iterator[tuple]:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("record is not an object")
+                row = event_row(rec, time_range)
+            except ValueError as exc:
+                _reject(errors, line_no, exc, strict)
+                continue
+            yield row
+
+    return EventColumns.from_events(rows()), errors
 
 
 def parse_events_csv(
     handle: TextIO,
     time_range: tuple[int, int] | None = None,
     strict: bool = False,
-) -> tuple[list[RetweetEvent], list[ParseError]]:
+) -> tuple[EventColumns, list[ParseError]]:
     """Parse the CSV alternate format (header row, same columns)."""
-    reader = csv.DictReader(handle)
-    events: list[RetweetEvent] = []
+    from .store import EventColumns
+
     errors: list[ParseError] = []
-    for line_no, row in enumerate(reader, start=2):
-        try:
-            rec = {k: row.get(k) for k in EVENT_FIELDS}
-            if rec["cat"] == "":
-                rec["cat"] = "NA"
-            events.append(event_from_record(rec, time_range))
-        except ValueError as exc:
-            if strict:
-                raise ValueError(f"line {line_no}: {exc}") from None
-            errors.append(ParseError(line_no, str(exc)))
-    return events, errors
+
+    def rows() -> Iterator[tuple]:
+        for line_no, record in enumerate(csv.DictReader(handle), start=2):
+            try:
+                rec = {k: record.get(k) for k in EVENT_FIELDS}
+                if rec["cat"] == "":
+                    rec["cat"] = "NA"
+                row = event_row(rec, time_range)
+            except ValueError as exc:
+                _reject(errors, line_no, exc, strict)
+                continue
+            yield row
+
+    return EventColumns.from_events(rows()), errors
 
 
-def write_events_jsonl(events: Iterable[RetweetEvent], handle: TextIO) -> int:
-    """Serialize events one JSON object per line; returns the line count."""
-    n = 0
-    for event in events:
-        handle.write(json.dumps(event_to_record(event), separators=(",", ":")))
-        handle.write("\n")
-        n += 1
+_JSONL_ROW = '{"ts":%d,"src":%s,"dst":%s,"cat":%s,"src_followers":%d,"dst_followers":%d,%s}\n'
+_WRITE_CHUNK = 65536
+
+
+def write_events_jsonl(columns: EventColumns, handle: TextIO) -> int:
+    """Serialize columns one JSON object per line; returns the line count."""
+    labels = [json.dumps(u) for u in columns.users]
+    cats = [json.dumps(tok) for tok in CATEGORY_TOKENS]
+    flag_fields = [
+        ",".join(f'"{field}":{"true" if flags & bit else "false"}' for field, bit in FLAG_BITS)
+        for flags in range(1 << len(FLAG_BITS))
+    ]
+    arrays = (columns.ts, columns.src, columns.dst, columns.cat, columns.src_followers, columns.dst_followers, columns.flags)
+    n = len(columns)
+    for lo in range(0, n, _WRITE_CHUNK):
+        chunk = zip(*(a[lo : lo + _WRITE_CHUNK].tolist() for a in arrays))
+        handle.write(
+            "".join(
+                [
+                    _JSONL_ROW % (ts, labels[s], labels[d], cats[c], sf, df, flag_fields[f])
+                    for ts, s, d, c, sf, df, f in chunk
+                ]
+            )
+        )
     return n
-
-
-def write_events_csv(events: Iterable[RetweetEvent], handle: TextIO) -> int:
-    writer = csv.writer(handle)
-    writer.writerow(EVENT_FIELDS)
-    n = 0
-    for event in events:
-        rec = event_to_record(event)
-        writer.writerow([rec[f] for f in EVENT_FIELDS])
-        n += 1
-    return n
-
-
-def read_events(path: str, time_range: tuple[int, int] | None = None) -> tuple[list[RetweetEvent], list[ParseError]]:
-    """Read events from a .jsonl or .csv file, dispatching on the suffix."""
-    if path.endswith(".csv"):
-        with open(path, newline="") as handle:
-            return parse_events_csv(handle, time_range)
-    with open(path) as handle:
-        return parse_events(handle, time_range)
-
-
-def _iter_observations(events: Iterable[RetweetEvent]) -> Iterator[tuple[str, int, int, bool, bool]]:
-    # One observation per participating role: (user, ts, followers, bot, verified).
-    for e in events:
-        yield e.retweetee, e.timestamp, e.retweetee_followers, e.retweetee_bot, e.retweetee_verified
-        yield e.retweeter, e.timestamp, e.retweeter_followers, e.retweeter_bot, e.retweeter_verified
-
-
-def build_follower_logs(events: Iterable[RetweetEvent]) -> dict[str, FollowerLog]:
-    """Per-user follower-count log from activity-moment snapshots."""
-    raw: dict[str, list[tuple[int, int]]] = {}
-    for user, ts, followers, _, _ in _iter_observations(events):
-        raw.setdefault(user, []).append((ts, followers))
-    logs: dict[str, FollowerLog] = {}
-    for user, obs in raw.items():
-        obs.sort(key=lambda o: o[0])  # stable: stream order preserved within ties
-        collapsed: list[tuple[int, int]] = []
-        for ts, followers in obs:
-            if collapsed and collapsed[-1][0] == ts:
-                collapsed[-1] = (ts, followers)
-            else:
-                collapsed.append((ts, followers))
-        logs[user] = FollowerLog(user, tuple(collapsed))
-    return logs
-
-
-def user_flag_rates(events: Iterable[RetweetEvent]) -> dict[str, UserFlagRates]:
-    """Bot and verification rates over every activity record of each user."""
-    counts: dict[str, list[int]] = {}
-    for user, _, _, bot, verified in _iter_observations(events):
-        row = counts.setdefault(user, [0, 0, 0])
-        row[0] += 1
-        row[1] += int(bot)
-        row[2] += int(verified)
-    return {
-        user: UserFlagRates(user, bot / n, verified / n, n)
-        for user, (n, bot, verified) in counts.items()
-    }
 
 
 def write_follower_logs_csv(logs: dict[str, FollowerLog], handle: TextIO) -> None:
@@ -355,14 +294,6 @@ def write_follower_logs_csv(logs: dict[str, FollowerLog], handle: TextIO) -> Non
     for user in sorted(logs):
         for ts, followers in logs[user].observations:
             writer.writerow([user, ts, followers])
-
-
-def read_follower_logs_csv(handle: TextIO) -> dict[str, FollowerLog]:
-    reader = csv.DictReader(handle)
-    raw: dict[str, list[tuple[int, int]]] = {}
-    for row in reader:
-        raw.setdefault(row["user"], []).append((int(row["timestamp"]), int(row["followers"])))
-    return {user: FollowerLog(user, tuple(obs)) for user, obs in raw.items()}
 
 
 def write_flag_rates_csv(rates: dict[str, UserFlagRates], handle: TextIO) -> None:

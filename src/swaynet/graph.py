@@ -15,8 +15,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .events import RetweetEvent
-
 _BINARY_MAGIC = b"SWGB"
 _BINARY_VERSION = 1
 
@@ -194,41 +192,6 @@ class PartitionReport:
             "consumers_only": len(self.consumers_only) / total,
             "both": len(self.both) / total,
         }
-
-
-def build_network(
-    events: Iterable[RetweetEvent],
-    time_range: tuple[int, int] | None = None,
-    class_filter: str | None = None,
-) -> WeightedDigraph:
-    """Aggregate events into a weighted digraph, one edge per (src, dst) pair.
-
-    time_range is half-open [start, end); class_filter keeps only events of
-    one content class. The sum of edge weights equals the number of
-    retained events, and nodes are exactly the endpoints of those events.
-    """
-    weights: dict[tuple[str, str], int] = {}
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    for e in events:
-        if time_range is not None and not (time_range[0] <= e.timestamp < time_range[1]):
-            continue
-        if class_filter is not None and e.content_class != class_filter:
-            continue
-        key = (e.retweetee, e.retweeter)
-        if key in weights:
-            weights[key] += 1
-        else:
-            weights[key] = 1
-            for u in key:
-                if u not in index:
-                    index[u] = len(labels)
-                    labels.append(u)
-    n_e = len(weights)
-    src = np.fromiter((index[s] for s, _ in weights), dtype=np.int64, count=n_e)
-    dst = np.fromiter((index[d] for _, d in weights), dtype=np.int64, count=n_e)
-    w = np.fromiter(weights.values(), dtype=np.int64, count=n_e)
-    return WeightedDigraph(labels, src, dst, w)
 
 
 def node_degrees(g: WeightedDigraph) -> Degrees:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .events import FollowerLog, RetweetEvent
+from .events import FollowerLog
 
 SECONDS_PER_DAY = 86_400
 WINDOW_SECONDS = 30 * SECONDS_PER_DAY
@@ -120,25 +120,6 @@ def window_growth_rate(
     if n_active == 0 or f_first == 0:
         return GrowthPoint(window, content_class, None, n_active, f_first, f_last)
     return GrowthPoint(window, content_class, (f_last - f_first) / f_first, n_active, f_first, f_last)
-
-
-def daily_counts(
-    events: Iterable[RetweetEvent],
-    content_class: str,
-    aligned: set[str],
-) -> dict[int, int]:
-    """Per-UTC-day counts of class retweets given or received by aligned users.
-
-    An event counts once per day even when both endpoints are aligned.
-    """
-    counts: dict[int, int] = {}
-    for e in events:
-        if e.content_class != content_class:
-            continue
-        if e.retweetee in aligned or e.retweeter in aligned:
-            day = e.timestamp // SECONDS_PER_DAY
-            counts[day] = counts.get(day, 0) + 1
-    return counts
 
 
 @dataclass(frozen=True)

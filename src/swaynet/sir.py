@@ -15,20 +15,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
-from .events import CONTENT_CLASSES, FollowerLog, RetweetEvent
-from .graph import WeightedDigraph, build_network, reachable_set, reverse_reachable_set
+from .events import CONTENT_CLASSES, FollowerLog
+from .graph import WeightedDigraph, reachable_set, reverse_reachable_set
 from .growth import WINDOW_SECONDS, TimeWindow
+from .store import EventColumns
 
 LOOKBACK_MONTH_SECONDS = WINDOW_SECONDS  # one "month" of history = 30 days
 
 
 def temporal_network(
-    events: Iterable[RetweetEvent],
+    columns: EventColumns,
     window: TimeWindow,
     n_months: int,
     content_class: str,
@@ -40,7 +41,7 @@ def temporal_network(
     if n_months < 1:
         raise ValueError(f"lookback must be >= 1 month, got {n_months}")
     start = window.start - n_months * LOOKBACK_MONTH_SECONDS
-    return build_network(events, time_range=(start, window.start), class_filter=content_class)
+    return columns.build_graph(time_range=(start, window.start), content_class=content_class)
 
 
 def cascade_populations(
@@ -99,21 +100,6 @@ class CascadeSetup:
     @property
     def simulable(self) -> bool:
         return len(self.v_a) > 0 and len(self.v_sw) > 0 and self.sum_f_a > 0
-
-
-def follower_snapshot(log: FollowerLog | None, before: int) -> tuple[int, bool]:
-    """Most recent count strictly before `before`; falls back to the earliest
-    observation overall (flagged) when none exists."""
-    if log is None or not log.observations:
-        return 0, True
-    last = None
-    for ts, count in log.observations:
-        if ts >= before:
-            break
-        last = count
-    if last is not None:
-        return last, False
-    return log.observations[0][1], True
 
 
 class FollowerSnapshots:
@@ -425,11 +411,6 @@ def _precompute_window(
     )
 
 
-def _pair_losses(cache: _WindowCache, delta: float) -> np.ndarray:
-    """Loss of every (grid point, replicate) pair, flat index grid * runs + replicate."""
-    return ((delta * cache.rho - cache.empirical) ** 2).sum(axis=2).reshape(-1)
-
-
 def _window_acceptance(cache: _WindowCache, delta: float, tolerance_pct: float):
     """Deterministic acceptance: lowest-loss pairs, ties broken by (grid index, replicate).
 
@@ -437,7 +418,8 @@ def _window_acceptance(cache: _WindowCache, delta: float, tolerance_pct: float):
     pair below the k-th loss plus the lowest-index pairs tied with it, and
     only those k pairs are sorted.
     """
-    q = _pair_losses(cache, delta)
+    # Loss of every (grid point, replicate) pair, flat index grid * runs + replicate.
+    q = ((delta * cache.rho - cache.empirical) ** 2).sum(axis=2).reshape(-1)
     n_accept = math.ceil(tolerance_pct * len(q))
     kth = np.partition(q, n_accept - 1)[n_accept - 1]
     below = np.flatnonzero(q < kth)
@@ -511,7 +493,6 @@ def fit_parameters(
     empirical_rates: Mapping[int, Mapping[str, float | None]],
     config: FitConfig,
     classes: Sequence[str] = CONTENT_CLASSES,
-    recompute_acceptance: bool = True,
     threads: int = 1,
 ) -> FitResult:
     """Fit the global delta and per-window accepted reproduction numbers.
@@ -524,9 +505,6 @@ def fit_parameters(
     excluded and reported. Deterministic for a fixed seed: replicate draws
     are addressed by (seed, window, replicate, class), shared across the R0
     grid, and never depend on delta, scheduling, or window order.
-
-    With recompute_acceptance=False the acceptance set is frozen at the
-    initial delta and only the scale is optimized (single-pass variant).
     """
     grid = config.r0_grid()
     caches: list[_WindowCache] = []
@@ -570,18 +548,7 @@ def fit_parameters(
         ]
 
     lo, hi = config.delta_bounds
-
-    if recompute_acceptance:
-        objective = lambda d: _objective(caches, d, config.tolerance_pct)
-    else:
-        frozen = [(_window_acceptance(c, 0.5 * (lo + hi), config.tolerance_pct)[1], c) for c in caches]
-
-        def objective(d: float) -> float:
-            total = 0.0
-            for accepted, cache in frozen:
-                total += float(_pair_losses(cache, d)[accepted].mean())
-            return total
-
+    objective = lambda d: _objective(caches, d, config.tolerance_pct)
     # Coarse scan picks the simplex seed; the landscape can have shallow
     # local basins when acceptance sets reshuffle.
     scan = np.linspace(lo, hi, 17)[1:]

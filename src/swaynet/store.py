@@ -13,7 +13,8 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -21,19 +22,20 @@ from .events import (
     CATEGORY_TOKENS,
     CLASS_BY_CATEGORY,
     CONTENT_CLASSES,
+    DST_BOT,
+    DST_VERIFIED,
+    SRC_BOT,
+    SRC_VERIFIED,
     FollowerLog,
-    RetweetEvent,
     UserFlagRates,
 )
 from .graph import WeightedDigraph
 
 _COLUMNS = ("ts", "src", "dst", "cat", "src_followers", "dst_followers", "flags")
-_CAT_INDEX = {tok: i for i, tok in enumerate(CATEGORY_TOKENS)}
+_DTYPES = (np.int64, np.int64, np.int64, np.int8, np.int64, np.int64, np.uint8)
+_BUILD_CHUNK = 65536
 _CLASS_INDEX = {cls: i for i, cls in enumerate(CONTENT_CLASSES)}
 CLASS_OF_CAT = np.array([_CLASS_INDEX[CLASS_BY_CATEGORY[tok]] for tok in CATEGORY_TOKENS], dtype=np.int8)
-
-# flag bit layout
-_SRC_BOT, _DST_BOT, _SRC_VER, _DST_VER = 1, 2, 4, 8
 
 
 def file_sha256(path: str) -> str:
@@ -65,63 +67,22 @@ class EventColumns:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_events(cls, events: Sequence[RetweetEvent]) -> "EventColumns":
-        n = len(events)
+    def from_events(cls, rows: Iterable[tuple[int, str, str, int, int, int, int]]) -> "EventColumns":
+        """Columns from validated rows as `events.event_row` makes them.
+
+        Users are interned in first-appearance order, src before dst.
+        """
         index: dict[str, int] = {}
-        users: list[str] = []
-
-        def intern(label: str) -> int:
-            i = index.get(label)
-            if i is None:
-                i = len(users)
-                index[label] = i
-                users.append(label)
-            return i
-
-        ts = np.empty(n, dtype=np.int64)
-        src = np.empty(n, dtype=np.int64)
-        dst = np.empty(n, dtype=np.int64)
-        cat = np.empty(n, dtype=np.int8)
-        src_f = np.empty(n, dtype=np.int64)
-        dst_f = np.empty(n, dtype=np.int64)
-        flags = np.zeros(n, dtype=np.uint8)
-        for i, e in enumerate(events):
-            ts[i] = e.timestamp
-            src[i] = intern(e.retweetee)
-            dst[i] = intern(e.retweeter)
-            cat[i] = _CAT_INDEX[e.raw_category]
-            src_f[i] = e.retweetee_followers
-            dst_f[i] = e.retweeter_followers
-            flags[i] = (
-                (_SRC_BOT if e.retweetee_bot else 0)
-                | (_DST_BOT if e.retweeter_bot else 0)
-                | (_SRC_VER if e.retweetee_verified else 0)
-                | (_DST_VER if e.retweeter_verified else 0)
-            )
-        return cls(users, ts, src, dst, cat, src_f, dst_f, flags)
-
-    def to_events(self) -> list[RetweetEvent]:
-        out = []
-        users = self.users
-        for i in range(len(self.ts)):
-            tok = CATEGORY_TOKENS[self.cat[i]]
-            f = int(self.flags[i])
-            out.append(
-                RetweetEvent(
-                    timestamp=int(self.ts[i]),
-                    retweetee=users[self.src[i]],
-                    retweeter=users[self.dst[i]],
-                    raw_category=tok,
-                    content_class=CLASS_BY_CATEGORY[tok],
-                    retweetee_followers=int(self.src_followers[i]),
-                    retweeter_followers=int(self.dst_followers[i]),
-                    retweetee_bot=bool(f & _SRC_BOT),
-                    retweeter_bot=bool(f & _DST_BOT),
-                    retweetee_verified=bool(f & _SRC_VER),
-                    retweeter_verified=bool(f & _DST_VER),
-                )
-            )
-        return out
+        intern = index.setdefault
+        parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
+        it = iter(rows)
+        while chunk := list(islice(it, _BUILD_CHUNK)):
+            ts, src, dst, cat, src_f, dst_f, flags = zip(*chunk)
+            ids = np.array([intern(u, len(index)) for pair in zip(src, dst) for u in pair], dtype=np.int64)
+            for part, values, dtype in zip(parts, (ts, ids[0::2], ids[1::2], cat, src_f, dst_f, flags), _DTYPES):
+                part.append(np.asarray(values, dtype=dtype))
+        columns = [np.concatenate(p) if p else np.zeros(0, dtype) for p, dtype in zip(parts, _DTYPES)]
+        return cls(list(index), *columns)
 
     # -- persistence ----------------------------------------------------------
 
@@ -167,7 +128,11 @@ class EventColumns:
         content_class: str | None = None,
         mask: np.ndarray | None = None,
     ) -> WeightedDigraph:
-        """Aggregate masked events into a graph; matches graph.build_network."""
+        """Aggregate masked events into a graph, one edge per (src, dst) pair.
+
+        The sum of edge weights equals the number of masked events, and
+        nodes are exactly the endpoints of those events.
+        """
         if mask is None:
             mask = self.event_mask(time_range, content_class)
         src = self.src[mask]
@@ -187,12 +152,12 @@ class EventColumns:
         return self.src * len(self.users) + self.dst
 
     def follower_logs(self) -> dict[str, FollowerLog]:
-        """Equivalent of events.build_follower_logs, built columnwise."""
+        """Per-user follower-count log from activity-moment snapshots."""
         user = np.concatenate([self.src, self.dst])
         ts = np.concatenate([self.ts, self.ts])
         count = np.concatenate([self.src_followers, self.dst_followers])
-        # Stream order within ties: retweetee observation precedes retweeter,
-        # matching the per-event role order of the object path.
+        # Stream order within ties: the retweetee observation of an event
+        # precedes its retweeter observation.
         seq = np.concatenate([2 * np.arange(len(self.ts)), 2 * np.arange(len(self.ts)) + 1])
         order = np.lexsort((seq, ts, user))
         user, ts, count = user[order], ts[order], count[order]
@@ -214,8 +179,8 @@ class EventColumns:
     def flag_rates(self) -> dict[str, UserFlagRates]:
         n_users = len(self.users)
         user = np.concatenate([self.src, self.dst])
-        bot = np.concatenate([(self.flags & _SRC_BOT) > 0, (self.flags & _DST_BOT) > 0])
-        ver = np.concatenate([(self.flags & _SRC_VER) > 0, (self.flags & _DST_VER) > 0])
+        bot = np.concatenate([(self.flags & SRC_BOT) > 0, (self.flags & DST_BOT) > 0])
+        ver = np.concatenate([(self.flags & SRC_VERIFIED) > 0, (self.flags & DST_VERIFIED) > 0])
         total = np.bincount(user, minlength=n_users)
         bots = np.bincount(user, weights=bot, minlength=n_users)
         vers = np.bincount(user, weights=ver, minlength=n_users)
@@ -244,16 +209,20 @@ class EventColumns:
 
 
 def load_or_parse(events_path: str, cache_dir: str | None = None) -> EventColumns:
-    """Load the cache when fresh, else parse the canonical stream strictly."""
+    """Load the cache when fresh, else parse the canonical stream strictly
+    and write the parsed columns back to the cache."""
     digest = file_sha256(events_path)
     if cache_dir is not None:
         cached = EventColumns.load(cache_dir, digest)
         if cached is not None:
             return cached
-    from .events import read_events
+    from .events import parse_events
 
-    events, errors = read_events(events_path)
+    with open(events_path) as fh:
+        columns, errors = parse_events(fh)
     if errors:
         first = errors[0]
         raise ValueError(f"{events_path}: {len(errors)} invalid lines (first: line {first.line_no}: {first.message})")
-    return EventColumns.from_events(events)
+    if cache_dir is not None:
+        columns.save(cache_dir, digest)
+    return columns

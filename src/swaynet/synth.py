@@ -15,7 +15,6 @@ for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
@@ -23,8 +22,9 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import rng as rngmod
-from .events import CONTENT_CLASSES, RetweetEvent
+from .events import CATEGORY_INDEX, CONTENT_CLASSES, DST_BOT, DST_VERIFIED, SRC_BOT, SRC_VERIFIED, write_events_jsonl
 from .growth import STEP_SECONDS, WINDOW_SECONDS
+from .store import EventColumns
 
 # Event composition shares; spread = aligned user touching the swayable pool.
 _SPREAD_SHARE = {"factual": 0.85, "misleading": 0.85, "uncertain": 0.70}
@@ -166,60 +166,39 @@ class SynthResult:
     def __len__(self) -> int:
         return len(self.ts)
 
-    def events(self) -> list[RetweetEvent]:
-        cats = [self._CAT_OF_CLASS[c] for c in CONTENT_CLASSES]
-        out = []
-        for i in range(len(self.ts)):
-            cat = cats[self.cat[i]]
-            s, d = int(self.src[i]), int(self.dst[i])
-            out.append(
-                RetweetEvent(
-                    timestamp=int(self.ts[i]),
-                    retweetee=self.user_labels[s],
-                    retweeter=self.user_labels[d],
-                    raw_category=cat,
-                    content_class=CONTENT_CLASSES[self.cat[i]],
-                    retweetee_followers=int(self.src_followers[i]),
-                    retweeter_followers=int(self.dst_followers[i]),
-                    retweetee_bot=bool(self.bot_flag[s]),
-                    retweeter_bot=bool(self.bot_flag[d]),
-                    retweetee_verified=bool(self.verified_flag[s]),
-                    retweeter_verified=bool(self.verified_flag[d]),
-                )
-            )
-        return out
+    def columns(self) -> EventColumns:
+        """The events as EventColumns, equal to a parse of `write_jsonl`'s output:
+        users that take part, interned in first-appearance order, src before dst."""
+        n = len(self.ts)
+        first = np.full(len(self.user_labels), 2 * n, dtype=np.int64)
+        np.minimum.at(first, self.src, np.arange(0, 2 * n, 2))
+        np.minimum.at(first, self.dst, np.arange(1, 2 * n, 2))
+        seen = np.flatnonzero(first < 2 * n)
+        order = seen[np.argsort(first[seen])]
+        new_id = np.zeros(len(self.user_labels), dtype=np.int64)
+        new_id[order] = np.arange(len(order))
+        cat_of_class = np.array([CATEGORY_INDEX[self._CAT_OF_CLASS[c]] for c in CONTENT_CLASSES], dtype=np.int8)
+        flags = np.zeros(n, dtype=np.uint8)
+        for per_user, users, bit in (
+            (self.bot_flag, self.src, SRC_BOT),
+            (self.bot_flag, self.dst, DST_BOT),
+            (self.verified_flag, self.src, SRC_VERIFIED),
+            (self.verified_flag, self.dst, DST_VERIFIED),
+        ):
+            flags[per_user[users]] |= bit
+        return EventColumns(
+            users=[self.user_labels[i] for i in order],
+            ts=self.ts,
+            src=new_id[self.src],
+            dst=new_id[self.dst],
+            cat=cat_of_class[self.cat],
+            src_followers=self.src_followers,
+            dst_followers=self.dst_followers,
+            flags=flags,
+        )
 
     def write_jsonl(self, handle: TextIO) -> int:
-        # Labels are plain alphanumerics, so records can be templated directly.
-        cats = [json.dumps(self._CAT_OF_CLASS[c]) for c in CONTENT_CLASSES]
-        labels = self.user_labels
-        bot = self.bot_flag
-        ver = self.verified_flag
-        n = len(self.ts)
-        chunks = []
-        for i in range(n):
-            s, d = int(self.src[i]), int(self.dst[i])
-            chunks.append(
-                '{"ts":%d,"src":"%s","dst":"%s","cat":%s,"src_followers":%d,"dst_followers":%d,'
-                '"src_bot":%s,"dst_bot":%s,"src_verified":%s,"dst_verified":%s}\n'
-                % (
-                    self.ts[i],
-                    labels[s],
-                    labels[d],
-                    cats[self.cat[i]],
-                    self.src_followers[i],
-                    self.dst_followers[i],
-                    "true" if bot[s] else "false",
-                    "true" if bot[d] else "false",
-                    "true" if ver[s] else "false",
-                    "true" if ver[d] else "false",
-                )
-            )
-            if len(chunks) >= 65536:
-                handle.write("".join(chunks))
-                chunks.clear()
-        handle.write("".join(chunks))
-        return n
+        return write_events_jsonl(self.columns(), handle)
 
     def truth(self) -> dict:
         return {
@@ -424,8 +403,3 @@ def _follower_counts(
         log_factor = lk[seg[mask]] + frac[mask] * (lk[seg[mask] + 1] - lk[seg[mask]])
         counts[mask] = np.rint(counts[mask] * np.exp(log_factor))
     return np.maximum(counts, 0).astype(np.int64)
-
-
-def generate_synthetic(config: SynthConfig, seed: int) -> list[RetweetEvent]:
-    """Materialize the synthetic stream as event objects (desk-scale sizes)."""
-    return synthesize(config, seed).events()

@@ -1,0 +1,256 @@
+"""Object-path oracles: the event model swaynet used before EventColumns.
+
+Each function here works on plain `RetweetEvent` lists, one event at a
+time, with no numpy. The tests compare the columnar functions the CLI runs
+against these, and build small hand-written inputs with `RetweetEvent`.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+from typing import Iterable, Iterator, TextIO
+
+import numpy as np
+
+from swaynet.events import (
+    CATEGORY_INDEX,
+    CATEGORY_TOKENS,
+    CLASS_BY_CATEGORY,
+    CONTENT_CLASSES,
+    DST_BOT,
+    DST_VERIFIED,
+    EVENT_FIELDS,
+    SRC_BOT,
+    SRC_VERIFIED,
+    FollowerLog,
+    UserFlagRates,
+)
+from swaynet.graph import WeightedDigraph
+from swaynet.store import EventColumns
+
+SECONDS_PER_DAY = 86_400
+
+
+@dataclass(frozen=True, slots=True)
+class RetweetEvent:
+    """One retweet: `retweetee` was retweeted by `retweeter` at `timestamp`.
+
+    Follower counts and bot/verification flags are snapshots taken for both
+    users at the moment of the activity.
+    """
+
+    timestamp: int
+    retweetee: str
+    retweeter: str
+    raw_category: str
+    content_class: str
+    retweetee_followers: int
+    retweeter_followers: int
+    retweetee_bot: bool
+    retweeter_bot: bool
+    retweetee_verified: bool
+    retweeter_verified: bool
+
+
+# -- conversion between the two models -----------------------------------------
+
+
+def columns_of(events: Iterable[RetweetEvent]) -> EventColumns:
+    """EventColumns holding `events`, built by the production row builder."""
+    return EventColumns.from_events(
+        (
+            e.timestamp,
+            e.retweetee,
+            e.retweeter,
+            CATEGORY_INDEX[e.raw_category],
+            e.retweetee_followers,
+            e.retweeter_followers,
+            (SRC_BOT if e.retweetee_bot else 0)
+            | (DST_BOT if e.retweeter_bot else 0)
+            | (SRC_VERIFIED if e.retweetee_verified else 0)
+            | (DST_VERIFIED if e.retweeter_verified else 0),
+        )
+        for e in events
+    )
+
+
+def to_events(columns: EventColumns) -> list[RetweetEvent]:
+    out = []
+    users = columns.users
+    for i in range(len(columns.ts)):
+        tok = CATEGORY_TOKENS[columns.cat[i]]
+        f = int(columns.flags[i])
+        out.append(
+            RetweetEvent(
+                timestamp=int(columns.ts[i]),
+                retweetee=users[columns.src[i]],
+                retweeter=users[columns.dst[i]],
+                raw_category=tok,
+                content_class=CLASS_BY_CATEGORY[tok],
+                retweetee_followers=int(columns.src_followers[i]),
+                retweeter_followers=int(columns.dst_followers[i]),
+                retweetee_bot=bool(f & SRC_BOT),
+                retweeter_bot=bool(f & DST_BOT),
+                retweetee_verified=bool(f & SRC_VERIFIED),
+                retweeter_verified=bool(f & DST_VERIFIED),
+            )
+        )
+    return out
+
+
+def synth_events(result) -> list[RetweetEvent]:
+    """A SynthResult's events read straight off its label table and per-user flags."""
+    out = []
+    for i in range(len(result.ts)):
+        cls = CONTENT_CLASSES[result.cat[i]]
+        s, d = int(result.src[i]), int(result.dst[i])
+        out.append(
+            RetweetEvent(
+                timestamp=int(result.ts[i]),
+                retweetee=result.user_labels[s],
+                retweeter=result.user_labels[d],
+                raw_category=result._CAT_OF_CLASS[cls],
+                content_class=cls,
+                retweetee_followers=int(result.src_followers[i]),
+                retweeter_followers=int(result.dst_followers[i]),
+                retweetee_bot=bool(result.bot_flag[s]),
+                retweeter_bot=bool(result.bot_flag[d]),
+                retweetee_verified=bool(result.verified_flag[s]),
+                retweeter_verified=bool(result.verified_flag[d]),
+            )
+        )
+    return out
+
+
+def columns_equal(a: EventColumns, b: EventColumns) -> bool:
+    """Same user table and the same values and dtypes in every column."""
+    if a.users != b.users:
+        return False
+    for name in ("ts", "src", "dst", "cat", "src_followers", "dst_followers", "flags"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x.dtype != y.dtype or not np.array_equal(x, y):
+            return False
+    return True
+
+
+def write_events_csv(events: Iterable[RetweetEvent], handle: TextIO) -> int:
+    writer = csv.writer(handle)
+    writer.writerow(EVENT_FIELDS)
+    n = 0
+    for e in events:
+        writer.writerow(
+            [
+                e.timestamp,
+                e.retweetee,
+                e.retweeter,
+                e.raw_category,
+                e.retweetee_followers,
+                e.retweeter_followers,
+                e.retweetee_bot,
+                e.retweeter_bot,
+                e.retweetee_verified,
+                e.retweeter_verified,
+            ]
+        )
+        n += 1
+    return n
+
+
+# -- derivations, one event at a time --------------------------------------------
+
+
+def build_network(
+    events: Iterable[RetweetEvent],
+    time_range: tuple[int, int] | None = None,
+    class_filter: str | None = None,
+) -> WeightedDigraph:
+    """Aggregate events into a weighted digraph, one edge per (src, dst) pair."""
+    weights: dict[tuple[str, str], int] = {}
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    for e in events:
+        if time_range is not None and not (time_range[0] <= e.timestamp < time_range[1]):
+            continue
+        if class_filter is not None and e.content_class != class_filter:
+            continue
+        key = (e.retweetee, e.retweeter)
+        if key in weights:
+            weights[key] += 1
+        else:
+            weights[key] = 1
+            for u in key:
+                if u not in index:
+                    index[u] = len(labels)
+                    labels.append(u)
+    n_e = len(weights)
+    src = np.fromiter((index[s] for s, _ in weights), dtype=np.int64, count=n_e)
+    dst = np.fromiter((index[d] for _, d in weights), dtype=np.int64, count=n_e)
+    w = np.fromiter(weights.values(), dtype=np.int64, count=n_e)
+    return WeightedDigraph(labels, src, dst, w)
+
+
+def _iter_observations(events: Iterable[RetweetEvent]) -> Iterator[tuple[str, int, int, bool, bool]]:
+    # One observation per participating role: (user, ts, followers, bot, verified).
+    for e in events:
+        yield e.retweetee, e.timestamp, e.retweetee_followers, e.retweetee_bot, e.retweetee_verified
+        yield e.retweeter, e.timestamp, e.retweeter_followers, e.retweeter_bot, e.retweeter_verified
+
+
+def build_follower_logs(events: Iterable[RetweetEvent]) -> dict[str, FollowerLog]:
+    """Per-user follower-count log; simultaneous observations keep the last in stream order."""
+    raw: dict[str, list[tuple[int, int]]] = {}
+    for user, ts, followers, _, _ in _iter_observations(events):
+        raw.setdefault(user, []).append((ts, followers))
+    logs: dict[str, FollowerLog] = {}
+    for user, obs in raw.items():
+        obs.sort(key=lambda o: o[0])  # stable: stream order preserved within ties
+        collapsed: list[tuple[int, int]] = []
+        for ts, followers in obs:
+            if collapsed and collapsed[-1][0] == ts:
+                collapsed[-1] = (ts, followers)
+            else:
+                collapsed.append((ts, followers))
+        logs[user] = FollowerLog(user, tuple(collapsed))
+    return logs
+
+
+def user_flag_rates(events: Iterable[RetweetEvent]) -> dict[str, UserFlagRates]:
+    """Bot and verification rates over every activity record of each user."""
+    counts: dict[str, list[int]] = {}
+    for user, _, _, bot, verified in _iter_observations(events):
+        row = counts.setdefault(user, [0, 0, 0])
+        row[0] += 1
+        row[1] += int(bot)
+        row[2] += int(verified)
+    return {
+        user: UserFlagRates(user, bot / n, verified / n, n)
+        for user, (n, bot, verified) in counts.items()
+    }
+
+
+def daily_counts(events: Iterable[RetweetEvent], content_class: str, aligned: set[str]) -> dict[int, int]:
+    """Per-UTC-day counts of class retweets given or received by aligned users."""
+    counts: dict[int, int] = {}
+    for e in events:
+        if e.content_class != content_class:
+            continue
+        if e.retweetee in aligned or e.retweeter in aligned:
+            day = e.timestamp // SECONDS_PER_DAY
+            counts[day] = counts.get(day, 0) + 1
+    return counts
+
+
+def follower_snapshot(log: FollowerLog | None, before: int) -> tuple[int, bool]:
+    """Most recent count strictly before `before`; falls back to the earliest
+    observation overall (flagged) when none exists."""
+    if log is None or not log.observations:
+        return 0, True
+    last = None
+    for ts, count in log.observations:
+        if ts >= before:
+            break
+        last = count
+    if last is not None:
+        return last, False
+    return log.observations[0][1], True

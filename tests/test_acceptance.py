@@ -20,7 +20,6 @@ from swaynet.events import CONTENT_CLASSES, FollowerLog
 from swaynet.graph import WeightedDigraph
 from swaynet.growth import TimeWindow, sliding_windows, trend_line, window_growth_rate
 from swaynet.sir import CascadeSetup, FitConfig, FollowerSnapshots, build_cascade_setup, final_size, fit_parameters, simulate_growth_rate
-from swaynet.store import EventColumns
 from swaynet.synth import SynthConfig, synthesize
 
 DAY = 86_400
@@ -253,7 +252,7 @@ def test_c07_growth_ordering_reproduction():
         planted_rates={cls: tuple(v) for cls, v in rates.items()},
         swayable_reach={cls: tuple(v) for cls, v in reach.items()},
     )
-    columns = EventColumns.from_events(synthesize(config, seed).events())
+    columns = synthesize(config, seed).columns()
     graphs = {cls: columns.build_graph(content_class=cls) for cls in CONTENT_CLASSES}
     labels = classify_all(involvement_profiles(graphs), 0.95)
     by_class = {cls: aligned_users(labels, cls) for cls in CONTENT_CLASSES}

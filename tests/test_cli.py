@@ -111,6 +111,11 @@ class TestConfigFile:
         cfg.write_text("bogus = 1\n")
         assert run(["backbone", "--out", str(tmp_path), "--config", str(cfg)]) == 1
 
+    def test_removed_single_pass_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("single_pass = true\n")
+        assert run(["fit", "--out", str(tmp_path), "--config", str(cfg)]) == 1
+
 
 class TestPipeline:
     def test_full_pipeline_and_report_contents(self, tmp_path):
@@ -166,6 +171,25 @@ class TestPipeline:
         run_pipeline(a, seed=5, with_fit=False)
         run_pipeline(b, seed=5, with_fit=False)
         assert tree_digest(a) == tree_digest(b)
+
+    def test_artifacts_do_not_depend_on_the_event_cache(self, tmp_path):
+        # A stage that finds no events_cache/ parses events.jsonl and writes
+        # the cache back; every artifact must match the tree synth cached.
+        import shutil
+
+        cached, parsed = tmp_path / "cached", tmp_path / "parsed"
+        assert run(synth_args(cached, seed=5)) == 0
+        shutil.copytree(cached, parsed)
+        shutil.rmtree(parsed / "events_cache")
+        for out in (cached, parsed):
+            seed_args = ["--out", str(out), "--seed", "5"]
+            assert run(["backbone", "--alpha", "0.05", *seed_args]) == 0
+            assert run(["align", "--theta", "0.95", *seed_args]) == 0
+            assert run(["growth", *seed_args]) == 0
+            assert run(["fit", "--runs", "10", *seed_args]) == 0
+            assert run(["report", *seed_args]) == 0
+        assert (parsed / "events_cache" / "cache_meta.json").exists()
+        assert tree_digest(cached) == tree_digest(parsed)
 
     def test_ingest_roundtrip_of_synth_output(self, tmp_path):
         assert run(synth_args(tmp_path)) == 0

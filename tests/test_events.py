@@ -1,20 +1,16 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
+from oracles import RetweetEvent, columns_equal, columns_of, to_events, write_events_csv
 from swaynet.events import (
     CATEGORY_TOKENS,
     CONTENT_CLASSES,
-    FollowerLog,
-    RetweetEvent,
-    build_follower_logs,
     classify_category,
-    event_to_record,
     parse_events,
     parse_events_csv,
-    user_flag_rates,
-    write_events_csv,
     write_events_jsonl,
 )
 
@@ -73,20 +69,22 @@ class TestClassify:
 
 class TestParse:
     def test_well_formed_science_line(self):
-        events, errors = parse_events([make_line(cat="SCIENCE")])
+        columns, errors = parse_events([make_line(cat="SCIENCE")])
+        events = to_events(columns)
         assert errors == []
         assert events[0].content_class == "factual"
         assert events[0].retweetee == "a" and events[0].retweeter == "b"
 
     def test_null_category_becomes_na_uncertain(self):
-        events, errors = parse_events([make_line(cat=None)])
+        columns, errors = parse_events([make_line(cat=None)])
+        events = to_events(columns)
         assert errors == []
         assert events[0].raw_category == "NA"
         assert events[0].content_class == "uncertain"
 
     def test_malformed_timestamp_names_the_line(self):
-        events, errors = parse_events([make_line(), make_line(ts="not-a-date")])
-        assert len(events) == 1
+        columns, errors = parse_events([make_line(), make_line(ts="not-a-date")])
+        assert len(columns) == 1
         assert len(errors) == 1
         assert errors[0].line_no == 2
         assert "timestamp" in errors[0].message
@@ -109,26 +107,26 @@ class TestParse:
 
     def test_events_in_input_order(self):
         lines = [make_line(ts=t) for t in (5, 3, 9)]
-        events, _ = parse_events(lines)
-        assert [e.timestamp for e in events] == [5, 3, 9]
+        columns, _ = parse_events(lines)
+        assert [e.timestamp for e in to_events(columns)] == [5, 3, 9]
 
     def test_parse_serialize_parse_identity(self):
         lines = [make_line(), make_line(ts=7, cat="Satire", src="x", dst="y", src_bot=True)]
-        events, _ = parse_events(lines)
+        columns, _ = parse_events(lines)
         buf = io.StringIO()
-        write_events_jsonl(events, buf)
+        write_events_jsonl(columns, buf)
         again, errors = parse_events(buf.getvalue().splitlines())
         assert errors == []
-        assert again == events
+        assert columns_equal(again, columns)
 
     def test_csv_roundtrip(self):
-        events, _ = parse_events([make_line(), make_line(ts=7, cat="NA", dst_verified=True)])
+        columns, _ = parse_events([make_line(), make_line(ts=7, cat="NA", dst_verified=True)])
         buf = io.StringIO()
-        write_events_csv(events, buf)
+        write_events_csv(to_events(columns), buf)
         buf.seek(0)
         again, errors = parse_events_csv(buf)
         assert errors == []
-        assert again == events
+        assert columns_equal(again, columns)
 
 
 def ev(ts, src, dst, src_f=0, dst_f=0, src_bot=False, dst_bot=False, src_ver=False, dst_ver=False):
@@ -139,32 +137,32 @@ class TestFollowerLogs:
     def test_direct_construction(self):
         # Retweeted at t=10 with 1000 followers, retweeting at t=20 with 1005.
         events = [ev(10, "u", "other", src_f=1000, dst_f=5), ev(20, "x", "u", src_f=7, dst_f=1005)]
-        logs = build_follower_logs(events)
+        logs = columns_of(events).follower_logs()
         assert logs["u"].observations == ((10, 1000), (20, 1005))
 
     def test_simultaneous_observations_collapse_to_last(self):
         events = [ev(10, "u", "a", src_f=5, dst_f=1), ev(10, "u", "b", src_f=7, dst_f=1)]
-        logs = build_follower_logs(events)
+        logs = columns_of(events).follower_logs()
         assert logs["u"].observations == ((10, 7),)
 
     def test_absent_user_absent_from_mapping(self):
-        logs = build_follower_logs([ev(1, "a", "b")])
+        logs = columns_of([ev(1, "a", "b")]).follower_logs()
         assert "zebra" not in logs
 
     def test_empty_input(self):
-        assert build_follower_logs([]) == {}
+        assert columns_of([]).follower_logs() == {}
 
     def test_observation_conservation(self):
         # Total observations = 2 per event minus tie collapses.
         events = [ev(1, "a", "b"), ev(2, "a", "c"), ev(2, "a", "d")]
-        logs = build_follower_logs(events)
+        logs = columns_of(events).follower_logs()
         total = sum(len(log.observations) for log in logs.values())
         # a has ts=2 twice collapsed: 6 raw observations - 1 collapse.
         assert total == 5
 
     def test_strictly_increasing_timestamps(self):
         events = [ev(t % 3, "u", f"p{t}") for t in range(9)]
-        logs = build_follower_logs(events)
+        logs = columns_of(events).follower_logs()
         times = [ts for ts, _ in logs["u"].observations]
         assert times == sorted(set(times))
 
@@ -177,19 +175,103 @@ class TestFlagRates:
             ev(3, "u", "c", src_bot=False),
             ev(4, "u", "d", src_bot=False),
         ]
-        assert user_flag_rates(events)["u"].bot_rate == 0.5
+        assert columns_of(events).flag_rates()["u"].bot_rate == 0.5
 
     def test_all_verified(self):
         events = [ev(1, "u", "a", src_ver=True), ev(2, "u", "b", src_ver=True), ev(3, "x", "u", dst_ver=True)]
-        rates = user_flag_rates(events)["u"]
+        rates = columns_of(events).flag_rates()["u"]
         assert rates.verification_rate == 1.0
         assert rates.n_observations == 3
 
     def test_single_unflagged(self):
-        rates = user_flag_rates([ev(1, "u", "a")])["u"]
+        rates = columns_of([ev(1, "u", "a")]).flag_rates()["u"]
         assert rates.bot_rate == 0.0 and rates.verification_rate == 0.0
 
     def test_roles_both_counted(self):
         # Self-retweet: the user appears in both roles of one event.
-        rates = user_flag_rates([ev(1, "u", "u")])["u"]
+        rates = columns_of([ev(1, "u", "u")]).flag_rates()["u"]
         assert rates.n_observations == 2
+
+
+def odd_label_columns(n=300, seed=7):
+    # Labels that JSON and CSV both have to escape or quote, few users and a
+    # narrow timestamp range so first-appearance interning is exercised.
+    labels = ["plain", 'quo"te', "back\\slash", "comma,name", "ünï", "tab\tname", "new\nline", "12", ""]
+    rng = np.random.default_rng(seed)
+    ts = rng.integers(-5, 50, size=n).tolist()
+    ends = rng.integers(len(labels), size=(n, 2)).tolist()
+    cats = rng.integers(len(CATEGORY_TOKENS), size=n).tolist()
+    followers = rng.integers(0, 10**12, size=(n, 2)).tolist()
+    flags = rng.integers(0, 2, size=(n, 4)).astype(bool).tolist()
+    events = [
+        RetweetEvent(
+            ts[i],
+            labels[ends[i][0]],
+            labels[ends[i][1]],
+            CATEGORY_TOKENS[cats[i]],
+            classify_category(CATEGORY_TOKENS[cats[i]]),
+            *followers[i],
+            *flags[i],
+        )
+        for i in range(n)
+    ]
+    return columns_of(events)
+
+
+class TestColumnRoundtrip:
+    def test_jsonl_roundtrip(self):
+        columns = odd_label_columns()
+        buf = io.StringIO()
+        assert write_events_jsonl(columns, buf) == len(columns)
+        again, errors = parse_events(buf.getvalue().splitlines())
+        assert errors == []
+        assert columns_equal(again, columns)
+
+    def test_csv_oracle_roundtrip(self):
+        columns = odd_label_columns()
+        buf = io.StringIO()
+        write_events_csv(to_events(columns), buf)
+        buf.seek(0)
+        again, errors = parse_events_csv(buf)
+        assert errors == []
+        assert columns_equal(again, columns)
+
+    def test_jsonl_bytes_match_json_dumps_of_each_record(self):
+        columns = odd_label_columns()
+        buf = io.StringIO()
+        write_events_jsonl(columns, buf)
+        expected = "".join(
+            json.dumps(
+                {
+                    "ts": e.timestamp,
+                    "src": e.retweetee,
+                    "dst": e.retweeter,
+                    "cat": e.raw_category,
+                    "src_followers": e.retweetee_followers,
+                    "dst_followers": e.retweeter_followers,
+                    "src_bot": e.retweetee_bot,
+                    "dst_bot": e.retweeter_bot,
+                    "src_verified": e.retweetee_verified,
+                    "dst_verified": e.retweeter_verified,
+                },
+                separators=(",", ":"),
+            )
+            + "\n"
+            for e in to_events(columns)
+        )
+        assert buf.getvalue() == expected
+
+    def test_roundtrip_across_chunk_boundaries(self):
+        # More rows than one build or write chunk (65,536).
+        columns = odd_label_columns(n=70_000, seed=8)
+        buf = io.StringIO()
+        write_events_jsonl(columns, buf)
+        again, errors = parse_events(buf.getvalue().splitlines())
+        assert errors == []
+        assert columns_equal(again, columns)
+
+    def test_empty_stream(self):
+        columns, errors = parse_events([])
+        assert errors == [] and len(columns) == 0 and columns.users == []
+        buf = io.StringIO()
+        assert write_events_jsonl(columns, buf) == 0 and buf.getvalue() == ""

@@ -4,10 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from swaynet.events import RetweetEvent
+from oracles import RetweetEvent, columns_of
 from swaynet.graph import (
     WeightedDigraph,
-    build_network,
     creator_consumer_partition,
     load_binary,
     node_degrees,
@@ -67,18 +66,18 @@ def random_graph(rng: np.random.Generator, max_nodes=12, p=0.25):
 class TestBuildNetwork:
     def test_repeat_events_aggregate_weight(self):
         events = [ev(t, "A", "B") for t in (1, 2, 3)]
-        g = build_network(events, time_range=(0, 10))
+        g = columns_of(events).build_graph(time_range=(0, 10))
         assert g.weight_of("A", "B") == 3
         assert g.n_edges == 1
 
     def test_event_outside_range_excluded(self):
         events = [ev(5, "A", "B"), ev(10, "A", "C")]
-        g = build_network(events, time_range=(0, 10))
+        g = columns_of(events).build_graph(time_range=(0, 10))
         assert "C" not in g
 
     def test_class_filter(self):
         events = [ev(1, "A", "B", "factual"), ev(2, "C", "D", "misleading")]
-        g = build_network(events, class_filter="factual")
+        g = columns_of(events).build_graph(content_class="factual")
         assert g.edge_set() == {("A", "B")}
 
     def test_weight_sum_equals_retained_events(self):
@@ -87,12 +86,12 @@ class TestBuildNetwork:
             ev(int(rng.integers(0, 100)), f"u{rng.integers(5)}", f"u{rng.integers(5)}")
             for _ in range(200)
         ]
-        g = build_network(events, time_range=(0, 50))
+        g = columns_of(events).build_graph(time_range=(0, 50))
         retained = sum(1 for e in events if 0 <= e.timestamp < 50)
         assert g.total_weight == retained
 
     def test_empty_range_gives_empty_graph(self):
-        g = build_network([ev(1, "A", "B")], time_range=(5, 5))
+        g = columns_of([ev(1, "A", "B")]).build_graph(time_range=(5, 5))
         assert g.n_nodes == 0 and g.n_edges == 0
 
 
@@ -103,7 +102,7 @@ class TestDegrees:
         assert d.of("h") == (0, 3, 0, 100)
 
     def test_isolated_node_absent(self):
-        # build_network never creates isolated nodes; degree queries on
+        # Event graphs never have isolated nodes; degree queries on
         # existing nodes with no edges in one direction give zeros.
         g = graph_of(("a", "b", 1))
         assert node_degrees(g).of("b") == (1, 0, 1, 0)

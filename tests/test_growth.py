@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from swaynet.events import FollowerLog, RetweetEvent
+from oracles import RetweetEvent, columns_of
+from swaynet.events import FollowerLog
 from swaynet.growth import (
     SECONDS_PER_DAY,
     TimeWindow,
     active_users,
-    daily_counts,
     sliding_windows,
     trend_line,
     window_growth_rate,
@@ -131,15 +131,15 @@ def ev(ts, src, dst, cls="factual"):
 class TestDailyCounts:
     def test_three_events_one_day(self):
         events = [ev(100, "a", "x"), ev(200, "a", "y"), ev(300, "b", "a")]
-        counts = daily_counts(events, "factual", {"a"})
+        counts = columns_of(events).daily_counts_by_class({"factual": {"a"}})["factual"]
         assert counts == {0: 3}
 
     def test_both_endpoints_aligned_counted_once(self):
-        counts = daily_counts([ev(100, "a", "b")], "factual", {"a", "b"})
+        counts = columns_of([ev(100, "a", "b")]).daily_counts_by_class({"factual": {"a", "b"}})["factual"]
         assert counts == {0: 1}
 
     def test_day_without_events_absent(self):
-        counts = daily_counts([ev(100, "a", "x")], "factual", {"a"})
+        counts = columns_of([ev(100, "a", "x")]).daily_counts_by_class({"factual": {"a"}})["factual"]
         assert 1 not in counts
 
     def test_class_filter_and_conservation(self):
@@ -149,9 +149,9 @@ class TestDailyCounts:
             ev(100 + DAY, "z", "w", "factual"),
         ]
         aligned = {"a"}
-        by_class = {
-            cls: daily_counts(events, cls, aligned) for cls in ("factual", "misleading", "uncertain")
-        }
+        by_class = columns_of(events).daily_counts_by_class(
+            {cls: aligned for cls in ("factual", "misleading", "uncertain")}
+        )
         total = sum(sum(c.values()) for c in by_class.values())
         touching = sum(1 for e in events if e.retweetee in aligned or e.retweeter in aligned)
         assert total == touching == 2

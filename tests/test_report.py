@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from swaynet import report as rep
-from swaynet.events import RetweetEvent
+from oracles import RetweetEvent, columns_of
 from swaynet.graph import WeightedDigraph
 from swaynet.growth import GrowthPoint, TimeWindow
-from swaynet.store import EventColumns
 
 DAY = 86_400
 
@@ -27,7 +26,7 @@ def columns():
         ev(2 * DAY + 5, "d", "b", "uncertain", src_bot=True),
         ev(3 * DAY, "c", "d", "factual"),
     ]
-    return EventColumns.from_events(events)
+    return columns_of(events)
 
 
 def read_rows(path):

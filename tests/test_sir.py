@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swaynet import rng as rngmod
-from swaynet.events import RetweetEvent
+from oracles import RetweetEvent, columns_of, follower_snapshot
 from swaynet.graph import WeightedDigraph
 from swaynet.growth import TimeWindow
 from swaynet.sir import (
@@ -15,7 +15,6 @@ from swaynet.sir import (
     cascade_populations,
     final_size,
     fit_parameters,
-    follower_snapshot,
     nelder_mead_1d,
     recovered_follower_sums,
     simulate_growth_rate,
@@ -63,24 +62,24 @@ class TestTemporalNetwork:
     def test_one_month_lookback_only(self):
         events = [ev(5 * DAY, "a", "b"), ev(45 * DAY, "c", "d"), ev(65 * DAY, "e", "f")]
         window = TimeWindow(60 * DAY, 90 * DAY)
-        g = temporal_network(events, window, 1, "factual")
+        g = temporal_network(columns_of(events), window, 1, "factual")
         assert g.edge_set() == {("c", "d")}
 
     def test_longer_lookback_nests_shorter(self):
         events = [ev(t * DAY, f"u{t}", f"v{t}") for t in range(0, 100, 7)]
         window = TimeWindow(90 * DAY, 120 * DAY)
-        short = temporal_network(events, window, 1, "factual").edge_set()
-        long = temporal_network(events, window, 3, "factual").edge_set()
+        short = temporal_network(columns_of(events), window, 1, "factual").edge_set()
+        long = temporal_network(columns_of(events), window, 3, "factual").edge_set()
         assert short <= long
 
     def test_window_itself_excluded(self):
         events = [ev(61 * DAY, "a", "b")]
         window = TimeWindow(60 * DAY, 90 * DAY)
-        assert temporal_network(events, window, 1, "factual").n_edges == 0
+        assert temporal_network(columns_of(events), window, 1, "factual").n_edges == 0
 
     def test_lookback_must_be_positive(self):
         with pytest.raises(ValueError):
-            temporal_network([], TimeWindow(0, 30 * DAY), 0, "factual")
+            temporal_network(columns_of([]), TimeWindow(0, 30 * DAY), 0, "factual")
 
 
 class TestCascadePopulations:
@@ -537,7 +536,7 @@ class TestEndToEndSetups:
         events.append(ev(40 * DAY, "A", "s2"))
         events.append(ev(50 * DAY, "s1", "s3"))
         window = TimeWindow(60 * DAY, 90 * DAY)
-        g = temporal_network(events, window, 1, "factual")
+        g = temporal_network(columns_of(events), window, 1, "factual")
         v_a, v_sw = cascade_populations(g, {"A"}, {"A"})
         assert v_a == {"A"}
         assert v_sw == {"s1", "s2", "s3"}

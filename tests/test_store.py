@@ -1,16 +1,24 @@
 import pytest
 
-from swaynet.events import build_follower_logs, user_flag_rates
-from swaynet.graph import build_network
-from swaynet.growth import daily_counts
+from oracles import (
+    RetweetEvent,
+    build_follower_logs,
+    build_network,
+    columns_equal,
+    columns_of,
+    daily_counts,
+    synth_events,
+    to_events,
+    user_flag_rates,
+)
 from swaynet.store import EventColumns, load_or_parse
-from swaynet.synth import SynthConfig, generate_synthetic
+from swaynet.synth import SynthConfig, synthesize
 
 DAY = 86_400
 
 
 @pytest.fixture(scope="module")
-def events():
+def result():
     config = SynthConfig(
         start=0,
         end=45 * DAY,
@@ -18,36 +26,55 @@ def events():
         swayable_users=60,
         events_per_class={"factual": 1200, "misleading": 1200, "uncertain": 1200},
     )
-    return generate_synthetic(config, 21)
+    return synthesize(config, 21)
 
 
 @pytest.fixture(scope="module")
-def columns(events):
-    return EventColumns.from_events(events)
+def events(result):
+    return synth_events(result)
+
+
+@pytest.fixture(scope="module")
+def columns(result):
+    return result.columns()
 
 
 class TestRoundtrip:
     def test_to_events_identity(self, events, columns):
-        assert columns.to_events() == events
+        assert to_events(columns) == events
+        assert columns_equal(columns, columns_of(events))
 
     def test_save_load(self, tmp_path, events, columns):
         columns.save(str(tmp_path / "cache"), "deadbeef")
         loaded = EventColumns.load(str(tmp_path / "cache"), "deadbeef")
         assert loaded is not None
-        assert loaded.to_events() == events
+        assert to_events(loaded) == events
 
     def test_stale_hash_rejected(self, tmp_path, columns):
         columns.save(str(tmp_path / "cache"), "deadbeef")
         assert EventColumns.load(str(tmp_path / "cache"), "00ff") is None
 
-    def test_load_or_parse_parses_jsonl(self, tmp_path, events):
-        from swaynet.events import write_events_jsonl
+    def test_load_or_parse_parses_jsonl(self, tmp_path, events, result):
+        path = tmp_path / "events.jsonl"
+        with open(path, "w") as fh:
+            result.write_jsonl(fh)
+        columns = load_or_parse(str(path), str(tmp_path / "cache"))
+        assert to_events(columns) == events
+
+    def test_miss_writes_cache_back(self, tmp_path, result, columns):
+        # A stale cache is a miss: the parse replaces it, and the next call hits.
+        from swaynet.store import file_sha256
 
         path = tmp_path / "events.jsonl"
         with open(path, "w") as fh:
-            write_events_jsonl(events, fh)
-        columns = load_or_parse(str(path), str(tmp_path / "cache"))
-        assert columns.to_events() == events
+            result.write_jsonl(fh)
+        cache = str(tmp_path / "cache")
+        columns_of([]).save(cache, "00ff")
+        parsed = load_or_parse(str(path), cache)
+        assert columns_equal(parsed, columns)
+        hit = EventColumns.load(cache, file_sha256(str(path)))
+        assert hit is not None
+        assert columns_equal(hit, parsed)
 
 
 class TestVectorizedEquivalence:
@@ -83,8 +110,6 @@ class TestTieHeavyEquivalence:
         # the last-in-stream-order collapse rule is properly stressed.
         import numpy as np
 
-        from swaynet.events import RetweetEvent
-
         rng = np.random.default_rng(123)
         events = []
         for i in range(500):
@@ -97,6 +122,6 @@ class TestTieHeavyEquivalence:
                     False, False, False, False,
                 )
             )
-        columns = EventColumns.from_events(events)
+        columns = columns_of(events)
         assert columns.follower_logs() == build_follower_logs(events)
         assert columns.flag_rates() == user_flag_rates(events)

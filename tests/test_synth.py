@@ -3,9 +3,9 @@ import io
 import numpy as np
 import pytest
 
+from oracles import columns_equal, synth_events, to_events
 from swaynet.events import CONTENT_CLASSES
-from swaynet.graph import build_network
-from swaynet.synth import SynthConfig, generate_synthetic, synthesize
+from swaynet.synth import SynthConfig, synthesize
 
 DAY = 86_400
 
@@ -26,7 +26,7 @@ class TestValidation:
     def test_users_without_events_is_error(self):
         config = base_config(events_per_class={"factual": 0, "misleading": 4000, "uncertain": 4000})
         with pytest.raises(ValueError, match="zero event volume"):
-            generate_synthetic(config, 1)
+            synthesize(config, 1)
 
     def test_events_without_any_users_is_error(self):
         config = base_config(
@@ -35,12 +35,12 @@ class TestValidation:
             events_per_class={"factual": 10, "misleading": 0, "uncertain": 0},
         )
         with pytest.raises(ValueError):
-            generate_synthetic(config, 1)
+            synthesize(config, 1)
 
     def test_rates_length_must_match_windows(self):
         config = base_config(planted_rates={"factual": (0.1, 0.1)})
         with pytest.raises(ValueError, match="needs"):
-            generate_synthetic(config, 1)
+            synthesize(config, 1)
 
     def test_range_must_cover_a_window(self):
         with pytest.raises(ValueError, match="window"):
@@ -64,12 +64,19 @@ class TestDeterminism:
     def test_events_match_jsonl(self):
         from swaynet.events import parse_events
 
-        result = synthesize(base_config(), 3)
-        buf = io.StringIO()
-        result.write_jsonl(buf)
-        parsed, errors = parse_events(buf.getvalue().splitlines())
-        assert errors == []
-        assert parsed == result.events()
+        # The narrow reach leaves swayable users out of every event; the
+        # column user table, like a parse, lists only users that take part.
+        n_seg = base_config().n_segments
+        narrow = base_config(swayable_users=400, swayable_reach={c: (0.2,) * n_seg for c in CONTENT_CLASSES})
+        for config in (base_config(), narrow):
+            result = synthesize(config, 3)
+            buf = io.StringIO()
+            result.write_jsonl(buf)
+            parsed, errors = parse_events(buf.getvalue().splitlines())
+            assert errors == []
+            assert columns_equal(parsed, result.columns())
+            assert to_events(parsed) == synth_events(result)
+        assert len(parsed.users) < len(result.user_labels)
 
 
 class TestPlantedStructure:
@@ -77,7 +84,7 @@ class TestPlantedStructure:
         config = base_config(events_per_class={"factual": 3001, "misleading": 2999, "uncertain": 1500})
         result = synthesize(config, 4)
         counts = {cls: 0 for cls in CONTENT_CLASSES}
-        for e in result.events():
+        for e in to_events(result.columns()):
             counts[e.content_class] += 1
         assert counts == config.events_per_class
 
@@ -94,7 +101,7 @@ class TestPlantedStructure:
             events_per_class={"factual": 3400, "misleading": 3300, "uncertain": 3300},
         )
         result = synthesize(config, 11)
-        events = result.events()
+        events = to_events(result.columns())
         planted = set(result.truth()["aligned"]["factual"])
         own = total = 0
         for e in events:
@@ -114,13 +121,11 @@ class TestPlantedStructure:
         }
         config = base_config(planted_rates=rates)
         result = synthesize(config, 8)
-        events = result.events()
         truth = result.truth()
 
-        from swaynet.events import build_follower_logs
         from swaynet.growth import sliding_windows, window_growth_rate
 
-        logs = build_follower_logs(events)
+        logs = result.columns().follower_logs()
         for window in sliding_windows(0, 90 * DAY):
             if window.partial:
                 continue
@@ -137,11 +142,12 @@ class TestPlantedStructure:
             "uncertain": tuple([1.0] * n_seg),
         }
         result = synthesize(base_config(swayable_reach=reach), 6)
-        events = result.events()
-        g_fac = build_network(events, class_filter="factual")
-        g_mis = build_network(events, class_filter="misleading")
+        columns = result.columns()
+        g_fac = columns.build_graph(content_class="factual")
+        g_mis = columns.build_graph(content_class="misleading")
         sw_fac = {u for u in g_fac.labels if u.startswith("sw")}
         sw_mis = {u for u in g_mis.labels if u.startswith("sw")}
         assert len(sw_mis) < len(sw_fac)
         # Nested prefixes: the misleading pool sits inside the factual pool.
         assert sw_mis <= sw_fac
+
