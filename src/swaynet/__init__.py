@@ -27,7 +27,6 @@ from .backbone import (
 )
 from .events import (
     CONTENT_CLASSES,
-    FollowerLog,
     ParseError,
     UserFlagRates,
     classify_category,
@@ -45,7 +44,6 @@ from .graph import (
 from .growth import (
     GrowthPoint,
     TimeWindow,
-    active_users,
     sliding_windows,
     trend_line,
     window_growth_rate,
@@ -62,7 +60,7 @@ from .sir import (
     temporal_network,
     window_loss,
 )
-from .store import EventColumns
+from .store import EventColumns, FollowerSnapshots
 from .synth import SynthConfig, synthesize
 
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ from .growth import GrowthPoint, TimeWindow, sliding_windows, trend_line, window
 from .sir import (
     LOOKBACK_MONTH_SECONDS,
     FitConfig,
-    FollowerSnapshots,
     build_cascade_setup,
     fit_parameters,
     simulate_growth_rate,
@@ -332,9 +331,8 @@ def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
     with open(_path(config, EVENTS_FILE), "w") as fh:
         write_events_jsonl(columns, fh)
     columns.save(_path(config, CACHE_DIR), file_sha256(_path(config, EVENTS_FILE)))
-    logs = columns.follower_logs()
     with open(_path(config, LOGS_FILE), "w", newline="") as fh:
-        write_follower_logs_csv(logs, fh)
+        write_follower_logs_csv(columns.follower_logs(), fh)
     with open(_path(config, FLAGS_FILE), "w", newline="") as fh:
         write_flag_rates_csv(columns.flag_rates(), fh)
 
@@ -604,12 +602,12 @@ def cmd_growth(config: PipelineConfig) -> str:
     columns = _load_columns(config)
     by_class, theta = _load_labels(config)
     start, end = _dataset_range(config, columns)
-    windows = sliding_windows(start, end, config.window_days * 86400, config.step_days * 86400)
-    logs = columns.follower_logs()
+    windows = _windows(config, start, end)
+    table = columns.follower_logs()
     points_by_class: dict[str, list[GrowthPoint]] = {}
     for cls in CONTENT_CLASSES:
         points_by_class[cls] = [
-            window_growth_rate(logs, by_class[cls], win, cls, config.min_obs) for win in windows
+            window_growth_rate(table, by_class[cls], win, cls, config.min_obs) for win in windows
         ]
     with open(_path(config, GROWTH_FILE), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -649,19 +647,22 @@ def cmd_growth(config: PipelineConfig) -> str:
     return f"growth: {len(windows)} windows x {len(CONTENT_CLASSES)} classes, {n_defined} defined points"
 
 
+def _windows(config: PipelineConfig, start: int, end: int) -> list[TimeWindow]:
+    try:
+        return sliding_windows(start, end, config.window_days * 86400, config.step_days * 86400)
+    except ValueError as exc:  # a dataset range shorter than one window is a data error
+        raise ConfigError(f"range [{start}, {end}): {exc}") from None
+
+
 def _fit_windows(config: PipelineConfig, columns: EventColumns) -> list[TimeWindow]:
     start, end = _dataset_range(config, columns)
     lookback = config.lookback * LOOKBACK_MONTH_SECONDS
-    return [
-        w
-        for w in sliding_windows(start, end, config.window_days * 86400, config.step_days * 86400)
-        if not w.partial and w.start - lookback >= start
-    ]
+    return [w for w in _windows(config, start, end) if not w.partial and w.start - lookback >= start]
 
 
 def _build_setups(config: PipelineConfig, columns: EventColumns, by_class: dict[str, set[str]]):
     aligned_any = set().union(*by_class.values()) if by_class else set()
-    snapshots = FollowerSnapshots(columns.follower_logs())
+    snapshots = columns.follower_logs()
     setups: dict[int, dict[str, object]] = {}
     for window in _fit_windows(config, columns):
         per_class = {}

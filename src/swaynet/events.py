@@ -14,8 +14,10 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
+import numpy as np
+
 if TYPE_CHECKING:
-    from .store import EventColumns
+    from .store import EventColumns, FollowerSnapshots
 
 FACTUAL = "factual"
 MISLEADING = "misleading"
@@ -110,18 +112,6 @@ def classify_category(raw_category: str | None) -> str:
 class ParseError:
     line_no: int
     message: str
-
-
-@dataclass(frozen=True, slots=True)
-class FollowerLog:
-    """Time-ordered follower-count observations for one user.
-
-    Observations are strictly increasing in timestamp; simultaneous
-    observations collapse to the last value seen in stream order.
-    """
-
-    user: str
-    observations: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,12 +278,17 @@ def write_events_jsonl(columns: EventColumns, handle: TextIO) -> int:
     return n
 
 
-def write_follower_logs_csv(logs: dict[str, FollowerLog], handle: TextIO) -> None:
+def write_follower_logs_csv(table: FollowerSnapshots, handle: TextIO) -> None:
+    """One row per observation, users in label order, each user's rows by time."""
+    order = np.array(sorted(range(len(table.users)), key=table.users.__getitem__), dtype=np.int64)
+    lengths = np.diff(table.ptr)[order]
+    user = np.repeat(order, lengths)
+    # Output position i inside a user's block reads table row ptr[user] + (i - block start).
+    rows = np.arange(len(user)) + np.repeat(table.ptr[order] - np.cumsum(lengths) + lengths, lengths)
+    labels = [table.users[i] for i in user.tolist()]
     writer = csv.writer(handle)
     writer.writerow(["user", "timestamp", "followers"])
-    for user in sorted(logs):
-        for ts, followers in logs[user].observations:
-            writer.writerow([user, ts, followers])
+    writer.writerows(zip(labels, table.ts[rows].tolist(), table.count[rows].tolist()))
 
 
 def write_flag_rates_csv(rates: dict[str, UserFlagRates], handle: TextIO) -> None:

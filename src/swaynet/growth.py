@@ -8,13 +8,13 @@ active aligned users.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .events import FollowerLog
+if TYPE_CHECKING:
+    from .store import FollowerSnapshots
 
 SECONDS_PER_DAY = 86_400
 WINDOW_SECONDS = 30 * SECONDS_PER_DAY
@@ -75,22 +75,8 @@ def sliding_windows(
     return windows
 
 
-def active_users(logs: Mapping[str, FollowerLog], window: TimeWindow, min_obs: int = 2) -> set[str]:
-    """Users observed at least min_obs times within [window.start, window.end)."""
-    if min_obs < 2:
-        raise ValueError(f"min_obs must be >= 2, got {min_obs}")
-    active = set()
-    for user, log in logs.items():
-        times = [ts for ts, _ in log.observations]
-        lo = bisect_left(times, window.start)
-        hi = bisect_left(times, window.end)
-        if hi - lo >= min_obs:
-            active.add(user)
-    return active
-
-
 def window_growth_rate(
-    logs: Mapping[str, FollowerLog],
+    table: FollowerSnapshots,
     aligned: Iterable[str],
     window: TimeWindow,
     content_class: str | None = None,
@@ -101,22 +87,14 @@ def window_growth_rate(
     rate = (F_last - F_first) / F_first; undefined points come back with
     rate None instead of raising.
     """
-    f_first = 0
-    f_last = 0
-    n_active = 0
-    for user in aligned:
-        log = logs.get(user)
-        if log is None:
-            continue
-        obs = log.observations
-        times = [ts for ts, _ in obs]
-        lo = bisect_left(times, window.start)
-        hi = bisect_left(times, window.end)
-        if hi - lo < min_obs:
-            continue
-        n_active += 1
-        f_first += obs[lo][1]
-        f_last += obs[hi - 1][1]
+    ids = table.ids(aligned)
+    ids = ids[ids >= 0]
+    lo = table.first_at_or_after(ids, window.start)
+    hi = table.first_at_or_after(ids, window.end)
+    active = hi - lo >= min_obs
+    n_active = int(active.sum())
+    f_first = int(table.count[lo[active]].sum())
+    f_last = int(table.count[hi[active] - 1].sum())
     if n_active == 0 or f_first == 0:
         return GrowthPoint(window, content_class, None, n_active, f_first, f_last)
     return GrowthPoint(window, content_class, (f_last - f_first) / f_first, n_active, f_first, f_last)

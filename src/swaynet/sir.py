@@ -20,10 +20,10 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .events import CONTENT_CLASSES, FollowerLog
+from .events import CONTENT_CLASSES
 from .graph import WeightedDigraph, reachable_set, reverse_reachable_set
 from .growth import WINDOW_SECONDS, TimeWindow
-from .store import EventColumns
+from .store import EventColumns, FollowerSnapshots
 
 LOOKBACK_MONTH_SECONDS = WINDOW_SECONDS  # one "month" of history = 30 days
 
@@ -102,28 +102,6 @@ class CascadeSetup:
         return len(self.v_a) > 0 and len(self.v_sw) > 0 and self.sum_f_a > 0
 
 
-class FollowerSnapshots:
-    """Bisect-backed snapshot queries over a set of follower logs."""
-
-    def __init__(self, logs: Mapping[str, FollowerLog]):
-        self._times: dict[str, np.ndarray] = {}
-        self._counts: dict[str, np.ndarray] = {}
-        for user, log in logs.items():
-            if log.observations:
-                arr = np.asarray(log.observations, dtype=np.int64)
-                self._times[user] = arr[:, 0]
-                self._counts[user] = arr[:, 1]
-
-    def at(self, user: str, before: int) -> tuple[int, bool]:
-        times = self._times.get(user)
-        if times is None:
-            return 0, True
-        pos = int(np.searchsorted(times, before, side="left"))
-        if pos > 0:
-            return int(self._counts[user][pos - 1]), False
-        return int(self._counts[user][0]), True
-
-
 def build_cascade_setup(
     g: WeightedDigraph,
     window: TimeWindow,
@@ -136,18 +114,10 @@ def build_cascade_setup(
     v_a, v_sw = cascade_populations(g, aligned_class, aligned_any)
     va = tuple(sorted(v_a))
     vsw = tuple(sorted(v_sw))
-    fallback = []
-    f_a = np.zeros(len(va), dtype=np.int64)
-    for i, u in enumerate(va):
-        f_a[i], fb = snapshots.at(u, window.start)
-        if fb:
-            fallback.append(u)
-    f_sw = np.zeros(len(vsw), dtype=np.int64)
-    for i, u in enumerate(vsw):
-        f_sw[i], fb = snapshots.at(u, window.start)
-        if fb:
-            fallback.append(u)
-    return CascadeSetup(window, content_class, va, vsw, f_a, f_sw, tuple(fallback))
+    f_a, fb_a = snapshots.at(va, window.start)
+    f_sw, fb_sw = snapshots.at(vsw, window.start)
+    fallback = tuple(u for u, fb in zip(va + vsw, np.concatenate([fb_a, fb_sw])) if fb)
+    return CascadeSetup(window, content_class, va, vsw, f_a, f_sw, fallback)
 
 
 # -- final-size relation -------------------------------------------------------

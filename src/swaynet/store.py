@@ -13,8 +13,9 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .events import (
     DST_VERIFIED,
     SRC_BOT,
     SRC_VERIFIED,
-    FollowerLog,
     UserFlagRates,
 )
 from .graph import WeightedDigraph
@@ -34,6 +34,8 @@ from .graph import WeightedDigraph
 _COLUMNS = ("ts", "src", "dst", "cat", "src_followers", "dst_followers", "flags")
 _DTYPES = (np.int64, np.int64, np.int64, np.int8, np.int64, np.int64, np.uint8)
 _BUILD_CHUNK = 65536
+_CACHE_FORMAT = 2  # format 1 kept users.txt, one label per line, which broke on line-break labels
+_USERS_FILE = "users.json"
 _CLASS_INDEX = {cls: i for i, cls in enumerate(CONTENT_CLASSES)}
 CLASS_OF_CAT = np.array([_CLASS_INDEX[CLASS_BY_CATEGORY[tok]] for tok in CATEGORY_TOKENS], dtype=np.int8)
 
@@ -90,26 +92,30 @@ class EventColumns:
         os.makedirs(directory, exist_ok=True)
         for name in _COLUMNS:
             np.save(os.path.join(directory, f"{name}.npy"), getattr(self, name))
-        with open(os.path.join(directory, "users.txt"), "w") as fh:
-            fh.write("\n".join(self.users))
-            if self.users:
-                fh.write("\n")
-        meta = {"n_events": len(self.ts), "n_users": len(self.users), "source_sha256": source_hash}
+        with open(os.path.join(directory, _USERS_FILE), "w") as fh:
+            json.dump(self.users, fh)
+        meta = {"format": _CACHE_FORMAT, "n_events": len(self.ts), "n_users": len(self.users), "source_sha256": source_hash}
         with open(os.path.join(directory, "cache_meta.json"), "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
 
     @classmethod
     def load(cls, directory: str, expected_hash: str | None = None) -> "EventColumns | None":
-        meta_path = os.path.join(directory, "cache_meta.json")
-        if not os.path.exists(meta_path):
+        """The cached columns, or None (a miss) when the cache is absent, stale,
+        of another format, unreadable, or disagrees with its meta counts."""
+        try:
+            with open(os.path.join(directory, "cache_meta.json")) as fh:
+                meta = json.load(fh)
+            if meta.get("format") != _CACHE_FORMAT:
+                return None
+            if expected_hash is not None and meta.get("source_sha256") != expected_hash:
+                return None
+            with open(os.path.join(directory, _USERS_FILE)) as fh:
+                users = json.load(fh)
+            cols = {name: np.load(os.path.join(directory, f"{name}.npy")) for name in _COLUMNS}
+        except (OSError, ValueError):
             return None
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        if expected_hash is not None and meta.get("source_sha256") != expected_hash:
+        if len(users) != meta.get("n_users") or any(len(c) != meta.get("n_events") for c in cols.values()):
             return None
-        with open(os.path.join(directory, "users.txt")) as fh:
-            users = fh.read().splitlines()
-        cols = {name: np.load(os.path.join(directory, f"{name}.npy")) for name in _COLUMNS}
         return cls(users, **cols)
 
     # -- vectorized derivations ------------------------------------------------
@@ -151,8 +157,8 @@ class EventColumns:
     def pair_codes(self) -> np.ndarray:
         return self.src * len(self.users) + self.dst
 
-    def follower_logs(self) -> dict[str, FollowerLog]:
-        """Per-user follower-count log from activity-moment snapshots."""
+    def follower_logs(self) -> FollowerSnapshots:
+        """Every user's follower-count log from activity-moment snapshots."""
         user = np.concatenate([self.src, self.dst])
         ts = np.concatenate([self.ts, self.ts])
         count = np.concatenate([self.src_followers, self.dst_followers])
@@ -162,19 +168,12 @@ class EventColumns:
         order = np.lexsort((seq, ts, user))
         user, ts, count = user[order], ts[order], count[order]
         # Keep the last record of each (user, ts) run.
-        if len(user) == 0:
-            return {}
         keep = np.ones(len(user), dtype=bool)
-        same = (user[1:] == user[:-1]) & (ts[1:] == ts[:-1])
-        keep[:-1][same] = False
+        keep[:-1] = (user[1:] != user[:-1]) | (ts[1:] != ts[:-1])
         user, ts, count = user[keep], ts[keep], count[keep]
-        starts = np.flatnonzero(np.r_[True, user[1:] != user[:-1]])
-        ends = np.r_[starts[1:], len(user)]
-        logs = {}
-        for lo, hi in zip(starts, ends):
-            label = self.users[user[lo]]
-            logs[label] = FollowerLog(label, tuple(zip(ts[lo:hi].tolist(), count[lo:hi].tolist())))
-        return logs
+        ptr = np.zeros(len(self.users) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(user, minlength=len(self.users)), out=ptr[1:])
+        return FollowerSnapshots(self.users, ptr, ts, count)
 
     def flag_rates(self) -> dict[str, UserFlagRates]:
         n_users = len(self.users)
@@ -206,6 +205,61 @@ class EventColumns:
             days, counts = np.unique(day[mask], return_counts=True)
             out[cls] = {int(d): int(c) for d, c in zip(days, counts)}
         return out
+
+
+@dataclass(eq=False)
+class FollowerSnapshots:
+    """Every user's follower-count log as one flat table.
+
+    User i (an index into `users`) owns rows ptr[i]:ptr[i + 1] of `ts` and
+    `count`, strictly increasing in ts: simultaneous observations collapse
+    to the last one in stream order.
+    """
+
+    users: list[str]
+    ptr: np.ndarray
+    ts: np.ndarray
+    count: np.ndarray
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
+
+    def ids(self, users: Iterable[str]) -> np.ndarray:
+        """Index of each label in `users`, in input order; -1 for labels the table lacks."""
+        index = self._index
+        return np.array([index.get(u, -1) for u in users], dtype=np.int64)
+
+    @cached_property
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        # Rows keyed user * (n_times + 1) + rank of ts among the distinct
+        # timestamps: sorted, so one searchsorted finds a position inside
+        # every user's segment at once.
+        times, rank = np.unique(self.ts, return_inverse=True)
+        user = np.repeat(np.arange(len(self.users), dtype=np.int64), np.diff(self.ptr))
+        return times, user * (len(times) + 1) + rank
+
+    def first_at_or_after(self, ids: np.ndarray, t: int) -> np.ndarray:
+        """Row of each user's first observation at or after t; its segment end when none."""
+        times, keys = self._keys
+        return np.searchsorted(keys, ids * (len(times) + 1) + np.searchsorted(times, t))
+
+    def at(self, users: Sequence[str], before: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's most recent count strictly before `before`, and a fallback mask.
+
+        A user with no earlier observation gets their earliest count, one
+        with no observation at all gets 0; both are flagged.
+        """
+        ids = self.ids(users)
+        counts = np.zeros(len(ids), dtype=np.int64)
+        fallback = np.ones(len(ids), dtype=bool)
+        sel = np.flatnonzero((ids >= 0) & (self.ptr[ids + 1] > self.ptr[ids]))
+        first = self.ptr[ids[sel]]
+        pos = self.first_at_or_after(ids[sel], before)
+        prior = pos > first
+        counts[sel] = self.count[np.where(prior, pos - 1, first)]
+        fallback[sel] = ~prior
+        return counts, fallback
 
 
 def load_or_parse(events_path: str, cache_dir: str | None = None) -> EventColumns:

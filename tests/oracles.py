@@ -1,15 +1,18 @@
 """Object-path oracles: the event model swaynet used before EventColumns.
 
 Each function here works on plain `RetweetEvent` lists, one event at a
-time, with no numpy. The tests compare the columnar functions the CLI runs
-against these, and build small hand-written inputs with `RetweetEvent`.
+time, or on per-user `FollowerLog` dicts, one user at a time, with no numpy.
+The tests compare the columnar functions the CLI runs against these, and
+build small hand-written inputs with `RetweetEvent` and `FollowerLog`;
+`follower_table` turns such a dict into the flat table swaynet runs on.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -23,11 +26,11 @@ from swaynet.events import (
     EVENT_FIELDS,
     SRC_BOT,
     SRC_VERIFIED,
-    FollowerLog,
     UserFlagRates,
 )
 from swaynet.graph import WeightedDigraph
-from swaynet.store import EventColumns
+from swaynet.growth import GrowthPoint, TimeWindow
+from swaynet.store import EventColumns, FollowerSnapshots
 
 SECONDS_PER_DAY = 86_400
 
@@ -53,6 +56,18 @@ class RetweetEvent:
     retweeter_verified: bool
 
 
+@dataclass(frozen=True, slots=True)
+class FollowerLog:
+    """Time-ordered follower-count observations for one user.
+
+    Observations are strictly increasing in timestamp; simultaneous
+    observations collapse to the last value seen in stream order.
+    """
+
+    user: str
+    observations: tuple[tuple[int, int], ...]
+
+
 # -- conversion between the two models -----------------------------------------
 
 
@@ -73,6 +88,26 @@ def columns_of(events: Iterable[RetweetEvent]) -> EventColumns:
         )
         for e in events
     )
+
+
+def follower_table(logs: Mapping[str, FollowerLog]) -> FollowerSnapshots:
+    """The flat follower table holding `logs`, users in dict order."""
+    users = list(logs)
+    obs = [o for log in logs.values() for o in log.observations]
+    ptr = np.cumsum([0] + [len(log.observations) for log in logs.values()], dtype=np.int64)
+    ts = np.array([t for t, _ in obs], dtype=np.int64)
+    count = np.array([c for _, c in obs], dtype=np.int64)
+    return FollowerSnapshots(users, ptr, ts, count)
+
+
+def logs_of(table: FollowerSnapshots) -> dict[str, FollowerLog]:
+    """Per-user logs read back off a flat table; users without rows are left out."""
+    logs = {}
+    for i, user in enumerate(table.users):
+        lo, hi = int(table.ptr[i]), int(table.ptr[i + 1])
+        if hi > lo:
+            logs[user] = FollowerLog(user, tuple(zip(table.ts[lo:hi].tolist(), table.count[lo:hi].tolist())))
+    return logs
 
 
 def to_events(columns: EventColumns) -> list[RetweetEvent]:
@@ -254,3 +289,46 @@ def follower_snapshot(log: FollowerLog | None, before: int) -> tuple[int, bool]:
     if last is not None:
         return last, False
     return log.observations[0][1], True
+
+
+def active_users(logs: Mapping[str, FollowerLog], window: TimeWindow, min_obs: int = 2) -> set[str]:
+    """Users observed at least min_obs times within [window.start, window.end)."""
+    if min_obs < 2:
+        raise ValueError(f"min_obs must be >= 2, got {min_obs}")
+    active = set()
+    for user, log in logs.items():
+        times = [ts for ts, _ in log.observations]
+        lo = bisect_left(times, window.start)
+        hi = bisect_left(times, window.end)
+        if hi - lo >= min_obs:
+            active.add(user)
+    return active
+
+
+def window_growth_rate(
+    logs: Mapping[str, FollowerLog],
+    aligned: Iterable[str],
+    window: TimeWindow,
+    content_class: str | None = None,
+    min_obs: int = 2,
+) -> GrowthPoint:
+    """Aggregate first/last in-window counts of active aligned users, one user at a time."""
+    f_first = 0
+    f_last = 0
+    n_active = 0
+    for user in aligned:
+        log = logs.get(user)
+        if log is None:
+            continue
+        obs = log.observations
+        times = [ts for ts, _ in obs]
+        lo = bisect_left(times, window.start)
+        hi = bisect_left(times, window.end)
+        if hi - lo < min_obs:
+            continue
+        n_active += 1
+        f_first += obs[lo][1]
+        f_last += obs[hi - 1][1]
+    if n_active == 0 or f_first == 0:
+        return GrowthPoint(window, content_class, None, n_active, f_first, f_last)
+    return GrowthPoint(window, content_class, (f_last - f_first) / f_first, n_active, f_first, f_last)

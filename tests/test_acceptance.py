@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import FollowerLog, follower_table
 from swaynet import rng as rngmod
 from swaynet.alignment import InvolvementProfile, classify_alignment, classify_all, coverage_curve
 from swaynet.backbone import backbone_size_curve, disparity_filter, edge_alpha, null_heterogeneity_moments
 from swaynet.cli import run as cli_run
-from swaynet.events import CONTENT_CLASSES, FollowerLog
+from swaynet.events import CONTENT_CLASSES
 from swaynet.graph import WeightedDigraph
 from swaynet.growth import TimeWindow, sliding_windows, trend_line, window_growth_rate
-from swaynet.sir import CascadeSetup, FitConfig, FollowerSnapshots, build_cascade_setup, final_size, fit_parameters, simulate_growth_rate
+from swaynet.sir import CascadeSetup, FitConfig, build_cascade_setup, final_size, fit_parameters, simulate_growth_rate
 from swaynet.synth import SynthConfig, synthesize
 
 DAY = 86_400
@@ -257,14 +258,13 @@ def test_c07_growth_ordering_reproduction():
     labels = classify_all(involvement_profiles(graphs), 0.95)
     by_class = {cls: aligned_users(labels, cls) for cls in CONTENT_CLASSES}
     aligned_any = set().union(*by_class.values())
-    logs = columns.follower_logs()
-    snapshots = FollowerSnapshots(logs)
+    table = columns.follower_logs()
     setups, empirical, planted_sign = {}, {}, {}
     for i, window in enumerate(sliding_windows(0, 225 * DAY)):
         if window.partial or window.start < 30 * DAY:
             continue
         empirical[window.start] = {
-            cls: window_growth_rate(logs, by_class[cls], window, cls).rate for cls in CONTENT_CLASSES
+            cls: window_growth_rate(table, by_class[cls], window, cls).rate for cls in CONTENT_CLASSES
         }
         setups[window.start] = {
             cls: build_cascade_setup(
@@ -273,7 +273,7 @@ def test_c07_growth_ordering_reproduction():
                 cls,
                 by_class[cls],
                 aligned_any,
-                snapshots,
+                table,
             )
             for cls in CONTENT_CLASSES
         }
@@ -292,11 +292,11 @@ def test_c07_growth_ordering_reproduction():
 
 @criterion(8, "hand-computed growth fixture exact; trend line matches independent reference to 1e-6")
 def test_c08_windowing_fixtures():
-    logs = {
+    logs = follower_table({
         "u1": FollowerLog("u1", ((1 * DAY, 100), (29 * DAY, 110))),
         "u2": FollowerLog("u2", ((2 * DAY, 900), (28 * DAY, 890))),
         "u3": FollowerLog("u3", ((16 * DAY, 50), (44 * DAY, 60))),
-    }
+    })
     aligned = {"u1", "u2", "u3"}
     windows = sliding_windows(0, 45 * DAY)
     assert [(w.start, w.end) for w in windows[:2]] == [(0, 30 * DAY), (15 * DAY, 45 * DAY)]

@@ -47,6 +47,30 @@ def run_pipeline(out, seed=9, with_fit=True):
     assert run(["report", "--out", str(out), *seed_args]) == 0
 
 
+def write_jsonl(path, n_events, days, labels, seed=0):
+    """n_events random retweets among `labels` over `days` days, every class present."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    cats = ("SCIENCE", "FAKE/HOAX", "NA")
+    with open(path, "w") as fh:
+        for i in range(n_events):
+            src, dst = rng.choice(len(labels), 2, replace=False)
+            record = {
+                "ts": int(rng.integers(0, days * DAY)),
+                "src": labels[src],
+                "dst": labels[dst],
+                "cat": cats[i % 3],
+                "src_followers": int(rng.integers(0, 1000)),
+                "dst_followers": int(rng.integers(0, 1000)),
+                "src_bot": False,
+                "dst_bot": False,
+                "src_verified": False,
+                "dst_verified": False,
+            }
+            fh.write(json.dumps(record) + "\n")
+
+
 def tree_digest(root):
     h = hashlib.sha256()
     for dirpath, dirnames, filenames in sorted(os.walk(root)):
@@ -88,6 +112,15 @@ class TestExitCodes:
 
     def test_missing_events_file_exits_2(self, tmp_path):
         assert run(["ingest", "--out", str(tmp_path), "--events", str(tmp_path / "nope.jsonl")]) == 2
+
+    def test_range_shorter_than_one_window_exits_1(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "in.jsonl", 300, 10, [f"u{i}" for i in range(20)])
+        out = ["--out", str(tmp_path / "run")]
+        assert run(["ingest", "--events", str(tmp_path / "in.jsonl"), *out]) == 0
+        assert run(["align", "--unfiltered", *out]) == 0
+        assert run(["growth", *out]) == 1
+        assert "shorter than one window" in capsys.readouterr().err
+        assert run(["simulate", "--delta", "0.01", "--r0", "1.5", *out]) == 1
 
     def test_align_before_backbone_names_stage(self, tmp_path, capsys):
         assert run(synth_args(tmp_path)) == 0
@@ -189,6 +222,26 @@ class TestPipeline:
             assert run(["fit", "--runs", "10", *seed_args]) == 0
             assert run(["report", *seed_args]) == 0
         assert (parsed / "events_cache" / "cache_meta.json").exists()
+        assert tree_digest(cached) == tree_digest(parsed)
+
+    def test_line_break_labels_survive_the_event_cache(self, tmp_path):
+        # JSON allows any character in a label; the cache must give back the
+        # user table a parse gives, so backbone builds the same graph from it.
+        import shutil
+
+        from swaynet.store import EventColumns
+
+        labels = ["a\u2028b", "c\nd", "e\rf", "g\r\nh", "plain", "x\u0085y"]
+        write_jsonl(tmp_path / "in.jsonl", 60, 40, labels)
+        cached, parsed = tmp_path / "cached", tmp_path / "parsed"
+        assert run(["ingest", "--out", str(cached), "--events", str(tmp_path / "in.jsonl")]) == 0
+        loaded = EventColumns.load(str(cached / "events_cache"))
+        assert loaded is not None and sorted(loaded.users) == sorted(labels)
+        shutil.copytree(cached, parsed)
+        shutil.rmtree(parsed / "events_cache")
+        for out in (cached, parsed):
+            assert run(["backbone", "--out", str(out), "--alpha", "0.05"]) == 0
+        assert (cached / "backbone.bin").read_bytes() == (parsed / "backbone.bin").read_bytes()
         assert tree_digest(cached) == tree_digest(parsed)
 
     def test_ingest_roundtrip_of_synth_output(self, tmp_path):

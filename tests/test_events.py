@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import RetweetEvent, columns_equal, columns_of, to_events, write_events_csv
+from oracles import RetweetEvent, columns_equal, columns_of, logs_of, to_events, write_events_csv
 from swaynet.events import (
     CATEGORY_TOKENS,
     CONTENT_CLASSES,
@@ -137,32 +137,32 @@ class TestFollowerLogs:
     def test_direct_construction(self):
         # Retweeted at t=10 with 1000 followers, retweeting at t=20 with 1005.
         events = [ev(10, "u", "other", src_f=1000, dst_f=5), ev(20, "x", "u", src_f=7, dst_f=1005)]
-        logs = columns_of(events).follower_logs()
+        logs = logs_of(columns_of(events).follower_logs())
         assert logs["u"].observations == ((10, 1000), (20, 1005))
 
     def test_simultaneous_observations_collapse_to_last(self):
         events = [ev(10, "u", "a", src_f=5, dst_f=1), ev(10, "u", "b", src_f=7, dst_f=1)]
-        logs = columns_of(events).follower_logs()
+        logs = logs_of(columns_of(events).follower_logs())
         assert logs["u"].observations == ((10, 7),)
 
     def test_absent_user_absent_from_mapping(self):
-        logs = columns_of([ev(1, "a", "b")]).follower_logs()
+        logs = logs_of(columns_of([ev(1, "a", "b")]).follower_logs())
         assert "zebra" not in logs
 
     def test_empty_input(self):
-        assert columns_of([]).follower_logs() == {}
+        assert logs_of(columns_of([]).follower_logs()) == {}
 
     def test_observation_conservation(self):
         # Total observations = 2 per event minus tie collapses.
         events = [ev(1, "a", "b"), ev(2, "a", "c"), ev(2, "a", "d")]
-        logs = columns_of(events).follower_logs()
+        logs = logs_of(columns_of(events).follower_logs())
         total = sum(len(log.observations) for log in logs.values())
         # a has ts=2 twice collapsed: 6 raw observations - 1 collapse.
         assert total == 5
 
     def test_strictly_increasing_timestamps(self):
         events = [ev(t % 3, "u", f"p{t}") for t in range(9)]
-        logs = columns_of(events).follower_logs()
+        logs = logs_of(columns_of(events).follower_logs())
         times = [ts for ts, _ in logs["u"].observations]
         assert times == sorted(set(times))
 

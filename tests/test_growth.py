@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import RetweetEvent, columns_of
-from swaynet.events import FollowerLog
+import oracles
+from oracles import FollowerLog, RetweetEvent, active_users, build_follower_logs, columns_of, follower_table
 from swaynet.growth import (
     SECONDS_PER_DAY,
     TimeWindow,
-    active_users,
     sliding_windows,
     trend_line,
     window_growth_rate,
@@ -73,7 +72,7 @@ class TestActiveUsers:
 class TestWindowGrowthRate:
     def test_single_user_ten_percent(self):
         logs = {"u": log("u", (0, 100), (29 * DAY, 110))}
-        point = window_growth_rate(logs, {"u"}, TimeWindow(0, 30 * DAY))
+        point = window_growth_rate(follower_table(logs), {"u"}, TimeWindow(0, 30 * DAY))
         assert point.rate == pytest.approx(0.10)
         assert point.n_active == 1
 
@@ -82,7 +81,7 @@ class TestWindowGrowthRate:
             "u": log("u", (0, 100), (29 * DAY, 110)),
             "v": log("v", (0, 900), (29 * DAY, 990)),
         }
-        point = window_growth_rate(logs, {"u", "v"}, TimeWindow(0, 30 * DAY))
+        point = window_growth_rate(follower_table(logs), {"u", "v"}, TimeWindow(0, 30 * DAY))
         assert point.rate == pytest.approx(0.10)
         assert (point.f_first, point.f_last) == (1000, 1100)
 
@@ -91,36 +90,72 @@ class TestWindowGrowthRate:
             "u": log("u", (0, 100), (29 * DAY, 110)),
             "v": log("v", (0, 900), (29 * DAY, 890)),
         }
-        point = window_growth_rate(logs, {"u", "v"}, TimeWindow(0, 30 * DAY))
+        point = window_growth_rate(follower_table(logs), {"u", "v"}, TimeWindow(0, 30 * DAY))
         assert point.rate == pytest.approx(0.0)
 
     def test_no_active_users_is_gap_not_crash(self):
-        point = window_growth_rate({}, {"u"}, TimeWindow(0, 30 * DAY))
+        point = window_growth_rate(follower_table({}), {"u"}, TimeWindow(0, 30 * DAY))
         assert point.rate is None and point.n_active == 0
 
     def test_zero_baseline_is_gap(self):
         logs = {"u": log("u", (0, 0), (29 * DAY, 10))}
-        point = window_growth_rate(logs, {"u"}, TimeWindow(0, 30 * DAY))
+        point = window_growth_rate(follower_table(logs), {"u"}, TimeWindow(0, 30 * DAY))
         assert point.rate is None
 
     def test_scale_invariance(self):
         logs_a = {"u": log("u", (0, 100), (10 * DAY, 104), (29 * DAY, 111))}
         logs_b = {"u": log("u", (0, 700), (10 * DAY, 728), (29 * DAY, 777))}
         w = TimeWindow(0, 30 * DAY)
-        assert window_growth_rate(logs_a, {"u"}, w).rate == pytest.approx(
-            window_growth_rate(logs_b, {"u"}, w).rate
+        assert window_growth_rate(follower_table(logs_a), {"u"}, w).rate == pytest.approx(
+            window_growth_rate(follower_table(logs_b), {"u"}, w).rate
         )
 
     def test_inactive_extra_user_pulls_rate_toward_zero(self):
         w = TimeWindow(0, 30 * DAY)
         base = {"u": log("u", (0, 100), (29 * DAY, 120))}
         with_flat = dict(base, v=log("v", (0, 400), (29 * DAY, 400)))
-        r_base = window_growth_rate(base, {"u"}, w).rate
-        r_flat = window_growth_rate(with_flat, {"u", "v"}, w).rate
+        r_base = window_growth_rate(follower_table(base), {"u"}, w).rate
+        r_flat = window_growth_rate(follower_table(with_flat), {"u", "v"}, w).rate
         assert abs(r_flat) < abs(r_base)
         # The absolute change F_last - F_first is untouched.
-        p = window_growth_rate(with_flat, {"u", "v"}, w)
+        p = window_growth_rate(follower_table(with_flat), {"u", "v"}, w)
         assert p.f_last - p.f_first == 20
+
+
+class TestTableMatchesOracles:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tie_heavy_stream(self, seed):
+        # Few users on a coarse time grid: many simultaneous observations,
+        # users with one or no in-window observation, and window edges that
+        # fall exactly on observation times.
+        rng = np.random.default_rng(seed)
+        users = [f"u{i}" for i in range(12)]
+        events = []
+        for _ in range(600):
+            src, dst = rng.choice(len(users), 2, replace=False)
+            events.append(
+                RetweetEvent(
+                    int(rng.integers(0, 20)) * 5 * DAY + int(rng.integers(0, 2)),
+                    users[src], users[dst], "NA", "uncertain",
+                    int(rng.integers(0, 100)), int(rng.integers(0, 100)),
+                    False, False, False, False,
+                )
+            )
+        table = columns_of(events).follower_logs()
+        logs = build_follower_logs(events)
+        missing = ["ghost", "u99"]
+        aligned_sets = [set(users), set(users[:5]) | set(missing), set(missing), set(), set(users[3:9:2])]
+        for window in sliding_windows(0, 100 * DAY):
+            for aligned in aligned_sets:
+                for min_obs in (2, 3):
+                    got = window_growth_rate(table, aligned, window, "uncertain", min_obs)
+                    assert got == oracles.window_growth_rate(logs, aligned, window, "uncertain", min_obs)
+                    if aligned and min_obs == 2:
+                        assert got.n_active == len(active_users(logs, window) & aligned)
+            population = users + missing
+            counts, fallback = table.at(population, window.start)
+            expected = [oracles.follower_snapshot(logs.get(u), window.start) for u in population]
+            assert list(zip(counts.tolist(), fallback.tolist())) == expected
 
 
 def ev(ts, src, dst, cls="factual"):

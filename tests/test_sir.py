@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from swaynet import rng as rngmod
-from oracles import RetweetEvent, columns_of, follower_snapshot
+from oracles import FollowerLog, RetweetEvent, columns_of, follower_snapshot, follower_table
 from swaynet.graph import WeightedDigraph
 from swaynet.growth import TimeWindow
 from swaynet.sir import (
     CascadeSetup,
     FitConfig,
-    FollowerSnapshots,
     build_cascade_setup,
     cascade_populations,
     final_size,
@@ -326,32 +325,31 @@ class TestWindowLoss:
             window_loss({"factual": 0.1}, {"factual": 0.1, "misleading": 0.2})
 
 
+def snapshot_of(table, user, before):
+    counts, fallback = table.at([user], before)
+    return int(counts[0]), bool(fallback[0])
+
+
 class TestFollowerSnapshots:
     def test_most_recent_before_window(self):
-        from swaynet.events import FollowerLog
-
         log = FollowerLog("u", ((10, 100), (20, 120), (30, 140)))
-        snaps = FollowerSnapshots({"u": log})
-        assert snaps.at("u", 25) == (120, False)
+        snaps = follower_table({"u": log})
+        assert snapshot_of(snaps, "u", 25) == (120, False)
         assert follower_snapshot(log, 25) == (120, False)
 
     def test_fallback_to_earliest(self):
-        from swaynet.events import FollowerLog
-
         log = FollowerLog("u", ((50, 77),))
-        snaps = FollowerSnapshots({"u": log})
-        assert snaps.at("u", 25) == (77, True)
+        snaps = follower_table({"u": log})
+        assert snapshot_of(snaps, "u", 25) == (77, True)
         assert follower_snapshot(log, 25) == (77, True)
 
     def test_unknown_user(self):
-        snaps = FollowerSnapshots({})
-        assert snaps.at("ghost", 10) == (0, True)
+        snaps = follower_table({})
+        assert snapshot_of(snaps, "ghost", 10) == (0, True)
 
 
 class TestBuildCascadeSetup:
     def test_populations_and_snapshots(self):
-        from swaynet.events import FollowerLog
-
         g = graph_of(("A", "s1", 2), ("s1", "s2", 1))
         logs = {
             "A": FollowerLog("A", ((0, 500), (10 * DAY, 600))),
@@ -359,7 +357,7 @@ class TestBuildCascadeSetup:
             "s2": FollowerLog("s2", ((40 * DAY, 70),)),  # only post-window: fallback
         }
         window = TimeWindow(30 * DAY, 60 * DAY)
-        setup = build_cascade_setup(g, window, "factual", {"A"}, {"A"}, FollowerSnapshots(logs))
+        setup = build_cascade_setup(g, window, "factual", {"A"}, {"A"}, follower_table(logs))
         assert setup.v_a == ("A",)
         assert set(setup.v_sw) == {"s1", "s2"}
         assert setup.sum_f_a == 600

@@ -7,6 +7,7 @@ from oracles import (
     columns_equal,
     columns_of,
     daily_counts,
+    logs_of,
     synth_events,
     to_events,
     user_flag_rates,
@@ -77,6 +78,61 @@ class TestRoundtrip:
         assert columns_equal(hit, parsed)
 
 
+class TestCacheFormat:
+    def test_any_label_round_trips(self, tmp_path):
+        labels = ["a\u2028b", "c\nd", "e\rf", "", " sp ", "\x1c", "z\u0085", "\ud800", "plain"]
+        events = [
+            RetweetEvent(i, labels[i % len(labels)], labels[(i + 1) % len(labels)], "NA", "uncertain", i, i, False, False, False, False)
+            for i in range(20)
+        ]
+        columns = columns_of(events)
+        columns.save(str(tmp_path / "cache"), "deadbeef")
+        loaded = EventColumns.load(str(tmp_path / "cache"), "deadbeef")
+        assert loaded is not None and columns_equal(loaded, columns)
+
+    def test_cache_disagreeing_with_its_meta_is_a_miss(self, tmp_path, columns):
+        import json
+
+        import numpy as np
+
+        cache = tmp_path / "cache"
+        columns.save(str(cache), "deadbeef")
+        (cache / "users.json").write_text(json.dumps(columns.users[:-1]))
+        assert EventColumns.load(str(cache), "deadbeef") is None
+        columns.save(str(cache), "deadbeef")
+        np.save(cache / "dst.npy", columns.dst[:-1])
+        assert EventColumns.load(str(cache), "deadbeef") is None
+        columns.save(str(cache), "deadbeef")
+        (cache / "flags.npy").write_bytes(b"truncated")
+        assert EventColumns.load(str(cache), "deadbeef") is None
+
+    def test_first_format_cache_is_reparsed_and_rewritten(self, tmp_path, result, columns):
+        # The first cache format kept one label per line in users.txt and no
+        # format key; it reads as a miss even when its source hash matches.
+        import json
+
+        import numpy as np
+
+        from swaynet.store import file_sha256
+
+        path = tmp_path / "events.jsonl"
+        with open(path, "w") as fh:
+            result.write_jsonl(fh)
+        digest = file_sha256(str(path))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for name in ("ts", "src", "dst", "cat", "src_followers", "dst_followers", "flags"):
+            np.save(cache / f"{name}.npy", getattr(columns, name))
+        (cache / "users.txt").write_text("\n".join(columns.users) + "\n")
+        meta = {"n_events": len(columns), "n_users": len(columns.users), "source_sha256": digest}
+        (cache / "cache_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
+        assert EventColumns.load(str(cache), digest) is None
+        parsed = load_or_parse(str(path), str(cache))
+        assert columns_equal(parsed, columns)
+        hit = EventColumns.load(str(cache), digest)
+        assert hit is not None and columns_equal(hit, columns)
+
+
 class TestVectorizedEquivalence:
     def test_graph_matches_object_path(self, events, columns):
         for time_range, cls in (
@@ -93,7 +149,7 @@ class TestVectorizedEquivalence:
             )
 
     def test_follower_logs_match_object_path(self, events, columns):
-        assert columns.follower_logs() == build_follower_logs(events)
+        assert logs_of(columns.follower_logs()) == build_follower_logs(events)
 
     def test_flag_rates_match_object_path(self, events, columns):
         assert columns.flag_rates() == user_flag_rates(events)
@@ -123,5 +179,5 @@ class TestTieHeavyEquivalence:
                 )
             )
         columns = columns_of(events)
-        assert columns.follower_logs() == build_follower_logs(events)
+        assert logs_of(columns.follower_logs()) == build_follower_logs(events)
         assert columns.flag_rates() == user_flag_rates(events)

@@ -125,12 +125,12 @@ class TestPlantedStructure:
 
         from swaynet.growth import sliding_windows, window_growth_rate
 
-        logs = result.columns().follower_logs()
+        table = result.columns().follower_logs()
         for window in sliding_windows(0, 90 * DAY):
             if window.partial:
                 continue
-            fac = window_growth_rate(logs, set(truth["aligned"]["factual"]), window)
-            mis = window_growth_rate(logs, set(truth["aligned"]["misleading"]), window)
+            fac = window_growth_rate(table, set(truth["aligned"]["factual"]), window)
+            mis = window_growth_rate(table, set(truth["aligned"]["misleading"]), window)
             assert fac.rate is not None and mis.rate is not None
             assert fac.rate > mis.rate
 
