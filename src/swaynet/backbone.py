@@ -180,7 +180,7 @@ class HeterogeneityReport:
 
     band_multiplier: float
     rows: tuple[HeterogeneityRow, ...]
-    flagged_fraction_by_degree: dict[int, float]  # bucket floor (power of two) -> fraction
+    degree_buckets: dict[int, tuple[int, int]]  # bucket floor (power of two), ascending -> (node sides, flagged)
 
     @property
     def flagged_fraction(self) -> float:
@@ -223,8 +223,7 @@ def strong_disorder_test(g: WeightedDigraph, a: float = 2.0) -> HeterogeneityRep
             cell = bucket_totals.setdefault(bucket, [0, 0])
             cell[0] += 1
             cell[1] += int(flagged)
-    fractions = {b: flagged / total for b, (total, flagged) in sorted(bucket_totals.items())}
-    return HeterogeneityReport(a, tuple(rows), fractions)
+    return HeterogeneityReport(a, tuple(rows), {b: tuple(cell) for b, cell in sorted(bucket_totals.items())})
 
 
 # -- topology ------------------------------------------------------------------

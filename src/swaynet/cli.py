@@ -26,7 +26,7 @@ from . import report as rep
 from . import rng as rngmod
 from .alignment import classify_all, coverage_curve, involvement_profiles, ternary_histogram
 from .backbone import disparity_filter, edge_significance, global_threshold_backbone, strong_disorder_test
-from .events import CONTENT_CLASSES, write_events_jsonl, write_flag_rates_csv, write_follower_logs_csv
+from .events import CONTENT_CLASSES, InvalidEvents, write_events_jsonl, write_flag_rates_csv, write_follower_logs_csv
 from .graph import WeightedDigraph, load_binary, save_binary
 from .growth import GrowthPoint, TimeWindow, sliding_windows, trend_line, window_growth_rate
 from .sir import (
@@ -406,7 +406,7 @@ def cmd_ingest(config: PipelineConfig) -> str:
             for err in errors:
                 w.writerow([err.line_no, err.message])
         if config.strict:
-            raise ValueError(f"{len(errors)} invalid lines (see {PARSE_ERRORS_FILE})")
+            raise InvalidEvents(f"{len(errors)} invalid lines (see {PARSE_ERRORS_FILE})")
     _write_events(config, columns)
     _write_meta(
         config,
@@ -531,18 +531,7 @@ def cmd_diagnose(config: PipelineConfig) -> str:
             w.writerow(
                 [row.node, row.direction, row.k, f"{row.upsilon:.8g}", f"{row.null_mean:.8g}", f"{row.null_std:.8g}", int(row.flagged)]
             )
-    with open(_path(config, "heterogeneity_buckets.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["degree_bucket", "n", "flagged_fraction"])
-        buckets: dict[int, list[int]] = {}
-        for row in disorder.rows:
-            b = 1 << (row.k.bit_length() - 1)
-            cell = buckets.setdefault(b, [0, 0])
-            cell[0] += 1
-            cell[1] += int(row.flagged)
-        for b in sorted(buckets):
-            n, flagged = buckets[b]
-            w.writerow([b, n, f"{flagged / n:.6f}"])
+    rep.emit_heterogeneity_summary(_path(config, "heterogeneity_buckets.csv"), disorder)
     rep.emit_topology(_path(config, "topology.json"), g, config.fit_range)
     with open(_path(config, "gtb_overlap.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -812,7 +801,7 @@ def cmd_report(config: PipelineConfig) -> str:
 
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
     rep.emit_size_curve(out("supp_size_curve.csv"), g, grid)
-    rep.emit_heterogeneity_summary(out("supp_heterogeneity.csv"), g, config.band_multiplier)
+    rep.emit_heterogeneity_summary(out("supp_heterogeneity.csv"), rep.strong_disorder_test(g, config.band_multiplier))
     rep.emit_topology(os.path.join(out_dir, "supp_topology.json"), backbone, config.fit_range)
     rates = {u: (r.bot_rate, r.verification_rate) for u, r in columns.flag_rates().items()}
     rep.emit_flag_retention(out("supp_flag_retention.csv"), rates, set(g.labels), set(backbone.labels))
@@ -956,6 +945,9 @@ def run(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
+        return 1
+    except InvalidEvents as exc:
+        print(f"error: invalid data: {exc}", file=sys.stderr)
         return 1
     except MissingInput as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 import numpy as np
@@ -108,6 +109,10 @@ def classify_category(raw_category: str | None) -> str:
     return CLASS_BY_CATEGORY[canonical_category(raw_category)]
 
 
+class InvalidEvents(ValueError):
+    """An event stream with invalid lines: a data error, not a runtime failure."""
+
+
 @dataclass(frozen=True, slots=True)
 class ParseError:
     line_no: int
@@ -190,7 +195,7 @@ def event_row(rec: dict, time_range: tuple[int, int] | None = None) -> tuple[int
 
 def _reject(errors: list[ParseError], line_no: int, exc: ValueError, strict: bool) -> None:
     if strict:
-        raise ValueError(f"line {line_no}: {exc}") from None
+        raise InvalidEvents(f"line {line_no}: {exc}") from None
     errors.append(ParseError(line_no, str(exc)))
 
 
@@ -279,16 +284,24 @@ def write_events_jsonl(columns: EventColumns, handle: TextIO) -> int:
 
 
 def write_follower_logs_csv(table: FollowerSnapshots, handle: TextIO) -> None:
-    """One row per observation, users in label order, each user's rows by time."""
+    """One row per observation, users in label order, each user's rows by time.
+
+    The bytes equal csv.writer's: csv.writer quotes each label once, as a
+    field that is not alone in its row, and rows are formatted a chunk at a time.
+    """
     order = np.array(sorted(range(len(table.users)), key=table.users.__getitem__), dtype=np.int64)
     lengths = np.diff(table.ptr)[order]
     user = np.repeat(order, lengths)
     # Output position i inside a user's block reads table row ptr[user] + (i - block start).
     rows = np.arange(len(user)) + np.repeat(table.ptr[order] - np.cumsum(lengths) + lengths, lengths)
-    labels = [table.users[i] for i in user.tolist()]
-    writer = csv.writer(handle)
-    writer.writerow(["user", "timestamp", "followers"])
-    writer.writerows(zip(labels, table.ts[rows].tolist(), table.count[rows].tolist()))
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows((u, "") for u in table.users)
+    labels = [line[:-3] for line in lines]  # drop the empty last field and ",\r\n"
+    handle.write("user,timestamp,followers\r\n")
+    for lo in range(0, len(user), _WRITE_CHUNK):
+        sel = rows[lo : lo + _WRITE_CHUNK]
+        chunk = zip(user[lo : lo + _WRITE_CHUNK].tolist(), table.ts[sel].tolist(), table.count[sel].tolist())
+        handle.write("".join([f"{labels[u]},{t},{c}\r\n" for u, t, c in chunk]))
 
 
 def write_flag_rates_csv(rates: dict[str, UserFlagRates], handle: TextIO) -> None:

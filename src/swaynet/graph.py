@@ -285,46 +285,31 @@ def strongly_connected_components(g: WeightedDigraph) -> list[frozenset[str]]:
 
 def reachable_set(g: WeightedDigraph, sources: Iterable[str]) -> set[str]:
     """All nodes with a directed path from some source (sources included)."""
-    todo: list[int] = []
-    seen = np.zeros(g.n_nodes, dtype=bool)
-    for label in sources:
-        if label not in g._index:
-            raise KeyError(f"unknown source node: {label!r}")
-        i = g._index[label]
-        if not seen[i]:
-            seen[i] = True
-            todo.append(i)
-    out_ptr = g._out_ptr
-    edge_dst = g.edge_dst
-    while todo:
-        v = todo.pop()
-        for pos in range(out_ptr[v], out_ptr[v + 1]):
-            w = int(edge_dst[pos])
-            if not seen[w]:
-                seen[w] = True
-                todo.append(w)
-    return {g.labels[i] for i in np.flatnonzero(seen)}
+    return _closure(g, sources, "source", g._out_ptr, g.edge_dst)
 
 
 def reverse_reachable_set(g: WeightedDigraph, targets: Iterable[str]) -> set[str]:
     """All nodes from which some target is reachable (targets included)."""
-    todo: list[int] = []
+    return _closure(g, targets, "target", g._in_ptr, g.edge_src[g._in_order])
+
+
+def _closure(g: WeightedDigraph, starts: Iterable[str], role: str, ptr: np.ndarray, nbr: np.ndarray) -> set[str]:
+    """Labels reachable from `starts` (included) along the CSR adjacency
+    (ptr, nbr), expanding the whole frontier at each step."""
     seen = np.zeros(g.n_nodes, dtype=bool)
-    for label in targets:
+    for label in starts:
         if label not in g._index:
-            raise KeyError(f"unknown target node: {label!r}")
-        i = g._index[label]
-        if not seen[i]:
-            seen[i] = True
-            todo.append(i)
-    edge_src = g.edge_src
-    while todo:
-        v = todo.pop()
-        for eid in g.in_edge_ids(v):
-            w = int(edge_src[eid])
-            if not seen[w]:
-                seen[w] = True
-                todo.append(w)
+            raise KeyError(f"unknown {role} node: {label!r}")
+        seen[g._index[label]] = True
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        lo = ptr[frontier]
+        lengths = ptr[frontier + 1] - lo
+        # Position j of the concatenated neighbour lists reads nbr[lo[f] + (j - start of f's run)].
+        offsets = np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+        reached = nbr[offsets + np.arange(len(offsets))]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
     return {g.labels[i] for i in np.flatnonzero(seen)}
 
 

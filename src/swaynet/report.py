@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backbone import backbone_size_curve, strong_disorder_test, topology_report
+from .backbone import HeterogeneityReport, backbone_size_curve, strong_disorder_test, topology_report
 from .events import CONTENT_CLASSES
 from .graph import WeightedDigraph, creator_consumer_partition
 from .growth import SECONDS_PER_DAY, GrowthPoint, trend_line
@@ -186,19 +186,11 @@ def emit_size_curve(path: str, g: WeightedDigraph, alpha_grid: Sequence[float]) 
             )
 
 
-def emit_heterogeneity_summary(path: str, g: WeightedDigraph, band_multiplier: float = 2.0) -> None:
+def emit_heterogeneity_summary(path: str, disorder: HeterogeneityReport) -> None:
     fh, w = _writer(path)
-    report = strong_disorder_test(g, band_multiplier)
-    totals: dict[int, list[int]] = {}
-    for row in report.rows:
-        bucket = 1 << (row.k.bit_length() - 1)
-        cell = totals.setdefault(bucket, [0, 0])
-        cell[0] += 1
-        cell[1] += int(row.flagged)
     with fh:
         w.writerow(["degree_bucket", "n", "flagged_fraction"])
-        for bucket in sorted(totals):
-            n, flagged = totals[bucket]
+        for bucket, (n, flagged) in disorder.degree_buckets.items():
             w.writerow([bucket, n, f"{flagged / n:.6f}"])
 
 

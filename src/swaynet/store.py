@@ -9,6 +9,7 @@ source file by content hash.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -27,6 +28,7 @@ from .events import (
     DST_VERIFIED,
     SRC_BOT,
     SRC_VERIFIED,
+    InvalidEvents,
     UserFlagRates,
 )
 from .graph import WeightedDigraph
@@ -94,6 +96,8 @@ class EventColumns:
             np.save(os.path.join(directory, f"{name}.npy"), getattr(self, name))
         with open(os.path.join(directory, _USERS_FILE), "w") as fh:
             json.dump(self.users, fh)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(directory, "users.txt"))  # the first format's user table
         meta = {"format": _CACHE_FORMAT, "n_events": len(self.ts), "n_users": len(self.users), "source_sha256": source_hash}
         with open(os.path.join(directory, "cache_meta.json"), "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
@@ -276,7 +280,7 @@ def load_or_parse(events_path: str, cache_dir: str | None = None) -> EventColumn
         columns, errors = parse_events(fh)
     if errors:
         first = errors[0]
-        raise ValueError(f"{events_path}: {len(errors)} invalid lines (first: line {first.line_no}: {first.message})")
+        raise InvalidEvents(f"{events_path}: {len(errors)} invalid lines (first: line {first.line_no}: {first.message})")
     if cache_dir is not None:
         columns.save(cache_dir, digest)
     return columns

@@ -296,6 +296,19 @@ class TestStrongDisorder:
         assert row.upsilon == pytest.approx(10 * ((1000 / 1009) ** 2 + 9 * (1 / 1009) ** 2), rel=1e-9)
         assert row.flagged
 
+    def test_degree_buckets_recount_rows(self):
+        rng = np.random.default_rng(4)
+        edges = {(f"u{s}", f"u{d}"): int(w) for s, d, w in rng.integers(1, 40, size=(300, 3))}
+        report = strong_disorder_test(graph_of(*((s, d, w) for (s, d), w in edges.items())), 1.0)
+        recount: dict[int, list[int]] = {}
+        for row in report.rows:
+            cell = recount.setdefault(1 << (row.k.bit_length() - 1), [0, 0])
+            cell[0] += 1
+            cell[1] += row.flagged
+        assert report.degree_buckets == {b: tuple(c) for b, c in sorted(recount.items())}
+        assert list(report.degree_buckets) == sorted(recount)
+        assert 0 < sum(f for _, f in report.degree_buckets.values()) < len(report.rows)
+
     def test_huge_band_absorbs_everything(self):
         edges = [("h", "big", 1000)] + [("h", f"t{i}", 1) for i in range(9)]
         report = strong_disorder_test(graph_of(*edges), 1e9)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 from swaynet.cli import PipelineConfig, run, validate_config
 
@@ -121,6 +122,25 @@ class TestExitCodes:
         assert run(["growth", *out]) == 1
         assert "shorter than one window" in capsys.readouterr().err
         assert run(["simulate", "--delta", "0.01", "--r0", "1.5", *out]) == 1
+
+    def test_strict_ingest_of_a_bad_line_exits_1(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        with open(tmp_path / "in.jsonl", "a") as fh:
+            fh.write('{"ts": "soon"}\n')
+        out = ["--out", str(tmp_path / "run"), "--events", str(tmp_path / "in.jsonl")]
+        assert run(["ingest", "--strict", *out]) == 1
+        assert "1 invalid lines" in capsys.readouterr().err
+        assert run(["ingest", *out]) == 0
+
+    def test_reparse_of_a_bad_events_file_exits_1(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        run_dir = tmp_path / "run"
+        assert run(["ingest", "--out", str(run_dir), "--events", str(tmp_path / "in.jsonl")]) == 0
+        shutil.rmtree(run_dir / "events_cache")
+        with open(run_dir / "events.jsonl", "a") as fh:
+            fh.write("not json\n")
+        assert run(["backbone", "--out", str(run_dir)]) == 1
+        assert "invalid lines (first: line 51" in capsys.readouterr().err
 
     def test_align_before_backbone_names_stage(self, tmp_path, capsys):
         assert run(synth_args(tmp_path)) == 0

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -12,6 +13,7 @@ from swaynet.events import (
     parse_events,
     parse_events_csv,
     write_events_jsonl,
+    write_follower_logs_csv,
 )
 
 
@@ -165,6 +167,29 @@ class TestFollowerLogs:
         logs = logs_of(columns_of(events).follower_logs())
         times = [ts for ts, _ in logs["u"].observations]
         assert times == sorted(set(times))
+
+    def test_csv_bytes_match_csv_writer(self):
+        # Labels csv.writer quotes or leaves bare, the empty label (quoted only
+        # when alone in a row), and more rows than one write chunk (65,536).
+        labels = ["plain", "comma,name", 'quo"te', "new\nline", "cr\rname", "crlf,\r\nin", " lead", "trail ", "", "ünï"]
+        rng = np.random.default_rng(3)
+        ends = rng.integers(len(labels), size=(40_000, 2)).tolist()
+        ts = rng.integers(0, 10**6, size=40_000).tolist()
+        events = [ev(t, labels[s], labels[d], src_f=t % 977, dst_f=t % 13) for t, (s, d) in zip(ts, ends)]
+        table = columns_of(events).follower_logs()
+        assert len(table.ts) > 65_536
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["user", "timestamp", "followers"])
+        logs = logs_of(table)
+        for user in sorted(logs):
+            writer.writerows((user, t, c) for t, c in logs[user].observations)
+        got = io.StringIO(newline="")
+        write_follower_logs_csv(table, got)
+        # Row lists rather than one string: a failing diff of the whole text is too slow.
+        got_rows, expected_rows = got.getvalue().split("\r\n"), expected.getvalue().split("\r\n")
+        assert len(got_rows) == len(expected_rows)
+        assert [i for i, (a, b) in enumerate(zip(got_rows, expected_rows)) if a != b] == []
 
 
 class TestFlagRates:

@@ -236,6 +236,46 @@ class TestReachability:
             sources = set(g.labels[:2])
             assert reachable_set(g, sources) == brute_reachable(g.edge_set(), set(g.labels), sources)
 
+    def test_reverse_matches_brute_force_on_reversed_edges(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            g, _ = random_graph(rng, p=float(rng.uniform(0.05, 0.4)))
+            reversed_edges = {(d, s) for s, d in g.edge_set()}
+            targets = set(rng.choice(g.labels, size=int(rng.integers(1, 4))))
+            assert reverse_reachable_set(g, targets) == brute_reachable(reversed_edges, set(g.labels), targets)
+
+    def test_long_chain_both_directions(self):
+        n = 5000
+        g = graph_of(*((f"v{i}", f"v{i + 1}", 1) for i in range(n - 1)))
+        assert reachable_set(g, {"v0"}) == set(g.labels)
+        assert reachable_set(g, {f"v{n - 10}"}) == {f"v{i}" for i in range(n - 10, n)}
+        assert reverse_reachable_set(g, {f"v{n - 1}"}) == set(g.labels)
+        assert reverse_reachable_set(g, {"v9"}) == {f"v{i}" for i in range(10)}
+
+    def test_wide_star(self):
+        leaves = [f"leaf{i}" for i in range(3000)]
+        g = graph_of(*(("hub", leaf, 1) for leaf in leaves), ("leaf7", "tail", 1))
+        assert reachable_set(g, {"hub"}) == set(g.labels)
+        assert reachable_set(g, {"leaf7"}) == {"leaf7", "tail"}
+        assert reverse_reachable_set(g, {"tail"}) == {"tail", "leaf7", "hub"}
+        assert reverse_reachable_set(g, {"hub"}) == {"hub"}
+
+    def test_self_loops_and_repeated_or_overlapping_starts(self):
+        g = graph_of(("a", "a", 1), ("a", "b", 1), ("b", "b", 2), ("b", "c", 1), ("d", "d", 1))
+        assert reachable_set(g, ["a", "a", "b"]) == {"a", "b", "c"}
+        assert reachable_set(g, ["c", "b", "c"]) == {"b", "c"}
+        assert reachable_set(g, ["d"]) == {"d"}
+        assert reverse_reachable_set(g, ["c", "c", "a"]) == {"a", "b", "c"}
+        assert reverse_reachable_set(g, ["d", "d"]) == {"d"}
+        assert reachable_set(g, []) == set() == reverse_reachable_set(g, [])
+
+    def test_unknown_target_is_error_naming_the_role(self):
+        g = graph_of(("a", "b", 1))
+        with pytest.raises(KeyError, match="unknown target node: 'zzz'"):
+            reverse_reachable_set(g, ["a", "zzz"])
+        with pytest.raises(KeyError, match="unknown source node: 'zzz'"):
+            reachable_set(g, ["zzz"])
+
 
 class TestSerialization:
     def test_binary_roundtrip(self):

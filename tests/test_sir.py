@@ -109,6 +109,34 @@ class TestCascadePopulations:
         g = graph_of(("x", "y", 1))
         assert cascade_populations(g, {"zzz"}, {"zzz"}) == (set(), set())
 
+    def test_matches_set_oracle_on_random_graphs(self):
+        def reach(adj, start):
+            seen, todo = {start}, [start]
+            while todo:
+                for w in adj.get(todo.pop(), ()):
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            return seen
+
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            labels = [f"u{i}" for i in range(n)]
+            pairs = {(labels[s], labels[d]) for s, d in rng.integers(0, n, size=(int(rng.integers(1, 3 * n)), 2))}
+            g = graph_of(*((s, d, 1) for s, d in pairs))
+            adj = {}
+            for s, d in pairs:
+                adj.setdefault(s, set()).add(d)
+            pool = labels + ["ghost"]
+            aligned_class = {u for u in pool if rng.random() < 0.2}
+            aligned_any = aligned_class | {u for u in pool if rng.random() < 0.2}
+            seeds = aligned_class & set(g.labels)
+            sw = set().union(*(reach(adj, u) for u in seeds)) - aligned_any - seeds
+            a = {u for u in seeds if reach(adj, u) & sw}
+            expected = (a, sw) if seeds and sw else (set(), set())
+            assert cascade_populations(g, aligned_class, aligned_any) == expected
+
 
 class TestFinalSize:
     def test_r0_zero_reduces_exactly(self):

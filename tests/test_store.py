@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from oracles import (
@@ -131,6 +133,9 @@ class TestCacheFormat:
         assert columns_equal(parsed, columns)
         hit = EventColumns.load(str(cache), digest)
         assert hit is not None and columns_equal(hit, columns)
+        fresh = tmp_path / "fresh"
+        columns.save(str(fresh), digest)
+        assert sorted(os.listdir(cache)) == sorted(os.listdir(fresh))
 
 
 class TestVectorizedEquivalence:
