@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -207,11 +208,12 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat key = value format; '#' starts a comment."""
+def load_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """Flat key = value format; '#' starts a comment. Maps each key to its
+    raw value and line number."""
     if not os.path.exists(path):
         raise MissingInput(f"config file not found: {path}")
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -220,7 +222,7 @@ def load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (value.strip(), line_no)
     return values
 
 
@@ -257,18 +259,21 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig()
     known = {f.name: f.type for f in fields(PipelineConfig)}
     if getattr(args, "config", None):
-        for key, raw in load_config_file(args.config).items():
+        for key, (raw, line_no) in load_config_file(args.config).items():
             if key not in known:
                 raise ConfigError(f"unknown config key: {key}")
-            value = _coerce_key(key, raw)
-            if isinstance(value, str):
-                current = getattr(config, key)
-                if isinstance(current, bool):
-                    value = raw.strip().lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
-                    value = int(raw)
-                elif isinstance(current, float):
-                    value = float(raw)
+            try:
+                value = _coerce_key(key, raw)
+                if isinstance(value, str):
+                    current = getattr(config, key)
+                    if isinstance(current, bool):
+                        value = raw.strip().lower() in ("1", "true", "yes")
+                    elif isinstance(current, int):
+                        value = int(raw)
+                    elif isinstance(current, float):
+                        value = float(raw)
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"{args.config}:{line_no}: {key}: {exc}") from None
             setattr(config, key, value)
     for key in known:
         if hasattr(args, key) and getattr(args, key) is not None:
@@ -297,20 +302,29 @@ def _require(config: PipelineConfig, name: str, produced_by: str) -> str:
     return path
 
 
-def _write_meta(config: PipelineConfig, stage: str, params: dict, inputs: list[str]) -> None:
+def _write_meta(
+    config: PipelineConfig, stage: str, params: dict, inputs: list[str], hashes: dict[str, str] | None = None
+) -> None:
+    """`hashes` holds input digests the stage already took, keyed by path."""
+    hashes = hashes or {}
     meta = {
         "stage": stage,
         "seed": config.seed,
         "params": params,
-        "inputs": {os.path.basename(p): file_sha256(p) for p in inputs if os.path.isfile(p)},
+        "inputs": {os.path.basename(p): hashes.get(p) or file_sha256(p) for p in inputs if os.path.isfile(p)},
     }
     with open(_path(config, f"{stage}_meta.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
 
 
-def _load_columns(config: PipelineConfig, stage_for_error: str = "ingest or synth") -> EventColumns:
-    events_path = _require(config, EVENTS_FILE, stage_for_error)
-    return load_or_parse(events_path, _path(config, CACHE_DIR))
+def _load_columns(config: PipelineConfig, hashes: dict[str, str] | None = None) -> EventColumns:
+    """The event columns. events.jsonl is hashed once, for the cache check,
+    and its digest is stored in `hashes` under its path for the stage meta."""
+    events_path = _require(config, EVENTS_FILE, "ingest or synth")
+    digest = file_sha256(events_path)
+    if hashes is not None:
+        hashes[events_path] = digest
+    return load_or_parse(events_path, _path(config, CACHE_DIR), digest)
 
 
 def _dataset_range(config: PipelineConfig, columns: EventColumns) -> tuple[int, int]:
@@ -381,6 +395,17 @@ def _class_graphs(columns: EventColumns, retained: np.ndarray | None) -> dict[st
 # -- stages ---------------------------------------------------------------------
 
 
+def _clear_ingest_outputs(config: PipelineConfig) -> None:
+    """Remove what an earlier ingest left in --out, so a failed one leaves
+    nothing a later stage could read as current; the input file is kept."""
+    for name in (EVENTS_FILE, CACHE_DIR, LOGS_FILE, FLAGS_FILE, "ingest_meta.json", PARSE_ERRORS_FILE):
+        path = _path(config, name)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.isfile(path) and not os.path.samefile(path, config.events):
+            os.remove(path)
+
+
 def cmd_ingest(config: PipelineConfig) -> str:
     if not config.events:
         raise ConfigError("events: input path is required for ingest")
@@ -389,16 +414,19 @@ def cmd_ingest(config: PipelineConfig) -> str:
     time_range = None
     if config.range_start is not None and config.range_end is not None:
         time_range = (config.range_start, config.range_end)
-    if config.fmt == "csv" or (config.fmt is None and config.events.endswith(".csv")):
-        with open(config.events, newline="") as fh:
-            from .events import parse_events_csv
+    try:
+        if config.fmt == "csv" or (config.fmt is None and config.events.endswith(".csv")):
+            with open(config.events, newline="") as fh:
+                from .events import parse_events_csv
 
-            columns, errors = parse_events_csv(fh, time_range)
-    else:
-        with open(config.events) as fh:
-            from .events import parse_events
+                columns, errors = parse_events_csv(fh, time_range)
+        else:
+            with open(config.events) as fh:
+                from .events import parse_events
 
-            columns, errors = parse_events(fh, time_range)
+                columns, errors = parse_events(fh, time_range)
+    finally:
+        _clear_ingest_outputs(config)
     if errors:
         with open(_path(config, PARSE_ERRORS_FILE), "w", newline="") as fh:
             w = csv.writer(fh)
@@ -481,7 +509,8 @@ def _optional_class_table(config: PipelineConfig, prefix: str) -> dict[str, tupl
 
 
 def cmd_backbone(config: PipelineConfig) -> str:
-    columns = _load_columns(config)
+    hashes: dict[str, str] = {}
+    columns = _load_columns(config, hashes)
     time_range = None
     if config.range_start is not None and config.range_end is not None:
         time_range = (config.range_start, config.range_end)
@@ -511,7 +540,7 @@ def cmd_backbone(config: PipelineConfig) -> str:
                     [e.edge[0], e.edge[1], e.weight]
                     + [f"{x:.10g}" for x in (e.p_out, e.p_in, e.alpha_out, e.alpha_in, e.alpha)]
                 )
-    _write_meta(config, "backbone", meta, [_path(config, EVENTS_FILE)])
+    _write_meta(config, "backbone", meta, [_path(config, EVENTS_FILE)], hashes)
     return (
         f"backbone: alpha={config.alpha} kept {filtered.n_nodes}/{g.n_nodes} nodes, "
         f"{filtered.n_edges}/{g.n_edges} edges, {filtered.total_weight}/{g.total_weight} weight"
@@ -519,7 +548,8 @@ def cmd_backbone(config: PipelineConfig) -> str:
 
 
 def cmd_diagnose(config: PipelineConfig) -> str:
-    columns = _load_columns(config)
+    hashes: dict[str, str] = {}
+    columns = _load_columns(config, hashes)
     g = columns.build_graph()
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
     rep.emit_size_curve(_path(config, "size_curve.csv"), g, grid)
@@ -547,12 +577,14 @@ def cmd_diagnose(config: PipelineConfig) -> str:
                 else:
                     overlap = len(gtb.edge_set() & bb.edge_set()) / gtb.n_edges
                 w.writerow([f"{alpha:.6f}", f"{q:.4f}", w_min, gtb.n_edges, f"{overlap:.6f}"])
-    _write_meta(config, "diagnose", {"band_multiplier": config.band_multiplier, "alpha_grid": list(grid)}, [_path(config, EVENTS_FILE)])
+    params = {"band_multiplier": config.band_multiplier, "alpha_grid": list(grid)}
+    _write_meta(config, "diagnose", params, [_path(config, EVENTS_FILE)], hashes)
     return f"diagnose: {len(disorder.rows)} node sides, flagged fraction {disorder.flagged_fraction:.3f}"
 
 
 def cmd_align(config: PipelineConfig) -> str:
-    columns = _load_columns(config)
+    hashes: dict[str, str] = {}
+    columns = _load_columns(config, hashes)
     retained = None
     if not config.unfiltered:
         backbone = load_binary(_require(config, BACKBONE_FILE, "backbone"))
@@ -582,13 +614,15 @@ def cmd_align(config: PipelineConfig) -> str:
         "align",
         {"theta": config.theta, "unfiltered": config.unfiltered, "bins": config.bins, "aligned_counts": counts},
         [_path(config, EVENTS_FILE)] + ([] if config.unfiltered else [_path(config, BACKBONE_FILE)]),
+        hashes,
     )
     total_aligned = sum(counts.values())
     return f"align: theta={config.theta} -> {total_aligned} aligned users " + str(counts)
 
 
 def cmd_growth(config: PipelineConfig) -> str:
-    columns = _load_columns(config)
+    hashes: dict[str, str] = {}
+    columns = _load_columns(config, hashes)
     by_class, theta = _load_labels(config)
     start, end = _dataset_range(config, columns)
     windows = _windows(config, start, end)
@@ -632,6 +666,7 @@ def cmd_growth(config: PipelineConfig) -> str:
         "growth",
         {"windows": len(windows), "theta": theta, "defined_points": n_defined},
         [_path(config, EVENTS_FILE), _path(config, LABELS_FILE)],
+        hashes,
     )
     return f"growth: {len(windows)} windows x {len(CONTENT_CLASSES)} classes, {n_defined} defined points"
 
@@ -665,7 +700,8 @@ def _build_setups(config: PipelineConfig, columns: EventColumns, by_class: dict[
 def cmd_simulate(config: PipelineConfig) -> str:
     if config.delta is None or config.r0 is None:
         raise ConfigError("delta/r0: both are required for simulate")
-    columns = _load_columns(config)
+    hashes: dict[str, str] = {}
+    columns = _load_columns(config, hashes)
     by_class, _ = _load_labels(config)
     setups = _build_setups(config, columns, by_class)
     if not setups:
@@ -701,6 +737,7 @@ def cmd_simulate(config: PipelineConfig) -> str:
         "simulate",
         {"delta": config.delta, "r0": config.r0, "runs": config.runs, "lookback": config.lookback},
         [_path(config, EVENTS_FILE), _path(config, LABELS_FILE)],
+        hashes,
     )
     return f"simulate: delta={config.delta} r0={config.r0} over {len(setups)} windows"
 
@@ -719,7 +756,8 @@ def _load_empirical(config: PipelineConfig) -> dict[int, dict[str, float | None]
 
 
 def cmd_fit(config: PipelineConfig) -> str:
-    columns = _load_columns(config)
+    hashes: dict[str, str] = {}
+    columns = _load_columns(config, hashes)
     by_class, _ = _load_labels(config)
     empirical = _load_empirical(config)
     setups = _build_setups(config, columns, by_class)
@@ -752,6 +790,7 @@ def cmd_fit(config: PipelineConfig) -> str:
             "lookback": config.lookback,
         },
         [_path(config, EVENTS_FILE), _path(config, LABELS_FILE), _path(config, GROWTH_FILE)],
+        hashes,
     )
     return (
         f"fit: delta={result.delta:.6f} objective={result.objective:.6g} "
@@ -760,7 +799,8 @@ def cmd_fit(config: PipelineConfig) -> str:
 
 
 def cmd_report(config: PipelineConfig) -> str:
-    columns = _load_columns(config)
+    hashes: dict[str, str] = {}
+    columns = _load_columns(config, hashes)
     backbone = load_binary(_require(config, BACKBONE_FILE, "backbone"))
     _require(config, LABELS_FILE, "align")
     _require(config, GROWTH_FILE, "growth")
@@ -813,6 +853,7 @@ def cmd_report(config: PipelineConfig) -> str:
         "report",
         {"n_tables": len(emitted) + 1, "fit_included": os.path.exists(fit_path)},
         [_path(config, EVENTS_FILE), _path(config, BACKBONE_FILE), _path(config, LABELS_FILE), _path(config, GROWTH_FILE)],
+        hashes,
     )
     return f"report: {len(emitted) + 1} tables -> {out_dir}"
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
@@ -199,6 +201,93 @@ def _reject(errors: list[ParseError], line_no: int, exc: ValueError, strict: boo
     errors.append(ParseError(line_no, str(exc)))
 
 
+# Lines per batched decode. Larger chunks cost more peak memory than they save time.
+_PARSE_CHUNK = 16384
+
+_first_char = itemgetter(slice(None, 1))
+_last_two = itemgetter(slice(-2, None))
+
+
+def row_chunks(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """Rows as `event_row` makes them, transposed into column chunks for
+    `EventColumns.from_events`, _PARSE_CHUNK rows at a time."""
+    it = iter(rows)
+    while chunk := list(islice(it, _PARSE_CHUNK)):
+        yield tuple(zip(*chunk))
+
+
+def _line_rows(
+    lines: list[str],
+    first_line_no: int,
+    time_range: tuple[int, int] | None,
+    errors: list[ParseError],
+    strict: bool,
+) -> Iterator[tuple]:
+    """The per-line parse: one json.loads and one event_row per non-blank line."""
+    for line_no, line in enumerate(lines, start=first_line_no):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("record is not an object")
+            row = event_row(rec, time_range)
+        except ValueError as exc:
+            _reject(errors, line_no, exc, strict)
+            continue
+        yield row
+
+
+# Value types the batch path takes per field, in EVENT_FIELDS order. Any
+# other type (a float or string ts or count, a numeric label, a flag spelled
+# as a string or number) goes through event_row, which coerces or rejects it.
+_BATCH_TYPES = ({int}, {str}, {str}, {str, type(None)}, {int}, {int}, {bool}, {bool}, {bool}, {bool})
+
+
+def _batch_columns(lines: list[str], time_range: tuple[int, int] | None) -> tuple | None:
+    """A chunk's columns from one json.loads of all its lines, or None.
+
+    None sends the chunk to the per-line parse: the batch is not provably the
+    same as decoding each line alone, or some value needs event_row to coerce
+    or reject it. The proof: every non-blank line starts with `{` and ends
+    with `}` (before an optional newline), the chunk holds no other brace and
+    no bracket, and lines are joined by a separator holding a newline, which
+    no JSON string can contain. So each `{` opens a flat object that the `}`
+    of its own line closes, and the array holds exactly the per-line objects.
+    """
+    if set(map(_first_char, lines)) != {"{"}:
+        lines = [line for line in lines if line.strip()]
+        if set(map(_first_char, lines)) != {"{"}:
+            return None
+    if any(end != "}\n" and end[-1] != "}" for end in set(map(_last_two, lines))):
+        return None
+    text = "\n,".join(lines)
+    n = len(lines)
+    if text.count("{") != n or text.count("}") != n or "[" in text or "]" in text:
+        return None
+    try:
+        records = json.loads(f"[{text}]")
+        columns = [list(map(itemgetter(field), records)) for field in EVENT_FIELDS]
+    except (ValueError, KeyError):
+        return None
+    if any(not set(map(type, col)) <= types for col, types in zip(columns, _BATCH_TYPES)):
+        return None
+    ts, src, dst, cat, src_f, dst_f, *flag_cols = columns
+    try:
+        ts, src_f, dst_f = (np.array(col, dtype=np.int64) for col in (ts, src_f, dst_f))
+        codes = {c: CATEGORY_INDEX[canonical_category(c)] for c in set(cat)}
+    except (OverflowError, ValueError):
+        return None
+    if src_f.min() < 0 or dst_f.min() < 0:
+        return None
+    if time_range is not None and not (time_range[0] <= int(ts.min()) and int(ts.max()) < time_range[1]):
+        return None
+    flags = np.zeros(n, dtype=np.uint8)
+    for col, (_, bit) in zip(flag_cols, FLAG_BITS):
+        flags[np.array(col, dtype=bool)] |= bit
+    return ts, src, dst, np.fromiter(map(codes.__getitem__, cat), np.int8, n), src_f, dst_f, flags
+
+
 def parse_events(
     lines: Iterable[str],
     time_range: tuple[int, int] | None = None,
@@ -209,26 +298,25 @@ def parse_events(
     Invalid lines are reported with their 1-based line number; with
     strict=True the first bad line raises instead. I/O errors from the
     underlying stream propagate (stream-level failure aborts the parse).
+    Lines are decoded _PARSE_CHUNK at a time in one batch; a chunk the batch
+    cannot vouch for is parsed line by line, which decides every error.
     """
     from .store import EventColumns
 
     errors: list[ParseError] = []
 
-    def rows() -> Iterator[tuple]:
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("record is not an object")
-                row = event_row(rec, time_range)
-            except ValueError as exc:
-                _reject(errors, line_no, exc, strict)
-                continue
-            yield row
+    def chunks() -> Iterator[tuple]:
+        it = iter(lines)
+        line_no = 1
+        while chunk := list(islice(it, _PARSE_CHUNK)):
+            columns = _batch_columns(chunk, time_range)
+            if columns is not None:
+                yield columns
+            else:
+                yield from row_chunks(_line_rows(chunk, line_no, time_range, errors, strict))
+            line_no += len(chunk)
 
-    return EventColumns.from_events(rows()), errors
+    return EventColumns.from_events(chunks()), errors
 
 
 def parse_events_csv(
@@ -253,7 +341,7 @@ def parse_events_csv(
                 continue
             yield row
 
-    return EventColumns.from_events(rows()), errors
+    return EventColumns.from_events(row_chunks(rows())), errors
 
 
 _JSONL_ROW = '{"ts":%d,"src":%s,"dst":%s,"cat":%s,"src_followers":%d,"dst_followers":%d,%s}\n'

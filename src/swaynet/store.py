@@ -15,7 +15,6 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from .graph import WeightedDigraph
 
 _COLUMNS = ("ts", "src", "dst", "cat", "src_followers", "dst_followers", "flags")
 _DTYPES = (np.int64, np.int64, np.int64, np.int8, np.int64, np.int64, np.uint8)
-_BUILD_CHUNK = 65536
 _CACHE_FORMAT = 2  # format 1 kept users.txt, one label per line, which broke on line-break labels
 _USERS_FILE = "users.json"
 _CLASS_INDEX = {cls: i for i, cls in enumerate(CONTENT_CLASSES)}
@@ -71,19 +69,22 @@ class EventColumns:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_events(cls, rows: Iterable[tuple[int, str, str, int, int, int, int]]) -> "EventColumns":
-        """Columns from validated rows as `events.event_row` makes them.
+    def from_events(cls, chunks: Iterable[Sequence[Sequence]]) -> "EventColumns":
+        """Columns from column chunks (ts, src, dst, category index,
+        src_followers, dst_followers, flag bits), labels in src and dst, as
+        `events.row_chunks` and the batched JSONL parse make them.
 
         Users are interned in first-appearance order, src before dst.
         """
         index: dict[str, int] = {}
-        intern = index.setdefault
         parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
-        it = iter(rows)
-        while chunk := list(islice(it, _BUILD_CHUNK)):
-            ts, src, dst, cat, src_f, dst_f, flags = zip(*chunk)
-            ids = np.array([intern(u, len(index)) for pair in zip(src, dst) for u in pair], dtype=np.int64)
-            for part, values, dtype in zip(parts, (ts, ids[0::2], ids[1::2], cat, src_f, dst_f, flags), _DTYPES):
+        for ts, src, dst, *rest in chunks:
+            labels = [""] * (2 * len(src))
+            labels[0::2], labels[1::2] = src, dst
+            for u in dict.fromkeys(labels):  # first appearances, in order
+                index.setdefault(u, len(index))
+            ids = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+            for part, values, dtype in zip(parts, (ts, ids[0::2], ids[1::2], *rest), _DTYPES):
                 part.append(np.asarray(values, dtype=dtype))
         columns = [np.concatenate(p) if p else np.zeros(0, dtype) for p, dtype in zip(parts, _DTYPES)]
         return cls(list(index), *columns)
@@ -266,10 +267,11 @@ class FollowerSnapshots:
         return counts, fallback
 
 
-def load_or_parse(events_path: str, cache_dir: str | None = None) -> EventColumns:
+def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | None = None) -> EventColumns:
     """Load the cache when fresh, else parse the canonical stream strictly
-    and write the parsed columns back to the cache."""
-    digest = file_sha256(events_path)
+    and write the parsed columns back to the cache. `digest` is the file's
+    SHA-256 when the caller already took it."""
+    digest = digest or file_sha256(events_path)
     if cache_dir is not None:
         cached = EventColumns.load(cache_dir, digest)
         if cached is not None:

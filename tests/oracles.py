@@ -27,6 +27,7 @@ from swaynet.events import (
     SRC_BOT,
     SRC_VERIFIED,
     UserFlagRates,
+    row_chunks,
 )
 from swaynet.graph import WeightedDigraph
 from swaynet.growth import GrowthPoint, TimeWindow
@@ -72,21 +73,23 @@ class FollowerLog:
 
 
 def columns_of(events: Iterable[RetweetEvent]) -> EventColumns:
-    """EventColumns holding `events`, built by the production row builder."""
+    """EventColumns holding `events`, built by the production columns builder."""
     return EventColumns.from_events(
-        (
-            e.timestamp,
-            e.retweetee,
-            e.retweeter,
-            CATEGORY_INDEX[e.raw_category],
-            e.retweetee_followers,
-            e.retweeter_followers,
-            (SRC_BOT if e.retweetee_bot else 0)
-            | (DST_BOT if e.retweeter_bot else 0)
-            | (SRC_VERIFIED if e.retweetee_verified else 0)
-            | (DST_VERIFIED if e.retweeter_verified else 0),
+        row_chunks(
+            (
+                e.timestamp,
+                e.retweetee,
+                e.retweeter,
+                CATEGORY_INDEX[e.raw_category],
+                e.retweetee_followers,
+                e.retweeter_followers,
+                (SRC_BOT if e.retweetee_bot else 0)
+                | (DST_BOT if e.retweeter_bot else 0)
+                | (SRC_VERIFIED if e.retweetee_verified else 0)
+                | (DST_VERIFIED if e.retweeter_verified else 0),
+            )
+            for e in events
         )
-        for e in events
     )
 
 

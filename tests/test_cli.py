@@ -3,6 +3,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from swaynet.cli import PipelineConfig, run, validate_config
 
 DAY = 86_400
@@ -142,6 +144,39 @@ class TestExitCodes:
         assert run(["backbone", "--out", str(run_dir)]) == 1
         assert "invalid lines (first: line 51" in capsys.readouterr().err
 
+    def test_failed_strict_ingest_leaves_no_earlier_outputs(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "good.jsonl", 50, 40, ["a", "b", "c"])
+        write_jsonl(tmp_path / "bad.jsonl", 60, 40, ["d", "e", "f"], seed=1)
+        with open(tmp_path / "bad.jsonl", "a") as fh:
+            fh.write('{"ts": "soon"}\n')
+        run_dir = tmp_path / "run"
+        out = ["--out", str(run_dir)]
+        assert run(["ingest", "--events", str(tmp_path / "good.jsonl"), *out]) == 0
+        assert run(["ingest", "--strict", "--events", str(tmp_path / "bad.jsonl"), *out]) == 1
+        assert sorted(os.listdir(run_dir)) == ["parse_errors.csv"]
+        assert run(["backbone", *out]) == 2
+        assert "events.jsonl not found" in capsys.readouterr().err
+        assert run(["ingest", "--events", str(tmp_path / "good.jsonl"), *out]) == 0
+        assert not (run_dir / "parse_errors.csv").exists()
+
+    def test_clean_ingest_removes_an_old_error_list(self, tmp_path):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        fresh = tmp_path / "fresh"
+        assert run(["ingest", "--out", str(fresh), "--events", str(tmp_path / "in.jsonl")]) == 0
+        reused = tmp_path / "reused"
+        reused.mkdir()
+        (reused / "parse_errors.csv").write_text("line_no,message\r\n3,bad\r\n")
+        assert run(["ingest", "--out", str(reused), "--events", str(tmp_path / "in.jsonl")]) == 0
+        assert tree_digest(reused) == tree_digest(fresh)
+
+    def test_ingest_of_its_own_events_file_keeps_it(self, tmp_path):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        run_dir = tmp_path / "run"
+        assert run(["ingest", "--out", str(run_dir), "--events", str(tmp_path / "in.jsonl")]) == 0
+        before = (run_dir / "events.jsonl").read_bytes()
+        assert run(["ingest", "--out", str(run_dir), "--events", str(run_dir / "events.jsonl")]) == 0
+        assert (run_dir / "events.jsonl").read_bytes() == before
+
     def test_align_before_backbone_names_stage(self, tmp_path, capsys):
         assert run(synth_args(tmp_path)) == 0
         assert run(["align", "--out", str(tmp_path)]) == 2
@@ -168,6 +203,18 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("single_pass = true\n")
         assert run(["fit", "--out", str(tmp_path), "--config", str(cfg)]) == 1
+
+
+    @pytest.mark.parametrize(
+        "line",
+        ["runs = abc", "alpha = 0.05x", "alpha_grid = 0.1,x", "fit_range = 1.0:x", "fit_range = 2", "range_start = someday"],
+    )
+    def test_unconvertible_value_exits_1_naming_key_and_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# sweep\n{line}\n")
+        assert run(["backbone", "--out", str(tmp_path), "--config", str(cfg)]) == 1
+        key = line.split(" = ")[0]
+        assert f"run.cfg:2: {key}: " in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -4,17 +4,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import swaynet.events as events_module
 from oracles import RetweetEvent, columns_equal, columns_of, logs_of, to_events, write_events_csv
 from swaynet.events import (
     CATEGORY_TOKENS,
     CONTENT_CLASSES,
+    InvalidEvents,
     classify_category,
     parse_events,
     parse_events_csv,
     write_events_jsonl,
     write_follower_logs_csv,
 )
+from swaynet.store import EventColumns
 
 
 def make_line(ts=100, src="a", dst="b", cat="SCIENCE", src_f=10, dst_f=20, **flags):
@@ -300,3 +305,145 @@ class TestColumnRoundtrip:
         assert errors == [] and len(columns) == 0 and columns.users == []
         buf = io.StringIO()
         assert write_events_jsonl(columns, buf) == 0 and buf.getvalue() == ""
+
+
+# -- batched decoding against the per-line parse ---------------------------------
+
+GOOD_RECORD = st.fixed_dictionaries(
+    {
+        "ts": st.integers(0, 1000),
+        "src": st.sampled_from(["a", "b", "c d", ""]),
+        "dst": st.sampled_from(["a", "b", "e", " "]),
+        "cat": st.sampled_from(list(CATEGORY_TOKENS) + ["Mainstream media", "fake or hoax", " msm ", None]),
+        "src_followers": st.integers(0, 10**6),
+        "dst_followers": st.integers(0, 10**6),
+        "src_bot": st.booleans(),
+        "dst_bot": st.booleans(),
+        "src_verified": st.booleans(),
+        "dst_verified": st.booleans(),
+    }
+)
+ODD_VALUES = {
+    "ts": st.sampled_from([2.5, -3.7, 5.0, "12", " 7 ", "1_0", "soon", True, None, 2**63, -(2**63) - 1, 2**70]),
+    "src": st.sampled_from([3, None, True, 1.5, "x{", "}y", "{}", "[z]"]),
+    "dst": st.sampled_from([0, False, "q]", "w[", "{"]),
+    "cat": st.sampled_from(["BLOG", "science", 1, True, "Conspiracy and junk science"]),
+    "src_followers": st.sampled_from([-1, "12", "x", 3.7, 2.0, True, None, 2**63, -(2**64)]),
+    "dst_followers": st.sampled_from([-5, " 4", 1.5, False, 2**64]),
+    "src_bot": st.sampled_from([0, 1, 2, "yes", "no", "t", "f", "", "1", "0", "TRUE", "maybe", None, 1.0]),
+    "dst_bot": st.sampled_from([0, 1, "true", "false"]),
+    "src_verified": st.sampled_from(["T", " yes ", 1, 0.0]),
+    "dst_verified": st.sampled_from(["No", None]),
+}
+
+
+@st.composite
+def odd_record(draw):
+    rec = draw(GOOD_RECORD)
+    field = draw(st.sampled_from(sorted(ODD_VALUES)))
+    if draw(st.booleans()):
+        del rec[field]
+    else:
+        rec[field] = draw(ODD_VALUES[field])
+    return rec
+
+
+def render(rec, spaced, newline):
+    text = json.dumps(rec) if spaced else json.dumps(rec, separators=(",", ":"))
+    return text + ("\n" if newline else "")
+
+
+@st.composite
+def event_lines(draw):
+    """JSON Lines mostly of valid records, with every kind of line the parser rejects or skips."""
+    lines = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["good"] * 12 + ["odd"] * 3 + ["tail", "blank", "junk", "split"]))
+        newline = draw(st.booleans()) or kind == "split"
+        if kind in ("good", "odd"):
+            rec = draw(GOOD_RECORD if kind == "good" else odd_record())
+            lines.append(render(rec, draw(st.booleans()), newline))
+        elif kind == "tail":  # a record with something after its closing brace
+            tail = draw(st.sampled_from([",0", ' ,"s"', ",{}", " ", "x", "}"]))
+            lines.append(render(draw(GOOD_RECORD), False, False) + tail + ("\n" if newline else ""))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "\n", "  \n", "\t"])))
+        elif kind == "junk":
+            junk = ["not json", "{", "}", "1],[2", '{"a":1},{"b":2}', "[1]", "1", "null", '"s"', "{}", "[", "]", "{]"]
+            lines.append(draw(st.sampled_from(junk)) + ("\n" if newline else ""))
+        else:  # one object split across two lines
+            text = render(draw(GOOD_RECORD), False, False)
+            cut = draw(st.integers(1, len(text) - 1))
+            lines += [text[:cut] + "\n", text[cut:] + "\n"]
+    return lines
+
+
+def outcome(lines, time_range, strict):
+    try:
+        columns, errors = parse_events(lines, time_range, strict)
+    except (InvalidEvents, OverflowError) as exc:
+        return type(exc), str(exc)
+    return columns, errors
+
+
+def per_line_outcome(lines, time_range, strict, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(events_module, "_batch_columns", lambda lines, time_range: None)
+        return outcome(lines, time_range, strict)
+
+
+def same_outcome(a, b):
+    if isinstance(a[0], EventColumns) and isinstance(b[0], EventColumns):
+        return columns_equal(a[0], b[0]) and a[1] == b[1]
+    return a == b
+
+
+class TestBatchedParse:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=event_lines(),
+        chunk=st.integers(1, 6),
+        time_range=st.sampled_from([None, (0, 500), (-(2**80), 2**80)]),
+        strict=st.booleans(),
+    )
+    def test_matches_per_line_parse(self, monkeypatch, lines, chunk, time_range, strict):
+        monkeypatch.setattr(events_module, "_PARSE_CHUNK", chunk)
+        assert same_outcome(outcome(lines, time_range, strict), per_line_outcome(lines, time_range, strict, monkeypatch))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rec=odd_record(), spaced=st.booleans(), time_range=st.sampled_from([None, (0, 500)]))
+    def test_every_odd_value_matches_per_line_parse(self, monkeypatch, rec, spaced, time_range):
+        lines = [render(rec, spaced, True)]
+        assert same_outcome(outcome(lines, time_range, False), per_line_outcome(lines, time_range, False, monkeypatch))
+
+    def test_clean_chunks_take_the_batch(self):
+        lines = [make_line(ts=i) + "\n" for i in range(5)] + [make_line(ts=9)]
+        assert events_module._batch_columns(lines, None) is not None
+        assert events_module._batch_columns(lines + ["\n", "  \n"], (0, 500)) is not None
+
+    def test_two_objects_on_one_line_and_one_split_across_two(self):
+        # Decoded as one array these three lines give three valid records, so
+        # comparing the decoded count with the line count cannot detect them.
+        first, second, third = (make_line(ts=t).replace(", ", ",").replace(": ", ":") for t in (1, 2, 3))
+        cut = third.index(',"dst"')
+        lines = [first + "," + second + "\n", third[:cut] + "\n", third[cut + 1 :] + "\n"]
+        assert len(json.loads("[" + "\n,".join(lines) + "]")) == 3
+        columns, errors = parse_events(lines)
+        assert len(columns) == 0
+        assert [e.line_no for e in errors] == [1, 2, 3]
+
+    def test_bad_lines_over_several_chunks(self, monkeypatch):
+        lines = [make_line(ts=i) + "\n" for i in range(40)]
+        for i in (3, 17, 18, 39):
+            lines[i] = make_line(src_f=-i) + "\n"
+        lines[25] = "not json\n"
+        monkeypatch.setattr(events_module, "_PARSE_CHUNK", 8)
+        batched = outcome(lines, None, False)
+        assert [e.line_no for e in batched[1]] == [4, 18, 19, 26, 40]
+        assert same_outcome(batched, per_line_outcome(lines, None, False, monkeypatch))
+        assert outcome(lines, None, True) == (InvalidEvents, "line 4: negative src_followers: -3")
+
+    def test_out_of_range_integer_raises_as_per_line(self, monkeypatch):
+        lines = [make_line(ts=1) + "\n", make_line(ts=2**64) + "\n"]
+        assert outcome(lines, None, False) == per_line_outcome(lines, None, False, monkeypatch)
+        assert outcome(lines, None, False)[0] is OverflowError
