@@ -11,16 +11,11 @@ from .alignment import (
     ternary_histogram,
 )
 from .backbone import (
-    EdgeSignificance,
     HeterogeneityReport,
     TopologyReport,
-    backbone_overlap,
     backbone_size_curve,
     disparity_filter,
     edge_alpha,
-    edge_significance,
-    global_threshold_backbone,
-    local_heterogeneity,
     null_heterogeneity_moments,
     strong_disorder_test,
     topology_report,
@@ -28,7 +23,6 @@ from .backbone import (
 from .events import (
     CONTENT_CLASSES,
     ParseError,
-    UserFlagRates,
     classify_category,
     parse_events,
     write_events_jsonl,
@@ -37,9 +31,7 @@ from .graph import (
     PartitionReport,
     WeightedDigraph,
     creator_consumer_partition,
-    node_degrees,
     reachable_set,
-    strongly_connected_components,
 )
 from .growth import (
     GrowthPoint,
@@ -58,7 +50,6 @@ from .sir import (
     simulate_growth_rate,
     swayable_recovered_count,
     temporal_network,
-    window_loss,
 )
 from .store import EventColumns, FollowerSnapshots
 from .synth import SynthConfig, synthesize

@@ -13,37 +13,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graph import WeightedDigraph
 
 
-def edge_alpha(p: float, k: int) -> float:
-    """Closed-form significance of a normalized weight p at degree k.
+def edge_alpha(p, k):
+    """Closed-form significance of normalized weights p at degrees k.
 
     alpha = (1-p)^(k-1) for k >= 2; a degree-1 node cannot reject the null,
-    so alpha = 1.
+    so alpha = 1. Takes scalars or arrays; a pair of scalars gives a float.
     """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"normalized weight must be in (0, 1], got {p}")
-    if int(k) != k or k < 1:
-        raise ValueError(f"degree must be a positive integer, got {k}")
-    if k == 1:
-        return 1.0
-    return (1.0 - p) ** (int(k) - 1)
-
-
-@dataclass(frozen=True)
-class EdgeSignificance:
-    edge: tuple[str, str]
-    weight: int
-    p_out: float
-    p_in: float
-    alpha_out: float
-    alpha_in: float
-    alpha: float
+    p = np.asarray(p, dtype=np.float64)
+    k = np.asarray(k)
+    bad_p = ~((0.0 < p) & (p <= 1.0))
+    if bad_p.any():
+        raise ValueError(f"normalized weight must be in (0, 1], got {p[bad_p].flat[0]}")
+    bad_k = (k < 1) | (k != np.floor(k))
+    if bad_k.any():
+        raise ValueError(f"degree must be a positive integer, got {k[bad_k].flat[0]}")
+    alpha = np.where(k == 1, 1.0, np.power(1.0 - p, k - 1, dtype=np.float64))
+    return alpha if alpha.ndim else float(alpha)
 
 
 def significance_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -53,23 +45,11 @@ def significance_arrays(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray, np.
     is independent of evaluation order.
     """
     w = g.edge_weight.astype(np.float64)
-    s_out = g.s_out[g.edge_src].astype(np.float64)
-    s_in = g.s_in[g.edge_dst].astype(np.float64)
-    k_out = g.k_out[g.edge_src]
-    k_in = g.k_in[g.edge_dst]
-    p_out = w / s_out
-    p_in = w / s_in
-    with np.errstate(divide="ignore"):
-        alpha_out = np.where(k_out == 1, 1.0, np.power(1.0 - p_out, k_out - 1, dtype=np.float64))
-        alpha_in = np.where(k_in == 1, 1.0, np.power(1.0 - p_in, k_in - 1, dtype=np.float64))
+    p_out = w / g.s_out[g.edge_src].astype(np.float64)
+    p_in = w / g.s_in[g.edge_dst].astype(np.float64)
+    alpha_out = edge_alpha(p_out, g.k_out[g.edge_src])
+    alpha_in = edge_alpha(p_in, g.k_in[g.edge_dst])
     return p_out, p_in, alpha_out, alpha_in, np.minimum(alpha_out, alpha_in)
-
-
-def edge_significance(g: WeightedDigraph) -> Iterator[EdgeSignificance]:
-    """Per-edge significance records in canonical edge order."""
-    p_out, p_in, a_out, a_in, alpha = significance_arrays(g)
-    for i, (s, d, w) in enumerate(g.edges()):
-        yield EdgeSignificance((s, d), w, float(p_out[i]), float(p_in[i]), float(a_out[i]), float(a_in[i]), float(alpha[i]))
 
 
 def disparity_filter(g: WeightedDigraph, alpha_level: float) -> WeightedDigraph:
@@ -82,13 +62,6 @@ def disparity_filter(g: WeightedDigraph, alpha_level: float) -> WeightedDigraph:
         raise ValueError(f"alpha_level must be in (0, 1], got {alpha_level}")
     _, _, _, _, alpha = significance_arrays(g)
     return g.subgraph_from_edge_mask(alpha < alpha_level)
-
-
-def global_threshold_backbone(g: WeightedDigraph, w_min: int) -> WeightedDigraph:
-    """Baseline backbone: keep edges with weight >= w_min, drop bare nodes."""
-    if w_min < 0:
-        raise ValueError(f"w_min must be non-negative, got {w_min}")
-    return g.subgraph_from_edge_mask(g.edge_weight >= w_min)
 
 
 @dataclass(frozen=True)
@@ -125,32 +98,7 @@ def backbone_size_curve(g: WeightedDigraph, alpha_grid: Sequence[float]) -> list
     return points
 
 
-def backbone_overlap(reference: WeightedDigraph, backbone: WeightedDigraph) -> float:
-    """Fraction of reference edges also present in the backbone."""
-    ref = reference.edge_set()
-    if not ref:
-        raise ValueError("reference edge set is empty")
-    return len(ref & backbone.edge_set()) / len(ref)
-
-
 # -- heterogeneity ------------------------------------------------------------
-
-
-def local_heterogeneity(g: WeightedDigraph, node: str, direction: str) -> float:
-    """Upsilon = k * sum of squared normalized incident weights, in [1, k]."""
-    i = g.index_of(node)
-    if direction == "out":
-        lo, hi = g.out_edge_range(i)
-        w = g.edge_weight[lo:hi].astype(np.float64)
-    elif direction == "in":
-        w = g.edge_weight[g.in_edge_ids(i)].astype(np.float64)
-    else:
-        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    k = len(w)
-    if k == 0:
-        raise ValueError(f"node {node!r} has no {direction}-edges")
-    p = w / w.sum()
-    return float(k * np.sum(p * p))
 
 
 def null_heterogeneity_moments(k: int) -> tuple[float, float]:
@@ -163,30 +111,29 @@ def null_heterogeneity_moments(k: int) -> tuple[float, float]:
     return mu, var
 
 
-@dataclass(frozen=True)
-class HeterogeneityRow:
-    node: str
-    direction: str
-    k: int
-    upsilon: float
-    null_mean: float
-    null_std: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeterogeneityReport:
-    """Observed local heterogeneity against the null band mu + a*sigma."""
+    """Observed local heterogeneity against the null band mu + a*sigma.
+
+    One entry per node side with at least one edge: out sides first, then
+    in sides, each in node-index order. `node` indexes the graph's labels.
+    """
 
     band_multiplier: float
-    rows: tuple[HeterogeneityRow, ...]
+    node: np.ndarray
+    direction: np.ndarray  # "out" or "in"
+    k: np.ndarray
+    upsilon: np.ndarray
+    null_mean: np.ndarray
+    null_std: np.ndarray
+    flagged: np.ndarray
     degree_buckets: dict[int, tuple[int, int]]  # bucket floor (power of two), ascending -> (node sides, flagged)
 
     @property
     def flagged_fraction(self) -> float:
-        if not self.rows:
+        if not len(self.flagged):
             return 0.0
-        return sum(r.flagged for r in self.rows) / len(self.rows)
+        return int(self.flagged.sum()) / len(self.flagged)
 
 
 def _upsilon_per_node(g: WeightedDigraph, direction: str) -> np.ndarray:
@@ -206,24 +153,37 @@ def _upsilon_per_node(g: WeightedDigraph, direction: str) -> np.ndarray:
 
 
 def strong_disorder_test(g: WeightedDigraph, a: float = 2.0) -> HeterogeneityReport:
-    """Flag node sides whose Upsilon exceeds the null band mu + a*sigma."""
+    """Flag node sides whose Upsilon exceeds the null band mu + a*sigma.
+
+    The null moments are computed once per distinct degree.
+    """
     if a <= 0:
         raise ValueError(f"band multiplier must be positive, got {a}")
-    rows: list[HeterogeneityRow] = []
-    bucket_totals: dict[int, list[int]] = {}
-    for direction, degree in (("out", g.k_out), ("in", g.k_in)):
-        ups = _upsilon_per_node(g, direction)
-        for i in np.flatnonzero(degree >= 1):
-            k = int(degree[i])
-            mu, var = null_heterogeneity_moments(k)
-            sigma = math.sqrt(max(var, 0.0))
-            flagged = ups[i] > mu + a * sigma
-            rows.append(HeterogeneityRow(g.labels[i], direction, k, float(ups[i]), mu, sigma, bool(flagged)))
-            bucket = 1 << (k.bit_length() - 1)
-            cell = bucket_totals.setdefault(bucket, [0, 0])
-            cell[0] += 1
-            cell[1] += int(flagged)
-    return HeterogeneityReport(a, tuple(rows), {b: tuple(cell) for b, cell in sorted(bucket_totals.items())})
+    out_nodes, in_nodes = np.flatnonzero(g.k_out >= 1), np.flatnonzero(g.k_in >= 1)
+    node = np.concatenate([out_nodes, in_nodes])
+    k = np.concatenate([g.k_out[out_nodes], g.k_in[in_nodes]])
+    upsilon = np.concatenate([_upsilon_per_node(g, "out")[out_nodes], _upsilon_per_node(g, "in")[in_nodes]])
+    degrees, side_degree = np.unique(k, return_inverse=True)
+    moments = [null_heterogeneity_moments(int(d)) for d in degrees]
+    mu = np.array([m for m, _ in moments], dtype=np.float64)
+    sigma = np.array([math.sqrt(max(var, 0.0)) for _, var in moments], dtype=np.float64)
+    flagged = upsilon > (mu + a * sigma)[side_degree]
+    # Bucket floor: the largest power of two <= k, from k = m * 2**e with m in [0.5, 1).
+    bucket = np.int64(1) << (np.frexp(k.astype(np.float64))[1] - 1)
+    floors, side_bucket = np.unique(bucket, return_inverse=True)
+    n_sides = np.bincount(side_bucket, minlength=len(floors))
+    n_flagged = np.bincount(side_bucket, weights=flagged, minlength=len(floors)).astype(np.int64)
+    return HeterogeneityReport(
+        band_multiplier=a,
+        node=node,
+        direction=np.repeat(np.array(["out", "in"]), [len(out_nodes), len(in_nodes)]),
+        k=k,
+        upsilon=upsilon,
+        null_mean=mu[side_degree],
+        null_std=sigma[side_degree],
+        flagged=flagged,
+        degree_buckets={int(b): (int(n), int(f)) for b, n, f in zip(floors, n_sides, n_flagged)},
+    )
 
 
 # -- topology ------------------------------------------------------------------

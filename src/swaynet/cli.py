@@ -26,7 +26,7 @@ import numpy as np
 from . import report as rep
 from . import rng as rngmod
 from .alignment import classify_all, coverage_curve, involvement_profiles, ternary_histogram
-from .backbone import disparity_filter, edge_significance, global_threshold_backbone, strong_disorder_test
+from .backbone import disparity_filter, significance_arrays, strong_disorder_test
 from .events import CONTENT_CLASSES, InvalidEvents, write_events_jsonl, write_flag_rates_csv, write_follower_logs_csv
 from .graph import WeightedDigraph, load_binary, save_binary
 from .growth import GrowthPoint, TimeWindow, sliding_windows, trend_line, window_growth_rate
@@ -348,7 +348,7 @@ def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
     with open(_path(config, LOGS_FILE), "w", newline="") as fh:
         write_follower_logs_csv(columns.follower_logs(), fh)
     with open(_path(config, FLAGS_FILE), "w", newline="") as fh:
-        write_flag_rates_csv(columns.flag_rates(), fh)
+        write_flag_rates_csv(columns, fh)
 
 
 def _load_labels(config: PipelineConfig) -> tuple[dict[str, set[str]], float]:
@@ -535,11 +535,8 @@ def cmd_backbone(config: PipelineConfig) -> str:
         with open(_path(config, "significance.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["src", "dst", "weight", "p_out", "p_in", "alpha_out", "alpha_in", "alpha"])
-            for e in edge_significance(g):
-                w.writerow(
-                    [e.edge[0], e.edge[1], e.weight]
-                    + [f"{x:.10g}" for x in (e.p_out, e.p_in, e.alpha_out, e.alpha_in, e.alpha)]
-                )
+            values = [a.tolist() for a in significance_arrays(g)]
+            w.writerows([s, d, weight] + [f"{x:.10g}" for x in xs] for (s, d, weight), *xs in zip(g.edges(), *values))
     _write_meta(config, "backbone", meta, [_path(config, EVENTS_FILE)], hashes)
     return (
         f"backbone: alpha={config.alpha} kept {filtered.n_nodes}/{g.n_nodes} nodes, "
@@ -557,29 +554,33 @@ def cmd_diagnose(config: PipelineConfig) -> str:
     with open(_path(config, "heterogeneity.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["node", "direction", "k", "upsilon", "null_mean", "null_std", "flagged"])
-        for row in disorder.rows:
-            w.writerow(
-                [row.node, row.direction, row.k, f"{row.upsilon:.8g}", f"{row.null_mean:.8g}", f"{row.null_std:.8g}", int(row.flagged)]
-            )
+        labels = g.labels
+        fields = (disorder.node, disorder.direction, disorder.k, disorder.upsilon, disorder.null_mean, disorder.null_std, disorder.flagged)
+        w.writerows(
+            [labels[i], direction, k, f"{ups:.8g}", f"{mu:.8g}", f"{sigma:.8g}", int(flagged)]
+            for i, direction, k, ups, mu, sigma, flagged in zip(*(a.tolist() for a in fields))
+        )
     rep.emit_heterogeneity_summary(_path(config, "heterogeneity_buckets.csv"), disorder)
     rep.emit_topology(_path(config, "topology.json"), g, config.fit_range)
     with open(_path(config, "gtb_overlap.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha", "weight_quantile", "w_min", "gtb_edges", "overlap_fraction"])
         weights = g.edge_weight
-        for alpha in grid:
-            bb = disparity_filter(g, alpha)
+        _, _, _, _, alpha = significance_arrays(g)
+        for level in grid:
+            in_backbone = alpha < level  # the disparity filter's rule
             for q in config.gtb_quantiles:
                 w_min = int(np.ceil(np.quantile(weights, q))) if len(weights) else 0
-                gtb = global_threshold_backbone(g, w_min)
-                if gtb.n_edges == 0 or bb.n_edges == 0:
+                above = weights >= w_min  # the global-threshold rule
+                n_gtb = int(above.sum())
+                if n_gtb == 0 or not in_backbone.any():
                     overlap = 0.0
                 else:
-                    overlap = len(gtb.edge_set() & bb.edge_set()) / gtb.n_edges
-                w.writerow([f"{alpha:.6f}", f"{q:.4f}", w_min, gtb.n_edges, f"{overlap:.6f}"])
+                    overlap = int((above & in_backbone).sum()) / n_gtb
+                w.writerow([f"{level:.6f}", f"{q:.4f}", w_min, n_gtb, f"{overlap:.6f}"])
     params = {"band_multiplier": config.band_multiplier, "alpha_grid": list(grid)}
     _write_meta(config, "diagnose", params, [_path(config, EVENTS_FILE)], hashes)
-    return f"diagnose: {len(disorder.rows)} node sides, flagged fraction {disorder.flagged_fraction:.3f}"
+    return f"diagnose: {len(disorder.k)} node sides, flagged fraction {disorder.flagged_fraction:.3f}"
 
 
 def cmd_align(config: PipelineConfig) -> str:
@@ -843,8 +844,12 @@ def cmd_report(config: PipelineConfig) -> str:
     rep.emit_size_curve(out("supp_size_curve.csv"), g, grid)
     rep.emit_heterogeneity_summary(out("supp_heterogeneity.csv"), rep.strong_disorder_test(g, config.band_multiplier))
     rep.emit_topology(os.path.join(out_dir, "supp_topology.json"), backbone, config.fit_range)
-    rates = {u: (r.bot_rate, r.verification_rate) for u, r in columns.flag_rates().items()}
-    rep.emit_flag_retention(out("supp_flag_retention.csv"), rates, set(g.labels), set(backbone.labels))
+    _, bot_rate, verification_rate = columns.flag_rates()
+    index = {u: i for i, u in enumerate(columns.users)}
+    original, kept = np.zeros(len(index), dtype=bool), np.zeros(len(index), dtype=bool)
+    original[[index[u] for u in g.labels]] = True
+    kept[[index[u] for u in backbone.labels if u in index]] = True
+    rep.emit_flag_retention(out("supp_flag_retention.csv"), bot_rate, verification_rate, original, kept)
 
     for path in emitted:
         rep.validate_table(path, schemas)

@@ -121,41 +121,43 @@ class ParseError:
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class UserFlagRates:
-    """Fraction of a user's activity records flagged bot / verified."""
-
-    user: str
-    bot_rate: float
-    verification_rate: float
-    n_observations: int
-
-
-def _coerce_timestamp(value) -> int:
-    if isinstance(value, bool) or value is None:
-        raise ValueError(f"malformed timestamp: {value!r}")
+def _as_int(value) -> int | None:
+    """An int, an integral float or a string holding an int (every CSV value
+    is a string) as an int; None for anything else, bools included."""
+    if isinstance(value, bool):
+        return None
     if isinstance(value, int):
         return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
     if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
-            raise ValueError(f"malformed timestamp: {value!r}") from None
-    raise ValueError(f"malformed timestamp: {value!r}")
+            return None
+    return None
+
+
+def _coerce_timestamp(value) -> int:
+    ts = _as_int(value)
+    if ts is None:
+        raise ValueError(f"malformed timestamp: {value!r}")
+    return ts
 
 
 def _coerce_count(value, field: str) -> int:
-    if isinstance(value, bool) or value is None:
+    count = _as_int(value)
+    if count is None:
         raise ValueError(f"bad {field}: {value!r}")
-    try:
-        count = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"bad {field}: {value!r}") from None
     if count < 0:
         raise ValueError(f"negative {field}: {count}")
     return count
+
+
+def _coerce_user(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"bad {field}: {value!r}")
+    return value
 
 
 _TRUE = {"true", "1", "t", "yes"}
@@ -185,6 +187,8 @@ def event_row(rec: dict, time_range: tuple[int, int] | None = None) -> tuple[int
     ts = _coerce_timestamp(rec["ts"])
     if time_range is not None and not (time_range[0] <= ts < time_range[1]):
         raise ValueError(f"timestamp {ts} outside dataset range [{time_range[0]}, {time_range[1]})")
+    src = _coerce_user(rec["src"], "src")
+    dst = _coerce_user(rec["dst"], "dst")
     cat = CATEGORY_INDEX[canonical_category(rec["cat"])]
     src_followers = _coerce_count(rec["src_followers"], "src_followers")
     dst_followers = _coerce_count(rec["dst_followers"], "dst_followers")
@@ -192,7 +196,7 @@ def event_row(rec: dict, time_range: tuple[int, int] | None = None) -> tuple[int
     for field, bit in FLAG_BITS:
         if _coerce_flag(rec[field], field):
             flags |= bit
-    return ts, str(rec["src"]), str(rec["dst"]), cat, src_followers, dst_followers, flags
+    return ts, src, dst, cat, src_followers, dst_followers, flags
 
 
 def _reject(errors: list[ParseError], line_no: int, exc: ValueError, strict: bool) -> None:
@@ -392,9 +396,12 @@ def write_follower_logs_csv(table: FollowerSnapshots, handle: TextIO) -> None:
         handle.write("".join([f"{labels[u]},{t},{c}\r\n" for u, t, c in chunk]))
 
 
-def write_flag_rates_csv(rates: dict[str, UserFlagRates], handle: TextIO) -> None:
+def write_flag_rates_csv(columns: EventColumns, handle: TextIO) -> None:
+    """One row per user, in label order, from `EventColumns.flag_rates`."""
+    n, bot, ver = (a.tolist() for a in columns.flag_rates())
     writer = csv.writer(handle)
     writer.writerow(["user", "bot_rate", "verification_rate", "n_observations"])
-    for user in sorted(rates):
-        r = rates[user]
-        writer.writerow([user, f"{r.bot_rate:.6f}", f"{r.verification_rate:.6f}", r.n_observations])
+    users = columns.users
+    writer.writerows(
+        [users[i], f"{bot[i]:.6f}", f"{ver[i]:.6f}", n[i]] for i in sorted(range(len(users)), key=users.__getitem__)
+    )

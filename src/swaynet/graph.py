@@ -58,30 +58,6 @@ class WeightedDigraph:
         self._s_out = np.bincount(self.edge_src, weights=self.edge_weight, minlength=n).astype(np.int64)
         self._s_in = np.bincount(self.edge_dst, weights=self.edge_weight, minlength=n).astype(np.int64)
 
-    @classmethod
-    def from_weighted_edges(cls, items: Iterable[tuple[str, str, int]]) -> "WeightedDigraph":
-        """Build from (src, dst, weight) triples; repeated pairs accumulate."""
-        weights: dict[tuple[str, str], int] = {}
-        labels: list[str] = []
-        index: dict[str, int] = {}
-        for src, dst, w in items:
-            if w <= 0:
-                raise ValueError(f"non-positive weight {w} on edge ({src!r}, {dst!r})")
-            for u in (src, dst):
-                if u not in index:
-                    index[u] = len(labels)
-                    labels.append(u)
-            weights[(src, dst)] = weights.get((src, dst), 0) + int(w)
-        src_idx = np.fromiter((index[s] for s, _ in weights), dtype=np.int64, count=len(weights))
-        dst_idx = np.fromiter((index[d] for _, d in weights), dtype=np.int64, count=len(weights))
-        w_arr = np.fromiter(weights.values(), dtype=np.int64, count=len(weights))
-        return cls(labels, src_idx, dst_idx, w_arr)
-
-    @classmethod
-    def from_index_arrays(cls, labels: Sequence[str], src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> "WeightedDigraph":
-        """Build from pre-interned index arrays (pairs must be unique)."""
-        return cls(labels, np.asarray(src), np.asarray(dst), np.asarray(weight))
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -96,9 +72,6 @@ class WeightedDigraph:
     def total_weight(self) -> int:
         return int(self.edge_weight.sum())
 
-    def index_of(self, label: str) -> int:
-        return self._index[label]
-
     def __contains__(self, label: str) -> bool:
         return label in self._index
 
@@ -108,22 +81,6 @@ class WeightedDigraph:
 
     def edge_set(self) -> set[tuple[str, str]]:
         return {(self.labels[s], self.labels[d]) for s, d in zip(self.edge_src, self.edge_dst)}
-
-    def weight_of(self, src: str, dst: str) -> int:
-        s = self._index[src]
-        lo, hi = self._out_ptr[s], self._out_ptr[s + 1]
-        d = self._index[dst]
-        pos = lo + np.searchsorted(self.edge_dst[lo:hi], d)
-        if pos < hi and self.edge_dst[pos] == d:
-            return int(self.edge_weight[pos])
-        return 0
-
-    def out_edge_range(self, node_idx: int) -> tuple[int, int]:
-        return int(self._out_ptr[node_idx]), int(self._out_ptr[node_idx + 1])
-
-    def in_edge_ids(self, node_idx: int) -> np.ndarray:
-        lo, hi = self._in_ptr[node_idx], self._in_ptr[node_idx + 1]
-        return self._in_order[lo:hi]
 
     @property
     def k_out(self) -> np.ndarray:
@@ -157,24 +114,6 @@ class WeightedDigraph:
 
 
 @dataclass(frozen=True)
-class Degrees:
-    """Per-node in/out degree (distinct neighbours) and strength (weight sums)."""
-
-    labels: tuple[str, ...]
-    k_in: np.ndarray
-    k_out: np.ndarray
-    s_in: np.ndarray
-    s_out: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "_idx", {label: i for i, label in enumerate(self.labels)})
-
-    def of(self, label: str) -> tuple[int, int, int, int]:
-        i = self._idx[label]
-        return int(self.k_in[i]), int(self.k_out[i]), int(self.s_in[i]), int(self.s_out[i])
-
-
-@dataclass(frozen=True)
 class PartitionReport:
     """Creator/consumer split plus cross-component retweet weight fractions."""
 
@@ -192,14 +131,6 @@ class PartitionReport:
             "consumers_only": len(self.consumers_only) / total,
             "both": len(self.both) / total,
         }
-
-
-def node_degrees(g: WeightedDigraph) -> Degrees:
-    """Degrees count distinct neighbours; strengths sum incident weights.
-
-    A self-loop contributes to both the in- and out-degree of its node.
-    """
-    return Degrees(g.labels, g.k_in.copy(), g.k_out.copy(), g.s_in.copy(), g.s_out.copy())
 
 
 def creator_consumer_partition(g: WeightedDigraph) -> PartitionReport:
@@ -222,65 +153,6 @@ def creator_consumer_partition(g: WeightedDigraph) -> PartitionReport:
             if s > 0:
                 fractions[(names[code // 3], names[code % 3])] = float(s / total)
     return PartitionReport(creators, consumers, both, fractions)
-
-
-def strongly_connected_components(g: WeightedDigraph) -> list[frozenset[str]]:
-    """Tarjan's algorithm (iterative), components sorted by size descending.
-
-    Linear in nodes + edges; ties in size break on the smallest member index
-    so output order is deterministic.
-    """
-    n = g.n_nodes
-    out_ptr = g._out_ptr
-    edge_dst = g.edge_dst
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # Explicit DFS frames: (node, next out-edge position).
-        work: list[list[int]] = [[root, int(out_ptr[root])]]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, pos = work[-1]
-            if pos < out_ptr[v + 1]:
-                work[-1][1] += 1
-                w = int(edge_dst[pos])
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append([w, int(out_ptr[w])])
-                elif on_stack[w]:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if lowlink[v] < lowlink[parent]:
-                        lowlink[parent] = lowlink[v]
-                if lowlink[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return [frozenset(g.labels[i] for i in comp) for comp in comps]
 
 
 def reachable_set(g: WeightedDigraph, sources: Iterable[str]) -> set[str]:
@@ -351,8 +223,3 @@ def load_binary(path: str) -> WeightedDigraph:
         w = np.frombuffer(fh.read(8 * n_edges), dtype="<u8").astype(np.int64)
     return WeightedDigraph(labels, src, dst, w)
 
-
-def write_edges_csv(g: WeightedDigraph, handle) -> None:
-    handle.write("src,dst,weight\n")
-    for s, d, w in g.edges():
-        handle.write(f"{s},{d},{w}\n")

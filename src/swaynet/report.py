@@ -215,31 +215,22 @@ def emit_topology(path: str, g: WeightedDigraph, fit_range: tuple[float, float] 
 
 def emit_flag_retention(
     path: str,
-    rates: Mapping[str, tuple[float, float]],
-    original_nodes: set[str],
-    retained_nodes: set[str],
+    bot_rate: np.ndarray,
+    verification_rate: np.ndarray,
+    original: np.ndarray,
+    retained: np.ndarray,
 ) -> None:
     """Bot/verification rate histograms for original vs retained users.
 
-    rates maps user -> (bot_rate, verification_rate); buckets are tenths.
+    The rates and the two user masks are aligned arrays, one entry per user.
+    Buckets are tenths: rint rounds half to even, as Python's round does.
     """
     fh, w = _writer(path)
-    buckets = [round(b * 0.1, 1) for b in range(11)]
-    counts = {("bot", b): [0, 0] for b in buckets}
-    counts.update({("verified", b): [0, 0] for b in buckets})
-    for user in original_nodes:
-        if user not in rates:
-            continue
-        bot, ver = rates[user]
-        retained = user in retained_nodes
-        for kind, rate in (("bot", bot), ("verified", ver)):
-            bucket = min(round(rate * 10) / 10, 1.0)
-            cell = counts[(kind, bucket)]
-            cell[0] += 1
-            cell[1] += int(retained)
     with fh:
         w.writerow(["kind", "rate_bucket", "original_users", "retained_users"])
-        for kind in ("bot", "verified"):
-            for b in buckets:
-                orig, kept = counts[(kind, b)]
-                w.writerow([kind, f"{b:.1f}", orig, kept])
+        for kind, rate in (("bot", bot_rate), ("verified", verification_rate)):
+            bucket = np.minimum(np.rint(rate * 10), 10).astype(np.int64)
+            orig = np.bincount(bucket[original], minlength=11)
+            kept = np.bincount(bucket[original & retained], minlength=11)
+            for b in range(11):
+                w.writerow([kind, f"{b / 10:.1f}", int(orig[b]), int(kept[b])])

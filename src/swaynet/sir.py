@@ -237,14 +237,6 @@ def simulate_growth_rate(
     return float(delta * (sampled / sum_a))
 
 
-def window_loss(r_hat_by_class: Mapping[str, float], r_by_class: Mapping[str, float]) -> float:
-    """Sum of squared per-class differences between simulated and empirical rates."""
-    missing = set(r_by_class) ^ set(r_hat_by_class)
-    if missing:
-        raise ValueError(f"class sets differ: {sorted(missing)}")
-    return float(sum((r_hat_by_class[p] - r_by_class[p]) ** 2 for p in r_by_class))
-
-
 # -- fitting -------------------------------------------------------------------
 
 

@@ -28,7 +28,6 @@ from .events import (
     SRC_BOT,
     SRC_VERIFIED,
     InvalidEvents,
-    UserFlagRates,
 )
 from .graph import WeightedDigraph
 
@@ -157,7 +156,7 @@ class EventColumns:
         remap = np.zeros(n_users, dtype=np.int64)
         remap[node_ids] = np.arange(len(node_ids))
         labels = [self.users[i] for i in node_ids]
-        return WeightedDigraph.from_index_arrays(labels, remap[u_src], remap[u_dst], counts.astype(np.int64))
+        return WeightedDigraph(labels, remap[u_src], remap[u_dst], counts.astype(np.int64))
 
     def pair_codes(self) -> np.ndarray:
         return self.src * len(self.users) + self.dst
@@ -180,7 +179,12 @@ class EventColumns:
         np.cumsum(np.bincount(user, minlength=len(self.users)), out=ptr[1:])
         return FollowerSnapshots(self.users, ptr, ts, count)
 
-    def flag_rates(self) -> dict[str, UserFlagRates]:
+    def flag_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n_observations, bot_rate, verification_rate), aligned with `users`.
+
+        A user's records count both roles; every interned user takes part in
+        some event, so no count is 0.
+        """
         n_users = len(self.users)
         user = np.concatenate([self.src, self.dst])
         bot = np.concatenate([(self.flags & SRC_BOT) > 0, (self.flags & DST_BOT) > 0])
@@ -188,11 +192,7 @@ class EventColumns:
         total = np.bincount(user, minlength=n_users)
         bots = np.bincount(user, weights=bot, minlength=n_users)
         vers = np.bincount(user, weights=ver, minlength=n_users)
-        out = {}
-        for i in np.flatnonzero(total):
-            n = int(total[i])
-            out[self.users[i]] = UserFlagRates(self.users[i], float(bots[i] / n), float(vers[i] / n), n)
-        return out
+        return total, bots / total, vers / total
 
     def daily_counts_by_class(self, aligned_by_class: dict[str, set[str]]) -> dict[str, dict[int, int]]:
         """Per-class per-day counts of events touching that class's aligned users."""

@@ -5,17 +5,24 @@ time, or on per-user `FollowerLog` dicts, one user at a time, with no numpy.
 The tests compare the columnar functions the CLI runs against these, and
 build small hand-written inputs with `RetweetEvent` and `FollowerLog`;
 `follower_table` turns such a dict into the flat table swaynet runs on.
+
+The graph and diagnostic oracles at the end work one edge or node side at
+a time: `digraph_of` builds every test graph from (src, dst, weight)
+triples, and the heterogeneity, significance, overlap and window-loss
+oracles are the scalar forms the array code in swaynet is checked against.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
+from swaynet.backbone import null_heterogeneity_moments
 from swaynet.events import (
     CATEGORY_INDEX,
     CATEGORY_TOKENS,
@@ -26,7 +33,6 @@ from swaynet.events import (
     EVENT_FIELDS,
     SRC_BOT,
     SRC_VERIFIED,
-    UserFlagRates,
     row_chunks,
 )
 from swaynet.graph import WeightedDigraph
@@ -55,6 +61,16 @@ class RetweetEvent:
     retweeter_bot: bool
     retweetee_verified: bool
     retweeter_verified: bool
+
+
+@dataclass(frozen=True, slots=True)
+class UserFlagRates:
+    """Fraction of a user's activity records flagged bot / verified."""
+
+    user: str
+    bot_rate: float
+    verification_rate: float
+    n_observations: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,6 +283,12 @@ def user_flag_rates(events: Iterable[RetweetEvent]) -> dict[str, UserFlagRates]:
     }
 
 
+def flag_rates_by_user(columns: EventColumns) -> dict[str, UserFlagRates]:
+    """`EventColumns.flag_rates` arrays read back as one record per user."""
+    n, bot, ver = (a.tolist() for a in columns.flag_rates())
+    return {u: UserFlagRates(u, bot[i], ver[i], n[i]) for i, u in enumerate(columns.users)}
+
+
 def daily_counts(events: Iterable[RetweetEvent], content_class: str, aligned: set[str]) -> dict[int, int]:
     """Per-UTC-day counts of class retweets given or received by aligned users."""
     counts: dict[int, int] = {}
@@ -335,3 +357,101 @@ def window_growth_rate(
     if n_active == 0 or f_first == 0:
         return GrowthPoint(window, content_class, None, n_active, f_first, f_last)
     return GrowthPoint(window, content_class, (f_last - f_first) / f_first, n_active, f_first, f_last)
+
+
+# -- graphs and diagnostics, one edge or node side at a time -----------------------
+
+
+def digraph_of(items: Iterable[tuple[str, str, int]]) -> WeightedDigraph:
+    """A graph from (src, dst, weight) triples; repeated pairs accumulate.
+
+    Labels are interned in first-appearance order, src before dst.
+    """
+    weights: dict[tuple[str, str], int] = {}
+    index: dict[str, int] = {}
+    for src, dst, w in items:
+        if w <= 0:
+            raise ValueError(f"non-positive weight {w} on edge ({src!r}, {dst!r})")
+        for u in (src, dst):
+            index.setdefault(u, len(index))
+        weights[(src, dst)] = weights.get((src, dst), 0) + int(w)
+    src_idx = np.array([index[s] for s, _ in weights], dtype=np.int64)
+    dst_idx = np.array([index[d] for _, d in weights], dtype=np.int64)
+    return WeightedDigraph(list(index), src_idx, dst_idx, np.array(list(weights.values()), dtype=np.int64))
+
+
+def weight_of(g: WeightedDigraph, src: str, dst: str) -> int:
+    """Weight of the edge src -> dst, 0 when there is none."""
+    return next((w for s, d, w in g.edges() if (s, d) == (src, dst)), 0)
+
+
+def backbone_overlap(reference: WeightedDigraph, backbone: WeightedDigraph) -> float:
+    """Fraction of reference edges also present in the backbone."""
+    ref = reference.edge_set()
+    if not ref:
+        raise ValueError("reference edge set is empty")
+    return len(ref & backbone.edge_set()) / len(ref)
+
+
+def global_threshold_backbone(g: WeightedDigraph, w_min: int) -> WeightedDigraph:
+    """Baseline backbone: keep edges with weight >= w_min, drop bare nodes."""
+    if w_min < 0:
+        raise ValueError(f"w_min must be non-negative, got {w_min}")
+    return g.subgraph_from_edge_mask(g.edge_weight >= w_min)
+
+
+def local_heterogeneity(g: WeightedDigraph, node: str, direction: str) -> float:
+    """Upsilon = k * sum of squared normalized incident weights, in [1, k]."""
+    i = g.labels.index(node)
+    if direction == "out":
+        w = g.edge_weight[g.edge_src == i].astype(np.float64)
+    elif direction == "in":
+        w = g.edge_weight[g.edge_dst == i].astype(np.float64)
+    else:
+        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+    k = len(w)
+    if k == 0:
+        raise ValueError(f"node {node!r} has no {direction}-edges")
+    p = w / w.sum()
+    return float(k * np.sum(p * p))
+
+
+def heterogeneity_rows(g: WeightedDigraph, a: float) -> list[tuple[str, str, int, float, float, float, bool]]:
+    """(node, direction, k, upsilon, null_mean, null_std, flagged) per node
+    side: out sides first, then in sides, each in node-index order."""
+    rows = []
+    for direction, degree in (("out", g.k_out), ("in", g.k_in)):
+        for i in np.flatnonzero(degree >= 1):
+            k = int(degree[i])
+            upsilon = local_heterogeneity(g, g.labels[i], direction)
+            mu, var = null_heterogeneity_moments(k)
+            sigma = math.sqrt(max(var, 0.0))
+            rows.append((g.labels[i], direction, k, upsilon, mu, sigma, upsilon > mu + a * sigma))
+    return rows
+
+
+def edge_significance(g: WeightedDigraph) -> list[tuple[str, str, int, float, float, float, float, float]]:
+    """(src, dst, weight, p_out, p_in, alpha_out, alpha_in, alpha) per edge in
+    canonical order, from per-node Python sums and the closed form."""
+    out_w: dict[str, list[int]] = {}
+    in_w: dict[str, list[int]] = {}
+    edges = list(g.edges())
+    for s, d, w in edges:
+        out_w.setdefault(s, []).append(w)
+        in_w.setdefault(d, []).append(w)
+    rows = []
+    for s, d, w in edges:
+        k_out, k_in = len(out_w[s]), len(in_w[d])
+        p_out, p_in = w / sum(out_w[s]), w / sum(in_w[d])
+        a_out = 1.0 if k_out == 1 else (1.0 - p_out) ** (k_out - 1)
+        a_in = 1.0 if k_in == 1 else (1.0 - p_in) ** (k_in - 1)
+        rows.append((s, d, w, p_out, p_in, a_out, a_in, min(a_out, a_in)))
+    return rows
+
+
+def window_loss(r_hat_by_class: Mapping[str, float], r_by_class: Mapping[str, float]) -> float:
+    """Sum of squared per-class differences between simulated and empirical rates."""
+    missing = set(r_by_class) ^ set(r_hat_by_class)
+    if missing:
+        raise ValueError(f"class sets differ: {sorted(missing)}")
+    return float(sum((r_hat_by_class[p] - r_by_class[p]) ** 2 for p in r_by_class))

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import FollowerLog, follower_table
+from oracles import FollowerLog, digraph_of, follower_table
 from swaynet import rng as rngmod
 from swaynet.alignment import InvolvementProfile, classify_alignment, classify_all, coverage_curve
 from swaynet.backbone import backbone_size_curve, disparity_filter, edge_alpha, null_heterogeneity_moments
 from swaynet.cli import run as cli_run
 from swaynet.events import CONTENT_CLASSES
-from swaynet.graph import WeightedDigraph
 from swaynet.growth import TimeWindow, sliding_windows, trend_line, window_growth_rate
 from swaynet.sir import CascadeSetup, FitConfig, build_cascade_setup, final_size, fit_parameters, simulate_growth_rate
 from swaynet.synth import SynthConfig, synthesize
@@ -75,7 +74,7 @@ def test_c01_disparity_oracle_equivalence():
         edges = [(f"n{s}", f"n{d}", int(weights[s, d])) for s in range(n) for d in range(n) if mask[s, d]]
         if not edges:
             edges = [("n0", "n1", int(weights[0, 1 % n]))]
-        g = WeightedDigraph.from_weighted_edges(edges)
+        g = digraph_of(edges)
         for level in levels:
             assert disparity_filter(g, level).edge_set() == brute_filter(edges, level), (graph_idx, level)
     assert time.perf_counter() - started < 10.0
@@ -89,7 +88,7 @@ def test_c02_cutoff_behavior():
     k = 20
     n = 3 * k
     edges = [(f"n{i}", f"n{(i + s) % n}", 7) for i in range(n) for s in range(1, k + 1)]
-    g = WeightedDigraph.from_weighted_edges(edges)
+    g = digraph_of(edges)
     alpha_all = (1 - 1 / k) ** (k - 1)
     assert alpha_all == pytest.approx(0.3773536, abs=1e-6)
     grid = [0.01, 0.1, 0.2, 0.3, 0.36, 0.378, 0.4, 1 / math.e + 0.02]
@@ -344,7 +343,7 @@ def test_c09_alignment_monotonicity_and_coverage():
             assert aligned <= previous
         previous = aligned
 
-    g = WeightedDigraph.from_weighted_edges(
+    g = digraph_of(
         [("a", "b", 4), ("b", "c", 2), ("c", "d", 1), ("e", "a", 3)]
     )
     fixture = {

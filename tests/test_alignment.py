@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import digraph_of
 from swaynet.alignment import (
     InvolvementProfile,
     UNALIGNED,
@@ -17,7 +18,7 @@ from swaynet.graph import WeightedDigraph
 
 
 def graph_of(*edges):
-    return WeightedDigraph.from_weighted_edges(list(edges))
+    return digraph_of(list(edges))
 
 
 def profile(user, fac=0, mis=0, unc=0):
@@ -157,7 +158,7 @@ class TestCoverage:
             counts = rng.multinomial(20, [0.7, 0.2, 0.1])
             profiles[u] = profile(u, *counts)
         edges = [(users[rng.integers(20)], users[rng.integers(20)], int(rng.integers(1, 5))) for _ in range(40)]
-        g = WeightedDigraph.from_weighted_edges(edges)
+        g = digraph_of(edges)
         curve = coverage_curve(profiles, g, "factual", [0.5, 0.6, 0.7, 0.8, 0.9])
         fractions = [f for _, f in curve]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from swaynet.backbone import (
+from oracles import (
     backbone_overlap,
+    digraph_of,
+    edge_significance,
+    global_threshold_backbone,
+    heterogeneity_rows,
+    local_heterogeneity,
+    weight_of,
+)
+from swaynet.backbone import (
     backbone_size_curve,
     disparity_filter,
     edge_alpha,
-    edge_significance,
     fit_powerlaw_tail,
-    global_threshold_backbone,
-    local_heterogeneity,
     null_heterogeneity_moments,
     significance_arrays,
     strong_disorder_test,
@@ -22,7 +27,7 @@ from swaynet.graph import WeightedDigraph
 
 
 def graph_of(*edges):
-    return WeightedDigraph.from_weighted_edges(list(edges))
+    return digraph_of(edges)
 
 
 # -- independent oracles ---------------------------------------------------------
@@ -100,6 +105,21 @@ class TestEdgeAlpha:
             for p in (0.01, 0.2, 0.5, 0.9, 0.99):
                 assert abs(edge_alpha(p, k) - quad_alpha(p, k)) < 1e-10
 
+    def test_arrays_match_the_scalar_closed_form(self):
+        p = [0.5, 0.91, 0.3, 1.0, 0.02]
+        k = [2, 10, 1, 7, 60]
+        expected = [1.0 if d == 1 else (1.0 - x) ** (d - 1) for x, d in zip(p, k)]
+        got = edge_alpha(np.array(p), np.array(k))
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == pytest.approx(expected, rel=1e-12)
+        assert [edge_alpha(x, d) for x, d in zip(p, k)] == pytest.approx(expected, rel=1e-12)
+
+    def test_domain_errors_on_arrays(self):
+        with pytest.raises(ValueError, match="normalized weight"):
+            edge_alpha(np.array([0.5, 0.0]), np.array([2, 2]))
+        with pytest.raises(ValueError, match="degree"):
+            edge_alpha(np.array([0.5, 0.5]), np.array([2, 0]))
+
 
 class TestDisparityFilter:
     def test_hub_keeps_only_heavy_edge(self):
@@ -107,7 +127,7 @@ class TestDisparityFilter:
         g = graph_of(*edges)
         kept = disparity_filter(g, 0.05)
         assert kept.edge_set() == brute_filter_edges(edges, 0.05) == {("h", "a")}
-        assert kept.weight_of("h", "a") == 98
+        assert weight_of(kept, "h", "a") == 98
 
     def test_uniform_weights_never_significant_at_5pct(self):
         for k in (2, 3, 10, 40):
@@ -291,28 +311,62 @@ class TestStrongDisorder:
         edges = [("h", "big", 1000)] + [("h", f"t{i}", 1) for i in range(9)]
         g = graph_of(*edges)
         report = strong_disorder_test(g, 2.0)
-        row = next(r for r in report.rows if r.node == "h" and r.direction == "out")
-        assert row.k == 10
-        assert row.upsilon == pytest.approx(10 * ((1000 / 1009) ** 2 + 9 * (1 / 1009) ** 2), rel=1e-9)
-        assert row.flagged
+        (side,) = np.flatnonzero((report.node == g.labels.index("h")) & (report.direction == "out"))
+        assert report.k[side] == 10
+        assert report.upsilon[side] == pytest.approx(10 * ((1000 / 1009) ** 2 + 9 * (1 / 1009) ** 2), rel=1e-9)
+        assert report.flagged[side]
 
     def test_degree_buckets_recount_rows(self):
         rng = np.random.default_rng(4)
         edges = {(f"u{s}", f"u{d}"): int(w) for s, d, w in rng.integers(1, 40, size=(300, 3))}
         report = strong_disorder_test(graph_of(*((s, d, w) for (s, d), w in edges.items())), 1.0)
         recount: dict[int, list[int]] = {}
-        for row in report.rows:
-            cell = recount.setdefault(1 << (row.k.bit_length() - 1), [0, 0])
+        for k, flagged in zip(report.k.tolist(), report.flagged.tolist()):
+            cell = recount.setdefault(1 << (k.bit_length() - 1), [0, 0])
             cell[0] += 1
-            cell[1] += row.flagged
+            cell[1] += flagged
         assert report.degree_buckets == {b: tuple(c) for b, c in sorted(recount.items())}
         assert list(report.degree_buckets) == sorted(recount)
-        assert 0 < sum(f for _, f in report.degree_buckets.values()) < len(report.rows)
+        assert 0 < sum(f for _, f in report.degree_buckets.values()) < len(report.k)
 
     def test_huge_band_absorbs_everything(self):
         edges = [("h", "big", 1000)] + [("h", f"t{i}", 1) for i in range(9)]
         report = strong_disorder_test(graph_of(*edges), 1e9)
         assert report.flagged_fraction == 0.0
+
+    def test_sides_match_per_side_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            edges = random_weighted_graph(rng, max_nodes=25) + [("n0", "n0", 3), ("p", "q", 5)]
+            g = graph_of(*edges)
+            a = float(rng.choice([0.5, 1.0, 2.0]))
+            report = strong_disorder_test(g, a)
+            expected = heterogeneity_rows(g, a)
+            assert [g.labels[i] for i in report.node] == [node for node, *_ in expected]
+            assert report.direction.tolist() == [direction for _, direction, *_ in expected]
+            assert report.k.tolist() == [k for _, _, k, *_ in expected]
+            assert report.upsilon.tolist() == pytest.approx([ups for *_, ups, _, _, _ in expected], rel=1e-12)
+            assert report.null_mean.tolist() == [mu for *_, mu, _, _ in expected]
+            assert report.null_std.tolist() == [sigma for *_, sigma, _ in expected]
+            assert report.flagged.tolist() == [flagged for *_, flagged in expected]
+
+    def test_bucket_floor_is_exact_at_powers_of_two(self):
+        # In-degrees 1, 2^j - 1, 2^j and 2^j + 1 around each power of two.
+        degrees = [1, 3, 4, 5, 63, 64, 65, 1023, 1024, 1025]
+        g = graph_of(*((f"s{k}_{i}", f"t{k}", 1) for k in degrees for i in range(k)))
+        report = strong_disorder_test(g, 2.0)
+        in_k = report.k[report.direction == "in"].tolist()
+        assert sorted(in_k) == degrees
+        expected: dict[int, int] = {}
+        for k in [1] * sum(degrees) + in_k:  # every source has out-degree 1
+            floor = 1 << (k.bit_length() - 1)
+            expected[floor] = expected.get(floor, 0) + 1
+        assert {b: n for b, (n, _) in report.degree_buckets.items()} == dict(sorted(expected.items()))
+
+    def test_empty_graph_has_no_sides(self):
+        empty = WeightedDigraph([], np.array([]), np.array([]), np.array([]))
+        report = strong_disorder_test(empty, 2.0)
+        assert len(report.k) == 0 and report.degree_buckets == {} and report.flagged_fraction == 0.0
 
 
 class TestTopology:
@@ -353,12 +407,20 @@ class TestTopology:
 class TestSignificanceRecords:
     def test_record_fields_consistent(self):
         g = graph_of(("h", "a", 98), ("h", "b", 1), ("h", "c", 1))
-        records = {e.edge: e for e in edge_significance(g)}
-        heavy = records[("h", "a")]
-        assert heavy.p_out == pytest.approx(0.98)
-        assert heavy.alpha_out == pytest.approx(0.02**2)
-        assert heavy.alpha_in == 1.0  # sink has in-degree 1
-        assert heavy.alpha == heavy.alpha_out
+        p_out, _, alpha_out, alpha_in, alpha = significance_arrays(g)
+        heavy = [(s, d) for s, d, _ in g.edges()].index(("h", "a"))
+        assert p_out[heavy] == pytest.approx(0.98)
+        assert alpha_out[heavy] == pytest.approx(0.02**2)
+        assert alpha_in[heavy] == 1.0  # sink has in-degree 1
+        assert alpha[heavy] == alpha_out[heavy]
+
+    def test_arrays_match_per_edge_closed_form(self):
+        rng = np.random.default_rng(57)
+        for _ in range(30):
+            g = graph_of(*random_weighted_graph(rng, max_nodes=25), ("n0", "n0", 4), ("p", "q", 2))
+            expected = edge_significance(g)
+            for got, column in zip(significance_arrays(g), range(3, 8)):
+                assert got.tolist() == pytest.approx([row[column] for row in expected], rel=1e-12)
 
 
 class TestEmptyGraphCurve:

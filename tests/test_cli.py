@@ -1,10 +1,14 @@
+import csv
 import hashlib
 import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from oracles import backbone_overlap, digraph_of, edge_significance, global_threshold_backbone, heterogeneity_rows
+from swaynet.backbone import disparity_filter
 from swaynet.cli import PipelineConfig, run, validate_config
 
 DAY = 86_400
@@ -176,6 +180,24 @@ class TestExitCodes:
         before = (run_dir / "events.jsonl").read_bytes()
         assert run(["ingest", "--out", str(run_dir), "--events", str(run_dir / "events.jsonl")]) == 0
         assert (run_dir / "events.jsonl").read_bytes() == before
+
+    def test_non_string_user_and_fractional_count_are_bad_lines(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        good = {"ts": 5, "src": "a", "dst": "b", "cat": "NA", "src_followers": 1, "dst_followers": 2}
+        good.update(src_bot=False, dst_bot=False, src_verified=False, dst_verified=False)
+        with open(tmp_path / "in.jsonl", "a") as fh:
+            fh.write(json.dumps({**good, "src": None}) + "\n")
+            fh.write(json.dumps({**good, "src_followers": 3.7}) + "\n")
+        run_dir = tmp_path / "run"
+        out = ["--out", str(run_dir), "--events", str(tmp_path / "in.jsonl")]
+        assert run(["ingest", "--strict", *out]) == 1
+        assert "2 invalid lines" in capsys.readouterr().err
+        assert run(["ingest", *out]) == 0
+        assert (run_dir / "parse_errors.csv").read_bytes() == (
+            b"line_no,message\r\n51,bad src: None\r\n52,bad src_followers: 3.7\r\n"
+        )
+        users = [row[0] for row in read_csv_rows(run_dir / "flag_rates.csv")]
+        assert users == ["a", "b", "c"]
 
     def test_align_before_backbone_names_stage(self, tmp_path, capsys):
         assert run(synth_args(tmp_path)) == 0
@@ -411,3 +433,91 @@ class TestSimulateEdge:
         filled = {r["class"] for r in rows if r["r_hat_mean"] != ""}
         assert "misleading" in blanks
         assert "factual" in filled
+
+
+def random_event_streams(n_graphs=30, seed=2024):
+    """(events, graph) pairs: random weighted digraphs with self-loops and a
+    pendant pair (degree-1 sides), one event per unit of weight in shuffled
+    order, and each graph rebuilt from its events by the oracle."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_graphs):
+        n = int(rng.integers(2, 25))
+        density = float(rng.uniform(0.05, 0.4))
+        edges = [(f"n{s}", f"n{d}", int(rng.integers(1, 60))) for s in range(n) for d in range(n) if rng.random() < density]
+        edges += [("n0", "n0", int(rng.integers(1, 60))), (f"p{n}", f"q{n}", int(rng.integers(1, 60)))]
+        pairs = [(s, d) for s, d, w in edges for _ in range(w)]
+        events = [pairs[i] for i in rng.permutation(len(pairs))]
+        yield events, digraph_of((s, d, 1) for s, d in events)
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@pytest.fixture(scope="module")
+def diagnosed(tmp_path_factory):
+    """Each random stream ingested, diagnosed and filtered with significance output."""
+    runs = []
+    for i, (events, g) in enumerate(random_event_streams()):
+        root = tmp_path_factory.mktemp(f"diag{i}")
+        with open(root / "in.jsonl", "w") as fh:
+            for ts, (s, d) in enumerate(events):
+                record = {"ts": ts, "src": s, "dst": d, "cat": "NA", "src_followers": 1, "dst_followers": 1}
+                record.update(src_bot=False, dst_bot=False, src_verified=False, dst_verified=False)
+                fh.write(json.dumps(record) + "\n")
+        (root / "run.cfg").write_text("gtb_quantiles = 0.1,0.5,0.9,0.99\n")
+        out = ["--out", str(root / "run")]
+        assert run(["ingest", "--events", str(root / "in.jsonl"), *out]) == 0
+        assert run(["diagnose", "--alpha-grid", "0.05,0.2,0.5,0.9", "--config", str(root / "run.cfg"), *out]) == 0
+        assert run(["backbone", "--emit-significance", *out]) == 0
+        runs.append((root / "run", g))
+    return runs
+
+
+class TestDiagnoseTables:
+    def test_heterogeneity_rows_match_per_side_oracle(self, diagnosed):
+        for run_dir, g in diagnosed:
+            got = read_csv_rows(run_dir / "heterogeneity.csv")
+            expected = heterogeneity_rows(g, 2.0)
+            assert len(got) == len(expected)
+            assert any(k == 1 for _, _, k, *_ in expected)
+            for row, (node, direction, k, upsilon, mu, sigma, flagged) in zip(got, expected):
+                assert row[:3] == [node, direction, str(k)]
+                # The file holds 8 significant digits.
+                assert float(row[3]) == pytest.approx(upsilon, rel=1e-7)
+                assert row[4:] == [f"{mu:.8g}", f"{sigma:.8g}", str(int(flagged))]
+
+    def test_heterogeneity_buckets_recount_the_oracle_rows(self, diagnosed):
+        for run_dir, g in diagnosed:
+            cells: dict[int, list[int]] = {}
+            for _, _, k, *_, flagged in heterogeneity_rows(g, 2.0):
+                cell = cells.setdefault(1 << (k.bit_length() - 1), [0, 0])
+                cell[0] += 1
+                cell[1] += flagged
+            expected = [[str(b), str(n), f"{f / n:.6f}"] for b, (n, f) in sorted(cells.items())]
+            assert read_csv_rows(run_dir / "heterogeneity_buckets.csv") == expected
+
+    def test_gtb_overlap_rows_match_subgraph_overlap(self, diagnosed):
+        nonzero = 0
+        for run_dir, g in diagnosed:
+            rows = iter(read_csv_rows(run_dir / "gtb_overlap.csv"))
+            for alpha in (0.05, 0.2, 0.5, 0.9):
+                bb = disparity_filter(g, alpha)
+                for q in (0.1, 0.5, 0.9, 0.99):
+                    w_min = int(np.ceil(np.quantile(g.edge_weight, q)))
+                    gtb = global_threshold_backbone(g, w_min)
+                    overlap = 0.0 if gtb.n_edges == 0 or bb.n_edges == 0 else backbone_overlap(gtb, bb)
+                    nonzero += 0 < overlap < 1
+                    assert next(rows) == [f"{alpha:.6f}", f"{q:.4f}", str(w_min), str(gtb.n_edges), f"{overlap:.6f}"]
+            assert next(rows, None) is None
+        assert nonzero > 10
+
+    def test_significance_rows_match_per_edge_closed_form(self, diagnosed):
+        for run_dir, g in diagnosed:
+            got = read_csv_rows(run_dir / "significance.csv")
+            expected = edge_significance(g)
+            assert [row[:3] for row in got] == [[s, d, str(w)] for s, d, w, *_ in expected]
+            for row, (*_, p_out, p_in, a_out, a_in, alpha) in zip(got, expected):
+                for field, value in zip(row[3:], (p_out, p_in, a_out, a_in, alpha)):
+                    assert float(field) == pytest.approx(float(f"{value:.10g}"), rel=1e-12)

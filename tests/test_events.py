@@ -100,6 +100,26 @@ class TestParse:
         _, errors = parse_events([make_line(src_f=-1)])
         assert len(errors) == 1 and "src_followers" in errors[0].message
 
+    @pytest.mark.parametrize("field,value", [("src", None), ("src", True), ("src", 3), ("dst", None), ("dst", 1.5)])
+    def test_user_id_that_is_not_a_string_rejected(self, field, value):
+        columns, errors = parse_events([make_line(**{field: value}), make_line(src="x", dst="y")])
+        assert [(e.line_no, e.message) for e in errors] == [(1, f"bad {field}: {value!r}")]
+        assert columns.users == ["x", "y"]
+
+    @pytest.mark.parametrize("value", [3.7, 0.5, float("inf")])
+    def test_fractional_follower_count_rejected(self, value):
+        columns, errors = parse_events([make_line(src_f=value), make_line(dst_f=value)])
+        assert [(e.line_no, e.message) for e in errors] == [
+            (1, f"bad src_followers: {value!r}"),
+            (2, f"bad dst_followers: {value!r}"),
+        ]
+        assert len(columns) == 0
+
+    def test_integral_float_and_digit_string_counts_accepted(self):
+        columns, errors = parse_events([make_line(src_f=3.0, dst_f="12")])
+        assert errors == []
+        assert (columns.src_followers.tolist(), columns.dst_followers.tolist()) == ([3], [12])
+
     def test_unknown_category_rejected_per_line(self):
         _, errors = parse_events([make_line(cat="BLOG")])
         assert len(errors) == 1
@@ -197,6 +217,14 @@ class TestFollowerLogs:
         assert [i for i, (a, b) in enumerate(zip(got_rows, expected_rows)) if a != b] == []
 
 
+def rates_of(events, user):
+    """(bot_rate, verification_rate, n_observations) of one user."""
+    columns = columns_of(events)
+    n, bot, ver = columns.flag_rates()
+    i = columns.users.index(user)
+    return bot[i], ver[i], n[i]
+
+
 class TestFlagRates:
     def test_half_bot(self):
         events = [
@@ -205,22 +233,21 @@ class TestFlagRates:
             ev(3, "u", "c", src_bot=False),
             ev(4, "u", "d", src_bot=False),
         ]
-        assert columns_of(events).flag_rates()["u"].bot_rate == 0.5
+        assert rates_of(events, "u")[0] == 0.5
 
     def test_all_verified(self):
         events = [ev(1, "u", "a", src_ver=True), ev(2, "u", "b", src_ver=True), ev(3, "x", "u", dst_ver=True)]
-        rates = columns_of(events).flag_rates()["u"]
-        assert rates.verification_rate == 1.0
-        assert rates.n_observations == 3
+        _, verification_rate, n_observations = rates_of(events, "u")
+        assert verification_rate == 1.0
+        assert n_observations == 3
 
     def test_single_unflagged(self):
-        rates = columns_of([ev(1, "u", "a")]).flag_rates()["u"]
-        assert rates.bot_rate == 0.0 and rates.verification_rate == 0.0
+        bot_rate, verification_rate, _ = rates_of([ev(1, "u", "a")], "u")
+        assert bot_rate == 0.0 and verification_rate == 0.0
 
     def test_roles_both_counted(self):
         # Self-retweet: the user appears in both roles of one event.
-        rates = columns_of([ev(1, "u", "u")]).flag_rates()["u"]
-        assert rates.n_observations == 2
+        assert rates_of([ev(1, "u", "u")], "u")[2] == 2
 
 
 def odd_label_columns(n=300, seed=7):

@@ -1,20 +1,15 @@
-import io
 import itertools
 
 import numpy as np
 import pytest
 
-from oracles import RetweetEvent, columns_of
+from oracles import RetweetEvent, columns_of, digraph_of, weight_of
 from swaynet.graph import (
-    WeightedDigraph,
     creator_consumer_partition,
     load_binary,
-    node_degrees,
     reachable_set,
     reverse_reachable_set,
     save_binary,
-    strongly_connected_components,
-    write_edges_csv,
 )
 
 
@@ -24,7 +19,13 @@ def ev(ts, src, dst, cls="uncertain"):
 
 
 def graph_of(*edges):
-    return WeightedDigraph.from_weighted_edges(list(edges))
+    return digraph_of(edges)
+
+
+def degrees_of(g, label):
+    """(k_in, k_out, s_in, s_out) of one node."""
+    i = g.labels.index(label)
+    return int(g.k_in[i]), int(g.k_out[i]), int(g.s_in[i]), int(g.s_out[i])
 
 
 # -- oracles -------------------------------------------------------------------
@@ -40,15 +41,6 @@ def brute_reachable(edges: set[tuple[str, str]], nodes: set[str], sources: set[s
                 reached.add(d)
                 changed = True
     return reached
-
-
-def brute_sccs(edges: set[tuple[str, str]], nodes: set[str]) -> set[frozenset[str]]:
-    # Pairwise mutual reachability.
-    reach = {n: brute_reachable(edges, nodes, {n}) for n in nodes}
-    comps = set()
-    for n in nodes:
-        comps.add(frozenset(m for m in nodes if m in reach[n] and n in reach[m]))
-    return comps
 
 
 def random_graph(rng: np.random.Generator, max_nodes=12, p=0.25):
@@ -67,7 +59,7 @@ class TestBuildNetwork:
     def test_repeat_events_aggregate_weight(self):
         events = [ev(t, "A", "B") for t in (1, 2, 3)]
         g = columns_of(events).build_graph(time_range=(0, 10))
-        assert g.weight_of("A", "B") == 3
+        assert weight_of(g, "A", "B") == 3
         assert g.n_edges == 1
 
     def test_event_outside_range_excluded(self):
@@ -98,18 +90,17 @@ class TestBuildNetwork:
 class TestDegrees:
     def test_star_hub(self):
         g = graph_of(("h", "a", 98), ("h", "b", 1), ("h", "c", 1))
-        d = node_degrees(g)
-        assert d.of("h") == (0, 3, 0, 100)
+        assert degrees_of(g, "h") == (0, 3, 0, 100)
 
     def test_isolated_node_absent(self):
         # Event graphs never have isolated nodes; degree queries on
         # existing nodes with no edges in one direction give zeros.
         g = graph_of(("a", "b", 1))
-        assert node_degrees(g).of("b") == (1, 0, 1, 0)
+        assert degrees_of(g, "b") == (1, 0, 1, 0)
 
     def test_self_loop_counts_both_directions(self):
         g = graph_of(("a", "a", 2))
-        assert node_degrees(g).of("a") == (1, 1, 2, 2)
+        assert degrees_of(g, "a") == (1, 1, 2, 2)
 
 
 class TestPartition:
@@ -140,54 +131,6 @@ class TestPartition:
         groups = [part.creators_only, part.consumers_only, part.both]
         assert sum(len(s) for s in groups) == g.n_nodes
         assert set().union(*groups) == set(g.labels)
-
-
-class TestSCC:
-    def test_directed_triangle_single_component(self):
-        g = graph_of(("a", "b", 1), ("b", "c", 1), ("c", "a", 1))
-        comps = strongly_connected_components(g)
-        assert comps == [frozenset({"a", "b", "c"})]
-
-    def test_dag_gives_singletons(self):
-        g = graph_of(("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("c", "d", 1))
-        comps = strongly_connected_components(g)
-        assert all(len(c) == 1 for c in comps)
-        assert len(comps) == 4
-
-    def test_two_cycles_one_way_bridge(self):
-        g = graph_of(
-            ("a", "b", 1), ("b", "c", 1), ("c", "a", 1),
-            ("x", "y", 1), ("y", "z", 1), ("z", "x", 1),
-            ("a", "x", 1),
-        )
-        comps = strongly_connected_components(g)
-        expected = brute_sccs(g.edge_set(), set(g.labels))
-        assert set(comps) == expected
-        assert sorted(len(c) for c in comps) == [3, 3]
-
-    def test_sorted_by_size_descending(self):
-        g = graph_of(("a", "b", 1), ("b", "a", 1), ("c", "c", 1), ("d", "e", 1))
-        comps = strongly_connected_components(g)
-        sizes = [len(c) for c in comps]
-        assert sizes == sorted(sizes, reverse=True)
-
-    def test_matches_brute_force_on_random_graphs(self):
-        rng = np.random.default_rng(42)
-        for _ in range(40):
-            g, _ = random_graph(rng)
-            assert set(strongly_connected_components(g)) == brute_sccs(g.edge_set(), set(g.labels))
-
-    def test_contracted_components_form_dag(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            g, _ = random_graph(rng)
-            comps = strongly_connected_components(g)
-            comp_of = {n: i for i, c in enumerate(comps) for n in c}
-            contracted = {(comp_of[s], comp_of[d]) for s, d in g.edge_set() if comp_of[s] != comp_of[d]}
-            # A DAG has no mutual reachability between distinct contracted nodes.
-            reach = {i: brute_reachable(contracted, set(comp_of.values()), {i}) for i in set(comp_of.values())}
-            for i, j in contracted:
-                assert i not in reach[j] or j not in reach[i] or i == j
 
 
 class TestReachability:
@@ -278,23 +221,17 @@ class TestReachability:
 
 
 class TestSerialization:
-    def test_binary_roundtrip(self):
+    def test_binary_roundtrip(self, tmp_path):
         g = graph_of(("a", "b", 3), ("b", "c", 1), ("c", "a", 23000), ("a", "a", 2))
-        path = "/tmp/swaynet_test_graph.bin"
+        path = str(tmp_path / "graph.bin")
         save_binary(g, path)
         g2 = load_binary(path)
         assert g2.labels == g.labels
         assert list(g2.edges()) == list(g.edges())
 
-    def test_bad_magic_rejected(self):
-        path = "/tmp/swaynet_test_bad.bin"
+    def test_bad_magic_rejected(self, tmp_path):
+        path = str(tmp_path / "bad.bin")
         with open(path, "wb") as fh:
             fh.write(b"nope" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             load_binary(path)
-
-    def test_csv_export(self):
-        g = graph_of(("a", "b", 3))
-        buf = io.StringIO()
-        write_edges_csv(g, buf)
-        assert buf.getvalue() == "src,dst,weight\na,b,3\n"

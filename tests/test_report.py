@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from swaynet import report as rep
-from oracles import RetweetEvent, columns_of
-from swaynet.graph import WeightedDigraph
+from oracles import RetweetEvent, columns_of, digraph_of
 from swaynet.growth import GrowthPoint, TimeWindow
 
 DAY = 86_400
@@ -102,9 +101,10 @@ class TestGrowthEmit:
 
 class TestFlagRetention:
     def test_bucketing_and_retention(self, tmp_path):
-        rates = {"u1": (0.0, 1.0), "u2": (1.0, 0.0), "u3": (0.52, 0.0)}
+        # Users u1, u2, u3: all in the original graph, only u1 retained.
+        bot, verified = np.array([0.0, 1.0, 0.52]), np.array([1.0, 0.0, 0.0])
         path = str(tmp_path / "supp_flag_retention.csv")
-        rep.emit_flag_retention(path, rates, {"u1", "u2", "u3"}, {"u1"})
+        rep.emit_flag_retention(path, bot, verified, np.ones(3, dtype=bool), np.array([True, False, False]))
         rows = read_rows(path)
         bot = {r["rate_bucket"]: r for r in rows if r["kind"] == "bot"}
         assert bot["0.0"]["original_users"] == "1" and bot["0.0"]["retained_users"] == "1"
@@ -112,6 +112,27 @@ class TestFlagRetention:
         assert bot["0.5"]["original_users"] == "1"
         verified = {r["rate_bucket"]: r for r in rows if r["kind"] == "verified"}
         assert verified["1.0"]["original_users"] == "1" and verified["1.0"]["retained_users"] == "1"
+
+    def test_buckets_match_per_user_rounding(self, tmp_path):
+        # Rates on every twentieth hit the halfway points between tenths.
+        rng = np.random.default_rng(12)
+        bot = np.concatenate([np.arange(21) / 20, rng.random(379)])
+        verified = rng.permutation(bot)
+        original, retained = rng.random(400) < 0.9, rng.random(400) < 0.5
+        path = str(tmp_path / "supp_flag_retention.csv")
+        rep.emit_flag_retention(path, bot, verified, original, retained)
+        expected: dict[tuple[str, str], list[int]] = {}
+        for kind, rates in (("bot", bot), ("verified", verified)):
+            for i in np.flatnonzero(original):
+                bucket = min(round(float(rates[i]) * 10) / 10, 1.0)
+                cell = expected.setdefault((kind, f"{bucket:.1f}"), [0, 0])
+                cell[0] += 1
+                cell[1] += bool(retained[i])
+        rows = read_rows(path)
+        assert len(rows) == 22
+        for row in rows:
+            got = [int(row["original_users"]), int(row["retained_users"])]
+            assert got == expected.get((row["kind"], row["rate_bucket"]), [0, 0])
 
 
 class TestFitEmitters:
@@ -150,7 +171,7 @@ class TestFitEmitters:
 
 class TestTopologyEmit:
     def test_topology_json_shape(self, tmp_path):
-        g = WeightedDigraph.from_weighted_edges([("a", "b", 1), ("b", "c", 2), ("c", "a", 4)])
+        g = digraph_of([("a", "b", 1), ("b", "c", 2), ("c", "a", 4)])
         path = str(tmp_path / "supp_topology.json")
         rep.emit_topology(path, g)
         doc = json.loads(open(path).read())

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from swaynet import rng as rngmod
-from oracles import FollowerLog, RetweetEvent, columns_of, follower_snapshot, follower_table
-from swaynet.graph import WeightedDigraph
+from oracles import FollowerLog, RetweetEvent, columns_of, digraph_of, follower_snapshot, follower_table, window_loss
 from swaynet.growth import TimeWindow
 from swaynet.sir import (
     CascadeSetup,
@@ -19,7 +18,6 @@ from swaynet.sir import (
     simulate_growth_rate,
     swayable_recovered_count,
     temporal_network,
-    window_loss,
     _precompute_window,
     _window_acceptance,
     _WindowCache,
@@ -34,7 +32,7 @@ def ev(ts, src, dst, cls="factual"):
 
 
 def graph_of(*edges):
-    return WeightedDigraph.from_weighted_edges(list(edges))
+    return digraph_of(edges)
 
 
 # -- independent oracle -----------------------------------------------------------
@@ -351,6 +349,22 @@ class TestWindowLoss:
     def test_mismatched_classes_error(self):
         with pytest.raises(ValueError):
             window_loss({"factual": 0.1}, {"factual": 0.1, "misleading": 0.2})
+
+    def test_acceptance_losses_are_window_losses(self):
+        # Pair (grid point g, replicate r) sits at flat index g * runs + r.
+        rng = np.random.default_rng(8)
+        classes = ("factual", "misleading", "uncertain")
+        grid, runs = np.arange(4) * 0.5, 5
+        rho = rng.random((len(grid), runs, len(classes)))
+        empirical = {"factual": 0.1, "misleading": 0.05, "uncertain": 0.2}
+        cache = _WindowCache(0, classes, rho, np.repeat(grid, runs), np.array([empirical[c] for c in classes]))
+        for delta in (0.0, 0.3, 1.0):
+            q, _ = _window_acceptance(cache, delta, 0.2)
+            assert len(q) == len(grid) * runs
+            for g in range(len(grid)):
+                for r in range(runs):
+                    r_hat = {c: delta * rho[g, r, i] for i, c in enumerate(classes)}
+                    assert q[g * runs + r] == pytest.approx(window_loss(r_hat, empirical), rel=1e-12, abs=1e-15)
 
 
 def snapshot_of(table, user, before):

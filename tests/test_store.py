@@ -9,6 +9,7 @@ from oracles import (
     columns_equal,
     columns_of,
     daily_counts,
+    flag_rates_by_user,
     logs_of,
     synth_events,
     to_events,
@@ -157,7 +158,7 @@ class TestVectorizedEquivalence:
         assert logs_of(columns.follower_logs()) == build_follower_logs(events)
 
     def test_flag_rates_match_object_path(self, events, columns):
-        assert columns.flag_rates() == user_flag_rates(events)
+        assert flag_rates_by_user(columns) == user_flag_rates(events)
 
     def test_daily_counts_match_object_path(self, events, columns):
         aligned = {u for u in columns.users if u.startswith("fac")}
@@ -185,4 +186,23 @@ class TestTieHeavyEquivalence:
             )
         columns = columns_of(events)
         assert logs_of(columns.follower_logs()) == build_follower_logs(events)
-        assert columns.flag_rates() == user_flag_rates(events)
+        assert flag_rates_by_user(columns) == user_flag_rates(events)
+
+    def test_flag_rates_with_random_flags(self):
+        import numpy as np
+
+        rng = np.random.default_rng(321)
+        events = []
+        for _ in range(400):
+            flags = rng.random(4) < (0.2, 0.5, 0.3, 0.7)
+            events.append(
+                RetweetEvent(
+                    int(rng.integers(0, 6)), f"u{rng.integers(6)}", f"u{rng.integers(6)}", "NA", "uncertain",
+                    1, 1, *(bool(f) for f in flags),
+                )
+            )
+        columns = columns_of(events)
+        n, bot, ver = columns.flag_rates()
+        assert len(n) == len(bot) == len(ver) == len(columns.users)
+        assert n.min() > 0 and 0 < bot.mean() < 1 and 0 < ver.mean() < 1
+        assert flag_rates_by_user(columns) == user_flag_rates(events)
