@@ -2,12 +2,10 @@
 cascade-driven growth-rate fitting."""
 
 from .alignment import (
-    AlignmentLabel,
-    InvolvementProfile,
-    classify_alignment,
     classify_all,
     coverage_curve,
     involvement_profiles,
+    proportions,
     ternary_histogram,
 )
 from .backbone import (

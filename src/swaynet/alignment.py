@@ -1,153 +1,93 @@
 """Per-user content-class involvement and highly-aligned user classification.
 
-A user's involvement in a class counts the retweets they give or receive
-in that class's network (weighted in-strength plus out-strength). A user is
-highly aligned with a class when its share of their total involvement
-strictly exceeds the threshold theta; with theta >= 0.5 at most one class
-can qualify.
+Involvement is an integer matrix over the user table, one column per
+content class: the retweets of that class a user gives plus those they
+receive. A user is highly aligned with a class when its share of their
+total involvement strictly exceeds the threshold theta; with theta >= 0.5
+at most one class can qualify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .events import CONTENT_CLASSES
-from .graph import WeightedDigraph
 
 UNALIGNED = "unaligned"
 
 
-@dataclass(frozen=True)
-class InvolvementProfile:
-    user: str
-    counts: dict[str, int]  # content class -> retweets given + received
-    total: int
-
-    def proportion(self, content_class: str) -> float:
-        return self.counts.get(content_class, 0) / self.total
-
-
-@dataclass(frozen=True)
-class AlignmentLabel:
-    user: str
-    label: str  # a content class, or "unaligned"
-    theta: float
+def involvement_profiles(src: np.ndarray, dst: np.ndarray, cls_idx: np.ndarray, n_users: int) -> np.ndarray:
+    """(n_users, n_classes) int64 counts: counts[u, c] is the number of class-c
+    events with u as src plus the number with u as dst, so a self-loop
+    counts twice, as in-strength plus out-strength of a class graph does."""
+    n_classes = len(CONTENT_CLASSES)
+    if len(cls_idx) and not (0 <= cls_idx.min() and cls_idx.max() < n_classes):
+        raise ValueError(f"class indices must be in [0, {n_classes})")
+    size = n_users * n_classes
+    counts = np.bincount(src * n_classes + cls_idx, minlength=size) + np.bincount(dst * n_classes + cls_idx, minlength=size)
+    return counts.astype(np.int64).reshape(n_users, n_classes)
 
 
-def involvement_profiles(graphs_by_class: Mapping[str, WeightedDigraph]) -> dict[str, InvolvementProfile]:
-    """Involvement per user across the per-class graphs.
-
-    counts[c] = in-strength + out-strength of the user in the class-c
-    graph. Users absent from every graph are absent from the result.
-    """
-    unknown = set(graphs_by_class) - set(CONTENT_CLASSES)
-    if unknown:
-        raise ValueError(f"unknown content classes: {sorted(unknown)}")
-    acc: dict[str, dict[str, int]] = {}
-    for cls, g in graphs_by_class.items():
-        strength = g.s_in + g.s_out
-        for i, label in enumerate(g.labels):
-            s = int(strength[i])
-            if s > 0:
-                acc.setdefault(label, {})[cls] = acc.get(label, {}).get(cls, 0) + s
-    return {
-        user: InvolvementProfile(user, counts, sum(counts.values()))
-        for user, counts in acc.items()
-    }
+def proportions(counts: np.ndarray) -> np.ndarray:
+    """Each row's class shares, count / total; rows with no involvement are 0."""
+    total = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, total, out=np.zeros(counts.shape), where=total > 0)
 
 
-def classify_alignment(profile: InvolvementProfile, theta: float) -> AlignmentLabel:
-    """Label the profile with the class holding > theta of its involvement."""
+def classify_all(counts: np.ndarray, theta: float, min_involvement: int = 0) -> np.ndarray:
+    """The index of the class holding > theta of each row's involvement, or -1
+    (unaligned). Rows with no involvement or below min_involvement (off by
+    default) are unaligned."""
     if not (0.5 <= theta < 1.0):
         raise ValueError(f"theta must be in [0.5, 1), got {theta}")
-    if profile.total <= 0:
-        raise ValueError(f"profile for {profile.user!r} has no involvement")
-    for cls in CONTENT_CLASSES:
-        if profile.counts.get(cls, 0) / profile.total > theta:
-            return AlignmentLabel(profile.user, cls, theta)
-    return AlignmentLabel(profile.user, UNALIGNED, theta)
-
-
-def classify_all(
-    profiles: Mapping[str, InvolvementProfile],
-    theta: float,
-    min_involvement: int = 0,
-) -> dict[str, AlignmentLabel]:
-    """Classify every profile; profiles below min_involvement are unaligned.
-
-    The involvement floor is off by default (0).
-    """
-    labels: dict[str, AlignmentLabel] = {}
-    for user, profile in profiles.items():
-        if profile.total < min_involvement:
-            labels[user] = AlignmentLabel(user, UNALIGNED, theta)
-        else:
-            labels[user] = classify_alignment(profile, theta)
+    above = proportions(counts) > theta
+    labels = np.where(above.any(axis=1), above.argmax(axis=1), -1)
+    labels[counts.sum(axis=1) < min_involvement] = -1
     return labels
 
 
-def aligned_users(labels: Mapping[str, AlignmentLabel], content_class: str) -> set[str]:
-    return {u for u, lab in labels.items() if lab.label == content_class}
-
-
 def coverage_curve(
-    profiles: Mapping[str, InvolvementProfile],
-    class_graph: WeightedDigraph,
-    content_class: str,
-    theta_grid: Sequence[float],
+    props: np.ndarray, src: np.ndarray, dst: np.ndarray, theta_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Fraction of class retweets involving users aligned to that class.
+    """Fraction of a class's retweets (src[k] -> dst[k]) involving users aligned to it.
 
-    A retweet involves an aligned user when either endpoint is aligned to
-    the retweet's class at the given threshold. Non-increasing in theta.
+    `props` holds each user's share of involvement in that class. A retweet
+    involves an aligned user when either endpoint's share exceeds theta.
+    Non-increasing in theta.
     """
     grid = list(theta_grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("theta_grid must be sorted ascending")
-    total = class_graph.total_weight
-    if total == 0:
-        raise ValueError(f"no retweets of class {content_class!r}")
-    # Highest qualifying threshold per node: aligned at theta iff prop > theta.
-    props = np.zeros(class_graph.n_nodes, dtype=np.float64)
-    for i, label in enumerate(class_graph.labels):
-        profile = profiles.get(label)
-        if profile is not None and profile.total > 0:
-            props[i] = profile.proportion(content_class)
+    if len(src) == 0:
+        raise ValueError("no retweets of the class")
+    level = np.maximum(props[src], props[dst])  # covered at theta iff level > theta
     curve = []
     for theta in grid:
         if not (0.5 <= theta < 1.0):
             raise ValueError(f"theta must be in [0.5, 1), got {theta}")
-        aligned = props > theta
-        covered = aligned[class_graph.edge_src] | aligned[class_graph.edge_dst]
-        curve.append((float(theta), float(class_graph.edge_weight[covered].sum() / total)))
+        curve.append((float(theta), int(np.count_nonzero(level > theta)) / len(level)))
     return curve
 
 
-def ternary_histogram(
-    profiles: Iterable[InvolvementProfile],
-    bins_per_side: int,
-) -> dict[tuple[int, int], int]:
-    """Bin profiles on the (factual, misleading, uncertain) proportion simplex.
+def ternary_histogram(counts: np.ndarray, bins_per_side: int) -> dict[tuple[int, int], int]:
+    """Bin rows on the (factual, misleading, uncertain) proportion simplex.
 
     Cell (i, j) covers factual share in [i/B, (i+1)/B) and misleading share
-    in [j/B, (j+1)/B); boundary profiles on the far edge are assigned to the
-    adjacent interior cell, so counts always sum to the number of profiles.
+    in [j/B, (j+1)/B); a row past the far edge i + j = B - 1 gives up
+    misleading bins first, then factual ones, so counts always sum to the
+    number of rows. Every row needs some involvement.
     """
     if bins_per_side < 1:
         raise ValueError(f"bins_per_side must be >= 1, got {bins_per_side}")
     b = bins_per_side
-    hist: dict[tuple[int, int], int] = {}
-    factual, misleading = CONTENT_CLASSES[0], CONTENT_CLASSES[1]
-    for profile in profiles:
-        i = min(int(profile.proportion(factual) * b), b - 1)
-        j = min(int(profile.proportion(misleading) * b), b - 1)
-        while i + j > b - 1:
-            if j > 0:
-                j -= 1
-            else:
-                i -= 1
-        hist[(i, j)] = hist.get((i, j), 0) + 1
-    return hist
+    total = counts.sum(axis=1, keepdims=True)
+    if not (total > 0).all():
+        raise ValueError("every row needs some involvement")
+    share = counts[:, :2] / total
+    i, j = np.minimum((share * b).astype(np.int64), b - 1).T
+    excess = np.maximum(i + j - (b - 1), 0)
+    from_j = np.minimum(excess, j)
+    cells, n = np.unique((i - (excess - from_j)) * b + (j - from_j), return_counts=True)
+    return {(int(c // b), int(c % b)): int(k) for c, k in zip(cells, n)}

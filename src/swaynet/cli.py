@@ -25,7 +25,7 @@ import numpy as np
 
 from . import report as rep
 from . import rng as rngmod
-from .alignment import classify_all, coverage_curve, involvement_profiles, ternary_histogram
+from .alignment import UNALIGNED, classify_all, coverage_curve, involvement_profiles, proportions, ternary_histogram
 from .backbone import disparity_filter, significance_arrays, strong_disorder_test
 from .events import CONTENT_CLASSES, InvalidEvents, write_events_jsonl, write_flag_rates_csv, write_follower_logs_csv
 from .graph import WeightedDigraph, load_binary, save_binary
@@ -208,6 +208,18 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+def _parse_range(text: str) -> tuple[float, float]:
+    lo, _, hi = text.partition(":")
+    return (float(lo), float(hi))
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in ("1", "true", "yes")
+
+
 def load_config_file(path: str) -> dict[str, tuple[str, int]]:
     """Flat key = value format; '#' starts a comment. Maps each key to its
     raw value and line number."""
@@ -226,58 +238,43 @@ def load_config_file(path: str) -> dict[str, tuple[str, int]]:
     return values
 
 
-_TUPLE_FLOAT_KEYS = {
-    "alpha_grid",
-    "theta_grid",
-    "gtb_quantiles",
-    "synth_rates_factual",
-    "synth_rates_misleading",
-    "synth_rates_uncertain",
-    "synth_reach_factual",
-    "synth_reach_misleading",
-    "synth_reach_uncertain",
+# One converter per key, from its declared type; a flag's text and a config
+# file's value go through the same one.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_floats,
+    "tuple[float, float]": _parse_range,
 }
-_TIME_KEYS = {"range_start", "range_end"}
-_BOOL_KEYS = {"unfiltered", "emit_significance", "strict"}
+_CONVERTERS = {
+    f.name: parse_time if f.name in ("range_start", "range_end") else _PARSERS[f.type.removesuffix(" | None")]
+    for f in fields(PipelineConfig)
+}
 
 
-def _coerce_key(key: str, raw: str):
-    if key in _TUPLE_FLOAT_KEYS:
-        return _parse_floats(raw)
-    if key in _TIME_KEYS:
-        return parse_time(raw)
-    if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("1", "true", "yes")
-    if key == "fit_range":
-        lo, _, hi = raw.partition(":")
-        return (float(lo), float(hi))
-    return raw
+def _convert(key: str, raw: str, where: str):
+    try:
+        return _CONVERTERS[key](raw)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """defaults < config file < explicit CLI flags."""
     config = PipelineConfig()
-    known = {f.name: f.type for f in fields(PipelineConfig)}
     if getattr(args, "config", None):
         for key, (raw, line_no) in load_config_file(args.config).items():
-            if key not in known:
+            if key not in _CONVERTERS:
                 raise ConfigError(f"unknown config key: {key}")
-            try:
-                value = _coerce_key(key, raw)
-                if isinstance(value, str):
-                    current = getattr(config, key)
-                    if isinstance(current, bool):
-                        value = raw.strip().lower() in ("1", "true", "yes")
-                    elif isinstance(current, int):
-                        value = int(raw)
-                    elif isinstance(current, float):
-                        value = float(raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{args.config}:{line_no}: {key}: {exc}") from None
+            setattr(config, key, _convert(key, raw, f"{args.config}:{line_no}: {key}"))
+    for key in _CONVERTERS:
+        value = getattr(args, key, None)
+        if isinstance(value, str):  # a flag's text; store_const flags are already True
+            value = _convert(key, value, "--" + key.replace("_", "-"))
+        if value is not None:
             setattr(config, key, value)
-    for key in known:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
     return config
 
 
@@ -366,30 +363,16 @@ def _load_labels(config: PipelineConfig) -> tuple[dict[str, set[str]], float]:
 def _backbone_pair_mask(columns: EventColumns, backbone: WeightedDigraph) -> np.ndarray:
     """Mask of events whose aggregated edge survived the filter."""
     index = {u: i for i, u in enumerate(columns.users)}
-    n = len(columns.users)
-    codes = set()
-    for s, d, _ in backbone.edges():
-        si = index.get(s)
-        di = index.get(d)
-        if si is not None and di is not None:
-            codes.add(si * n + di)
-    if not codes:
+    ids = np.array([index.get(u, -1) for u in backbone.labels], dtype=np.int64)
+    src, dst = ids[backbone.edge_src], ids[backbone.edge_dst]
+    known = (src >= 0) & (dst >= 0)
+    wanted = np.unique(src[known] * len(columns.users) + dst[known])  # sorted, for searchsorted
+    if not len(wanted):
         return np.zeros(len(columns), dtype=bool)
-    wanted = np.fromiter(codes, dtype=np.int64, count=len(codes))
-    wanted.sort()
-    pos = np.searchsorted(wanted, columns.pair_codes())
-    pos = np.clip(pos, 0, len(wanted) - 1)
-    return wanted[pos] == columns.pair_codes()
-
-
-def _class_graphs(columns: EventColumns, retained: np.ndarray | None) -> dict[str, WeightedDigraph]:
-    graphs = {}
-    for cls in CONTENT_CLASSES:
-        mask = columns.event_mask(content_class=cls)
-        if retained is not None:
-            mask &= retained
-        graphs[cls] = columns.build_graph(mask=mask)
-    return graphs
+    codes = columns.pair_codes()
+    pos = np.searchsorted(wanted, codes)
+    np.minimum(pos, len(wanted) - 1, out=pos)
+    return wanted[pos] == codes
 
 
 # -- stages ---------------------------------------------------------------------
@@ -586,30 +569,32 @@ def cmd_diagnose(config: PipelineConfig) -> str:
 def cmd_align(config: PipelineConfig) -> str:
     hashes: dict[str, str] = {}
     columns = _load_columns(config, hashes)
-    retained = None
+    src, dst, cls_idx = columns.src, columns.dst, columns.content_class_idx
     if not config.unfiltered:
         backbone = load_binary(_require(config, BACKBONE_FILE, "backbone"))
         retained = _backbone_pair_mask(columns, backbone)
-    graphs = _class_graphs(columns, retained)
-    profiles = involvement_profiles(graphs)
-    labels = classify_all(profiles, config.theta, config.min_involvement)
+        src, dst, cls_idx = src[retained], dst[retained], cls_idx[retained]
+    involvement = involvement_profiles(src, dst, cls_idx, len(columns.users))
+    labels = classify_all(involvement, config.theta, config.min_involvement)
+    props = proportions(involvement)
+    total = involvement.sum(axis=1)
+    involved = np.flatnonzero(total > 0)
+    names = (*CONTENT_CLASSES, UNALIGNED)  # label -1 picks the last
+    theta = f"{config.theta:.4f}"
     with open(_path(config, LABELS_FILE), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "label", "theta", "prop_factual", "prop_misleading", "prop_uncertain", "total"])
-        for user in sorted(labels):
-            profile = profiles[user]
-            w.writerow(
-                [user, labels[user].label, f"{config.theta:.4f}"]
-                + [f"{profile.proportion(cls):.6f}" for cls in CONTENT_CLASSES]
-                + [profile.total]
-            )
-    rep.emit_ternary(_path(config, "ternary.csv"), ternary_histogram(profiles.values(), config.bins))
+        users = [columns.users[u] for u in involved.tolist()]
+        rows = sorted(zip(users, labels[involved].tolist(), props[involved].tolist(), total[involved].tolist()))
+        w.writerows([user, names[label], theta] + [f"{p:.6f}" for p in prop] + [n] for user, label, prop, n in rows)
+    rep.emit_ternary(_path(config, "ternary.csv"), ternary_histogram(involvement[involved], config.bins))
     curves = {}
-    for cls in CONTENT_CLASSES:
-        if graphs[cls].total_weight > 0:
-            curves[cls] = coverage_curve(profiles, graphs[cls], cls, config.theta_grid)
+    for c, cls in enumerate(CONTENT_CLASSES):
+        in_class = cls_idx == c
+        if in_class.any():
+            curves[cls] = coverage_curve(props[:, c], src[in_class], dst[in_class], config.theta_grid)
     rep.emit_coverage(_path(config, "coverage.csv"), curves)
-    counts = {cls: sum(1 for l in labels.values() if l.label == cls) for cls in CONTENT_CLASSES}
+    counts = {cls: int(np.count_nonzero(labels == c)) for c, cls in enumerate(CONTENT_CLASSES)}
     _write_meta(
         config,
         "align",
@@ -743,16 +728,26 @@ def cmd_simulate(config: PipelineConfig) -> str:
     return f"simulate: delta={config.delta} r0={config.r0} over {len(setups)} windows"
 
 
-def _load_empirical(config: PipelineConfig) -> dict[int, dict[str, float | None]]:
-    path = _require(config, GROWTH_FILE, "growth")
-    empirical: dict[int, dict[str, float | None]] = {}
-    with open(path, newline="") as fh:
+def _growth_points(config: PipelineConfig) -> dict[str, list[GrowthPoint]]:
+    """growth.csv as points per class, in file order."""
+    points: dict[str, list[GrowthPoint]] = {cls: [] for cls in CONTENT_CLASSES}
+    with open(_require(config, GROWTH_FILE, "growth"), newline="") as fh:
         for row in csv.DictReader(fh):
-            if int(row["partial"]):
-                continue
-            start = int(row["window_start"])
+            window = TimeWindow(int(row["window_start"]), int(row["window_end"]), bool(int(row["partial"])))
             rate = float(row["rate"]) if row["rate"] != "" else None
-            empirical.setdefault(start, {})[row["class"]] = rate
+            points[row["class"]].append(
+                GrowthPoint(window, row["class"], rate, int(row["n_active"]), int(row["f_first"]), int(row["f_last"]))
+            )
+    return points
+
+
+def _empirical(points_by_class: dict[str, list[GrowthPoint]]) -> dict[int, dict[str, float | None]]:
+    """Window start -> class -> measured rate, over the non-partial windows."""
+    empirical: dict[int, dict[str, float | None]] = {}
+    for cls, points in points_by_class.items():
+        for p in points:
+            if not p.window.partial:
+                empirical.setdefault(p.window.start, {})[cls] = p.rate
     return empirical
 
 
@@ -760,7 +755,7 @@ def cmd_fit(config: PipelineConfig) -> str:
     hashes: dict[str, str] = {}
     columns = _load_columns(config, hashes)
     by_class, _ = _load_labels(config)
-    empirical = _load_empirical(config)
+    empirical = _empirical(_growth_points(config))
     setups = _build_setups(config, columns, by_class)
     if not setups:
         raise ConfigError("lookback: no window has a fully covered lookback period")
@@ -827,7 +822,7 @@ def cmd_report(config: PipelineConfig) -> str:
 
     # Fig 3 from the growth stage.
     by_class, _ = _load_labels(config)
-    points_by_class = _growth_points_from_csv(_path(config, GROWTH_FILE))
+    points_by_class = _growth_points(config)
     rep.emit_daily(out("fig3a_daily.csv"), columns.daily_counts_by_class(by_class))
     rep.emit_growth_with_trend(out("fig3b_growth.csv"), points_by_class)
 
@@ -836,8 +831,7 @@ def cmd_report(config: PipelineConfig) -> str:
     if os.path.exists(fit_path):
         with open(fit_path) as fh:
             fit_doc = json.load(fh)
-        empirical = _load_empirical(config)
-        rep.emit_fit_rates(out("fig4_rates.csv"), fit_doc, empirical)
+        rep.emit_fit_rates(out("fig4_rates.csv"), fit_doc, _empirical(points_by_class))
         rep.emit_fit_r0(out("fig4_r0.csv"), fit_doc)
 
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
@@ -870,18 +864,6 @@ def _copy_csv(src: str, dst: str) -> None:
         fout.write(fin.read())
 
 
-def _growth_points_from_csv(path: str) -> dict[str, list[GrowthPoint]]:
-    points: dict[str, list[GrowthPoint]] = {cls: [] for cls in CONTENT_CLASSES}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            window = TimeWindow(int(row["window_start"]), int(row["window_end"]), bool(int(row["partial"])))
-            rate = float(row["rate"]) if row["rate"] != "" else None
-            points[row["class"]].append(
-                GrowthPoint(window, row["class"], rate, int(row["n_active"]), int(row["f_first"]), int(row["f_last"]))
-            )
-    return points
-
-
 # -- entry point ------------------------------------------------------------------
 
 
@@ -901,10 +883,10 @@ _STAGES = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="artifacts directory")
     p.add_argument("--config", help="flat key = value config file; flags override")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--range-start", dest="range_start", type=parse_time, default=None)
-    p.add_argument("--range-end", dest="range_end", type=parse_time, default=None)
+    p.add_argument("--seed")
+    p.add_argument("--threads")
+    p.add_argument("--range-start", dest="range_start")
+    p.add_argument("--range-end", dest="range_end")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -914,8 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse, validate and label a raw event stream")
     _add_common(p)
     p.add_argument("--events", help="input .jsonl or .csv event file")
-    p.add_argument("--format", dest="fmt", choices=["jsonl", "csv"], default=None)
-    p.add_argument("--strict", action="store_const", const=True, default=None)
+    p.add_argument("--format", dest="fmt", choices=["jsonl", "csv"])
+    p.add_argument("--strict", action="store_const", const=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted structure")
     _add_common(p)
@@ -928,54 +910,54 @@ def build_parser() -> argparse.ArgumentParser:
         "synth-events-misleading",
         "synth-events-uncertain",
     ):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
-    p.add_argument("--synth-purity", dest="synth_purity", type=float, default=None)
+        p.add_argument(f"--{name}", dest=name.replace("-", "_"))
+    p.add_argument("--synth-purity", dest="synth_purity")
 
     p = sub.add_parser("backbone", help="extract the disparity-filter backbone")
     _add_common(p)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-grid", dest="alpha_grid", type=_parse_floats, default=None)
-    p.add_argument("--emit-significance", dest="emit_significance", action="store_const", const=True, default=None)
+    p.add_argument("--alpha")
+    p.add_argument("--alpha-grid", dest="alpha_grid")
+    p.add_argument("--emit-significance", dest="emit_significance", action="store_const", const=True)
 
     p = sub.add_parser("diagnose", help="heterogeneity, topology, and size-curve diagnostics")
     _add_common(p)
-    p.add_argument("--alpha-grid", dest="alpha_grid", type=_parse_floats, default=None)
-    p.add_argument("--band-multiplier", dest="band_multiplier", type=float, default=None)
-    p.add_argument("--fit-range", dest="fit_range", type=lambda s: tuple(float(x) for x in s.split(":")), default=None)
+    p.add_argument("--alpha-grid", dest="alpha_grid")
+    p.add_argument("--band-multiplier", dest="band_multiplier")
+    p.add_argument("--fit-range", dest="fit_range")
 
     p = sub.add_parser("align", help="classify highly aligned users")
     _add_common(p)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--theta-grid", dest="theta_grid", type=_parse_floats, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--min-involvement", dest="min_involvement", type=int, default=None)
-    p.add_argument("--unfiltered", action="store_const", const=True, default=None)
+    p.add_argument("--theta")
+    p.add_argument("--theta-grid", dest="theta_grid")
+    p.add_argument("--bins")
+    p.add_argument("--min-involvement", dest="min_involvement")
+    p.add_argument("--unfiltered", action="store_const", const=True)
 
     p = sub.add_parser("growth", help="measure windowed follower growth")
     _add_common(p)
-    p.add_argument("--min-obs", dest="min_obs", type=int, default=None)
+    p.add_argument("--min-obs", dest="min_obs")
 
     p = sub.add_parser("simulate", help="simulate growth rates at fixed delta and R0")
     _add_common(p)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--lookback", "--n", dest="lookback", type=int, default=None)
+    p.add_argument("--delta")
+    p.add_argument("--r0")
+    p.add_argument("--runs")
+    p.add_argument("--lookback", "--n", dest="lookback")
 
     p = sub.add_parser("fit", help="fit delta and per-window R0 against empirical rates")
     _add_common(p)
-    p.add_argument("--lookback", "--n", dest="lookback", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--r0-min", dest="r0_min", type=float, default=None)
-    p.add_argument("--r0-max", dest="r0_max", type=float, default=None)
-    p.add_argument("--r0-step", dest="r0_step", type=float, default=None)
+    p.add_argument("--lookback", "--n", dest="lookback")
+    p.add_argument("--tolerance")
+    p.add_argument("--runs")
+    p.add_argument("--r0-min", dest="r0_min")
+    p.add_argument("--r0-max", dest="r0_max")
+    p.add_argument("--r0-step", dest="r0_step")
 
     p = sub.add_parser("report", help="consolidated plot-ready bundle")
     _add_common(p)
-    p.add_argument("--alpha-grid", dest="alpha_grid", type=_parse_floats, default=None)
-    p.add_argument("--band-multiplier", dest="band_multiplier", type=float, default=None)
-    p.add_argument("--fit-range", dest="fit_range", type=lambda s: tuple(float(x) for x in s.split(":")), default=None)
+    p.add_argument("--alpha-grid", dest="alpha_grid")
+    p.add_argument("--band-multiplier", dest="band_multiplier")
+    p.add_argument("--fit-range", dest="fit_range")
 
     return parser
 

@@ -79,9 +79,6 @@ class WeightedDigraph:
         for s, d, w in zip(self.edge_src, self.edge_dst, self.edge_weight):
             yield self.labels[s], self.labels[d], int(w)
 
-    def edge_set(self) -> set[tuple[str, str]]:
-        return {(self.labels[s], self.labels[d]) for s, d in zip(self.edge_src, self.edge_dst)}
-
     @property
     def k_out(self) -> np.ndarray:
         return self._k_out

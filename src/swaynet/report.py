@@ -96,10 +96,10 @@ def emit_coverage(path: str, curves: Mapping[str, Sequence[tuple[float, float]]]
                 w.writerow([cls, f"{theta:.4f}", f"{frac:.6f}"])
 
 
-def emit_daily(path: str, counts_by_class: Mapping[str, Mapping[int, int]], header=("day", "class", "count")) -> None:
+def emit_daily(path: str, counts_by_class: Mapping[str, Mapping[int, int]]) -> None:
     fh, w = _writer(path)
     with fh:
-        w.writerow(list(header))
+        w.writerow(["day", "class", "count"])
         for cls in CONTENT_CLASSES:
             for day, count in sorted(counts_by_class.get(cls, {}).items()):
                 w.writerow([day, cls, count])

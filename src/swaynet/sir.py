@@ -26,6 +26,7 @@ from .growth import WINDOW_SECONDS, TimeWindow
 from .store import EventColumns, FollowerSnapshots
 
 LOOKBACK_MONTH_SECONDS = WINDOW_SECONDS  # one "month" of history = 30 days
+DELTA_BOUNDS = (0.0, 1.0)  # delta scales a follower count, so it is a fraction
 
 
 def temporal_network(
@@ -251,8 +252,6 @@ class FitConfig:
     tolerance_pct: float = 0.10
     lookback_months: int = 1
     seed: int = 0
-    delta_bounds: tuple[float, float] = (0.0, 1.0)
-    nm_tol: float = 1e-4
 
     def __post_init__(self):
         if self.r0_step <= 0 or self.r0_max < self.r0_min or self.r0_min < 0:
@@ -509,7 +508,7 @@ def fit_parameters(
             for w, s, r in jobs
         ]
 
-    lo, hi = config.delta_bounds
+    lo, hi = DELTA_BOUNDS
     objective = lambda d: _objective(caches, d, config.tolerance_pct)
     # Coarse scan picks the simplex seed; the landscape can have shallow
     # local basins when acceptance sets reshuffle.
@@ -517,9 +516,7 @@ def fit_parameters(
     scan_vals = [objective(float(d)) for d in scan]
     best_i = int(np.argmin(scan_vals))
     second = float(scan[max(best_i - 1, 0)]) if best_i > 0 else float(scan[best_i + 1])
-    delta_opt, f_opt, evals = nelder_mead_1d(
-        objective, (float(scan[best_i]), second), (lo, hi), tol=config.nm_tol
-    )
+    delta_opt, f_opt, evals = nelder_mead_1d(objective, (float(scan[best_i]), second), (lo, hi))
     evals += len(scan)
 
     fallback_counts = {

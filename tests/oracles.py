@@ -6,10 +6,12 @@ The tests compare the columnar functions the CLI runs against these, and
 build small hand-written inputs with `RetweetEvent` and `FollowerLog`;
 `follower_table` turns such a dict into the flat table swaynet runs on.
 
-The graph and diagnostic oracles at the end work one edge or node side at
-a time: `digraph_of` builds every test graph from (src, dst, weight)
-triples, and the heterogeneity, significance, overlap and window-loss
-oracles are the scalar forms the array code in swaynet is checked against.
+The graph and diagnostic oracles work one edge or node side at a time:
+`digraph_of` builds every test graph from (src, dst, weight) triples, and
+the heterogeneity, significance, overlap and window-loss oracles are the
+scalar forms the array code in swaynet is checked against. The alignment
+oracles at the end recount involvement one event at a time and classify
+and bin one user at a time.
 """
 
 from __future__ import annotations
@@ -380,6 +382,11 @@ def digraph_of(items: Iterable[tuple[str, str, int]]) -> WeightedDigraph:
     return WeightedDigraph(list(index), src_idx, dst_idx, np.array(list(weights.values()), dtype=np.int64))
 
 
+def edge_set(g: WeightedDigraph) -> set[tuple[str, str]]:
+    """The (src, dst) label pairs of g's edges."""
+    return {(g.labels[s], g.labels[d]) for s, d in zip(g.edge_src, g.edge_dst)}
+
+
 def weight_of(g: WeightedDigraph, src: str, dst: str) -> int:
     """Weight of the edge src -> dst, 0 when there is none."""
     return next((w for s, d, w in g.edges() if (s, d) == (src, dst)), 0)
@@ -387,10 +394,10 @@ def weight_of(g: WeightedDigraph, src: str, dst: str) -> int:
 
 def backbone_overlap(reference: WeightedDigraph, backbone: WeightedDigraph) -> float:
     """Fraction of reference edges also present in the backbone."""
-    ref = reference.edge_set()
+    ref = edge_set(reference)
     if not ref:
         raise ValueError("reference edge set is empty")
-    return len(ref & backbone.edge_set()) / len(ref)
+    return len(ref & edge_set(backbone)) / len(ref)
 
 
 def global_threshold_backbone(g: WeightedDigraph, w_min: int) -> WeightedDigraph:
@@ -455,3 +462,47 @@ def window_loss(r_hat_by_class: Mapping[str, float], r_by_class: Mapping[str, fl
     if missing:
         raise ValueError(f"class sets differ: {sorted(missing)}")
     return float(sum((r_hat_by_class[p] - r_by_class[p]) ** 2 for p in r_by_class))
+
+
+# -- alignment, one event or user at a time -----------------------------------------
+
+
+def involvement_counts(events: Iterable[tuple[str, str, str]]) -> dict[str, dict[str, int]]:
+    """user -> class -> events of that class the user takes part in, from
+    (src, dst, class) triples; a self-loop counts once per role."""
+    counts: dict[str, dict[str, int]] = {}
+    for src, dst, cls in events:
+        for user in (src, dst):
+            row = counts.setdefault(user, dict.fromkeys(CONTENT_CLASSES, 0))
+            row[cls] += 1
+    return counts
+
+
+def classify_users(counts: Mapping[str, Mapping[str, int]], theta: float, min_involvement: int = 0) -> dict[str, str]:
+    """The class holding strictly more than theta of each user's involvement,
+    or "unaligned"; users below the involvement floor are unaligned."""
+    labels = {}
+    for user, row in counts.items():
+        total = sum(row.values())
+        labels[user] = "unaligned"
+        if total >= min_involvement:
+            labels[user] = next((cls for cls in CONTENT_CLASSES if row[cls] / total > theta), "unaligned")
+    return labels
+
+
+def ternary_cells(rows: Iterable[Mapping[str, int]], bins: int) -> dict[tuple[int, int], int]:
+    """Cells (factual bin, misleading bin) per involvement row; a row past the
+    simplex's far edge gives up misleading bins first, then factual ones."""
+    hist: dict[tuple[int, int], int] = {}
+    factual, misleading = CONTENT_CLASSES[0], CONTENT_CLASSES[1]
+    for row in rows:
+        total = sum(row.values())
+        i = min(int(row[factual] / total * bins), bins - 1)
+        j = min(int(row[misleading] / total * bins), bins - 1)
+        while i + j > bins - 1:
+            if j > 0:
+                j -= 1
+            else:
+                i -= 1
+        hist[(i, j)] = hist.get((i, j), 0) + 1
+    return hist

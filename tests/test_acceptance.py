@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import FollowerLog, digraph_of, follower_table
+from oracles import FollowerLog, digraph_of, edge_set, follower_table
 from swaynet import rng as rngmod
-from swaynet.alignment import InvolvementProfile, classify_alignment, classify_all, coverage_curve
+from swaynet.alignment import classify_all, coverage_curve, involvement_profiles, proportions
 from swaynet.backbone import backbone_size_curve, disparity_filter, edge_alpha, null_heterogeneity_moments
 from swaynet.cli import run as cli_run
 from swaynet.events import CONTENT_CLASSES
@@ -76,7 +76,7 @@ def test_c01_disparity_oracle_equivalence():
             edges = [("n0", "n1", int(weights[0, 1 % n]))]
         g = digraph_of(edges)
         for level in levels:
-            assert disparity_filter(g, level).edge_set() == brute_filter(edges, level), (graph_idx, level)
+            assert edge_set(disparity_filter(g, level)) == brute_filter(edges, level), (graph_idx, level)
     assert time.perf_counter() - started < 10.0
 
 
@@ -226,8 +226,6 @@ def test_c06_fit_self_consistency():
 
 @criterion(7, "fitted simulation reproduces the planted factual/misleading ordering in >= 90% of windows")
 def test_c07_growth_ordering_reproduction():
-    from swaynet.alignment import aligned_users, involvement_profiles
-
     seed = 7
     n_windows, n_seg = 14, 15
     fac_windows = {2, 3, 4, 5}  # evaluated windows 2..13: 4 factual-heavy, 8 reversed
@@ -253,9 +251,9 @@ def test_c07_growth_ordering_reproduction():
         swayable_reach={cls: tuple(v) for cls, v in reach.items()},
     )
     columns = synthesize(config, seed).columns()
-    graphs = {cls: columns.build_graph(content_class=cls) for cls in CONTENT_CLASSES}
-    labels = classify_all(involvement_profiles(graphs), 0.95)
-    by_class = {cls: aligned_users(labels, cls) for cls in CONTENT_CLASSES}
+    involvement = involvement_profiles(columns.src, columns.dst, columns.content_class_idx, len(columns.users))
+    labels = classify_all(involvement, 0.95)
+    by_class = {cls: {columns.users[u] for u in np.flatnonzero(labels == c)} for c, cls in enumerate(CONTENT_CLASSES)}
     aligned_any = set().union(*by_class.values())
     table = columns.follower_logs()
     setups, empirical, planted_sign = {}, {}, {}
@@ -328,41 +326,30 @@ def test_c08_windowing_fixtures():
 @criterion(9, "aligned sets nest in theta; coverage matches brute-force recount; 19/20 at 0.95 unaligned")
 def test_c09_alignment_monotonicity_and_coverage():
     gen = rngmod.stream(9000, "profiles")
-    profiles = {}
-    for i in range(400):
-        counts = gen.multinomial(int(gen.integers(1, 60)), [0.55, 0.3, 0.15])
-        profiles[f"u{i}"] = InvolvementProfile(
-            f"u{i}",
-            {cls: int(c) for cls, c in zip(CONTENT_CLASSES, counts) if c},
-            int(counts.sum()),
-        )
+    rows = np.array([gen.multinomial(int(gen.integers(1, 60)), [0.55, 0.3, 0.15]) for _ in range(400)], dtype=np.int64)
     previous = None
     for theta in (0.5, 0.55, 0.65, 0.75, 0.85, 0.95):
-        aligned = {u for u, lab in classify_all(profiles, theta).items() if lab.label != "unaligned"}
+        aligned = set(np.flatnonzero(classify_all(rows, theta) >= 0).tolist())
         if previous is not None:
             assert aligned <= previous
         previous = aligned
 
-    g = digraph_of(
-        [("a", "b", 4), ("b", "c", 2), ("c", "d", 1), ("e", "a", 3)]
-    )
-    fixture = {
-        "a": InvolvementProfile("a", {"factual": 9, "uncertain": 1}, 10),
-        "b": InvolvementProfile("b", {"factual": 6, "misleading": 4}, 10),
-        "c": InvolvementProfile("c", {"factual": 1, "uncertain": 9}, 10),
-        "d": InvolvementProfile("d", {"factual": 5, "misleading": 5}, 10),
-        "e": InvolvementProfile("e", {"factual": 10}, 10),
-    }
+    # One factual event per unit of weight on a -> b (4), b -> c (2), c -> d (1), e -> a (3).
+    users = ["a", "b", "c", "d", "e"]
+    edges = [("a", "b", 4), ("b", "c", 2), ("c", "d", 1), ("e", "a", 3)]
+    src = np.repeat([users.index(s) for s, _, _ in edges], [w for *_, w in edges])
+    dst = np.repeat([users.index(d) for _, d, _ in edges], [w for *_, w in edges])
+    fixture = np.array([[9, 0, 1], [6, 4, 0], [1, 0, 9], [5, 5, 0], [10, 0, 0]], dtype=np.int64)
     grid = [0.5, 0.55, 0.8, 0.85, 0.9]
-    curve = coverage_curve(fixture, g, "factual", grid)
-    total = sum(w for _, _, w in g.edges())
+    curve = coverage_curve(proportions(fixture)[:, 0], src, dst, grid)
+    total = sum(w for _, _, w in edges)
     for theta, fraction in curve:
-        aligned = {u for u, p in fixture.items() if p.counts.get("factual", 0) / p.total > theta}
-        covered = sum(w for s, d, w in g.edges() if s in aligned or d in aligned)
+        aligned = {u for u, row in zip(users, fixture.tolist()) if row[0] / sum(row) > theta}
+        covered = sum(w for s, d, w in edges if s in aligned or d in aligned)
         assert fraction == covered / total  # exact: same integer arithmetic
 
-    borderline = InvolvementProfile("u", {"factual": 19, "uncertain": 1}, 20)
-    assert classify_alignment(borderline, 0.95).label == "unaligned"
+    borderline = np.array([[19, 0, 1]], dtype=np.int64)
+    assert classify_all(borderline, 0.95).tolist() == [-1]
 
 
 # -- 10: determinism and scale --------------------------------------------------------

@@ -7,6 +7,7 @@ from scipy import integrate
 from oracles import (
     backbone_overlap,
     digraph_of,
+    edge_set,
     edge_significance,
     global_threshold_backbone,
     heterogeneity_rows,
@@ -126,7 +127,7 @@ class TestDisparityFilter:
         edges = [("h", "a", 98), ("h", "b", 1), ("h", "c", 1)]
         g = graph_of(*edges)
         kept = disparity_filter(g, 0.05)
-        assert kept.edge_set() == brute_filter_edges(edges, 0.05) == {("h", "a")}
+        assert edge_set(kept) == brute_filter_edges(edges, 0.05) == {("h", "a")}
         assert weight_of(kept, "h", "a") == 98
 
     def test_uniform_weights_never_significant_at_5pct(self):
@@ -148,7 +149,7 @@ class TestDisparityFilter:
             edges = random_weighted_graph(rng, max_nodes=25)
             g = graph_of(*edges)
             for level in (0.01, 0.05, 0.1, 0.37, 0.5):
-                assert disparity_filter(g, level).edge_set() == brute_filter_edges(edges, level)
+                assert edge_set(disparity_filter(g, level)) == brute_filter_edges(edges, level)
 
     def test_nesting_in_alpha(self):
         rng = np.random.default_rng(321)
@@ -156,7 +157,7 @@ class TestDisparityFilter:
         g = graph_of(*edges)
         previous: set = set()
         for level in (0.001, 0.01, 0.05, 0.2, 0.5, 0.9):
-            current = disparity_filter(g, level).edge_set()
+            current = edge_set(disparity_filter(g, level))
             assert previous <= current
             previous = current
 
@@ -178,7 +179,7 @@ class TestGlobalThreshold:
     def test_zero_threshold_is_identity(self):
         g = graph_of(("a", "b", 1), ("c", "d", 5))
         kept = global_threshold_backbone(g, 0)
-        assert kept.edge_set() == g.edge_set()
+        assert edge_set(kept) == edge_set(g)
 
     def test_above_max_weight_empties(self):
         g = graph_of(("a", "b", 3))

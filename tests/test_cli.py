@@ -7,9 +7,21 @@ import shutil
 import numpy as np
 import pytest
 
-from oracles import backbone_overlap, digraph_of, edge_significance, global_threshold_backbone, heterogeneity_rows
+from oracles import (
+    backbone_overlap,
+    classify_users,
+    digraph_of,
+    edge_set,
+    edge_significance,
+    global_threshold_backbone,
+    heterogeneity_rows,
+    involvement_counts,
+    ternary_cells,
+)
 from swaynet.backbone import disparity_filter
-from swaynet.cli import PipelineConfig, run, validate_config
+from swaynet.cli import DEFAULT_THETA_GRID, PipelineConfig, run, validate_config
+from swaynet.events import CLASS_BY_CATEGORY, CONTENT_CLASSES
+from swaynet.graph import load_binary
 
 DAY = 86_400
 
@@ -229,7 +241,15 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "line",
-        ["runs = abc", "alpha = 0.05x", "alpha_grid = 0.1,x", "fit_range = 1.0:x", "fit_range = 2", "range_start = someday"],
+        [
+            "runs = abc",
+            "alpha = 0.05x",
+            "alpha_grid = 0.1,x",
+            "fit_range = 1.0:x",
+            "fit_range = 2",
+            "range_start = someday",
+            "unfiltered = ture",
+        ],
     )
     def test_unconvertible_value_exits_1_naming_key_and_line(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -237,6 +257,49 @@ class TestConfigFile:
         assert run(["backbone", "--out", str(tmp_path), "--config", str(cfg)]) == 1
         key = line.split(" = ")[0]
         assert f"run.cfg:2: {key}: " in capsys.readouterr().err
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize(
+        "stage, flag, value",
+        [
+            ("backbone", "--alpha", "abc"),
+            ("backbone", "--range-start", "2020-13-01"),
+            ("backbone", "--alpha-grid", "0.1,x"),
+            ("diagnose", "--fit-range", "2"),
+            ("diagnose", "--fit-range", "1:2:3"),
+            ("align", "--bins", "2.5"),
+            ("fit", "--runs", "ten"),
+            ("simulate", "--seed", "x"),
+        ],
+    )
+    def test_bad_flag_value_exits_1_naming_the_flag(self, tmp_path, capsys, stage, flag, value):
+        assert run([stage, "--out", str(tmp_path), flag, value]) == 1
+        assert f"error: invalid config: {flag}: " in capsys.readouterr().err
+
+    def test_flag_and_config_file_values_convert_alike(self, tmp_path):
+        import swaynet.cli as cli
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fit_range = 1:50\nrange_start = 2020-03-17\ndelta = 0.5\nr0 = 2\nbins = 7\nstrict = No\nunfiltered = Yes\n")
+        flags = ["--fit-range", "1:50", "--range-start", "2020-03-17"]
+        from_file = cli.resolve_config(cli.build_parser().parse_args(["diagnose", "--out", "x", "--config", str(cfg)]))
+        from_flags = cli.resolve_config(cli.build_parser().parse_args(["diagnose", "--out", "x", *flags]))
+        assert from_file.fit_range == from_flags.fit_range == (1.0, 50.0)
+        assert from_file.range_start == from_flags.range_start == 1584403200
+        assert (from_file.delta, from_file.r0, from_file.bins) == (0.5, 2.0, 7)
+        assert (from_file.strict, from_file.unfiltered) == (False, True)
+
+    def test_numeric_config_value_with_no_default_is_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 0.5\nr0 = 1\n")
+        assert run(["simulate", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        assert "missing input" in capsys.readouterr().err
+
+    def test_unknown_flag_stays_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["backbone", "--out", str(tmp_path), "--bogus", "1"])
+        assert exc.value.code == 2
 
 
 class TestPipeline:
@@ -521,3 +584,131 @@ class TestDiagnoseTables:
             for row, (*_, p_out, p_in, a_out, a_in, alpha) in zip(got, expected):
                 for field, value in zip(row[3:], (p_out, p_in, a_out, a_in, alpha)):
                     assert float(field) == pytest.approx(float(f"{value:.10g}"), rel=1e-12)
+
+
+# A share of exactly theta for each threshold the align runs below use.
+EXACT_SHARES = {0.5: (1, 2), 0.6: (3, 5), 0.75: (3, 4), 0.95: (19, 20)}
+CATEGORY_OF = {"factual": ("SCIENCE", "MSM"), "misleading": ("FAKE/HOAX", "CLICKBAIT"), "uncertain": ("NA", "SATIRE")}
+
+
+def random_class_streams(n_streams=20, seed=909):
+    """(events, options) pairs: (src, dst, category) events among a few users,
+    with self-loops and repeated pairs, a hub whose one weak edge goes to a
+    user seen nowhere else (the backbone drops it), and a user whose
+    factual share is exactly the run's theta; options vary the align flags."""
+    rng = np.random.default_rng(seed)
+    tokens = [tok for cls in CONTENT_CLASSES for tok in CATEGORY_OF[cls]]
+    for k in range(n_streams):
+        n = int(rng.integers(3, 12))
+        events = []
+        for _ in range(int(rng.integers(20, 120))):
+            s, d = rng.integers(0, n, 2)
+            if rng.random() < 0.1:
+                d = s
+            events.append((f"u{s}", f"u{d}", tokens[rng.integers(len(tokens))]))
+        for j in range(3):
+            events += [("hub", f"u{j % n}", "SCIENCE")] * 30
+        events.append(("hub", f"lone{k}", "FAKE/HOAX"))
+        theta = float(rng.choice(list(EXACT_SHARES)))
+        part, whole = EXACT_SHARES[theta]
+        events += [("tie", f"t{i}", "MSM" if i < part else "NA") for i in range(whole)]
+        order = rng.permutation(len(events))
+        options = {
+            "theta": theta,
+            "unfiltered": k % 2 == 0,
+            "min_involvement": int(rng.choice([0, 0, 2, 3])),
+            "bins": int(rng.choice([1, 2, 5, 6, 7, 20])),
+            "theta_grid": None if k % 3 else (0.5, 0.6, 0.75, 0.95),
+            "alpha": float(rng.choice([0.05, 0.2, 0.5])),
+        }
+        yield [events[i] for i in order], options
+
+
+@pytest.fixture(scope="module")
+def aligned_runs(tmp_path_factory):
+    """Each stream ingested, filtered and aligned; with the retained events
+    recounted from the backbone the align stage read."""
+    runs = []
+    for i, (events, options) in enumerate(random_class_streams()):
+        root = tmp_path_factory.mktemp(f"align{i}")
+        with open(root / "in.jsonl", "w") as fh:
+            for ts, (s, d, cat) in enumerate(events):
+                record = {"ts": ts, "src": s, "dst": d, "cat": cat, "src_followers": 1, "dst_followers": 1}
+                record.update(src_bot=False, dst_bot=False, src_verified=False, dst_verified=False)
+                fh.write(json.dumps(record) + "\n")
+        out = ["--out", str(root / "run")]
+        assert run(["ingest", "--events", str(root / "in.jsonl"), *out]) == 0
+        assert run(["backbone", "--alpha", str(options["alpha"]), *out]) == 0
+        flags = ["--theta", str(options["theta"]), "--bins", str(options["bins"])]
+        flags += ["--min-involvement", str(options["min_involvement"])]
+        if options["theta_grid"]:
+            flags += ["--theta-grid", ",".join(map(str, options["theta_grid"]))]
+        if options["unfiltered"]:
+            flags.append("--unfiltered")
+        assert run(["align", *flags, *out]) == 0
+        retained = [(s, d, CLASS_BY_CATEGORY[cat]) for s, d, cat in events]
+        if not options["unfiltered"]:
+            kept = edge_set(load_binary(str(root / "run" / "backbone.bin")))
+            retained = [e for e in retained if e[:2] in kept]
+        runs.append((root / "run", events, retained, options))
+    return runs
+
+
+class TestAlignTables:
+    def test_labels_match_per_event_recount(self, aligned_runs):
+        for run_dir, _, retained, options in aligned_runs:
+            counts = involvement_counts(retained)
+            labels = classify_users(counts, options["theta"], options["min_involvement"])
+            expected = [
+                [u, labels[u], f"{options['theta']:.4f}"]
+                + [f"{counts[u][cls] / sum(counts[u].values()):.6f}" for cls in CONTENT_CLASSES]
+                + [str(sum(counts[u].values()))]
+                for u in sorted(counts)
+            ]
+            assert read_csv_rows(run_dir / "alignment_labels.csv") == expected
+
+    def test_ternary_matches_per_user_clamp(self, aligned_runs):
+        for run_dir, _, retained, options in aligned_runs:
+            cells = ternary_cells(involvement_counts(retained).values(), options["bins"])
+            expected = [[str(i), str(j), str(n)] for (i, j), n in sorted(cells.items())]
+            assert read_csv_rows(run_dir / "ternary.csv") == expected
+
+    def test_coverage_matches_per_event_recount(self, aligned_runs):
+        for run_dir, _, retained, options in aligned_runs:
+            counts = involvement_counts(retained)
+            share = {u: {cls: row[cls] / sum(row.values()) for cls in CONTENT_CLASSES} for u, row in counts.items()}
+            expected = []
+            for cls in CONTENT_CLASSES:
+                in_class = [(s, d) for s, d, c in retained if c == cls]
+                if not in_class:
+                    continue  # a class with no retained retweet has no curve
+                for theta in options["theta_grid"] or DEFAULT_THETA_GRID:
+                    covered = sum(share[s][cls] > theta or share[d][cls] > theta for s, d in in_class)
+                    expected.append([cls, f"{theta:.4f}", f"{covered / len(in_class):.6f}"])
+            assert read_csv_rows(run_dir / "coverage.csv") == expected
+
+    def test_aligned_counts_match_per_user_labels(self, aligned_runs):
+        for run_dir, _, retained, options in aligned_runs:
+            labels = classify_users(involvement_counts(retained), options["theta"], options["min_involvement"])
+            with open(run_dir / "align_meta.json") as fh:
+                params = json.load(fh)["params"]
+            assert params["aligned_counts"] == {cls: list(labels.values()).count(cls) for cls in CONTENT_CLASSES}
+            assert (params["theta"], params["unfiltered"], params["bins"]) == (
+                options["theta"],
+                options["unfiltered"],
+                options["bins"],
+            )
+
+    def test_streams_reach_the_edge_cases(self, aligned_runs):
+        seen = dict.fromkeys(["self_loop", "dropped_only", "exact_share", "aligned", "floor", "odd_bins", "even_bins"], 0)
+        for run_dir, events, retained, options in aligned_runs:
+            counts = involvement_counts(retained)
+            written = {row[0] for row in read_csv_rows(run_dir / "alignment_labels.csv")}
+            seen["self_loop"] += any(s == d for s, d, _ in retained)
+            seen["dropped_only"] += bool({u for s, d, _ in events for u in (s, d)} - written)
+            seen["exact_share"] += options["unfiltered"] and counts["tie"]["factual"] / sum(counts["tie"].values()) == options["theta"]
+            labels = classify_users(counts, options["theta"], options["min_involvement"])
+            seen["aligned"] += any(label != "unaligned" for label in labels.values())
+            seen["floor"] += labels != classify_users(counts, options["theta"])
+            seen["odd_bins" if options["bins"] % 2 else "even_bins"] += 1
+        assert all(seen.values()), seen

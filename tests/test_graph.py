@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import RetweetEvent, columns_of, digraph_of, weight_of
+from oracles import RetweetEvent, columns_of, digraph_of, edge_set, weight_of
 from swaynet.graph import (
     creator_consumer_partition,
     load_binary,
@@ -70,7 +70,7 @@ class TestBuildNetwork:
     def test_class_filter(self):
         events = [ev(1, "A", "B", "factual"), ev(2, "C", "D", "misleading")]
         g = columns_of(events).build_graph(content_class="factual")
-        assert g.edge_set() == {("A", "B")}
+        assert edge_set(g) == {("A", "B")}
 
     def test_weight_sum_equals_retained_events(self):
         rng = np.random.default_rng(0)
@@ -177,13 +177,13 @@ class TestReachability:
         for _ in range(20):
             g, _ = random_graph(rng)
             sources = set(g.labels[:2])
-            assert reachable_set(g, sources) == brute_reachable(g.edge_set(), set(g.labels), sources)
+            assert reachable_set(g, sources) == brute_reachable(edge_set(g), set(g.labels), sources)
 
     def test_reverse_matches_brute_force_on_reversed_edges(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             g, _ = random_graph(rng, p=float(rng.uniform(0.05, 0.4)))
-            reversed_edges = {(d, s) for s, d in g.edge_set()}
+            reversed_edges = {(d, s) for s, d in edge_set(g)}
             targets = set(rng.choice(g.labels, size=int(rng.integers(1, 4))))
             assert reverse_reachable_set(g, targets) == brute_reachable(reversed_edges, set(g.labels), targets)
 

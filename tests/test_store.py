@@ -9,6 +9,7 @@ from oracles import (
     columns_equal,
     columns_of,
     daily_counts,
+    edge_set,
     flag_rates_by_user,
     logs_of,
     synth_events,
@@ -149,7 +150,7 @@ class TestVectorizedEquivalence:
         ):
             g_obj = build_network(events, time_range=time_range, class_filter=cls)
             g_col = columns.build_graph(time_range=time_range, content_class=cls)
-            assert g_col.edge_set() == g_obj.edge_set()
+            assert edge_set(g_col) == edge_set(g_obj)
             assert dict(((s, d), w) for s, d, w in g_col.edges()) == dict(
                 ((s, d), w) for s, d, w in g_obj.edges()
             )
