@@ -45,7 +45,7 @@ from .sir import (
     cascade_populations,
     final_size,
     fit_parameters,
-    simulate_growth_rate,
+    sample_rho,
     swayable_recovered_count,
     temporal_network,
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shutil
 import sys
@@ -24,7 +25,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import report as rep
-from . import rng as rngmod
 from .alignment import UNALIGNED, classify_all, coverage_curve, involvement_profiles, proportions, ternary_histogram
 from .backbone import disparity_filter, significance_arrays, strong_disorder_test
 from .events import CONTENT_CLASSES, InvalidEvents, write_events_jsonl, write_flag_rates_csv, write_follower_logs_csv
@@ -35,7 +35,7 @@ from .sir import (
     FitConfig,
     build_cascade_setup,
     fit_parameters,
-    simulate_growth_rate,
+    sample_rho,
     temporal_network,
 )
 from .store import EventColumns, file_sha256, load_or_parse
@@ -337,6 +337,15 @@ def _dataset_range(config: PipelineConfig, columns: EventColumns) -> tuple[int, 
     return start, end
 
 
+def _time_range(config: PipelineConfig) -> tuple[float, float] | None:
+    """The configured [start, end) event filter; a lone bound leaves the other side open."""
+    if config.range_start is None and config.range_end is None:
+        return None
+    start = -math.inf if config.range_start is None else config.range_start
+    end = math.inf if config.range_end is None else config.range_end
+    return start, end
+
+
 def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
     """events.jsonl, its column cache, follower logs and flag rates."""
     with open(_path(config, EVENTS_FILE), "w") as fh:
@@ -362,8 +371,7 @@ def _load_labels(config: PipelineConfig) -> tuple[dict[str, set[str]], float]:
 
 def _backbone_pair_mask(columns: EventColumns, backbone: WeightedDigraph) -> np.ndarray:
     """Mask of events whose aggregated edge survived the filter."""
-    index = {u: i for i, u in enumerate(columns.users)}
-    ids = np.array([index.get(u, -1) for u in backbone.labels], dtype=np.int64)
+    ids = columns.ids(backbone.labels)
     src, dst = ids[backbone.edge_src], ids[backbone.edge_dst]
     known = (src >= 0) & (dst >= 0)
     wanted = np.unique(src[known] * len(columns.users) + dst[known])  # sorted, for searchsorted
@@ -394,9 +402,7 @@ def cmd_ingest(config: PipelineConfig) -> str:
         raise ConfigError("events: input path is required for ingest")
     if not os.path.exists(config.events):
         raise MissingInput(f"input events file not found: {config.events}")
-    time_range = None
-    if config.range_start is not None and config.range_end is not None:
-        time_range = (config.range_start, config.range_end)
+    time_range = _time_range(config)
     try:
         if config.fmt == "csv" or (config.fmt is None and config.events.endswith(".csv")):
             with open(config.events, newline="") as fh:
@@ -494,10 +500,7 @@ def _optional_class_table(config: PipelineConfig, prefix: str) -> dict[str, tupl
 def cmd_backbone(config: PipelineConfig) -> str:
     hashes: dict[str, str] = {}
     columns = _load_columns(config, hashes)
-    time_range = None
-    if config.range_start is not None and config.range_end is not None:
-        time_range = (config.range_start, config.range_end)
-    g = columns.build_graph(time_range=time_range)
+    g = columns.build_graph(time_range=_time_range(config))
     filtered = disparity_filter(g, config.alpha)
     save_binary(filtered, _path(config, BACKBONE_FILE))
     meta = {
@@ -671,16 +674,21 @@ def _fit_windows(config: PipelineConfig, columns: EventColumns) -> list[TimeWind
 
 
 def _build_setups(config: PipelineConfig, columns: EventColumns, by_class: dict[str, set[str]]):
-    aligned_any = set().union(*by_class.values()) if by_class else set()
+    """Window start -> class -> cascade setup, over the fit windows."""
+    windows = _fit_windows(config, columns)
+    if not windows:
+        raise ConfigError("lookback: no window has a fully covered lookback period")
+    aligned_any = set().union(*by_class.values())
     snapshots = columns.follower_logs()
-    setups: dict[int, dict[str, object]] = {}
-    for window in _fit_windows(config, columns):
-        per_class = {}
-        for cls in CONTENT_CLASSES:
-            g = temporal_network(columns, window, config.lookback, cls)
-            per_class[cls] = build_cascade_setup(g, window, cls, by_class[cls], aligned_any, snapshots)
-        setups[window.start] = per_class
-    return setups
+    return {
+        window.start: {
+            cls: build_cascade_setup(
+                temporal_network(columns, window, config.lookback, cls), window, by_class[cls], aligned_any, snapshots
+            )
+            for cls in CONTENT_CLASSES
+        }
+        for window in windows
+    }
 
 
 def cmd_simulate(config: PipelineConfig) -> str:
@@ -690,34 +698,17 @@ def cmd_simulate(config: PipelineConfig) -> str:
     columns = _load_columns(config, hashes)
     by_class, _ = _load_labels(config)
     setups = _build_setups(config, columns, by_class)
-    if not setups:
-        raise ConfigError("lookback: no window has a fully covered lookback period")
     with open(_path(config, "simulate.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "class", "delta", "r0", "r_hat_mean", "r_hat_std", "n_aligned", "n_swayable"])
         for w_start in sorted(setups):
             for cls in CONTENT_CLASSES:
                 setup = setups[w_start][cls]
-                if not setup.simulable:
-                    w.writerow([w_start, cls, config.delta, config.r0, "", "", len(setup.v_a), len(setup.v_sw)])
-                    continue
-                samples = []
-                for rep_i in range(config.runs):
-                    gen = rngmod.stream(config.seed, w_start, rep_i, cls)
-                    samples.append(simulate_growth_rate(setup, config.r0, config.delta, gen))
-                arr = np.asarray(samples)
-                w.writerow(
-                    [
-                        w_start,
-                        cls,
-                        config.delta,
-                        config.r0,
-                        f"{arr.mean():.8f}",
-                        f"{arr.std():.8f}",
-                        len(setup.v_a),
-                        len(setup.v_sw),
-                    ]
-                )
+                stats = ["", ""]
+                if setup.simulable:
+                    r_hat = config.delta * sample_rho(setup, [config.r0], config.runs, config.seed, w_start, cls)[0]
+                    stats = [f"{r_hat.mean():.8f}", f"{r_hat.std():.8f}"]
+                w.writerow([w_start, cls, config.delta, config.r0, *stats, len(setup.f_a), len(setup.f_sw)])
     _write_meta(
         config,
         "simulate",
@@ -757,8 +748,6 @@ def cmd_fit(config: PipelineConfig) -> str:
     by_class, _ = _load_labels(config)
     empirical = _empirical(_growth_points(config))
     setups = _build_setups(config, columns, by_class)
-    if not setups:
-        raise ConfigError("lookback: no window has a fully covered lookback period")
     fit_config = FitConfig(
         r0_min=config.r0_min,
         r0_max=config.r0_max,
@@ -839,10 +828,10 @@ def cmd_report(config: PipelineConfig) -> str:
     rep.emit_heterogeneity_summary(out("supp_heterogeneity.csv"), rep.strong_disorder_test(g, config.band_multiplier))
     rep.emit_topology(os.path.join(out_dir, "supp_topology.json"), backbone, config.fit_range)
     _, bot_rate, verification_rate = columns.flag_rates()
-    index = {u: i for i, u in enumerate(columns.users)}
-    original, kept = np.zeros(len(index), dtype=bool), np.zeros(len(index), dtype=bool)
-    original[[index[u] for u in g.labels]] = True
-    kept[[index[u] for u in backbone.labels if u in index]] = True
+    # Every interned user is an endpoint of the unfiltered graph g.
+    original, kept = np.ones(len(columns.users), dtype=bool), np.zeros(len(columns.users), dtype=bool)
+    ids = columns.ids(backbone.labels)
+    kept[ids[ids >= 0]] = True
     rep.emit_flag_retention(out("supp_flag_retention.csv"), bot_rate, verification_rate, original, kept)
 
     for path in emitted:

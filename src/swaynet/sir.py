@@ -68,31 +68,23 @@ def cascade_populations(
 
 @dataclass(frozen=True)
 class CascadeSetup:
-    """Populations and follower snapshot for one (window, class) cascade."""
+    """Pre-window follower counts for one (window, class) cascade."""
 
-    window: TimeWindow
-    content_class: str
-    v_a: tuple[str, ...]
-    v_sw: tuple[str, ...]
-    f_a: np.ndarray  # follower counts aligned with v_a
-    f_sw: np.ndarray  # follower counts aligned with v_sw
-    fallback_users: tuple[str, ...] = ()  # users lacking a pre-window snapshot
-
-    def __post_init__(self):
-        if len(self.v_a) != len(self.f_a) or len(self.v_sw) != len(self.f_sw):
-            raise ValueError("population and follower arrays disagree in length")
+    f_a: np.ndarray  # of the seeds V_a, in label order
+    f_sw: np.ndarray  # of the swayable pool V_sw, in label order: the sampler's permutation indexes it
+    n_fallback: int = 0  # users lacking a pre-window snapshot
 
     @property
     def n(self) -> int:
-        return len(self.v_a) + len(self.v_sw)
+        return len(self.f_a) + len(self.f_sw)
 
     @property
     def s0(self) -> float:
-        return len(self.v_sw) / self.n
+        return len(self.f_sw) / self.n
 
     @property
     def i0(self) -> float:
-        return len(self.v_a) / self.n
+        return len(self.f_a) / self.n
 
     @property
     def sum_f_a(self) -> int:
@@ -100,25 +92,21 @@ class CascadeSetup:
 
     @property
     def simulable(self) -> bool:
-        return len(self.v_a) > 0 and len(self.v_sw) > 0 and self.sum_f_a > 0
+        return len(self.f_a) > 0 and len(self.f_sw) > 0 and self.sum_f_a > 0
 
 
 def build_cascade_setup(
     g: WeightedDigraph,
     window: TimeWindow,
-    content_class: str,
     aligned_class: set[str],
     aligned_any: set[str],
     snapshots: FollowerSnapshots,
 ) -> CascadeSetup:
-    """Assemble populations and pre-window follower snapshots on g."""
+    """Populations on g and their follower counts just before the window."""
     v_a, v_sw = cascade_populations(g, aligned_class, aligned_any)
-    va = tuple(sorted(v_a))
-    vsw = tuple(sorted(v_sw))
-    f_a, fb_a = snapshots.at(va, window.start)
-    f_sw, fb_sw = snapshots.at(vsw, window.start)
-    fallback = tuple(u for u, fb in zip(va + vsw, np.concatenate([fb_a, fb_sw])) if fb)
-    return CascadeSetup(window, content_class, va, vsw, f_a, f_sw, fallback)
+    f_a, fb_a = snapshots.at(sorted(v_a), window.start)
+    f_sw, fb_sw = snapshots.at(sorted(v_sw), window.start)
+    return CascadeSetup(f_a, f_sw, int(fb_a.sum() + fb_sw.sum()))
 
 
 # -- final-size relation -------------------------------------------------------
@@ -213,29 +201,35 @@ def recovered_follower_sums(
     return prefix[counts]
 
 
-def simulate_growth_rate(
+def sample_rho(
     setup: CascadeSetup,
-    r0_param: float,
-    delta: float,
-    rng: np.random.Generator,
-) -> float:
-    """One stochastic estimate of the follower increase rate.
+    r0_values: Sequence[float],
+    runs: int,
+    seed: int,
+    window_start: int,
+    content_class: str,
+) -> np.ndarray:
+    """Sampled swayable followers over the aligned follower mass, (R0, replicate).
 
     The final-size relation fixes how many swayable users the cascade
-    reaches; those are drawn uniformly without replacement and their
-    followers, scaled by delta, are compared with the aligned group's
-    follower mass. The draw is the one fit_parameters makes for the same
-    stream, so the estimate equals the fit's replicate at a grid R0.
+    reaches at each R0; those are drawn uniformly without replacement.
+    Replicate `rep` draws one permutation of the pool from the stream keyed
+    (seed, window start, rep, class), and its prefix sums serve every R0, so
+    fit and simulate see the same draws at the same R0. Times delta, the
+    result is the simulated growth rate.
     """
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
     sum_a = setup.sum_f_a
-    if len(setup.v_a) == 0 or sum_a <= 0:
+    if len(setup.f_a) == 0 or sum_a <= 0:
         raise ValueError("cascade setup has no aligned follower mass")
-    r_inf = final_size(setup.s0, r0_param)
-    count = swayable_recovered_count(setup.n, r_inf, setup.i0)
-    sampled = recovered_follower_sums(setup.f_sw, np.array([count]), rng)[0]
-    return float(delta * (sampled / sum_a))
+    counts = np.array(
+        [swayable_recovered_count(setup.n, final_size(setup.s0, float(r0)), setup.i0) for r0 in r0_values],
+        dtype=np.int64,
+    )
+    rho = np.empty((len(counts), runs), dtype=np.float64)
+    for rep in range(runs):
+        gen = rngmod.stream(seed, window_start, rep, content_class)
+        rho[:, rep] = recovered_follower_sums(setup.f_sw, counts, gen) / sum_a
+    return rho
 
 
 # -- fitting -------------------------------------------------------------------
@@ -264,8 +258,10 @@ class FitConfig:
             raise ValueError("lookback_months must be >= 1")
 
     def r0_grid(self) -> np.ndarray:
-        n = int(round((self.r0_max - self.r0_min) / self.r0_step)) + 1
-        return self.r0_min + self.r0_step * np.arange(n)
+        """r0_min in steps of r0_step, never past r0_max; r0_max itself is
+        the last point when the span is a whole number of steps."""
+        n = math.floor((self.r0_max - self.r0_min) / self.r0_step + 1e-9) + 1
+        return np.minimum(self.r0_min + self.r0_step * np.arange(n), self.r0_max)
 
 
 @dataclass(frozen=True)
@@ -330,9 +326,7 @@ class FitResult:
 @dataclass
 class _WindowCache:
     window_start: int
-    classes: tuple[str, ...]
     rho: np.ndarray  # (grid, replicate, class): sampled follower sum / aligned mass
-    r0_of_pair: np.ndarray  # (grid*replicate,) R0 value per flattened pair
     empirical: np.ndarray  # (class,)
 
 
@@ -340,36 +334,14 @@ def _precompute_window(
     window_start: int,
     setups: Mapping[str, CascadeSetup],
     empirical: Mapping[str, float],
-    classes: Sequence[str],
     grid: np.ndarray,
     runs: int,
     seed: int,
 ) -> _WindowCache:
-    """Sample the replicate follower sums once; they do not depend on delta.
-
-    Each (replicate, class) draws one permutation of the swayable pool from
-    the stream keyed by (seed, window start, replicate, class); its prefix
-    sums give the sampled followers at every grid point, so the draws are
-    shared across the R0 grid and scheduling cannot change results.
-    """
-    rho = np.empty((len(grid), runs, len(classes)), dtype=np.float64)
-    for c, cls in enumerate(classes):
-        setup = setups[cls]
-        counts = np.array(
-            [swayable_recovered_count(setup.n, final_size(setup.s0, float(r0)), setup.i0) for r0 in grid],
-            dtype=np.int64,
-        )
-        sum_a = setup.sum_f_a
-        for rep in range(runs):
-            gen = rngmod.stream(seed, window_start, rep, cls)
-            rho[:, rep, c] = recovered_follower_sums(setup.f_sw, counts, gen) / sum_a
-    return _WindowCache(
-        window_start=window_start,
-        classes=tuple(classes),
-        rho=rho,
-        r0_of_pair=np.repeat(grid, runs),
-        empirical=np.array([empirical[cls] for cls in classes], dtype=np.float64),
-    )
+    """Sample the replicate follower sums once, per class in `empirical`'s
+    order; they do not depend on delta."""
+    rho = np.stack([sample_rho(setups[cls], grid, runs, seed, window_start, cls) for cls in empirical], axis=2)
+    return _WindowCache(window_start, rho, np.array(list(empirical.values()), dtype=np.float64))
 
 
 def _window_acceptance(cache: _WindowCache, delta: float, tolerance_pct: float):
@@ -453,7 +425,6 @@ def fit_parameters(
     setups_per_window: Mapping[int, Mapping[str, CascadeSetup]],
     empirical_rates: Mapping[int, Mapping[str, float | None]],
     config: FitConfig,
-    classes: Sequence[str] = CONTENT_CLASSES,
     threads: int = 1,
 ) -> FitResult:
     """Fit the global delta and per-window accepted reproduction numbers.
@@ -468,45 +439,34 @@ def fit_parameters(
     grid, and never depend on delta, scheduling, or window order.
     """
     grid = config.r0_grid()
-    caches: list[_WindowCache] = []
+    runs = config.runs_per_point
     excluded: dict[int, str] = {}
     jobs = []
     for w_start in sorted(setups_per_window):
         setups = setups_per_window[w_start]
         rates = empirical_rates.get(w_start, {})
-        missing = [p for p in classes if p not in setups or setups[p] is None]
+        missing = [p for p in CONTENT_CLASSES if p not in setups or setups[p] is None]
         if missing:
             excluded[w_start] = f"no cascade setup for: {', '.join(missing)}"
             continue
-        unsimulable = [p for p in classes if not setups[p].simulable]
+        unsimulable = [p for p in CONTENT_CLASSES if not setups[p].simulable]
         if unsimulable:
             excluded[w_start] = f"empty populations or zero aligned followers for: {', '.join(unsimulable)}"
             continue
-        undefined = [p for p in classes if rates.get(p) is None]
+        undefined = [p for p in CONTENT_CLASSES if rates.get(p) is None]
         if undefined:
             excluded[w_start] = f"empirical rate undefined for: {', '.join(undefined)}"
             continue
-        jobs.append((w_start, setups, {p: float(rates[p]) for p in classes}))
+        jobs.append((w_start, setups, {p: float(rates[p]) for p in CONTENT_CLASSES}))
     if not jobs:
         raise ValueError("no simulable window: nothing to fit")
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    # Imported here, not at the top: only fit runs a pool, and the import
+    # would add about 0.6 MB to every stage process.
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            caches = list(
-                pool.map(
-                    lambda job: _precompute_window(
-                        job[0], job[1], job[2], classes, grid, config.runs_per_point, config.seed
-                    ),
-                    jobs,
-                )
-            )
-    else:
-        caches = [
-            _precompute_window(w, s, r, classes, grid, config.runs_per_point, config.seed)
-            for w, s, r in jobs
-        ]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        caches = list(pool.map(lambda job: _precompute_window(*job, grid, runs, config.seed), jobs))
 
     lo, hi = DELTA_BOUNDS
     objective = lambda d: _objective(caches, d, config.tolerance_pct)
@@ -519,23 +479,17 @@ def fit_parameters(
     delta_opt, f_opt, evals = nelder_mead_1d(objective, (float(scan[best_i]), second), (lo, hi))
     evals += len(scan)
 
-    fallback_counts = {
-        w_start: sum(len(per_class[p].fallback_users) for p in classes)
-        for w_start, per_class, _ in jobs
-    }
     window_fits = []
-    for cache in caches:
+    for (_, setups, _), cache in zip(jobs, caches):
         q, accepted = _window_acceptance(cache, delta_opt, config.tolerance_pct)
-        flat_rho = cache.rho.reshape(-1, len(classes))
+        flat_rho = cache.rho.reshape(-1, len(CONTENT_CLASSES))
         window_fits.append(
             WindowFit(
                 window_start=cache.window_start,
-                accepted_r0=cache.r0_of_pair[accepted].copy(),
-                accepted_loss=q[accepted].copy(),
-                simulated_rates={
-                    p: delta_opt * flat_rho[accepted, c] for c, p in enumerate(classes)
-                },
-                n_fallback_snapshots=fallback_counts[cache.window_start],
+                accepted_r0=grid[accepted // runs],
+                accepted_loss=q[accepted],
+                simulated_rates={p: delta_opt * flat_rho[accepted, c] for c, p in enumerate(CONTENT_CLASSES)},
+                n_fallback_snapshots=sum(setups[p].n_fallback for p in CONTENT_CLASSES),
             )
         )
     return FitResult(

@@ -47,8 +47,23 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+class _UserTable:
+    """Label lookup over a `users` list, shared by the tables keyed by it."""
+
+    users: list[str]
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
+
+    def ids(self, labels: Iterable[str]) -> np.ndarray:
+        """Index of each label in `users`, in input order; -1 for labels the table lacks."""
+        index = self._index
+        return np.array([index.get(u, -1) for u in labels], dtype=np.int64)
+
+
 @dataclass
-class EventColumns:
+class EventColumns(_UserTable):
     users: list[str]
     ts: np.ndarray
     src: np.ndarray
@@ -198,14 +213,13 @@ class EventColumns:
         """Per-class per-day counts of events touching that class's aligned users."""
         from .growth import SECONDS_PER_DAY
 
-        index = {u: i for i, u in enumerate(self.users)}
         day = self.ts // SECONDS_PER_DAY
         cls_idx = self.content_class_idx
         out: dict[str, dict[int, int]] = {}
         for cls, aligned in aligned_by_class.items():
             member = np.zeros(len(self.users), dtype=bool)
-            ids = [index[u] for u in aligned if u in index]
-            member[ids] = True
+            ids = self.ids(aligned)
+            member[ids[ids >= 0]] = True
             mask = (cls_idx == _CLASS_INDEX[cls]) & (member[self.src] | member[self.dst])
             days, counts = np.unique(day[mask], return_counts=True)
             out[cls] = {int(d): int(c) for d, c in zip(days, counts)}
@@ -213,7 +227,7 @@ class EventColumns:
 
 
 @dataclass(eq=False)
-class FollowerSnapshots:
+class FollowerSnapshots(_UserTable):
     """Every user's follower-count log as one flat table.
 
     User i (an index into `users`) owns rows ptr[i]:ptr[i + 1] of `ts` and
@@ -225,15 +239,6 @@ class FollowerSnapshots:
     ptr: np.ndarray
     ts: np.ndarray
     count: np.ndarray
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.users)}
-
-    def ids(self, users: Iterable[str]) -> np.ndarray:
-        """Index of each label in `users`, in input order; -1 for labels the table lacks."""
-        index = self._index
-        return np.array([index.get(u, -1) for u in users], dtype=np.int64)
 
     @cached_property
     def _keys(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,9 @@ build small hand-written inputs with `RetweetEvent` and `FollowerLog`;
 The graph and diagnostic oracles work one edge or node side at a time:
 `digraph_of` builds every test graph from (src, dst, weight) triples, and
 the heterogeneity, significance, overlap and window-loss oracles are the
-scalar forms the array code in swaynet is checked against. The alignment
+scalar forms the array code in swaynet is checked against.
+`simulate_growth_rate` draws one cascade replicate at a time, the scalar
+form of the sampler that fit and simulate share. The alignment
 oracles at the end recount involvement one event at a time and classify
 and bin one user at a time.
 """
@@ -39,6 +41,7 @@ from swaynet.events import (
 )
 from swaynet.graph import WeightedDigraph
 from swaynet.growth import GrowthPoint, TimeWindow
+from swaynet.sir import final_size, swayable_recovered_count
 from swaynet.store import EventColumns, FollowerSnapshots
 
 SECONDS_PER_DAY = 86_400
@@ -462,6 +465,21 @@ def window_loss(r_hat_by_class: Mapping[str, float], r_by_class: Mapping[str, fl
     if missing:
         raise ValueError(f"class sets differ: {sorted(missing)}")
     return float(sum((r_hat_by_class[p] - r_by_class[p]) ** 2 for p in r_by_class))
+
+
+def simulate_growth_rate(setup, r0: float, delta: float, rng: np.random.Generator) -> float:
+    """One replicate of the simulated growth rate, drawn on its own.
+
+    The final-size relation fixes how many swayable users recover; they are
+    the first that many of one uniform permutation of the pool, and their
+    followers over the aligned follower mass, scaled by delta, give the rate.
+    """
+    sum_a = int(setup.f_a.sum())
+    if len(setup.f_a) == 0 or sum_a <= 0:
+        raise ValueError("cascade setup has no aligned follower mass")
+    count = swayable_recovered_count(setup.n, final_size(setup.s0, r0), setup.i0)
+    sampled = int(setup.f_sw[rng.permutation(len(setup.f_sw))[:count]].sum())
+    return delta * (sampled / sum_a)
 
 
 # -- alignment, one event or user at a time -----------------------------------------

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import FollowerLog, digraph_of, edge_set, follower_table
+from oracles import FollowerLog, digraph_of, edge_set, follower_table, simulate_growth_rate
 from swaynet import rng as rngmod
 from swaynet.alignment import classify_all, coverage_curve, involvement_profiles, proportions
 from swaynet.backbone import backbone_size_curve, disparity_filter, edge_alpha, null_heterogeneity_moments
 from swaynet.cli import run as cli_run
 from swaynet.events import CONTENT_CLASSES
-from swaynet.growth import TimeWindow, sliding_windows, trend_line, window_growth_rate
-from swaynet.sir import CascadeSetup, FitConfig, build_cascade_setup, final_size, fit_parameters, simulate_growth_rate
+from swaynet.growth import sliding_windows, trend_line, window_growth_rate
+from swaynet.sir import CascadeSetup, FitConfig, build_cascade_setup, final_size, fit_parameters
 from swaynet.synth import SynthConfig, synthesize
 
 DAY = 86_400
@@ -189,16 +189,11 @@ def test_c06_fit_self_consistency():
     setups, empirical = {}, {}
     for w in range(12):
         start = 60 * DAY + w * 15 * DAY
-        window = TimeWindow(start, start + 30 * DAY)
         per_class, rates = {}, {}
         for ci, cls in enumerate(CONTENT_CLASSES):
             n_a = 50 + int(gen.integers(-5, 6))
             n_sw = 500 + 25 * ci + int(gen.integers(-20, 21))
             setup = CascadeSetup(
-                window=window,
-                content_class=cls,
-                v_a=tuple(f"a{i}" for i in range(n_a)),
-                v_sw=tuple(f"s{i}" for i in range(n_sw)),
                 f_a=np.asarray(gen.integers(100, 400, n_a), dtype=np.int64),
                 f_sw=np.asarray(gen.integers(100, 400, n_sw), dtype=np.int64),
             )
@@ -267,7 +262,6 @@ def test_c07_growth_ordering_reproduction():
             cls: build_cascade_setup(
                 columns.build_graph(time_range=(window.start - 30 * DAY, window.start), content_class=cls),
                 window,
-                cls,
                 by_class[cls],
                 aligned_any,
                 table,

@@ -428,8 +428,30 @@ class TestPipeline:
         assert rows
         for row in rows:
             start, cls = int(row["window_start"]), row["class"]
-            cache = _precompute_window(start, {cls: setups[start][cls]}, {cls: 0.0}, (cls,), grid, 10, 9)
+            cache = _precompute_window(start, {cls: setups[start][cls]}, {cls: 0.0}, grid, 10, 9)
             assert row["r_hat_mean"] == f"{(0.05 * cache.rho[40, :, 0]).mean():.8f}", (start, cls)
+
+    def test_simulate_off_grid_matches_per_replicate_oracle(self, tmp_path):
+        from oracles import simulate_growth_rate
+        from swaynet import cli
+        from swaynet import rng as rngmod
+
+        run_pipeline(tmp_path, with_fit=False)
+        delta, r0, runs, seed = 0.05, 1.2345, 37, 9
+        assert run(
+            ["simulate", "--out", str(tmp_path), "--delta", str(delta), "--r0", str(r0), "--runs", str(runs), "--seed", str(seed)]
+        ) == 0
+        config = PipelineConfig(out=str(tmp_path), seed=seed, runs=runs)
+        setups = cli._build_setups(config, cli._load_columns(config), cli._load_labels(config)[0])
+        with open(tmp_path / "simulate.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["r_hat_mean"] != ""]
+        assert rows
+        for row in rows:
+            start, cls = int(row["window_start"]), row["class"]
+            draws = np.array(
+                [simulate_growth_rate(setups[start][cls], r0, delta, rngmod.stream(seed, start, rep, cls)) for rep in range(runs)]
+            )
+            assert (row["r_hat_mean"], row["r_hat_std"]) == (f"{draws.mean():.8f}", f"{draws.std():.8f}"), (start, cls)
 
     def test_diagnose_stage(self, tmp_path):
         assert run(synth_args(tmp_path)) == 0
@@ -443,6 +465,71 @@ class TestPipeline:
         assert meta["seed"] == 9
         assert "events.jsonl" in meta["inputs"]
         assert len(meta["inputs"]["events.jsonl"]) == 64
+
+
+def write_daily_jsonl(path, n_days=100):
+    """One event per day, at noon of days 0..n_days-1."""
+    cats = ("SCIENCE", "FAKE/HOAX", "NA")
+    with open(path, "w") as fh:
+        for d in range(n_days):
+            record = {"ts": d * DAY + DAY // 2, "src": f"u{d % 7}", "dst": f"v{d % 5}", "cat": cats[d % 3]}
+            record.update(src_followers=d, dst_followers=2 * d, src_bot=False, dst_bot=False)
+            record.update(src_verified=False, dst_verified=False)
+            fh.write(json.dumps(record) + "\n")
+
+
+class TestRangeBounds:
+    """A lone --range-start or --range-end filters on its own side."""
+
+    @pytest.fixture
+    def daily(self, tmp_path):
+        write_daily_jsonl(tmp_path / "in.jsonl")
+        return tmp_path
+
+    def ingest(self, root, name, *bounds):
+        out = root / name
+        assert run(["ingest", "--out", str(out), "--events", str(root / "in.jsonl"), *bounds]) == 0
+        return out, json.loads((out / "ingest_meta.json").read_text())["params"]
+
+    @pytest.mark.parametrize(
+        "bounds, kept",
+        [
+            (("--range-start", str(50 * DAY)), 50),
+            (("--range-end", str(50 * DAY)), 50),
+            (("--range-start", str(50 * DAY), "--range-end", str(60 * DAY)), 10),
+            ((), 100),
+        ],
+    )
+    def test_ingest_keeps_events_inside_the_bounds(self, daily, bounds, kept):
+        _, params = self.ingest(daily, "run", *bounds)
+        assert (params["n_events"], params["n_errors"]) == (kept, 100 - kept)
+
+    def test_lone_bound_equals_a_pair_with_an_open_far_side(self, daily):
+        lone, _ = self.ingest(daily, "lone", "--range-start", str(50 * DAY))
+        pair, _ = self.ingest(daily, "pair", "--range-start", str(50 * DAY), "--range-end", str(1000 * DAY))
+        assert (lone / "events.jsonl").read_bytes() == (pair / "events.jsonl").read_bytes()
+
+    def test_bounds_around_all_events_keep_the_unbounded_bytes(self, daily):
+        everything, _ = self.ingest(daily, "all")
+        wide, _ = self.ingest(daily, "wide", "--range-start", "0", "--range-end", str(100 * DAY))
+        assert tree_digest(everything / "events_cache") == tree_digest(wide / "events_cache")
+        for name in ("events.jsonl", "follower_logs.csv", "flag_rates.csv"):
+            assert (everything / name).read_bytes() == (wide / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "bounds, weight",
+        [
+            (("--range-start", str(50 * DAY)), 50),
+            (("--range-end", str(30 * DAY)), 30),
+            (("--range-start", str(50 * DAY), "--range-end", str(60 * DAY)), 10),
+            ((), 100),
+        ],
+    )
+    def test_backbone_graph_covers_the_bounds(self, daily, bounds, weight):
+        out, _ = self.ingest(daily, "run")
+        assert run(["backbone", "--out", str(out), "--alpha", "0.5", *bounds]) == 0
+        meta = json.loads((out / "backbone_meta.json").read_text())
+        assert meta["params"]["original"]["weight"] == weight
 
 
 class TestParsingHelpers:

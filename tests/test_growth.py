@@ -173,6 +173,11 @@ class TestDailyCounts:
         counts = columns_of([ev(100, "a", "b")]).daily_counts_by_class({"factual": {"a", "b"}})["factual"]
         assert counts == {0: 1}
 
+    def test_label_missing_from_the_user_table_is_ignored(self):
+        columns = columns_of([ev(100, "a", "x"), ev(100 + DAY, "b", "y")])
+        assert columns.ids(["b", "ghost", "a"]).tolist() == [2, -1, 0]
+        assert columns.daily_counts_by_class({"factual": {"ghost", "a"}})["factual"] == {0: 1}
+
     def test_day_without_events_absent(self):
         counts = columns_of([ev(100, "a", "x")]).daily_counts_by_class({"factual": {"a"}})["factual"]
         assert 1 not in counts

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from swaynet import rng as rngmod
-from oracles import FollowerLog, RetweetEvent, columns_of, digraph_of, edge_set, follower_snapshot, follower_table, window_loss
+from oracles import (
+    FollowerLog,
+    RetweetEvent,
+    columns_of,
+    digraph_of,
+    edge_set,
+    follower_snapshot,
+    follower_table,
+    simulate_growth_rate,
+    window_loss,
+)
 from swaynet.growth import TimeWindow
 from swaynet.sir import (
     CascadeSetup,
@@ -15,7 +25,7 @@ from swaynet.sir import (
     fit_parameters,
     nelder_mead_1d,
     recovered_follower_sums,
-    simulate_growth_rate,
+    sample_rho,
     swayable_recovered_count,
     temporal_network,
     _precompute_window,
@@ -201,51 +211,37 @@ class TestSwayableRecoveredCount:
         assert swayable_recovered_count(10, 0.35, 0.1) == round(2.5)
 
 
-def make_setup(n_a=2, n_sw=5, f_a=(100, 400), f_sw=(10, 20, 30, 40, 900), cls="factual"):
-    return CascadeSetup(
-        window=TimeWindow(0, 30 * DAY),
-        content_class=cls,
-        v_a=tuple(f"a{i}" for i in range(n_a)),
-        v_sw=tuple(f"s{i}" for i in range(n_sw)),
-        f_a=np.array(f_a, dtype=np.int64),
-        f_sw=np.array(f_sw, dtype=np.int64),
-    )
+def make_setup(f_a=(100, 400), f_sw=(10, 20, 30, 40, 900)):
+    return CascadeSetup(f_a=np.array(f_a, dtype=np.int64), f_sw=np.array(f_sw, dtype=np.int64))
 
 
 class TestSimulateGrowthRate:
+    """The sampler simulate and fit share: rho times delta is the simulated rate."""
+
     def test_full_sample_deterministic(self):
-        # All swayable users recovered: r_hat = delta * sum(f_sw) / sum(f_a).
-        setup = make_setup(n_a=1, n_sw=4, f_a=(500,), f_sw=(100, 200, 300, 400))
-        gen = rngmod.stream(0, "t")
-        r_hat = simulate_growth_rate(setup, 50.0, 0.1, gen)  # huge R0 -> everyone
-        assert r_hat == pytest.approx(0.1 * 1000 / 500) == pytest.approx(0.2)
+        # All swayable users recovered: rho = sum(f_sw) / sum(f_a).
+        setup = make_setup(f_a=(500,), f_sw=(100, 200, 300, 400))
+        rho = sample_rho(setup, [50.0], 3, 0, 0, "factual")  # huge R0 -> everyone
+        assert rho.shape == (1, 3)
+        assert np.all(rho == 1000 / 500)
 
     def test_zero_count_gives_zero(self):
-        setup = make_setup()
-        assert simulate_growth_rate(setup, 0.0, 0.5, rngmod.stream(0, "t")) == 0.0
-
-    def test_linear_in_delta(self):
-        setup = make_setup()
-        a = simulate_growth_rate(setup, 2.0, 0.2, rngmod.stream(9, "x"))
-        b = simulate_growth_rate(setup, 2.0, 0.4, rngmod.stream(9, "x"))
-        assert b == pytest.approx(2 * a)
+        assert np.all(sample_rho(make_setup(), [0.0], 3, 0, 0, "factual") == 0.0)
 
     def test_zero_aligned_mass_is_error(self):
         setup = make_setup(f_a=(0, 0))
-        with pytest.raises(ValueError):
-            simulate_growth_rate(setup, 1.0, 0.5, rngmod.stream(0, "t"))
+        with pytest.raises(ValueError, match="no aligned follower mass"):
+            sample_rho(setup, [1.0], 1, 0, 0, "factual")
 
     def test_expectation_matches_uniform_sampling(self):
         # E[r_hat] = delta * (m / n_sw) * sum(f_sw) / sum(f_a) for a fixed
         # recovered count m, by symmetry of sampling without replacement.
-        setup = make_setup(n_a=1, n_sw=10, f_a=(1000,), f_sw=tuple(int(x) for x in np.geomspace(10, 5000, 10)))
+        setup = make_setup(f_a=(1000,), f_sw=tuple(int(x) for x in np.geomspace(10, 5000, 10)))
         r0, delta = 2.0, 0.3
         r_inf = final_size(setup.s0, r0)
         m = swayable_recovered_count(setup.n, r_inf, setup.i0)
         assert 0 < m < 10
-        draws = np.array(
-            [simulate_growth_rate(setup, r0, delta, rngmod.stream(5, "mc", i)) for i in range(10_000)]
-        )
+        draws = delta * sample_rho(setup, [r0], 10_000, 5, 0, "mc")[0]
         expected = delta * (m / 10) * setup.f_sw.sum() / setup.f_a.sum()
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - expected) < 3 * se
@@ -301,11 +297,10 @@ class TestRecoveredFollowerSums:
         assert np.all(popcount == np.arange(self.N_POOL + 1))
 
     def test_rho_non_decreasing_along_grid(self):
-        setup = make_setup(n_a=1, n_sw=self.N_POOL, f_a=(100,), f_sw=tuple(2**i for i in range(self.N_POOL)))
-        grid = FitConfig().r0_grid()
-        cache = _precompute_window(0, {"factual": setup}, {"factual": 0.1}, ("factual",), grid, 2_000, 41)
-        assert np.all(np.diff(cache.rho, axis=0) >= 0)
-        assert cache.rho[0].max() == 0.0 and cache.rho[-1].min() > 0.0
+        setup = make_setup(f_a=(100,), f_sw=tuple(2**i for i in range(self.N_POOL)))
+        rho = sample_rho(setup, FitConfig().r0_grid(), 2_000, 41, 0, "factual")
+        assert np.all(np.diff(rho, axis=0) >= 0)
+        assert rho[0].max() == 0.0 and rho[-1].min() > 0.0
 
 
 class TestWindowAcceptance:
@@ -315,13 +310,7 @@ class TestWindowAcceptance:
         # Losses take only a handful of distinct values, so every cut of
         # the sorted order lands inside a tie group.
         rho = gen.integers(0, 4, size=(n_grid, runs, 2)) / 2.0
-        cache = _WindowCache(
-            window_start=0,
-            classes=("factual", "misleading"),
-            rho=rho,
-            r0_of_pair=np.repeat(np.arange(n_grid) * 0.25, runs),
-            empirical=np.array([0.5, 1.0]),
-        )
+        cache = _WindowCache(window_start=0, rho=rho, empirical=np.array([0.5, 1.0]))
         grid_idx, rep_idx = np.divmod(np.arange(n_grid * runs), runs)
         cuts_in_ties = 0
         for tolerance_pct in (0.01, 0.05, 0.1, 0.13, 0.25, 0.5, 0.77, 1.0):
@@ -357,7 +346,7 @@ class TestWindowLoss:
         grid, runs = np.arange(4) * 0.5, 5
         rho = rng.random((len(grid), runs, len(classes)))
         empirical = {"factual": 0.1, "misleading": 0.05, "uncertain": 0.2}
-        cache = _WindowCache(0, classes, rho, np.repeat(grid, runs), np.array([empirical[c] for c in classes]))
+        cache = _WindowCache(0, rho, np.array([empirical[c] for c in classes]))
         for delta in (0.0, 0.3, 1.0):
             q, _ = _window_acceptance(cache, delta, 0.2)
             assert len(q) == len(grid) * runs
@@ -399,11 +388,11 @@ class TestBuildCascadeSetup:
             "s2": FollowerLog("s2", ((40 * DAY, 70),)),  # only post-window: fallback
         }
         window = TimeWindow(30 * DAY, 60 * DAY)
-        setup = build_cascade_setup(g, window, "factual", {"A"}, {"A"}, follower_table(logs))
-        assert setup.v_a == ("A",)
-        assert set(setup.v_sw) == {"s1", "s2"}
+        setup = build_cascade_setup(g, window, {"A"}, {"A"}, follower_table(logs))
+        assert setup.f_a.tolist() == [600]
+        assert setup.f_sw.tolist() == [50, 70]  # s1, s2: label order
         assert setup.sum_f_a == 600
-        assert setup.fallback_users == ("s2",)
+        assert setup.n_fallback == 1  # s2
         assert setup.s0 == pytest.approx(2 / 3)
         assert setup.i0 == pytest.approx(1 / 3)
         assert setup.simulable
@@ -435,20 +424,12 @@ def planted_fit_problem(seed=77, n_windows=6, delta_star=0.08, n_a=20, n_sw=150)
     classes = ("factual", "misleading", "uncertain")
     for w in range(n_windows):
         start = w * 15 * DAY + 60 * DAY
-        window = TimeWindow(start, start + 30 * DAY)
         per_class = {}
         rates = {}
         for ci, cls in enumerate(classes):
             f_a = gen.integers(100, 400, n_a)
             f_sw = gen.integers(100, 400, n_sw + 30 * ci)
-            setup = CascadeSetup(
-                window=window,
-                content_class=cls,
-                v_a=tuple(f"a{i}" for i in range(n_a)),
-                v_sw=tuple(f"s{i}" for i in range(len(f_sw))),
-                f_a=np.asarray(f_a, dtype=np.int64),
-                f_sw=np.asarray(f_sw, dtype=np.int64),
-            )
+            setup = CascadeSetup(f_a=np.asarray(f_a, dtype=np.int64), f_sw=np.asarray(f_sw, dtype=np.int64))
             per_class[cls] = setup
             rates[cls] = simulate_growth_rate(setup, r0_star[w], delta_star, rngmod.stream(seed, "emp", w, cls))
         setups[start] = per_class
@@ -465,6 +446,21 @@ class TestFitParameters:
         assert np.allclose(np.diff(grid), 0.05)
         assert config.runs_per_point == 100
         assert config.tolerance_pct == 0.10
+
+    @pytest.mark.parametrize(
+        "r0_min, r0_max, r0_step, expected",
+        [
+            (0.0, 1.0, 0.6, [0.0, 0.6]),
+            (0.5, 2.0, 0.4, [0.5, 0.9, 1.3, 1.7]),
+            (0.0, 0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),
+            (0.1, 0.7, 0.2, [0.1, 0.3, 0.5, 0.7]),
+            (1.0, 1.0, 0.5, [1.0]),
+        ],
+    )
+    def test_grid_never_passes_r0_max(self, r0_min, r0_max, r0_step, expected):
+        grid = FitConfig(r0_min=r0_min, r0_max=r0_max, r0_step=r0_step).r0_grid()
+        assert grid.max() <= r0_max
+        assert grid == pytest.approx(expected, abs=1e-12)
 
     def test_acceptance_size_and_determinism(self):
         setups, empirical, _, _ = planted_fit_problem()
@@ -488,6 +484,22 @@ class TestFitParameters:
             assert len(wf.accepted_r0) == n_pairs
             # Objective contribution equals the unconditional mean loss.
             assert wf.accepted_loss.mean() == pytest.approx(np.mean(wf.accepted_loss))
+
+    def test_accepted_pairs_carry_their_grid_point_and_rates(self):
+        setups, empirical, _, _ = planted_fit_problem(n_windows=2)
+        config = FitConfig(runs_per_point=6, seed=3)
+        result = fit_parameters(setups, empirical, config)
+        grid = config.r0_grid()
+        classes = ("factual", "misleading", "uncertain")
+        for wf in result.windows:
+            start = wf.window_start
+            emp = np.array([empirical[start][c] for c in classes])
+            rho = np.stack([sample_rho(setups[start][c], grid, 6, 3, start, c) for c in classes], axis=2)
+            loss = ((result.delta * rho - emp) ** 2).sum(axis=2)  # (grid point, replicate)
+            for r0, q in zip(wf.accepted_r0, wf.accepted_loss):
+                assert q in loss[np.flatnonzero(grid == r0)[0]], (start, r0)
+            rates = np.stack([wf.simulated_rates[c] for c in classes], axis=1)
+            assert np.allclose(((rates - emp) ** 2).sum(axis=1), wf.accepted_loss, rtol=1e-12, atol=0)
 
     def test_window_order_permutation_invariant(self):
         setups, empirical, _, _ = planted_fit_problem()
@@ -521,14 +533,7 @@ class TestFitParameters:
         setups, empirical, _, _ = planted_fit_problem(n_windows=3)
         bad_start = sorted(setups)[0]
         broken = dict(setups[bad_start])
-        broken["factual"] = CascadeSetup(
-            window=TimeWindow(bad_start, bad_start + 30 * DAY),
-            content_class="factual",
-            v_a=(),
-            v_sw=("s0",),
-            f_a=np.zeros(0, dtype=np.int64),
-            f_sw=np.array([10], dtype=np.int64),
-        )
+        broken["factual"] = CascadeSetup(f_a=np.zeros(0, dtype=np.int64), f_sw=np.array([10], dtype=np.int64))
         setups = dict(setups)
         setups[bad_start] = broken
         result = fit_parameters(setups, empirical, FitConfig(runs_per_point=5, seed=2))
@@ -549,14 +554,25 @@ class TestFitParameters:
         classes = tuple(per_class)
         grid = FitConfig().r0_grid()
         runs, seed, delta = 12, 19, 0.07
-        cache = _precompute_window(start, per_class, empirical[start], classes, grid, runs, seed)
+        cache = _precompute_window(start, per_class, empirical[start], grid, runs, seed)
         for gi in (0, 17, 40, 100):
             for c, cls in enumerate(classes):
-                simulated = [
-                    simulate_growth_rate(per_class[cls], float(grid[gi]), delta, rngmod.stream(seed, start, rep, cls))
-                    for rep in range(runs)
-                ]
+                # What `simulate` writes the mean and std of at R0 = grid[gi].
+                simulated = delta * sample_rho(per_class[cls], [grid[gi]], runs, seed, start, cls)[0]
                 assert np.array_equal(simulated, delta * cache.rho[gi, :, c]), (gi, cls)
+
+    def test_sample_rho_matches_per_replicate_oracle(self):
+        setups, empirical, _, _ = planted_fit_problem(n_windows=1, n_a=4, n_sw=9)
+        (start, per_class), = setups.items()
+        grid = FitConfig().r0_grid()
+        runs, seed = 6, 23
+        cache = _precompute_window(start, per_class, empirical[start], grid, runs, seed)
+        for c, (cls, setup) in enumerate(per_class.items()):
+            rho = sample_rho(setup, grid, runs, seed, start, cls)
+            assert np.array_equal(rho, cache.rho[:, :, c])
+            for gi, r0 in enumerate(grid):
+                oracle = [simulate_growth_rate(setup, float(r0), 1.0, rngmod.stream(seed, start, rep, cls)) for rep in range(runs)]
+                assert np.array_equal(oracle, rho[gi]), (cls, r0)
 
     def test_threads_do_not_change_result(self):
         setups, empirical, _, _ = planted_fit_problem(n_windows=3)

@@ -1,8 +1,8 @@
 """The benchmark's span recorder still finds the layer functions it wraps.
 
 perfbench/spans.py patches names where swaynet's callers look them up, so a
-function that moves or stops being called leaves its span empty. This runs
-one traced stage the way the benchmark does and reads the spans back.
+function that moves or stops being called leaves its span empty. These run
+traced stages the way the benchmark does and read the spans back.
 """
 
 import importlib.util
@@ -24,27 +24,61 @@ def load_spans_module():
     return module
 
 
-def test_traced_align_records_every_alignment_layer(tmp_path):
-    out = str(tmp_path / "run")
-    synth = ["synth", "--out", out, "--seed", "3", "--range-start", "0", "--range-end", str(60 * DAY)]
+def synth_tiny(out, days, aligned, swayable, events):
+    synth = ["synth", "--out", out, "--seed", "3", "--range-start", "0", "--range-end", str(days * DAY)]
     for flag in ("aligned-factual", "aligned-misleading", "aligned-uncertain"):
-        synth += [f"--synth-{flag}", "4"]
-    synth += ["--synth-swayable", "20"]
+        synth += [f"--synth-{flag}", str(aligned)]
+    synth += ["--synth-swayable", str(swayable)]
     for flag in ("events-factual", "events-misleading", "events-uncertain"):
-        synth += [f"--synth-{flag}", "300"]
+        synth += [f"--synth-{flag}", str(events)]
     assert run(synth) == 0
-    assert run(["backbone", "--out", out, "--alpha", "0.2"]) == 0
-    spans_path = str(tmp_path / "align_spans.npz")
+
+
+def traced_calls(tmp_path, stage, *args):
+    """Span name -> call count of one stage run under perfbench/spans.py."""
+    spans_path = str(tmp_path / f"{stage}_spans.npz")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, SPANS, spans_path, "r1", "align", "--out", out, "--threads", "1"],
+        [sys.executable, SPANS, spans_path, "r1", stage, *args, "--threads", "1"],
         env=env,
         capture_output=True,
         text=True,
     )
     assert done.returncode == 0, done.stderr
     spans = load_spans_module()
-    calls = {name: row["calls"] for name, row in spans.summarize(spans.load(spans_path)).items()}
+    return {name: row["calls"] for name, row in spans.summarize(spans.load(spans_path)).items()}
+
+
+def test_traced_align_records_every_alignment_layer(tmp_path):
+    out = str(tmp_path / "run")
+    synth_tiny(out, 60, 4, 20, 300)
+    assert run(["backbone", "--out", out, "--alpha", "0.2"]) == 0
+    calls = traced_calls(tmp_path, "align", "--out", out)
     for name in ("involvement_profiles", "classify_all", "coverage_curve", "ternary_histogram"):
         assert calls.get(f"alignment.{name}", 0) >= 1, (name, calls)
     assert calls.get("store.build_graph", 0) == 0
+
+
+CASCADE_LAYERS = (
+    "sir.build_cascade_setup",
+    "sir.FollowerSnapshots.at",
+    "graph.reachable_set",
+    "graph.reverse_reachable_set",
+    "rng.stream",
+)
+
+
+def test_traced_growth_fit_and_simulate_record_every_model_layer(tmp_path):
+    out = str(tmp_path / "run")
+    synth_tiny(out, 150, 15, 120, 3000)
+    assert run(["align", "--out", out, "--unfiltered"]) == 0
+    expected = {
+        "growth": ("growth.window_growth_rate",),
+        "fit": CASCADE_LAYERS + ("sir.fit_parameters", "sir.nelder_mead_1d"),
+        "simulate": CASCADE_LAYERS,
+    }
+    flags = {"fit": ("--runs", "5"), "simulate": ("--delta", "0.05", "--r0", "1.5", "--runs", "5")}
+    for stage, names in expected.items():
+        calls = traced_calls(tmp_path, stage, "--out", out, *flags.get(stage, ()))
+        for name in names:
+            assert calls.get(name, 0) >= 1, (stage, name, calls)
