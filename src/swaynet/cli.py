@@ -357,16 +357,16 @@ def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
         write_flag_rates_csv(columns, fh)
 
 
-def _load_labels(config: PipelineConfig) -> tuple[dict[str, set[str]], float]:
-    path = _require(config, LABELS_FILE, "align")
-    by_class: dict[str, set[str]] = {cls: set() for cls in CONTENT_CLASSES}
-    theta = config.theta
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            theta = float(row["theta"])
-            if row["label"] in by_class:
-                by_class[row["label"]].add(row["user"])
-    return by_class, theta
+def _load_labels(config: PipelineConfig, columns: EventColumns) -> tuple[np.ndarray, float]:
+    """Each user's aligned class index (-1 for none; labelled users the
+    events lack are dropped) and the theta the labels were drawn at."""
+    with open(_require(config, LABELS_FILE, "align"), newline="") as fh:
+        rows = [(row["user"], row["label"], row["theta"]) for row in csv.DictReader(fh)]
+    aligned_class = np.full(len(columns.users), -1, dtype=np.int64)
+    for c, cls in enumerate(CONTENT_CLASSES):
+        ids = columns.ids(user for user, label, _ in rows if label == cls)
+        aligned_class[ids[ids >= 0]] = c
+    return aligned_class, float(rows[-1][2]) if rows else config.theta
 
 
 def _backbone_pair_mask(columns: EventColumns, backbone: WeightedDigraph) -> np.ndarray:
@@ -374,13 +374,7 @@ def _backbone_pair_mask(columns: EventColumns, backbone: WeightedDigraph) -> np.
     ids = columns.ids(backbone.labels)
     src, dst = ids[backbone.edge_src], ids[backbone.edge_dst]
     known = (src >= 0) & (dst >= 0)
-    wanted = np.unique(src[known] * len(columns.users) + dst[known])  # sorted, for searchsorted
-    if not len(wanted):
-        return np.zeros(len(columns), dtype=bool)
-    codes = columns.pair_codes()
-    pos = np.searchsorted(wanted, codes)
-    np.minimum(pos, len(wanted) - 1, out=pos)
-    return wanted[pos] == codes
+    return np.isin(columns.pair_codes(), src[known] * len(columns.users) + dst[known], kind="sort")
 
 
 # -- stages ---------------------------------------------------------------------
@@ -500,7 +494,7 @@ def _optional_class_table(config: PipelineConfig, prefix: str) -> dict[str, tupl
 def cmd_backbone(config: PipelineConfig) -> str:
     hashes: dict[str, str] = {}
     columns = _load_columns(config, hashes)
-    g = columns.build_graph(time_range=_time_range(config))
+    g = columns.build_graph(columns.event_mask(_time_range(config)))
     filtered = disparity_filter(g, config.alpha)
     save_binary(filtered, _path(config, BACKBONE_FILE))
     meta = {
@@ -612,15 +606,14 @@ def cmd_align(config: PipelineConfig) -> str:
 def cmd_growth(config: PipelineConfig) -> str:
     hashes: dict[str, str] = {}
     columns = _load_columns(config, hashes)
-    by_class, theta = _load_labels(config)
+    aligned_class, theta = _load_labels(config, columns)
     start, end = _dataset_range(config, columns)
     windows = _windows(config, start, end)
     table = columns.follower_logs()
     points_by_class: dict[str, list[GrowthPoint]] = {}
-    for cls in CONTENT_CLASSES:
-        points_by_class[cls] = [
-            window_growth_rate(table, by_class[cls], win, cls, config.min_obs) for win in windows
-        ]
+    for c, cls in enumerate(CONTENT_CLASSES):
+        aligned = np.flatnonzero(aligned_class == c)
+        points_by_class[cls] = [window_growth_rate(table, aligned, win, cls, config.min_obs) for win in windows]
     with open(_path(config, GROWTH_FILE), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "window_end", "partial", "class", "rate", "n_active", "f_first", "f_last"])
@@ -638,7 +631,7 @@ def cmd_growth(config: PipelineConfig) -> str:
                         p.f_last,
                     ]
                 )
-    rep.emit_daily(_path(config, "daily_counts.csv"), columns.daily_counts_by_class(by_class))
+    rep.emit_daily(_path(config, "daily_counts.csv"), columns.daily_counts_by_class(aligned_class))
     with open(_path(config, "trend.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "class", "trend", "polynomial_applied"])
@@ -673,19 +666,20 @@ def _fit_windows(config: PipelineConfig, columns: EventColumns) -> list[TimeWind
     return [w for w in _windows(config, start, end) if not w.partial and w.start - lookback >= start]
 
 
-def _build_setups(config: PipelineConfig, columns: EventColumns, by_class: dict[str, set[str]]):
+def _build_setups(config: PipelineConfig, columns: EventColumns, aligned_class: np.ndarray):
     """Window start -> class -> cascade setup, over the fit windows."""
     windows = _fit_windows(config, columns)
     if not windows:
         raise ConfigError("lookback: no window has a fully covered lookback period")
-    aligned_any = set().union(*by_class.values())
+    aligned_any = aligned_class >= 0
+    in_class = [aligned_class == c for c in range(len(CONTENT_CLASSES))]
     snapshots = columns.follower_logs()
     return {
         window.start: {
             cls: build_cascade_setup(
-                temporal_network(columns, window, config.lookback, cls), window, by_class[cls], aligned_any, snapshots
+                temporal_network(columns, window, config.lookback, cls), window, in_class[c], aligned_any, snapshots
             )
-            for cls in CONTENT_CLASSES
+            for c, cls in enumerate(CONTENT_CLASSES)
         }
         for window in windows
     }
@@ -696,8 +690,7 @@ def cmd_simulate(config: PipelineConfig) -> str:
         raise ConfigError("delta/r0: both are required for simulate")
     hashes: dict[str, str] = {}
     columns = _load_columns(config, hashes)
-    by_class, _ = _load_labels(config)
-    setups = _build_setups(config, columns, by_class)
+    setups = _build_setups(config, columns, _load_labels(config, columns)[0])
     with open(_path(config, "simulate.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "class", "delta", "r0", "r_hat_mean", "r_hat_std", "n_aligned", "n_swayable"])
@@ -745,9 +738,9 @@ def _empirical(points_by_class: dict[str, list[GrowthPoint]]) -> dict[int, dict[
 def cmd_fit(config: PipelineConfig) -> str:
     hashes: dict[str, str] = {}
     columns = _load_columns(config, hashes)
-    by_class, _ = _load_labels(config)
+    aligned_class, _ = _load_labels(config, columns)
     empirical = _empirical(_growth_points(config))
-    setups = _build_setups(config, columns, by_class)
+    setups = _build_setups(config, columns, aligned_class)
     fit_config = FitConfig(
         r0_min=config.r0_min,
         r0_max=config.r0_max,
@@ -810,9 +803,9 @@ def cmd_report(config: PipelineConfig) -> str:
     _copy_csv(_path(config, "coverage.csv"), out("fig2b_coverage.csv"))
 
     # Fig 3 from the growth stage.
-    by_class, _ = _load_labels(config)
+    aligned_class, _ = _load_labels(config, columns)
     points_by_class = _growth_points(config)
-    rep.emit_daily(out("fig3a_daily.csv"), columns.daily_counts_by_class(by_class))
+    rep.emit_daily(out("fig3a_daily.csv"), columns.daily_counts_by_class(aligned_class))
     rep.emit_growth_with_trend(out("fig3b_growth.csv"), points_by_class)
 
     # Fig 4 only when the fit stage ran.

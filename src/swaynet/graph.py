@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,11 +20,13 @@ _BINARY_VERSION = 1
 
 
 class WeightedDigraph:
-    """Immutable directed weighted graph over interned string node ids."""
+    """Immutable directed weighted graph whose node i is user `node_user[i]`
+    (default i) of the label table `users`; node labels are built on demand."""
 
     __slots__ = (
-        "labels",
-        "_index",
+        "users",
+        "node_user",
+        "_labels",
         "edge_src",
         "edge_dst",
         "edge_weight",
@@ -37,20 +39,22 @@ class WeightedDigraph:
         "_s_in",
     )
 
-    def __init__(self, labels: Sequence[str], src: np.ndarray, dst: np.ndarray, weight: np.ndarray):
+    def __init__(self, users: Sequence[str], src: np.ndarray, dst: np.ndarray, weight: np.ndarray, node_user=None):
+        self.users = users
+        self.node_user = np.arange(len(users), dtype=np.int64) if node_user is None else node_user
+        self._labels: tuple[str, ...] | None = None
+        n = len(self.node_user)
         # Canonical edge order: sorted by (src, dst). Inputs must be deduplicated.
-        order = np.lexsort((dst, src))
-        self.labels: tuple[str, ...] = tuple(labels)
-        self._index = {label: i for i, label in enumerate(self.labels)}
+        # One int64 key sorts faster than a lexsort, and at once when already in order.
+        order = np.argsort(src * n + dst, kind="stable")
         self.edge_src = np.ascontiguousarray(src[order], dtype=np.int64)
         self.edge_dst = np.ascontiguousarray(dst[order], dtype=np.int64)
         self.edge_weight = np.ascontiguousarray(weight[order], dtype=np.int64)
         if np.any(self.edge_weight <= 0):
             raise ValueError("edge weights must be positive")
-        n = len(self.labels)
         self._out_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_src, minlength=n), out=self._out_ptr[1:])
-        self._in_order = np.lexsort((self.edge_src, self.edge_dst))
+        self._in_order = np.argsort(self.edge_dst * n + self.edge_src, kind="stable")
         self._in_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edge_dst, minlength=n), out=self._in_ptr[1:])
         self._k_out = np.diff(self._out_ptr)
@@ -61,8 +65,15 @@ class WeightedDigraph:
     # -- basic queries ------------------------------------------------------
 
     @property
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            users = self.users
+            self._labels = tuple(users[i] for i in self.node_user.tolist())
+        return self._labels
+
+    @property
     def n_nodes(self) -> int:
-        return len(self.labels)
+        return len(self.node_user)
 
     @property
     def n_edges(self) -> int:
@@ -71,9 +82,6 @@ class WeightedDigraph:
     @property
     def total_weight(self) -> int:
         return int(self.edge_weight.sum())
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
         for s, d, w in zip(self.edge_src, self.edge_dst, self.edge_weight):
@@ -106,8 +114,7 @@ class WeightedDigraph:
         keep[src] = True
         keep[dst] = True
         remap = np.cumsum(keep) - 1
-        labels = [self.labels[i] for i in np.flatnonzero(keep)]
-        return WeightedDigraph(labels, remap[src], remap[dst], w)
+        return WeightedDigraph(self.users, remap[src], remap[dst], w, self.node_user[keep])
 
 
 @dataclass(frozen=True)
@@ -152,24 +159,25 @@ def creator_consumer_partition(g: WeightedDigraph) -> PartitionReport:
     return PartitionReport(creators, consumers, both, fractions)
 
 
-def reachable_set(g: WeightedDigraph, sources: Iterable[str]) -> set[str]:
-    """All nodes with a directed path from some source (sources included)."""
+def reachable_set(g: WeightedDigraph, sources: np.ndarray) -> np.ndarray:
+    """Mask of the nodes with a directed path from some source node (sources included)."""
     return _closure(g, sources, "source", g._out_ptr, g.edge_dst)
 
 
-def reverse_reachable_set(g: WeightedDigraph, targets: Iterable[str]) -> set[str]:
-    """All nodes from which some target is reachable (targets included)."""
+def reverse_reachable_set(g: WeightedDigraph, targets: np.ndarray) -> np.ndarray:
+    """Mask of the nodes from which some target node is reachable (targets included)."""
     return _closure(g, targets, "target", g._in_ptr, g.edge_src[g._in_order])
 
 
-def _closure(g: WeightedDigraph, starts: Iterable[str], role: str, ptr: np.ndarray, nbr: np.ndarray) -> set[str]:
-    """Labels reachable from `starts` (included) along the CSR adjacency
-    (ptr, nbr), expanding the whole frontier at each step."""
+def _closure(g: WeightedDigraph, starts: np.ndarray, role: str, ptr: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Mask of the nodes reachable from the node ids `starts` (included)
+    along the CSR adjacency (ptr, nbr), expanding the whole frontier at each step."""
+    starts = np.asarray(starts, dtype=np.int64)
+    bad = (starts < 0) | (starts >= g.n_nodes)
+    if bad.any():
+        raise KeyError(f"unknown {role} node: {int(starts[bad][0])}")
     seen = np.zeros(g.n_nodes, dtype=bool)
-    for label in starts:
-        if label not in g._index:
-            raise KeyError(f"unknown {role} node: {label!r}")
-        seen[g._index[label]] = True
+    seen[starts] = True
     frontier = np.flatnonzero(seen)
     while len(frontier):
         lo = ptr[frontier]
@@ -177,9 +185,12 @@ def _closure(g: WeightedDigraph, starts: Iterable[str], role: str, ptr: np.ndarr
         # Position j of the concatenated neighbour lists reads nbr[lo[f] + (j - start of f's run)].
         offsets = np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
         reached = nbr[offsets + np.arange(len(offsets))]
-        frontier = np.unique(reached[~seen[reached]])
+        # Sort and diff, not np.unique: NumPy 2.x answers a plain np.unique
+        # through a hash table, far slower than a sort on int64.
+        frontier = np.sort(reached[~seen[reached]])
+        frontier = frontier[np.diff(frontier, prepend=-1) != 0]
         seen[frontier] = True
-    return {g.labels[i] for i in np.flatnonzero(seen)}
+    return seen
 
 
 # -- serialization ----------------------------------------------------------

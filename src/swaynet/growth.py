@@ -9,7 +9,7 @@ active aligned users.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -77,20 +77,18 @@ def sliding_windows(
 
 def window_growth_rate(
     table: FollowerSnapshots,
-    aligned: Iterable[str],
+    aligned: np.ndarray,
     window: TimeWindow,
     content_class: str | None = None,
     min_obs: int = 2,
 ) -> GrowthPoint:
-    """Aggregate first/last in-window counts of active aligned users.
+    """Aggregate first/last in-window counts of active aligned users (ids into the table's users).
 
     rate = (F_last - F_first) / F_first; undefined points come back with
     rate None instead of raising.
     """
-    ids = table.ids(aligned)
-    ids = ids[ids >= 0]
-    lo = table.first_at_or_after(ids, window.start)
-    hi = table.first_at_or_after(ids, window.end)
+    lo = table.first_at_or_after(aligned, window.start)
+    hi = table.first_at_or_after(aligned, window.end)
     active = hi - lo >= min_obs
     n_active = int(active.sum())
     f_first = int(table.count[lo[active]].sum())

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .events import CONTENT_CLASSES
+from .events import CONTENT_CLASSES, InvalidEvents
 from .graph import WeightedDigraph, reachable_set, reverse_reachable_set
 from .growth import WINDOW_SECONDS, TimeWindow
 from .store import EventColumns, FollowerSnapshots
@@ -42,28 +42,30 @@ def temporal_network(
     if n_months < 1:
         raise ValueError(f"lookback must be >= 1 month, got {n_months}")
     start = window.start - n_months * LOOKBACK_MONTH_SECONDS
-    return columns.build_graph(time_range=(start, window.start), content_class=content_class)
+    return columns.build_graph(columns.class_time_rows(content_class, start, window.start))
 
 
 def cascade_populations(
     g: WeightedDigraph,
-    aligned_class: set[str],
-    aligned_any: set[str],
-) -> tuple[set[str], set[str]]:
-    """Seed and target populations for the cascade on g.
+    aligned_class: np.ndarray,
+    aligned_any: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seed and target populations for the cascade on g, as ascending user ids.
 
-    Swayable nodes are those aligned to no class. V_sw collects the
-    swayable nodes reachable from the class-aligned seeds; V_a keeps the
-    seeds that reach at least one of them. Either set may be empty.
+    `aligned_class` and `aligned_any` are masks over `g.users`. Swayable
+    nodes are those aligned to no class. V_sw
+    collects the swayable nodes reachable from the class-aligned seeds;
+    V_a keeps the seeds that reach at least one of them. Either may be empty.
     """
-    seeds = {u for u in aligned_class if u in g}
-    if not seeds:
-        return set(), set()
-    v_sw = reachable_set(g, seeds) - aligned_any - seeds
-    if not v_sw:
-        return set(), set()
-    v_a = reverse_reachable_set(g, v_sw) & seeds
-    return v_a, v_sw
+    none = np.zeros(0, dtype=np.int64)
+    seeds = aligned_class[g.node_user]
+    if not seeds.any():
+        return none, none
+    v_sw = reachable_set(g, np.flatnonzero(seeds)) & ~aligned_any[g.node_user] & ~seeds
+    if not v_sw.any():
+        return none, none
+    v_a = reverse_reachable_set(g, np.flatnonzero(v_sw)) & seeds
+    return g.node_user[v_a], g.node_user[v_sw]
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,15 @@ class CascadeSetup:
 def build_cascade_setup(
     g: WeightedDigraph,
     window: TimeWindow,
-    aligned_class: set[str],
-    aligned_any: set[str],
+    aligned_class: np.ndarray,
+    aligned_any: np.ndarray,
     snapshots: FollowerSnapshots,
 ) -> CascadeSetup:
-    """Populations on g and their follower counts just before the window."""
+    """Populations on g and their follower counts just before the window, in label order."""
+    rank = snapshots.label_rank
     v_a, v_sw = cascade_populations(g, aligned_class, aligned_any)
-    f_a, fb_a = snapshots.at(sorted(v_a), window.start)
-    f_sw, fb_sw = snapshots.at(sorted(v_sw), window.start)
+    f_a, fb_a = snapshots.at(v_a[np.argsort(rank[v_a])], window.start)
+    f_sw, fb_sw = snapshots.at(v_sw[np.argsort(rank[v_sw])], window.start)
     return CascadeSetup(f_a, f_sw, int(fb_a.sum() + fb_sw.sum()))
 
 
@@ -233,6 +236,10 @@ def sample_rho(
 
 
 # -- fitting -------------------------------------------------------------------
+
+
+class NoSimulableWindow(InvalidEvents):
+    """Every window was excluded for want of data: a data error, not a runtime failure."""
 
 
 @dataclass(frozen=True)
@@ -434,9 +441,10 @@ def fit_parameters(
     fraction of (R0, replicate) pairs by loss, and contributes the mean
     accepted loss; Nelder-Mead minimizes the summed objective over delta.
     Windows missing a class setup, follower mass, or an empirical rate are
-    excluded and reported. Deterministic for a fixed seed: replicate draws
-    are addressed by (seed, window, replicate, class), shared across the R0
-    grid, and never depend on delta, scheduling, or window order.
+    excluded and reported; when all are, NoSimulableWindow lists why.
+    Deterministic for a fixed seed: replicate draws are addressed by (seed,
+    window, replicate, class), shared across the R0 grid, and never depend
+    on delta, scheduling, or window order.
     """
     grid = config.r0_grid()
     runs = config.runs_per_point
@@ -459,7 +467,8 @@ def fit_parameters(
             continue
         jobs.append((w_start, setups, {p: float(rates[p]) for p in CONTENT_CLASSES}))
     if not jobs:
-        raise ValueError("no simulable window: nothing to fit")
+        reasons = "; ".join(f"window {start}: {why}" for start, why in excluded.items())
+        raise NoSimulableWindow(f"no simulable window: nothing to fit ({reasons})")
 
     # Imported here, not at the top: only fit runs a pool, and the import
     # would add about 0.6 MB to every stage process.

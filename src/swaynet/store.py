@@ -61,6 +61,14 @@ class _UserTable:
         index = self._index
         return np.array([index.get(u, -1) for u in labels], dtype=np.int64)
 
+    @cached_property
+    def label_rank(self) -> np.ndarray:
+        """Each user's position in label order. Python's string order, not
+        numpy's: a `U` array drops trailing NULs before comparing."""
+        rank = np.empty(len(self.users), dtype=np.int64)
+        rank[sorted(range(len(self.users)), key=self.users.__getitem__)] = np.arange(len(self.users))
+        return rank
+
 
 @dataclass
 class EventColumns(_UserTable):
@@ -147,31 +155,41 @@ class EventColumns(_UserTable):
             mask &= self.content_class_idx == _CLASS_INDEX[content_class]
         return mask
 
-    def build_graph(
-        self,
-        time_range: tuple[int, int] | None = None,
-        content_class: str | None = None,
-        mask: np.ndarray | None = None,
-    ) -> WeightedDigraph:
-        """Aggregate masked events into a graph, one edge per (src, dst) pair.
+    @cached_property
+    def _class_time_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stable order of the events by (class, ts), their ts in that order,
+        and the offset of each class's run."""
+        cls_idx = self.content_class_idx
+        order = np.lexsort((self.ts, cls_idx))
+        offsets = np.zeros(len(CONTENT_CLASSES) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cls_idx, minlength=len(CONTENT_CLASSES)), out=offsets[1:])
+        return order, self.ts[order], offsets
 
-        The sum of edge weights equals the number of masked events, and
-        nodes are exactly the endpoints of those events.
-        """
-        if mask is None:
-            mask = self.event_mask(time_range, content_class)
-        src = self.src[mask]
-        dst = self.dst[mask]
+    def class_time_rows(self, content_class: str, start: int, end: int) -> np.ndarray:
+        """Rows of the class's events with start <= ts < end, ascending in ts:
+        the rows `event_mask((start, end), content_class)` selects."""
+        order, ts, offsets = self._class_time_order
+        c = _CLASS_INDEX[content_class]
+        lo, hi = offsets[c] + np.searchsorted(ts[offsets[c] : offsets[c + 1]], (start, end))
+        return order[lo:hi]
+
+    def build_graph(self, rows: np.ndarray | None = None) -> WeightedDigraph:
+        """Aggregate the given rows (a mask or indices; all events when None)
+        into a graph, one edge per (src, dst) pair, whatever the row order.
+        Edge weights sum to the number of rows; nodes are their endpoints."""
+        src, dst = (self.src, self.dst) if rows is None else (self.src[rows], self.dst[rows])
         n_users = len(self.users)
-        pair = src * n_users + dst
-        uniq, counts = np.unique(pair, return_counts=True)
-        u_src = uniq // n_users
-        u_dst = uniq % n_users
-        node_ids = np.unique(np.concatenate([u_src, u_dst]))
-        remap = np.zeros(n_users, dtype=np.int64)
-        remap[node_ids] = np.arange(len(node_ids))
-        labels = [self.users[i] for i in node_ids]
-        return WeightedDigraph(labels, remap[u_src], remap[u_dst], counts.astype(np.int64))
+        # Sort and diff: NumPy 2.x answers a plain np.unique through a hash
+        # table, tens of times slower than a sort on a million int64 codes.
+        pair = np.sort(src * n_users + dst)
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        u_src, u_dst = np.divmod(pair[starts], n_users)
+        counts = np.diff(starts, append=len(pair))
+        is_node = np.zeros(n_users, dtype=bool)
+        is_node[u_src] = True
+        is_node[u_dst] = True
+        remap = np.cumsum(is_node) - 1
+        return WeightedDigraph(self.users, remap[u_src], remap[u_dst], counts, np.flatnonzero(is_node))
 
     def pair_codes(self) -> np.ndarray:
         return self.src * len(self.users) + self.dst
@@ -209,18 +227,17 @@ class EventColumns(_UserTable):
         vers = np.bincount(user, weights=ver, minlength=n_users)
         return total, bots / total, vers / total
 
-    def daily_counts_by_class(self, aligned_by_class: dict[str, set[str]]) -> dict[str, dict[int, int]]:
-        """Per-class per-day counts of events touching that class's aligned users."""
+    def daily_counts_by_class(self, aligned_class: np.ndarray) -> dict[str, dict[int, int]]:
+        """Per-class per-day counts of events touching that class's aligned
+        users; `aligned_class` holds each user's class index, -1 for none."""
         from .growth import SECONDS_PER_DAY
 
         day = self.ts // SECONDS_PER_DAY
         cls_idx = self.content_class_idx
         out: dict[str, dict[int, int]] = {}
-        for cls, aligned in aligned_by_class.items():
-            member = np.zeros(len(self.users), dtype=bool)
-            ids = self.ids(aligned)
-            member[ids[ids >= 0]] = True
-            mask = (cls_idx == _CLASS_INDEX[cls]) & (member[self.src] | member[self.dst])
+        for c, cls in enumerate(CONTENT_CLASSES):
+            member = aligned_class == c
+            mask = (cls_idx == c) & (member[self.src] | member[self.dst])
             days, counts = np.unique(day[mask], return_counts=True)
             out[cls] = {int(d): int(c) for d, c in zip(days, counts)}
         return out
@@ -240,27 +257,27 @@ class FollowerSnapshots(_UserTable):
     ts: np.ndarray
     count: np.ndarray
 
-    @cached_property
-    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
-        # Rows keyed user * (n_times + 1) + rank of ts among the distinct
-        # timestamps: sorted, so one searchsorted finds a position inside
-        # every user's segment at once.
-        times, rank = np.unique(self.ts, return_inverse=True)
-        user = np.repeat(np.arange(len(self.users), dtype=np.int64), np.diff(self.ptr))
-        return times, user * (len(times) + 1) + rank
-
     def first_at_or_after(self, ids: np.ndarray, t: int) -> np.ndarray:
-        """Row of each user's first observation at or after t; its segment end when none."""
-        times, keys = self._keys
-        return np.searchsorted(keys, ids * (len(times) + 1) + np.searchsorted(times, t))
+        """Row of each user's first observation at or after t; its segment end when none.
 
-    def at(self, users: Sequence[str], before: int) -> tuple[np.ndarray, np.ndarray]:
+        One bisection per user inside their rows ptr[i]:ptr[i + 1], run for
+        all users at once: each step halves every open segment.
+        """
+        lo, hi = self.ptr[ids], self.ptr[ids + 1]
+        last = len(self.ts) - 1
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) // 2
+            below = self.ts[np.minimum(mid, last)] < t
+            lo = np.where(below & (lo < hi), mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        return lo
+
+    def at(self, ids: np.ndarray, before: int) -> tuple[np.ndarray, np.ndarray]:
         """Each user's most recent count strictly before `before`, and a fallback mask.
 
         A user with no earlier observation gets their earliest count, one
-        with no observation at all gets 0; both are flagged.
+        with no observation at all (or id -1) gets 0; both are flagged.
         """
-        ids = self.ids(users)
         counts = np.zeros(len(ids), dtype=np.int64)
         fallback = np.ones(len(ids), dtype=bool)
         sel = np.flatnonzero((ids >= 0) & (self.ptr[ids + 1] > self.ptr[ids]))

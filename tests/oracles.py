@@ -10,6 +10,10 @@ The graph and diagnostic oracles work one edge or node side at a time:
 `digraph_of` builds every test graph from (src, dst, weight) triples, and
 the heterogeneity, significance, overlap and window-loss oracles are the
 scalar forms the array code in swaynet is checked against.
+The label-space section holds what the id code replaced: reachability
+and cascade populations on label sets, the follower-table search by one
+global key array, and the backbone mask by searchsorted, plus helpers that
+turn label sets into the ids and masks swaynet takes.
 `simulate_growth_rate` draws one cascade replicate at a time, the scalar
 form of the sampler that fit and simulate share. The alignment
 oracles at the end recount involvement one event at a time and classify
@@ -22,7 +26,7 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -457,6 +461,89 @@ def edge_significance(g: WeightedDigraph) -> list[tuple[str, str, int, float, fl
         a_in = 1.0 if k_in == 1 else (1.0 - p_in) ** (k_in - 1)
         rows.append((s, d, w, p_out, p_in, a_out, a_in, min(a_out, a_in)))
     return rows
+
+
+# -- the label-space forms the id code replaced --------------------------------------
+
+
+def label_ids(users: Sequence[str], labels: Iterable[str]) -> np.ndarray:
+    """Index in `users` of each label the table holds, in input order; unknown labels are dropped."""
+    index = {u: i for i, u in enumerate(users)}
+    return np.array([index[u] for u in labels if u in index], dtype=np.int64)
+
+
+def label_mask(users: Sequence[str], labels: Iterable[str]) -> np.ndarray:
+    """Mask over `users` of the labels it holds; unknown labels are dropped."""
+    mask = np.zeros(len(users), dtype=bool)
+    mask[label_ids(users, labels)] = True
+    return mask
+
+
+def class_of_users(users: Sequence[str], by_class: Mapping[str, Iterable[str]]) -> np.ndarray:
+    """Each user's class index (-1 for none) from label sets per class, as `_load_labels` reads them."""
+    aligned_class = np.full(len(users), -1, dtype=np.int64)
+    for cls, labels in by_class.items():
+        aligned_class[label_ids(users, labels)] = CONTENT_CLASSES.index(cls)
+    return aligned_class
+
+
+def reachable_labels(g: WeightedDigraph, sources: Iterable[str], reverse: bool = False) -> set[str]:
+    """Labels reachable from `sources` (included), or reaching them when
+    `reverse`, by whole-frontier expansion; an unknown label is a KeyError."""
+    index = {label: i for i, label in enumerate(g.labels)}
+    ptr = g._in_ptr if reverse else g._out_ptr
+    nbr = g.edge_src[g._in_order] if reverse else g.edge_dst
+    seen = np.zeros(g.n_nodes, dtype=bool)
+    for label in sources:
+        if label not in index:
+            raise KeyError(f"unknown {'target' if reverse else 'source'} node: {label!r}")
+        seen[index[label]] = True
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        lo = ptr[frontier]
+        lengths = ptr[frontier + 1] - lo
+        offsets = np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+        reached = nbr[offsets + np.arange(len(offsets))]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return {g.labels[i] for i in np.flatnonzero(seen)}
+
+
+def cascade_populations_by_label(
+    g: WeightedDigraph, aligned_class: set[str], aligned_any: set[str]
+) -> tuple[set[str], set[str]]:
+    """(V_a, V_sw) by set algebra on labels."""
+    seeds = aligned_class & set(g.labels)
+    if not seeds:
+        return set(), set()
+    v_sw = reachable_labels(g, seeds) - aligned_any - seeds
+    if not v_sw:
+        return set(), set()
+    return reachable_labels(g, v_sw, reverse=True) & seeds, v_sw
+
+
+def first_at_or_after_by_keys(table: FollowerSnapshots, ids: np.ndarray, t: int) -> np.ndarray:
+    """Row of each user's first observation at or after t, by one searchsorted
+    over keys user * (n_times + 1) + rank of ts among the distinct times."""
+    times, rank = np.unique(table.ts, return_inverse=True)
+    user = np.repeat(np.arange(len(table.users), dtype=np.int64), np.diff(table.ptr))
+    keys = user * (len(times) + 1) + rank
+    return np.searchsorted(keys, np.asarray(ids) * (len(times) + 1) + np.searchsorted(times, t))
+
+
+def backbone_pair_mask_by_search(columns: EventColumns, backbone: WeightedDigraph) -> np.ndarray:
+    """Mask of events whose (src, dst) pair is a backbone edge, by searchsorted
+    of every event's pair code in the sorted backbone codes."""
+    ids = columns.ids(backbone.labels)
+    src, dst = ids[backbone.edge_src], ids[backbone.edge_dst]
+    known = (src >= 0) & (dst >= 0)
+    wanted = np.unique(src[known] * len(columns.users) + dst[known])
+    if not len(wanted):
+        return np.zeros(len(columns), dtype=bool)
+    codes = columns.pair_codes()
+    pos = np.searchsorted(wanted, codes)
+    np.minimum(pos, len(wanted) - 1, out=pos)
+    return wanted[pos] == codes
 
 
 def window_loss(r_hat_by_class: Mapping[str, float], r_by_class: Mapping[str, float]) -> float:

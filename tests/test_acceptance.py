@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import FollowerLog, digraph_of, edge_set, follower_table, simulate_growth_rate
+from oracles import FollowerLog, digraph_of, edge_set, follower_table, label_ids, simulate_growth_rate
 from swaynet import rng as rngmod
 from swaynet.alignment import classify_all, coverage_curve, involvement_profiles, proportions
 from swaynet.backbone import backbone_size_curve, disparity_filter, edge_alpha, null_heterogeneity_moments
@@ -248,25 +248,24 @@ def test_c07_growth_ordering_reproduction():
     columns = synthesize(config, seed).columns()
     involvement = involvement_profiles(columns.src, columns.dst, columns.content_class_idx, len(columns.users))
     labels = classify_all(involvement, 0.95)
-    by_class = {cls: {columns.users[u] for u in np.flatnonzero(labels == c)} for c, cls in enumerate(CONTENT_CLASSES)}
-    aligned_any = set().union(*by_class.values())
     table = columns.follower_logs()
     setups, empirical, planted_sign = {}, {}, {}
     for i, window in enumerate(sliding_windows(0, 225 * DAY)):
         if window.partial or window.start < 30 * DAY:
             continue
         empirical[window.start] = {
-            cls: window_growth_rate(table, by_class[cls], window, cls).rate for cls in CONTENT_CLASSES
+            cls: window_growth_rate(table, np.flatnonzero(labels == c), window, cls).rate
+            for c, cls in enumerate(CONTENT_CLASSES)
         }
         setups[window.start] = {
             cls: build_cascade_setup(
-                columns.build_graph(time_range=(window.start - 30 * DAY, window.start), content_class=cls),
+                columns.build_graph(columns.event_mask((window.start - 30 * DAY, window.start), cls)),
                 window,
-                by_class[cls],
-                aligned_any,
+                labels == c,
+                labels >= 0,
                 table,
             )
-            for cls in CONTENT_CLASSES
+            for c, cls in enumerate(CONTENT_CLASSES)
         }
         planted_sign[window.start] = 1 if i in fac_windows else -1
     result = fit_parameters(setups, empirical, FitConfig(runs_per_point=100, tolerance_pct=0.10, seed=seed))
@@ -291,6 +290,7 @@ def test_c08_windowing_fixtures():
     aligned = {"u1", "u2", "u3"}
     windows = sliding_windows(0, 45 * DAY)
     assert [(w.start, w.end) for w in windows[:2]] == [(0, 30 * DAY), (15 * DAY, 45 * DAY)]
+    aligned = label_ids(logs.users, aligned)
     first = window_growth_rate(logs, aligned, windows[0])
     # u3 has one in-window observation: inactive. 1000 -> 1000 exactly.
     assert (first.n_active, first.f_first, first.f_last, first.rate) == (2, 1000, 1000, 0.0)

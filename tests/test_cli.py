@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -9,19 +10,22 @@ import pytest
 
 from oracles import (
     backbone_overlap,
+    backbone_pair_mask_by_search,
     classify_users,
+    columns_of,
     digraph_of,
     edge_set,
     edge_significance,
     global_threshold_backbone,
     heterogeneity_rows,
     involvement_counts,
+    RetweetEvent,
     ternary_cells,
 )
 from swaynet.backbone import disparity_filter
 from swaynet.cli import DEFAULT_THETA_GRID, PipelineConfig, run, validate_config
 from swaynet.events import CLASS_BY_CATEGORY, CONTENT_CLASSES
-from swaynet.graph import load_binary
+from swaynet.graph import WeightedDigraph, load_binary, save_binary
 
 DAY = 86_400
 
@@ -420,7 +424,8 @@ class TestPipeline:
             ["simulate", "--out", str(tmp_path), "--delta", "0.05", "--r0", "2.0", "--runs", "10", "--seed", "9"]
         ) == 0
         config = PipelineConfig(out=str(tmp_path), seed=9, runs=10)
-        setups = cli._build_setups(config, cli._load_columns(config), cli._load_labels(config)[0])
+        columns = cli._load_columns(config)
+        setups = cli._build_setups(config, columns, cli._load_labels(config, columns)[0])
         grid = FitConfig().r0_grid()
         assert grid[40] == 2.0
         with open(tmp_path / "simulate.csv", newline="") as fh:
@@ -442,7 +447,8 @@ class TestPipeline:
             ["simulate", "--out", str(tmp_path), "--delta", str(delta), "--r0", str(r0), "--runs", str(runs), "--seed", str(seed)]
         ) == 0
         config = PipelineConfig(out=str(tmp_path), seed=seed, runs=runs)
-        setups = cli._build_setups(config, cli._load_columns(config), cli._load_labels(config)[0])
+        columns = cli._load_columns(config)
+        setups = cli._build_setups(config, columns, cli._load_labels(config, columns)[0])
         with open(tmp_path / "simulate.csv", newline="") as fh:
             rows = [r for r in csv.DictReader(fh) if r["r_hat_mean"] != ""]
         assert rows
@@ -583,6 +589,63 @@ class TestSimulateEdge:
         filled = {r["class"] for r in rows if r["r_hat_mean"] != ""}
         assert "misleading" in blanks
         assert "factual" in filled
+
+
+    def test_fit_without_simulable_window_exits_1_with_reasons(self, tmp_path, capsys):
+        # No misleading campaign: every window lacks a misleading cascade,
+        # a data condition rather than a runtime failure.
+        assert run(
+            synth_args(tmp_path, extra=["--synth-aligned-misleading", "0", "--synth-events-misleading", "0"])
+        ) == 0
+        assert run(["align", "--out", str(tmp_path), "--unfiltered"]) == 0
+        assert run(["growth", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert run(["fit", "--out", str(tmp_path), "--runs", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid data: no simulable window")
+        reasons = re.findall(r"window (\d+): empty populations or zero aligned followers for: misleading", err)
+        assert len(reasons) >= 2
+        assert not (tmp_path / "fit.json").exists()
+
+
+class TestBackbonePairMask:
+    def test_matches_search_oracle(self):
+        from swaynet.cli import _backbone_pair_mask
+
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            users = [f"u{i}" for i in range(int(rng.integers(2, 15)))]
+            events = [
+                RetweetEvent(int(t), users[s], users[d], "NA", "uncertain", 1, 1, False, False, False, False)
+                for t, (s, d) in enumerate(rng.integers(0, len(users), size=(int(rng.integers(1, 80)), 2)))
+            ]
+            columns = columns_of(events)
+            g = columns.build_graph()
+            backbones = [
+                disparity_filter(g, float(rng.uniform(0.05, 1.0))),
+                WeightedDigraph([], np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)),
+                digraph_of([(s, d, w) for s, d, w in g.edges() if rng.random() < 0.5] + [("ghost", users[0], 1), (users[1], "ghost2", 2)]),
+                digraph_of([("ghost", "ghost2", 1)]),
+            ]
+            for backbone in backbones:
+                assert np.array_equal(_backbone_pair_mask(columns, backbone), backbone_pair_mask_by_search(columns, backbone))
+            assert not _backbone_pair_mask(columns, backbones[1]).any()
+            assert _backbone_pair_mask(columns, g).all()
+
+
+class TestReportBackboneLabels:
+    def test_backbone_label_the_events_lack_changes_no_flag_retention(self, tmp_path):
+        from swaynet.cli import _load_columns
+
+        run_pipeline(tmp_path, with_fit=False)
+        last = _load_columns(PipelineConfig(out=str(tmp_path))).users[-1]
+        edges = [e for e in load_binary(str(tmp_path / "backbone.bin")).edges() if last not in e[:2]]
+        save_binary(digraph_of(edges), str(tmp_path / "backbone.bin"))
+        assert run(["report", "--out", str(tmp_path)]) == 0
+        expected = (tmp_path / "report" / "supp_flag_retention.csv").read_bytes()
+        save_binary(digraph_of(edges + [(edges[0][0], "ghost", 1), ("ghost2", "ghost", 3)]), str(tmp_path / "backbone.bin"))
+        assert run(["report", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report" / "supp_flag_retention.csv").read_bytes() == expected
 
 
 def random_event_streams(n_graphs=30, seed=2024):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import RetweetEvent, columns_of, digraph_of, edge_set, weight_of
+from oracles import RetweetEvent, columns_of, digraph_of, edge_set, label_ids, reachable_labels, weight_of
 from swaynet.graph import (
     creator_consumer_partition,
     load_binary,
@@ -20,6 +20,21 @@ def ev(ts, src, dst, cls="uncertain"):
 
 def graph_of(*edges):
     return digraph_of(edges)
+
+
+def graph_in(events, time_range=None, content_class=None):
+    columns = columns_of(events)
+    return columns.build_graph(columns.event_mask(time_range, content_class))
+
+
+def reach(g, labels):
+    """Labels reachable from `labels`, through the id-space reachable_set."""
+    return {g.labels[i] for i in np.flatnonzero(reachable_set(g, label_ids(g.labels, labels)))}
+
+
+def reach_back(g, labels):
+    """Labels reaching `labels`, through the id-space reverse_reachable_set."""
+    return {g.labels[i] for i in np.flatnonzero(reverse_reachable_set(g, label_ids(g.labels, labels)))}
 
 
 def degrees_of(g, label):
@@ -58,18 +73,18 @@ def random_graph(rng: np.random.Generator, max_nodes=12, p=0.25):
 class TestBuildNetwork:
     def test_repeat_events_aggregate_weight(self):
         events = [ev(t, "A", "B") for t in (1, 2, 3)]
-        g = columns_of(events).build_graph(time_range=(0, 10))
+        g = graph_in(events, (0, 10))
         assert weight_of(g, "A", "B") == 3
         assert g.n_edges == 1
 
     def test_event_outside_range_excluded(self):
         events = [ev(5, "A", "B"), ev(10, "A", "C")]
-        g = columns_of(events).build_graph(time_range=(0, 10))
-        assert "C" not in g
+        g = graph_in(events, (0, 10))
+        assert "C" not in g.labels
 
     def test_class_filter(self):
         events = [ev(1, "A", "B", "factual"), ev(2, "C", "D", "misleading")]
-        g = columns_of(events).build_graph(content_class="factual")
+        g = graph_in(events, content_class="factual")
         assert edge_set(g) == {("A", "B")}
 
     def test_weight_sum_equals_retained_events(self):
@@ -78,12 +93,12 @@ class TestBuildNetwork:
             ev(int(rng.integers(0, 100)), f"u{rng.integers(5)}", f"u{rng.integers(5)}")
             for _ in range(200)
         ]
-        g = columns_of(events).build_graph(time_range=(0, 50))
+        g = graph_in(events, (0, 50))
         retained = sum(1 for e in events if 0 <= e.timestamp < 50)
         assert g.total_weight == retained
 
     def test_empty_range_gives_empty_graph(self):
-        g = columns_of([ev(1, "A", "B")]).build_graph(time_range=(5, 5))
+        g = graph_in([ev(1, "A", "B")], (5, 5))
         assert g.n_nodes == 0 and g.n_edges == 0
 
 
@@ -136,20 +151,21 @@ class TestPartition:
 class TestReachability:
     def test_chain(self):
         g = graph_of(("a", "b", 1), ("b", "c", 1))
-        assert reachable_set(g, {"a"}) == {"a", "b", "c"}
+        assert reach(g, {"a"}) == {"a", "b", "c"}
 
     def test_node_reaches_itself(self):
         g = graph_of(("a", "b", 1), ("x", "x", 1))
-        assert reachable_set(g, {"x"}) == {"x"}
+        assert reach(g, {"x"}) == {"x"}
 
     def test_sink_of_chain(self):
         g = graph_of(("a", "b", 1), ("b", "c", 1))
-        assert reachable_set(g, {"c"}) == {"c"}
+        assert reach(g, {"c"}) == {"c"}
 
     def test_unknown_source_is_error(self):
         g = graph_of(("a", "b", 1))
-        with pytest.raises(KeyError):
-            reachable_set(g, {"zzz"})
+        for bad in (2, -1):
+            with pytest.raises(KeyError):
+                reachable_set(g, [bad])
 
     def test_monotone_in_sources_and_idempotent(self):
         rng = np.random.default_rng(5)
@@ -158,26 +174,26 @@ class TestReachability:
             labels = list(g.labels)
             small = set(labels[:1])
             big = set(labels[:2])
-            r_small = reachable_set(g, small)
-            r_big = reachable_set(g, big)
+            r_small = reach(g, small)
+            r_big = reach(g, big)
             assert r_small <= r_big
-            assert reachable_set(g, r_small) == r_small  # closed sets are fixed points
+            assert reach(g, r_small) == r_small  # closed sets are fixed points
 
     def test_reverse_reachability_consistent(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             g, _ = random_graph(rng)
             target = g.labels[0]
-            upstream = reverse_reachable_set(g, {target})
+            upstream = reach_back(g, {target})
             for node in g.labels:
-                assert (node in upstream) == (target in reachable_set(g, {node}))
+                assert (node in upstream) == (target in reach(g, {node}))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             g, _ = random_graph(rng)
             sources = set(g.labels[:2])
-            assert reachable_set(g, sources) == brute_reachable(edge_set(g), set(g.labels), sources)
+            assert reach(g, sources) == brute_reachable(edge_set(g), set(g.labels), sources)
 
     def test_reverse_matches_brute_force_on_reversed_edges(self):
         rng = np.random.default_rng(13)
@@ -185,39 +201,50 @@ class TestReachability:
             g, _ = random_graph(rng, p=float(rng.uniform(0.05, 0.4)))
             reversed_edges = {(d, s) for s, d in edge_set(g)}
             targets = set(rng.choice(g.labels, size=int(rng.integers(1, 4))))
-            assert reverse_reachable_set(g, targets) == brute_reachable(reversed_edges, set(g.labels), targets)
+            assert reach_back(g, targets) == brute_reachable(reversed_edges, set(g.labels), targets)
 
     def test_long_chain_both_directions(self):
         n = 5000
         g = graph_of(*((f"v{i}", f"v{i + 1}", 1) for i in range(n - 1)))
-        assert reachable_set(g, {"v0"}) == set(g.labels)
-        assert reachable_set(g, {f"v{n - 10}"}) == {f"v{i}" for i in range(n - 10, n)}
-        assert reverse_reachable_set(g, {f"v{n - 1}"}) == set(g.labels)
-        assert reverse_reachable_set(g, {"v9"}) == {f"v{i}" for i in range(10)}
+        assert reach(g, {"v0"}) == set(g.labels)
+        assert reach(g, {f"v{n - 10}"}) == {f"v{i}" for i in range(n - 10, n)}
+        assert reach_back(g, {f"v{n - 1}"}) == set(g.labels)
+        assert reach_back(g, {"v9"}) == {f"v{i}" for i in range(10)}
 
     def test_wide_star(self):
         leaves = [f"leaf{i}" for i in range(3000)]
         g = graph_of(*(("hub", leaf, 1) for leaf in leaves), ("leaf7", "tail", 1))
-        assert reachable_set(g, {"hub"}) == set(g.labels)
-        assert reachable_set(g, {"leaf7"}) == {"leaf7", "tail"}
-        assert reverse_reachable_set(g, {"tail"}) == {"tail", "leaf7", "hub"}
-        assert reverse_reachable_set(g, {"hub"}) == {"hub"}
+        assert reach(g, {"hub"}) == set(g.labels)
+        assert reach(g, {"leaf7"}) == {"leaf7", "tail"}
+        assert reach_back(g, {"tail"}) == {"tail", "leaf7", "hub"}
+        assert reach_back(g, {"hub"}) == {"hub"}
 
     def test_self_loops_and_repeated_or_overlapping_starts(self):
         g = graph_of(("a", "a", 1), ("a", "b", 1), ("b", "b", 2), ("b", "c", 1), ("d", "d", 1))
-        assert reachable_set(g, ["a", "a", "b"]) == {"a", "b", "c"}
-        assert reachable_set(g, ["c", "b", "c"]) == {"b", "c"}
-        assert reachable_set(g, ["d"]) == {"d"}
-        assert reverse_reachable_set(g, ["c", "c", "a"]) == {"a", "b", "c"}
-        assert reverse_reachable_set(g, ["d", "d"]) == {"d"}
-        assert reachable_set(g, []) == set() == reverse_reachable_set(g, [])
+        assert reach(g, ["a", "a", "b"]) == {"a", "b", "c"}
+        assert reach(g, ["c", "b", "c"]) == {"b", "c"}
+        assert reach(g, ["d"]) == {"d"}
+        assert reach_back(g, ["c", "c", "a"]) == {"a", "b", "c"}
+        assert reach_back(g, ["d", "d"]) == {"d"}
+        assert reach(g, []) == set() == reach_back(g, [])
 
     def test_unknown_target_is_error_naming_the_role(self):
         g = graph_of(("a", "b", 1))
-        with pytest.raises(KeyError, match="unknown target node: 'zzz'"):
-            reverse_reachable_set(g, ["a", "zzz"])
-        with pytest.raises(KeyError, match="unknown source node: 'zzz'"):
-            reachable_set(g, ["zzz"])
+        with pytest.raises(KeyError, match="unknown target node: 7"):
+            reverse_reachable_set(g, [0, 7])
+        with pytest.raises(KeyError, match="unknown source node: -2"):
+            reachable_set(g, [-2])
+
+    def test_matches_label_oracle_with_self_loops_and_reciprocal_edges(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            g, _ = random_graph(rng, p=float(rng.uniform(0.05, 0.5)))
+            pairs = edge_set(g)
+            extra = [(s, s, 1) for s in list(g.labels)[:2]] + [(d, s, 2) for s, d in sorted(pairs)[:3]]
+            g = graph_of(*((s, d, 1) for s, d in pairs), *extra)
+            starts = set(rng.choice(g.labels, size=int(rng.integers(0, 4))))
+            assert reach(g, starts) == reachable_labels(g, starts)
+            assert reach_back(g, starts) == reachable_labels(g, starts, reverse=True)
 
 
 class TestSerialization:

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import FollowerLog, RetweetEvent, active_users, build_follower_logs, columns_of, follower_table
+from oracles import (
+    FollowerLog,
+    RetweetEvent,
+    active_users,
+    build_follower_logs,
+    class_of_users,
+    columns_of,
+    follower_table,
+    label_ids,
+    label_mask,
+)
 from swaynet.growth import (
     SECONDS_PER_DAY,
     TimeWindow,
@@ -16,6 +26,16 @@ DAY = SECONDS_PER_DAY
 
 def log(user, *obs):
     return FollowerLog(user, tuple(obs))
+
+
+def growth_of(logs, aligned, window):
+    """window_growth_rate over the table of `logs`, for the aligned labels it holds."""
+    table = follower_table(logs)
+    return window_growth_rate(table, label_ids(table.users, aligned), window)
+
+
+def daily_of(columns, by_class):
+    return columns.daily_counts_by_class(class_of_users(columns.users, by_class))
 
 
 class TestSlidingWindows:
@@ -72,7 +92,7 @@ class TestActiveUsers:
 class TestWindowGrowthRate:
     def test_single_user_ten_percent(self):
         logs = {"u": log("u", (0, 100), (29 * DAY, 110))}
-        point = window_growth_rate(follower_table(logs), {"u"}, TimeWindow(0, 30 * DAY))
+        point = growth_of(logs, {"u"}, TimeWindow(0, 30 * DAY))
         assert point.rate == pytest.approx(0.10)
         assert point.n_active == 1
 
@@ -81,7 +101,7 @@ class TestWindowGrowthRate:
             "u": log("u", (0, 100), (29 * DAY, 110)),
             "v": log("v", (0, 900), (29 * DAY, 990)),
         }
-        point = window_growth_rate(follower_table(logs), {"u", "v"}, TimeWindow(0, 30 * DAY))
+        point = growth_of(logs, {"u", "v"}, TimeWindow(0, 30 * DAY))
         assert point.rate == pytest.approx(0.10)
         assert (point.f_first, point.f_last) == (1000, 1100)
 
@@ -90,35 +110,35 @@ class TestWindowGrowthRate:
             "u": log("u", (0, 100), (29 * DAY, 110)),
             "v": log("v", (0, 900), (29 * DAY, 890)),
         }
-        point = window_growth_rate(follower_table(logs), {"u", "v"}, TimeWindow(0, 30 * DAY))
+        point = growth_of(logs, {"u", "v"}, TimeWindow(0, 30 * DAY))
         assert point.rate == pytest.approx(0.0)
 
     def test_no_active_users_is_gap_not_crash(self):
-        point = window_growth_rate(follower_table({}), {"u"}, TimeWindow(0, 30 * DAY))
+        point = growth_of({}, {"u"}, TimeWindow(0, 30 * DAY))
         assert point.rate is None and point.n_active == 0
 
     def test_zero_baseline_is_gap(self):
         logs = {"u": log("u", (0, 0), (29 * DAY, 10))}
-        point = window_growth_rate(follower_table(logs), {"u"}, TimeWindow(0, 30 * DAY))
+        point = growth_of(logs, {"u"}, TimeWindow(0, 30 * DAY))
         assert point.rate is None
 
     def test_scale_invariance(self):
         logs_a = {"u": log("u", (0, 100), (10 * DAY, 104), (29 * DAY, 111))}
         logs_b = {"u": log("u", (0, 700), (10 * DAY, 728), (29 * DAY, 777))}
         w = TimeWindow(0, 30 * DAY)
-        assert window_growth_rate(follower_table(logs_a), {"u"}, w).rate == pytest.approx(
-            window_growth_rate(follower_table(logs_b), {"u"}, w).rate
+        assert growth_of(logs_a, {"u"}, w).rate == pytest.approx(
+            growth_of(logs_b, {"u"}, w).rate
         )
 
     def test_inactive_extra_user_pulls_rate_toward_zero(self):
         w = TimeWindow(0, 30 * DAY)
         base = {"u": log("u", (0, 100), (29 * DAY, 120))}
         with_flat = dict(base, v=log("v", (0, 400), (29 * DAY, 400)))
-        r_base = window_growth_rate(follower_table(base), {"u"}, w).rate
-        r_flat = window_growth_rate(follower_table(with_flat), {"u", "v"}, w).rate
+        r_base = growth_of(base, {"u"}, w).rate
+        r_flat = growth_of(with_flat, {"u", "v"}, w).rate
         assert abs(r_flat) < abs(r_base)
         # The absolute change F_last - F_first is untouched.
-        p = window_growth_rate(follower_table(with_flat), {"u", "v"}, w)
+        p = growth_of(with_flat, {"u", "v"}, w)
         assert p.f_last - p.f_first == 20
 
 
@@ -148,12 +168,12 @@ class TestTableMatchesOracles:
         for window in sliding_windows(0, 100 * DAY):
             for aligned in aligned_sets:
                 for min_obs in (2, 3):
-                    got = window_growth_rate(table, aligned, window, "uncertain", min_obs)
+                    got = window_growth_rate(table, label_ids(table.users, aligned), window, "uncertain", min_obs)
                     assert got == oracles.window_growth_rate(logs, aligned, window, "uncertain", min_obs)
                     if aligned and min_obs == 2:
                         assert got.n_active == len(active_users(logs, window) & aligned)
             population = users + missing
-            counts, fallback = table.at(population, window.start)
+            counts, fallback = table.at(table.ids(population), window.start)
             expected = [oracles.follower_snapshot(logs.get(u), window.start) for u in population]
             assert list(zip(counts.tolist(), fallback.tolist())) == expected
 
@@ -166,20 +186,20 @@ def ev(ts, src, dst, cls="factual"):
 class TestDailyCounts:
     def test_three_events_one_day(self):
         events = [ev(100, "a", "x"), ev(200, "a", "y"), ev(300, "b", "a")]
-        counts = columns_of(events).daily_counts_by_class({"factual": {"a"}})["factual"]
+        counts = daily_of(columns_of(events), {"factual": {"a"}})["factual"]
         assert counts == {0: 3}
 
     def test_both_endpoints_aligned_counted_once(self):
-        counts = columns_of([ev(100, "a", "b")]).daily_counts_by_class({"factual": {"a", "b"}})["factual"]
+        counts = daily_of(columns_of([ev(100, "a", "b")]), {"factual": {"a", "b"}})["factual"]
         assert counts == {0: 1}
 
     def test_label_missing_from_the_user_table_is_ignored(self):
         columns = columns_of([ev(100, "a", "x"), ev(100 + DAY, "b", "y")])
         assert columns.ids(["b", "ghost", "a"]).tolist() == [2, -1, 0]
-        assert columns.daily_counts_by_class({"factual": {"ghost", "a"}})["factual"] == {0: 1}
+        assert daily_of(columns, {"factual": {"ghost", "a"}})["factual"] == {0: 1}
 
     def test_day_without_events_absent(self):
-        counts = columns_of([ev(100, "a", "x")]).daily_counts_by_class({"factual": {"a"}})["factual"]
+        counts = daily_of(columns_of([ev(100, "a", "x")]), {"factual": {"a"}})["factual"]
         assert 1 not in counts
 
     def test_class_filter_and_conservation(self):
@@ -189,10 +209,12 @@ class TestDailyCounts:
             ev(100 + DAY, "z", "w", "factual"),
         ]
         aligned = {"a"}
-        by_class = columns_of(events).daily_counts_by_class(
-            {cls: aligned for cls in ("factual", "misleading", "uncertain")}
-        )
-        total = sum(sum(c.values()) for c in by_class.values())
+        columns = columns_of(events)
+        # A user holds one class, so align "a" to each class in turn.
+        total = 0
+        for c, cls in enumerate(("factual", "misleading", "uncertain")):
+            counts = columns.daily_counts_by_class(np.where(label_mask(columns.users, aligned), c, -1))
+            total += sum(counts[cls].values())
         touching = sum(1 for e in events if e.retweetee in aligned or e.retweeter in aligned)
         assert total == touching == 2
 

@@ -7,11 +7,15 @@ from swaynet import rng as rngmod
 from oracles import (
     FollowerLog,
     RetweetEvent,
+    cascade_populations_by_label,
     columns_of,
     digraph_of,
     edge_set,
+    first_at_or_after_by_keys,
     follower_snapshot,
     follower_table,
+    label_ids,
+    label_mask,
     simulate_growth_rate,
     window_loss,
 )
@@ -43,6 +47,12 @@ def ev(ts, src, dst, cls="factual"):
 
 def graph_of(*edges):
     return digraph_of(edges)
+
+
+def populations(g, aligned_class, aligned_any):
+    """cascade_populations on label sets, its user ids read back as labels."""
+    v_a, v_sw = cascade_populations(g, label_mask(g.users, aligned_class), label_mask(g.users, aligned_any))
+    return {g.users[i] for i in v_a}, {g.users[i] for i in v_sw}
 
 
 # -- independent oracle -----------------------------------------------------------
@@ -84,6 +94,30 @@ class TestTemporalNetwork:
         window = TimeWindow(60 * DAY, 90 * DAY)
         assert temporal_network(columns_of(events), window, 1, "factual").n_edges == 0
 
+    def test_class_time_slice_matches_event_mask_on_every_fit_window(self):
+        from swaynet.cli import PipelineConfig, _fit_windows
+        from swaynet.synth import SynthConfig, synthesize
+
+        config = SynthConfig(
+            start=0,
+            end=150 * DAY,
+            aligned_users={"factual": 6, "misleading": 6, "uncertain": 6},
+            swayable_users=40,
+            events_per_class={"factual": 900, "misleading": 900, "uncertain": 900},
+        )
+        columns = synthesize(config, 5).columns()
+        for lookback in (1, 2):
+            windows = _fit_windows(PipelineConfig(lookback=lookback), columns)
+            assert len(windows) >= 3
+            for window in windows:
+                start = window.start - lookback * 30 * DAY
+                for cls in ("factual", "misleading", "uncertain"):
+                    got = temporal_network(columns, window, lookback, cls)
+                    want = columns.build_graph(columns.event_mask((start, window.start), cls))
+                    assert got.n_edges > 0
+                    assert np.array_equal(got.node_user, want.node_user)
+                    assert list(got.edges()) == list(want.edges())
+
     def test_lookback_must_be_positive(self):
         with pytest.raises(ValueError):
             temporal_network(columns_of([]), TimeWindow(0, 30 * DAY), 0, "factual")
@@ -92,30 +126,30 @@ class TestTemporalNetwork:
 class TestCascadePopulations:
     def test_chain_reaches_downstream(self):
         g = graph_of(("A", "s1", 1), ("s1", "s2", 1))
-        v_a, v_sw = cascade_populations(g, {"A"}, {"A"})
+        v_a, v_sw = populations(g, {"A"}, {"A"})
         assert v_a == {"A"}
         assert v_sw == {"s1", "s2"}
 
     def test_aligned_without_swayable_path_excluded(self):
         g = graph_of(("A", "B", 1), ("C", "s1", 1))
-        v_a, v_sw = cascade_populations(g, {"A", "B", "C"}, {"A", "B", "C"})
+        v_a, v_sw = populations(g, {"A", "B", "C"}, {"A", "B", "C"})
         assert v_a == {"C"}
         assert v_sw == {"s1"}
 
     def test_upstream_swayable_excluded(self):
         g = graph_of(("s0", "A", 1), ("A", "s1", 1))
-        v_a, v_sw = cascade_populations(g, {"A"}, {"A"})
+        v_a, v_sw = populations(g, {"A"}, {"A"})
         assert v_sw == {"s1"}
         assert "s0" not in v_sw
 
     def test_disjoint_populations(self):
         g = graph_of(("A", "s1", 1), ("s1", "B", 1))
-        v_a, v_sw = cascade_populations(g, {"A", "B"}, {"A", "B"})
+        v_a, v_sw = populations(g, {"A", "B"}, {"A", "B"})
         assert v_a & v_sw == set()
 
     def test_empty_when_no_seeds_present(self):
         g = graph_of(("x", "y", 1))
-        assert cascade_populations(g, {"zzz"}, {"zzz"}) == (set(), set())
+        assert populations(g, {"zzz"}, {"zzz"}) == (set(), set())
 
     def test_matches_set_oracle_on_random_graphs(self):
         def reach(adj, start):
@@ -143,7 +177,30 @@ class TestCascadePopulations:
             sw = set().union(*(reach(adj, u) for u in seeds)) - aligned_any - seeds
             a = {u for u in seeds if reach(adj, u) & sw}
             expected = (a, sw) if seeds and sw else (set(), set())
-            assert cascade_populations(g, aligned_class, aligned_any) == expected
+            assert populations(g, aligned_class, aligned_any) == expected
+
+    def test_matches_label_oracle_on_window_graphs(self):
+        # Windows of a shared user table: some aligned users are absent from
+        # the window, some labels are unknown to the table, and the graphs
+        # carry self-loops and reciprocal edges.
+        rng = np.random.default_rng(23)
+        absent = nonempty = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 25))
+            users = [f"u{i}" for i in range(n)]
+            events = [ev(int(t), users[s], users[d]) for t, s, d in rng.integers(0, n, size=(3 * n, 3)) * [DAY, 1, 1]]
+            events += [ev(int(rng.integers(0, n)) * DAY, u, u) for u in users[:2]]
+            columns = columns_of(events)
+            window = TimeWindow(int(rng.integers(1, n)) * DAY, (n + 30) * DAY)
+            g = temporal_network(columns, window, 1, "factual")
+            pool = users + ["ghost"]
+            aligned_class = {u for u in pool if rng.random() < 0.25}
+            aligned_any = aligned_class | {u for u in pool if rng.random() < 0.2}
+            expected = cascade_populations_by_label(g, aligned_class, aligned_any)
+            assert populations(g, aligned_class, aligned_any) == expected
+            absent += bool(aligned_class & set(columns.users) - set(g.labels))
+            nonempty += bool(expected[1])
+        assert absent >= 10 and nonempty >= 10, (absent, nonempty)
 
 
 class TestFinalSize:
@@ -357,7 +414,7 @@ class TestWindowLoss:
 
 
 def snapshot_of(table, user, before):
-    counts, fallback = table.at([user], before)
+    counts, fallback = table.at(table.ids([user]), before)
     return int(counts[0]), bool(fallback[0])
 
 
@@ -378,6 +435,23 @@ class TestFollowerSnapshots:
         snaps = follower_table({})
         assert snapshot_of(snaps, "ghost", 10) == (0, True)
 
+    def test_segment_bisection_matches_keys_oracle(self):
+        # Users with empty segments, times shared across users, and every
+        # t before, at and after each observation.
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            logs = {}
+            for u in range(int(rng.integers(1, 12))):
+                times = np.unique(rng.integers(0, 40, size=int(rng.integers(0, 9))))
+                logs[f"u{u}"] = FollowerLog(f"u{u}", tuple((int(t), int(rng.integers(0, 500))) for t in times))
+            table = follower_table(logs)
+            ids = np.arange(len(table.users))
+            for t in sorted({-1, 41} | {int(x) + d for x in table.ts for d in (-1, 0, 1)}):
+                assert table.first_at_or_after(ids, t).tolist() == first_at_or_after_by_keys(table, ids, t).tolist()
+                counts, fallback = table.at(ids, t)
+                expected = [follower_snapshot(logs[u], t) for u in table.users]
+                assert list(zip(counts.tolist(), fallback.tolist())) == expected
+
 
 class TestBuildCascadeSetup:
     def test_populations_and_snapshots(self):
@@ -388,7 +462,9 @@ class TestBuildCascadeSetup:
             "s2": FollowerLog("s2", ((40 * DAY, 70),)),  # only post-window: fallback
         }
         window = TimeWindow(30 * DAY, 60 * DAY)
-        setup = build_cascade_setup(g, window, {"A"}, {"A"}, follower_table(logs))
+        table = follower_table(logs)
+        assert table.users == list(g.users)
+        setup = build_cascade_setup(g, window, label_mask(g.users, {"A"}), label_mask(g.users, {"A"}), table)
         assert setup.f_a.tolist() == [600]
         assert setup.f_sw.tolist() == [50, 70]  # s1, s2: label order
         assert setup.sum_f_a == 600
@@ -593,6 +669,6 @@ class TestEndToEndSetups:
         events.append(ev(50 * DAY, "s1", "s3"))
         window = TimeWindow(60 * DAY, 90 * DAY)
         g = temporal_network(columns_of(events), window, 1, "factual")
-        v_a, v_sw = cascade_populations(g, {"A"}, {"A"})
+        v_a, v_sw = populations(g, {"A"}, {"A"})
         assert v_a == {"A"}
         assert v_sw == {"s1", "s2", "s3"}

@@ -6,6 +6,7 @@ from oracles import (
     RetweetEvent,
     build_follower_logs,
     build_network,
+    class_of_users,
     columns_equal,
     columns_of,
     daily_counts,
@@ -149,7 +150,7 @@ class TestVectorizedEquivalence:
             ((0, 20 * DAY), "factual"),
         ):
             g_obj = build_network(events, time_range=time_range, class_filter=cls)
-            g_col = columns.build_graph(time_range=time_range, content_class=cls)
+            g_col = columns.build_graph(columns.event_mask(time_range, cls))
             assert edge_set(g_col) == edge_set(g_obj)
             assert dict(((s, d), w) for s, d, w in g_col.edges()) == dict(
                 ((s, d), w) for s, d, w in g_obj.edges()
@@ -163,7 +164,7 @@ class TestVectorizedEquivalence:
 
     def test_daily_counts_match_object_path(self, events, columns):
         aligned = {u for u in columns.users if u.startswith("fac")}
-        by_class = columns.daily_counts_by_class({"factual": aligned})
+        by_class = columns.daily_counts_by_class(class_of_users(columns.users, {"factual": aligned}))
         assert by_class["factual"] == daily_counts(events, "factual", aligned)
 
 

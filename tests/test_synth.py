@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from oracles import columns_equal, synth_events, to_events
+from oracles import columns_equal, label_ids, synth_events, to_events
 from swaynet.events import CONTENT_CLASSES
 from swaynet.synth import SynthConfig, synthesize
 
@@ -129,8 +129,8 @@ class TestPlantedStructure:
         for window in sliding_windows(0, 90 * DAY):
             if window.partial:
                 continue
-            fac = window_growth_rate(table, set(truth["aligned"]["factual"]), window)
-            mis = window_growth_rate(table, set(truth["aligned"]["misleading"]), window)
+            fac = window_growth_rate(table, label_ids(table.users, truth["aligned"]["factual"]), window)
+            mis = window_growth_rate(table, label_ids(table.users, truth["aligned"]["misleading"]), window)
             assert fac.rate is not None and mis.rate is not None
             assert fac.rate > mis.rate
 
@@ -143,8 +143,8 @@ class TestPlantedStructure:
         }
         result = synthesize(base_config(swayable_reach=reach), 6)
         columns = result.columns()
-        g_fac = columns.build_graph(content_class="factual")
-        g_mis = columns.build_graph(content_class="misleading")
+        g_fac = columns.build_graph(columns.event_mask(content_class="factual"))
+        g_mis = columns.build_graph(columns.event_mask(content_class="misleading"))
         sw_fac = {u for u in g_fac.labels if u.startswith("sw")}
         sw_mis = {u for u in g_mis.labels if u.startswith("sw")}
         assert len(sw_mis) < len(sw_fac)

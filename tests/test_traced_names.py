@@ -34,8 +34,8 @@ def synth_tiny(out, days, aligned, swayable, events):
     assert run(synth) == 0
 
 
-def traced_calls(tmp_path, stage, *args):
-    """Span name -> call count of one stage run under perfbench/spans.py."""
+def traced_run(tmp_path, stage, *args):
+    """(span name -> call count, counters) of one stage run under perfbench/spans.py."""
     spans_path = str(tmp_path / f"{stage}_spans.npz")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
@@ -46,7 +46,13 @@ def traced_calls(tmp_path, stage, *args):
     )
     assert done.returncode == 0, done.stderr
     spans = load_spans_module()
-    return {name: row["calls"] for name, row in spans.summarize(spans.load(spans_path)).items()}
+    recorded = spans.load(spans_path)
+    return {name: row["calls"] for name, row in spans.summarize(recorded).items()}, recorded["counters"]
+
+
+def traced_calls(tmp_path, stage, *args):
+    """Span name -> call count of one stage run under perfbench/spans.py."""
+    return traced_run(tmp_path, stage, *args)[0]
 
 
 def test_traced_align_records_every_alignment_layer(tmp_path):
@@ -82,3 +88,25 @@ def test_traced_growth_fit_and_simulate_record_every_model_layer(tmp_path):
         calls = traced_calls(tmp_path, stage, "--out", out, *flags.get(stage, ()))
         for name in names:
             assert calls.get(name, 0) >= 1, (stage, name, calls)
+
+
+def test_traced_fit_counts_one_graph_per_window_and_class(tmp_path):
+    from swaynet.cli import PipelineConfig, _fit_windows, _load_columns
+    from swaynet.events import CONTENT_CLASSES
+
+    out = str(tmp_path / "run")
+    synth_tiny(out, 150, 15, 120, 3000)
+    assert run(["align", "--out", out, "--unfiltered"]) == 0
+    assert run(["growth", "--out", out]) == 0
+    calls, counters = traced_run(tmp_path, "fit", "--out", out, "--runs", "5")
+    config = PipelineConfig(out=out)
+    columns = _load_columns(config)
+    graphs = [
+        columns.build_graph(columns.event_mask((window.start - 30 * DAY, window.start), cls))
+        for window in _fit_windows(config, columns)
+        for cls in CONTENT_CLASSES
+    ]
+    assert len(graphs) >= 6
+    assert calls["store.build_graph"] == len(graphs)
+    assert counters["store.graph_nodes"] == sum(g.n_nodes for g in graphs)
+    assert counters["store.graph_edges"] == sum(g.n_edges for g in graphs)
