@@ -349,7 +349,7 @@ def parse_events_csv(
 
 
 _JSONL_ROW = '{"ts":%d,"src":%s,"dst":%s,"cat":%s,"src_followers":%d,"dst_followers":%d,%s}\n'
-_WRITE_CHUNK = 65536
+_WRITE_CHUNK = 4096  # rows per write: its lists stay under the 64 KiB mmap threshold (cli.pin_mmap_threshold)
 
 
 def write_events_jsonl(columns: EventColumns, handle: TextIO) -> int:
@@ -383,16 +383,18 @@ def write_follower_logs_csv(table: FollowerSnapshots, handle: TextIO) -> None:
     """
     order = np.array(sorted(range(len(table.users)), key=table.users.__getitem__), dtype=np.int64)
     lengths = np.diff(table.ptr)[order]
-    user = np.repeat(order, lengths)
-    # Output position i inside a user's block reads table row ptr[user] + (i - block start).
-    rows = np.arange(len(user)) + np.repeat(table.ptr[order] - np.cumsum(lengths) + lengths, lengths)
+    ends = np.cumsum(lengths)  # output rows up to and including each user's block
+    # Output row i inside a user's block reads table row i + ptr[user] - block start.
+    shift = table.ptr[order] - (ends - lengths)
     lines: list[str] = []
     csv.writer(SimpleNamespace(write=lines.append)).writerows((u, "") for u in table.users)
     labels = [line[:-3] for line in lines]  # drop the empty last field and ",\r\n"
     handle.write("user,timestamp,followers\r\n")
-    for lo in range(0, len(user), _WRITE_CHUNK):
-        sel = rows[lo : lo + _WRITE_CHUNK]
-        chunk = zip(user[lo : lo + _WRITE_CHUNK].tolist(), table.ts[sel].tolist(), table.count[sel].tolist())
+    for lo in range(0, len(table.ts), _WRITE_CHUNK):  # index arrays a chunk long, never table-long
+        out = np.arange(lo, min(lo + _WRITE_CHUNK, len(table.ts)))
+        block = np.searchsorted(ends, out, side="right")
+        sel = out + shift[block]
+        chunk = zip(order[block].tolist(), table.ts[sel].tolist(), table.count[sel].tolist())
         handle.write("".join([f"{labels[u]},{t},{c}\r\n" for u, t, c in chunk]))
 
 

@@ -85,8 +85,11 @@ def window_growth_rate(
     """Aggregate first/last in-window counts of active aligned users (ids into the table's users).
 
     rate = (F_last - F_first) / F_first; undefined points come back with
-    rate None instead of raising.
+    rate None instead of raising. `min_obs` must be at least 1: an active
+    user needs an in-window first and last count.
     """
+    if min_obs < 1:
+        raise ValueError(f"min_obs must be at least 1, got {min_obs}")
     lo = table.first_at_or_after(aligned, window.start)
     hi = table.first_at_or_after(aligned, window.end)
     active = hi - lo >= min_obs

@@ -359,7 +359,8 @@ def _window_acceptance(cache: _WindowCache, delta: float, tolerance_pct: float):
     only those k pairs are sorted.
     """
     # Loss of every (grid point, replicate) pair, flat index grid * runs + replicate.
-    q = ((delta * cache.rho - cache.empirical) ** 2).sum(axis=2).reshape(-1)
+    # Class terms added left to right, as a sum over the class axis adds them, a plane at a time.
+    q = sum((delta * cache.rho[:, :, c] - e) ** 2 for c, e in enumerate(cache.empirical)).reshape(-1)
     n_accept = math.ceil(tolerance_pct * len(q))
     kth = np.partition(q, n_accept - 1)[n_accept - 1]
     below = np.flatnonzero(q < kth)

@@ -13,7 +13,7 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -33,17 +33,18 @@ from .graph import WeightedDigraph
 
 _COLUMNS = ("ts", "src", "dst", "cat", "src_followers", "dst_followers", "flags")
 _DTYPES = (np.int64, np.int64, np.int64, np.int8, np.int64, np.int64, np.uint8)
-_CACHE_FORMAT = 2  # format 1 kept users.txt, one label per line, which broke on line-break labels
+_TABLE = ("ptr", "ts", "count")  # the FollowerSnapshots arrays, cached as follower_<name>.npy
+_CACHE_FORMAT = 3  # 1 kept users.txt, one label per line, which broke on line-break labels; 2 had no follower table
 _USERS_FILE = "users.json"
 _CLASS_INDEX = {cls: i for i, cls in enumerate(CONTENT_CLASSES)}
 CLASS_OF_CAT = np.array([_CLASS_INDEX[CLASS_BY_CATEGORY[tok]] for tok in CATEGORY_TOKENS], dtype=np.int8)
 
 
 def file_sha256(path: str) -> str:
-    h = hashlib.sha256()
+    h, buf = hashlib.sha256(), bytearray(1 << 20)  # one buffer, refilled: no fresh mapping per chunk
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        while n := fh.readinto(buf):
+            h.update(memoryview(buf)[:n])
     return h.hexdigest()
 
 
@@ -80,6 +81,7 @@ class EventColumns(_UserTable):
     src_followers: np.ndarray
     dst_followers: np.ndarray
     flags: np.ndarray
+    follower_table: FollowerSnapshots | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -115,8 +117,13 @@ class EventColumns(_UserTable):
 
     def save(self, directory: str, source_hash: str) -> None:
         os.makedirs(directory, exist_ok=True)
-        for name in _COLUMNS:
-            np.save(os.path.join(directory, f"{name}.npy"), getattr(self, name))
+        table = self.follower_logs()
+        arrays = [(name, getattr(self, name)) for name in _COLUMNS] + [(f"follower_{n}", getattr(table, n)) for n in _TABLE]
+        for name, values in arrays:  # written aside, then moved in: a mapped old file stays readable
+            path = os.path.join(directory, f"{name}.npy")
+            with open(path + ".tmp", "wb") as fh:
+                np.save(fh, values)
+            os.replace(path + ".tmp", path)
         with open(os.path.join(directory, _USERS_FILE), "w") as fh:
             json.dump(self.users, fh)
         with contextlib.suppress(FileNotFoundError):
@@ -127,8 +134,10 @@ class EventColumns(_UserTable):
 
     @classmethod
     def load(cls, directory: str, expected_hash: str | None = None) -> "EventColumns | None":
-        """The cached columns, or None (a miss) when the cache is absent, stale,
-        of another format, unreadable, or disagrees with its meta counts."""
+        """The cached columns and follower table, or None (a miss) when the
+        cache is absent, stale, of another format, unreadable, holds an array
+        of the wrong dtype or shape, or disagrees with its meta counts. The
+        table is mapped read-only and only its `ptr` is read here."""
         try:
             with open(os.path.join(directory, "cache_meta.json")) as fh:
                 meta = json.load(fh)
@@ -139,11 +148,18 @@ class EventColumns(_UserTable):
             with open(os.path.join(directory, _USERS_FILE)) as fh:
                 users = json.load(fh)
             cols = {name: np.load(os.path.join(directory, f"{name}.npy")) for name in _COLUMNS}
+            ptr, ts, count = (np.load(os.path.join(directory, f"follower_{n}.npy"), mmap_mode="r") for n in _TABLE)
         except (OSError, ValueError):
             return None
-        if len(users) != meta.get("n_users") or any(len(c) != meta.get("n_events") for c in cols.values()):
+        typed = [*zip(cols.values(), _DTYPES), (ptr, np.int64), (ts, np.int64), (count, np.int64)]
+        if len(users) != meta.get("n_users") or any(a.dtype != dtype or a.ndim != 1 for a, dtype in typed):
             return None
-        return cls(users, **cols)
+        if any(len(c) != meta.get("n_events") for c in cols.values()):
+            return None
+        offsets_ok = len(ptr) == len(users) + 1 and ptr[0] == 0 and np.all(ptr[1:] >= ptr[:-1])
+        if not (offsets_ok and ptr[-1] == len(ts) == len(count)):
+            return None
+        return cls(users, **cols, follower_table=FollowerSnapshots(users, ptr, ts, count))
 
     # -- vectorized derivations ------------------------------------------------
 
@@ -195,21 +211,38 @@ class EventColumns(_UserTable):
         return self.src * len(self.users) + self.dst
 
     def follower_logs(self) -> FollowerSnapshots:
-        """Every user's follower-count log from activity-moment snapshots."""
-        user = np.concatenate([self.src, self.dst])
-        ts = np.concatenate([self.ts, self.ts])
-        count = np.concatenate([self.src_followers, self.dst_followers])
-        # Stream order within ties: the retweetee observation of an event
-        # precedes its retweeter observation.
-        seq = np.concatenate([2 * np.arange(len(self.ts)), 2 * np.arange(len(self.ts)) + 1])
-        order = np.lexsort((seq, ts, user))
-        user, ts, count = user[order], ts[order], count[order]
+        """Every user's follower-count log from activity-moment snapshots: the
+        cached table when the columns came from the cache, else built once."""
+        if self.follower_table is None:
+            self.follower_table = self._build_follower_table()
+        return self.follower_table
+
+    def _build_follower_table(self) -> FollowerSnapshots:
+        # Rows in (user, ts, event, role) order, the retweetee observation of
+        # an event first: a stable sort by ts, then by user of the observations
+        # interleaved src, dst per event. Temporaries are freed once used.
+        by_time = np.argsort(self.ts, kind="stable")
+        user = np.empty(2 * len(by_time), dtype=np.int64)
+        user[0::2], user[1::2] = self.src[by_time], self.dst[by_time]
+        bounds = np.zeros(len(self.users) + 1, dtype=np.int64)  # each user's rows before the collapse
+        np.cumsum(np.bincount(user, minlength=len(self.users)), out=bounds[1:])
+        obs = np.argsort(user, kind="stable")  # 2 * (position in by_time) + role
+        del user
+        role = (obs & 1).astype(bool)  # True for the retweeter (dst)
+        obs >>= 1
+        event = by_time[obs]
+        del obs, by_time
+        ts = self.ts[event]
         # Keep the last record of each (user, ts) run.
-        keep = np.ones(len(user), dtype=bool)
-        keep[:-1] = (user[1:] != user[:-1]) | (ts[1:] != ts[:-1])
-        user, ts, count = user[keep], ts[keep], count[keep]
-        ptr = np.zeros(len(self.users) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(user, minlength=len(self.users)), out=ptr[1:])
+        keep = np.ones(len(ts), dtype=bool)
+        keep[:-1] = ts[1:] != ts[:-1]
+        keep[bounds[1:] - 1] = True  # every interned user has rows, so each bound ends a run
+        ptr = np.searchsorted(np.flatnonzero(keep), bounds)  # kept rows before each bound
+        ts = ts[keep]
+        event = event[keep]
+        role = role[keep]
+        count = self.src_followers[event]
+        np.copyto(count, self.dst_followers[event], where=role)
         return FollowerSnapshots(self.users, ptr, ts, count)
 
     def flag_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,6 +10,9 @@ The graph and diagnostic oracles work one edge or node side at a time:
 `digraph_of` builds every test graph from (src, dst, weight) triples, and
 the heterogeneity, significance, overlap and window-loss oracles are the
 scalar forms the array code in swaynet is checked against.
+`follower_table_by_lexsort` is the table builder that sorted all four
+observation columns at once, and `acceptance_losses_by_axis_sum` the loss
+expression that summed over the class axis.
 The label-space section holds what the id code replaced: reachability
 and cascade populations on label sets, the follower-table search by one
 global key array, and the backbone mask by searchsorted, plus helpers that
@@ -276,6 +279,25 @@ def build_follower_logs(events: Iterable[RetweetEvent]) -> dict[str, FollowerLog
                 collapsed.append((ts, followers))
         logs[user] = FollowerLog(user, tuple(collapsed))
     return logs
+
+
+def follower_table_by_lexsort(columns: EventColumns) -> FollowerSnapshots:
+    """The flat follower table from one lexsort of every observation by
+    (user, ts, stream position), the retweetee observation of an event
+    before its retweeter observation; the last of each (user, ts) run is kept."""
+    n = len(columns)
+    user = np.concatenate([columns.src, columns.dst])
+    ts = np.concatenate([columns.ts, columns.ts])
+    count = np.concatenate([columns.src_followers, columns.dst_followers])
+    seq = np.concatenate([2 * np.arange(n), 2 * np.arange(n) + 1])
+    order = np.lexsort((seq, ts, user))
+    user, ts, count = user[order], ts[order], count[order]
+    keep = np.ones(len(user), dtype=bool)
+    keep[:-1] = (user[1:] != user[:-1]) | (ts[1:] != ts[:-1])
+    user, ts, count = user[keep], ts[keep], count[keep]
+    ptr = np.zeros(len(columns.users) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(user, minlength=len(columns.users)), out=ptr[1:])
+    return FollowerSnapshots(columns.users, ptr, ts, count)
 
 
 def user_flag_rates(events: Iterable[RetweetEvent]) -> dict[str, UserFlagRates]:
@@ -552,6 +574,12 @@ def window_loss(r_hat_by_class: Mapping[str, float], r_by_class: Mapping[str, fl
     if missing:
         raise ValueError(f"class sets differ: {sorted(missing)}")
     return float(sum((r_hat_by_class[p] - r_by_class[p]) ** 2 for p in r_by_class))
+
+
+def acceptance_losses_by_axis_sum(rho: np.ndarray, empirical: np.ndarray, delta: float) -> np.ndarray:
+    """Window loss of every (grid point, replicate) pair of a (grid, replicate,
+    class) array, flat index grid * runs + replicate, summed over the class axis."""
+    return ((delta * rho - empirical) ** 2).sum(axis=2).reshape(-1)
 
 
 def simulate_growth_rate(setup, r0: float, delta: float, rng: np.random.Generator) -> float:

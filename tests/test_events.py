@@ -19,7 +19,7 @@ from swaynet.events import (
     write_events_jsonl,
     write_follower_logs_csv,
 )
-from swaynet.store import EventColumns
+from swaynet.store import EventColumns, FollowerSnapshots
 
 
 def make_line(ts=100, src="a", dst="b", cat="SCIENCE", src_f=10, dst_f=20, **flags):
@@ -195,7 +195,7 @@ class TestFollowerLogs:
 
     def test_csv_bytes_match_csv_writer(self):
         # Labels csv.writer quotes or leaves bare, the empty label (quoted only
-        # when alone in a row), and more rows than one write chunk (65,536).
+        # when alone in a row), and more rows than many write chunks (4,096 each).
         labels = ["plain", "comma,name", 'quo"te', "new\nline", "cr\rname", "crlf,\r\nin", " lead", "trail ", "", "ünï"]
         rng = np.random.default_rng(3)
         ends = rng.integers(len(labels), size=(40_000, 2)).tolist()
@@ -215,6 +215,16 @@ class TestFollowerLogs:
         got_rows, expected_rows = got.getvalue().split("\r\n"), expected.getvalue().split("\r\n")
         assert len(got_rows) == len(expected_rows)
         assert [i for i, (a, b) in enumerate(zip(got_rows, expected_rows)) if a != b] == []
+
+    def test_csv_skips_users_without_rows(self):
+        # Users with no rows, first, last and between others in label order.
+        table = FollowerSnapshots(["b", "a", "d", "c", "e"], np.array([0, 2, 2, 3, 3, 3]), np.array([1, 5, 2]), np.array([10, 11, 12]))
+        got = io.StringIO(newline="")
+        write_follower_logs_csv(table, got)
+        assert got.getvalue() == "user,timestamp,followers\r\nb,1,10\r\nb,5,11\r\nd,2,12\r\n"
+        empty = io.StringIO(newline="")
+        write_follower_logs_csv(FollowerSnapshots([], np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)), empty)
+        assert empty.getvalue() == "user,timestamp,followers\r\n"
 
 
 def rates_of(events, user):
@@ -319,7 +329,7 @@ class TestColumnRoundtrip:
         assert buf.getvalue() == expected
 
     def test_roundtrip_across_chunk_boundaries(self):
-        # More rows than one build or write chunk (65,536).
+        # More rows than one parse chunk (16,384) or write chunk (4,096).
         columns = odd_label_columns(n=70_000, seed=8)
         buf = io.StringIO()
         write_events_jsonl(columns, buf)

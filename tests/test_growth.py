@@ -130,6 +130,22 @@ class TestWindowGrowthRate:
             growth_of(logs_b, {"u"}, w).rate
         )
 
+    def test_min_obs_below_one_rejected(self):
+        # With min_obs 0, user "u" (observed only before the window) would
+        # count as active and read "v"'s rows; at the table end, past it.
+        logs = {
+            "u": log("u", (0, 100)),
+            "v": log("v", (40 * DAY, 900), (50 * DAY, 910)),
+            "w": log("w", (0, 50)),
+        }
+        table, window = follower_table(logs), TimeWindow(30 * DAY, 60 * DAY)
+        for min_obs in (0, -1):
+            for aligned in ({"u"}, {"w"}):
+                with pytest.raises(ValueError, match="min_obs"):
+                    window_growth_rate(table, label_ids(table.users, aligned), window, None, min_obs)
+        point = window_growth_rate(table, label_ids(table.users, {"u", "v"}), window, None, 1)
+        assert (point.n_active, point.f_first, point.f_last) == (1, 900, 910)
+
     def test_inactive_extra_user_pulls_rate_toward_zero(self):
         w = TimeWindow(0, 30 * DAY)
         base = {"u": log("u", (0, 100), (29 * DAY, 120))}

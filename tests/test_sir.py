@@ -7,6 +7,7 @@ from swaynet import rng as rngmod
 from oracles import (
     FollowerLog,
     RetweetEvent,
+    acceptance_losses_by_axis_sum,
     cascade_populations_by_label,
     columns_of,
     digraph_of,
@@ -378,6 +379,21 @@ class TestWindowAcceptance:
             ordered = np.sort(q)
             cuts_in_ties += int(k < len(q) and ordered[k - 1] == ordered[k])
         assert cuts_in_ties >= 5
+
+    @pytest.mark.parametrize("n_classes", (1, 2, 3))
+    def test_losses_equal_the_class_axis_sum(self, n_classes):
+        gen = rngmod.stream(9, "losses")
+        for runs in (1, 16):
+            shape = (7, runs, n_classes)
+            for rho, empirical in (
+                (gen.random(shape), gen.random(n_classes)),
+                (np.zeros(shape), np.zeros(n_classes)),
+                (gen.integers(0, 3, size=shape) / 2.0, gen.integers(0, 3, size=n_classes) / 4.0),  # ties
+            ):
+                cache = _WindowCache(0, rho, empirical)
+                for delta in (0.0, 0.37, 1.0):
+                    q, _ = _window_acceptance(cache, delta, 0.2)
+                    assert np.array_equal(q, acceptance_losses_by_axis_sum(rho, empirical, delta))
 
 
 class TestWindowLoss:

@@ -1,5 +1,8 @@
+import json
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -12,15 +15,35 @@ from oracles import (
     daily_counts,
     edge_set,
     flag_rates_by_user,
+    follower_table_by_lexsort,
     logs_of,
     synth_events,
     to_events,
     user_flag_rates,
 )
-from swaynet.store import EventColumns, load_or_parse
+from swaynet.store import EventColumns, file_sha256, load_or_parse
 from swaynet.synth import SynthConfig, synthesize
 
 DAY = 86_400
+
+
+def random_events(seed, n, n_users, n_ts):
+    """n events over few users and timestamps, in no time order, self-loops included."""
+    rng = np.random.default_rng(seed)
+    return [
+        RetweetEvent(
+            int(rng.integers(n_ts)), f"u{rng.integers(n_users)}", f"u{rng.integers(n_users)}", "NA", "uncertain",
+            int(rng.integers(50)), int(rng.integers(50)), False, False, False, False,
+        )
+        for _ in range(n)
+    ]
+
+
+def tables_equal(a, b):
+    return a.users == b.users and all(
+        getattr(a, k).dtype == getattr(b, k).dtype and np.array_equal(getattr(a, k), getattr(b, k))
+        for k in ("ptr", "ts", "count")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +92,6 @@ class TestRoundtrip:
 
     def test_miss_writes_cache_back(self, tmp_path, result, columns):
         # A stale cache is a miss: the parse replaces it, and the next call hits.
-        from swaynet.store import file_sha256
-
         path = tmp_path / "events.jsonl"
         with open(path, "w") as fh:
             result.write_jsonl(fh)
@@ -96,10 +117,6 @@ class TestCacheFormat:
         assert loaded is not None and columns_equal(loaded, columns)
 
     def test_cache_disagreeing_with_its_meta_is_a_miss(self, tmp_path, columns):
-        import json
-
-        import numpy as np
-
         cache = tmp_path / "cache"
         columns.save(str(cache), "deadbeef")
         (cache / "users.json").write_text(json.dumps(columns.users[:-1]))
@@ -114,11 +131,7 @@ class TestCacheFormat:
     def test_first_format_cache_is_reparsed_and_rewritten(self, tmp_path, result, columns):
         # The first cache format kept one label per line in users.txt and no
         # format key; it reads as a miss even when its source hash matches.
-        import json
 
-        import numpy as np
-
-        from swaynet.store import file_sha256
 
         path = tmp_path / "events.jsonl"
         with open(path, "w") as fh:
@@ -172,8 +185,6 @@ class TestTieHeavyEquivalence:
     def test_follower_logs_with_many_simultaneous_observations(self):
         # Few users, tiny timestamp range: lots of (user, ts) collisions, so
         # the last-in-stream-order collapse rule is properly stressed.
-        import numpy as np
-
         rng = np.random.default_rng(123)
         events = []
         for i in range(500):
@@ -191,8 +202,6 @@ class TestTieHeavyEquivalence:
         assert flag_rates_by_user(columns) == user_flag_rates(events)
 
     def test_flag_rates_with_random_flags(self):
-        import numpy as np
-
         rng = np.random.default_rng(321)
         events = []
         for _ in range(400):
@@ -208,3 +217,129 @@ class TestTieHeavyEquivalence:
         assert len(n) == len(bot) == len(ver) == len(columns.users)
         assert n.min() > 0 and 0 < bot.mean() < 1 and 0 < ver.mean() < 1
         assert flag_rates_by_user(columns) == user_flag_rates(events)
+
+
+class TestFollowerTableBuilder:
+    def test_matches_lexsort_on_tie_heavy_streams(self):
+        unsorted = 0
+        for seed in range(20):
+            columns = columns_of(random_events(seed, 300, n_users=2 + seed % 5, n_ts=1 + seed % 7))
+            unsorted += bool(np.any(np.diff(columns.ts) < 0))
+            assert tables_equal(columns.follower_logs(), follower_table_by_lexsort(columns)), seed
+        assert unsorted >= 15
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(t % 3, "a", "a", t, 100 - t) for t in range(9)], [(5 - t, "a", "ab"[t % 2], t, 7) for t in range(6)], []],
+        ids=["single-user-self-loops", "self-loops-unsorted", "empty"],
+    )
+    def test_matches_lexsort_on_edge_streams(self, rows):
+        flags = (False,) * 4
+        columns = columns_of([RetweetEvent(t, s, d, "NA", "uncertain", fs, fd, *flags) for t, s, d, fs, fd in rows])
+        assert tables_equal(columns.follower_logs(), follower_table_by_lexsort(columns))
+
+    def test_matches_lexsort_on_synth_stream(self, result):
+        columns = result.columns()
+        assert tables_equal(columns.follower_logs(), follower_table_by_lexsort(columns))
+
+    def test_built_once_per_columns(self, monkeypatch):
+        columns = columns_of(random_events(1, 50, 4, 5))
+        builds = []
+        build = EventColumns._build_follower_table
+        monkeypatch.setattr(EventColumns, "_build_follower_table", lambda self: builds.append(1) or build(self))
+        assert columns.follower_logs() is columns.follower_logs()
+        assert builds == [1]
+
+    def test_peak_memory_per_event(self):
+        # A 200k-event stream in no time order; the lexsort builder peaks
+        # near 130 bytes per event.
+        rng = np.random.default_rng(5)
+        n, n_users = 200_000, 5_000
+        ids = lambda: rng.integers(0, n_users, n)  # noqa: E731
+        columns = EventColumns(
+            [f"u{i}" for i in range(n_users)], rng.integers(0, 10**7, n), ids(), ids(),
+            np.zeros(n, np.int8), rng.integers(0, 10**6, n), rng.integers(0, 10**6, n), np.zeros(n, np.uint8),
+        )
+        tracemalloc.start()
+        try:
+            columns.follower_logs()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90 * n, peak / n
+
+
+class TestFollowerTableCache:
+    def test_loaded_table_equals_built_and_is_mapped(self, tmp_path, columns):
+        columns.save(str(tmp_path / "cache"), "deadbeef")
+        loaded = EventColumns.load(str(tmp_path / "cache"), "deadbeef")
+        assert loaded is not None and columns_equal(loaded, columns)
+        assert tables_equal(loaded.follower_logs(), follower_table_by_lexsort(columns))
+        assert isinstance(loaded.follower_logs().ts, np.memmap) and not loaded.follower_logs().ts.flags.writeable
+
+    def test_empty_stream_is_a_hit(self, tmp_path):
+        empty = columns_of([])
+        empty.save(str(tmp_path / "cache"), "deadbeef")
+        loaded = EventColumns.load(str(tmp_path / "cache"), "deadbeef")
+        assert loaded is not None and len(loaded) == 0
+        assert tables_equal(loaded.follower_logs(), empty.follower_logs())
+
+    def test_saving_over_a_mapped_table_keeps_it_readable(self, tmp_path, columns):
+        cache = str(tmp_path / "cache")
+        columns.save(cache, "deadbeef")
+        loaded = EventColumns.load(cache, "deadbeef")
+        columns_of(random_events(2, 20, 3, 4)).save(cache, "00ff")
+        assert tables_equal(loaded.follower_logs(), columns.follower_logs())
+
+    def test_second_format_cache_is_reparsed_and_rewritten(self, tmp_path, result, columns):
+        # Format 2 had the columns but no follower table; a matching hash
+        # does not make it a hit.
+        path = tmp_path / "events.jsonl"
+        with open(path, "w") as fh:
+            result.write_jsonl(fh)
+        digest = file_sha256(str(path))
+        cache = tmp_path / "cache"
+        columns.save(str(cache), digest)
+        for name in ("follower_ptr", "follower_ts", "follower_count"):
+            os.remove(cache / f"{name}.npy")
+        meta = json.loads((cache / "cache_meta.json").read_text())
+        (cache / "cache_meta.json").write_text(json.dumps(dict(meta, format=2), sort_keys=True, indent=1))
+        assert EventColumns.load(str(cache), digest) is None
+        parsed = load_or_parse(str(path), str(cache))
+        assert columns_equal(parsed, columns)
+        hit = EventColumns.load(str(cache), digest)
+        assert hit is not None and tables_equal(hit.follower_logs(), follower_table_by_lexsort(columns))
+        fresh = tmp_path / "fresh"
+        columns.save(str(fresh), digest)
+        assert sorted(os.listdir(cache)) == sorted(os.listdir(fresh))
+        assert all((cache / name).read_bytes() == (fresh / name).read_bytes() for name in os.listdir(fresh))
+
+
+def _set(values, i, v):
+    values = values.copy()
+    values[i] = v
+    return values
+
+
+MISS_RULES = {
+    "column-dtype": ("src", lambda a: a.astype(np.int32)),
+    "column-shape": ("ts", lambda a: a.reshape(-1, 1)),
+    "ptr-dtype": ("follower_ptr", lambda a: a.astype(np.int32)),
+    "table-ts-dtype": ("follower_ts", lambda a: a.astype(np.int32)),
+    "table-count-shape": ("follower_count", lambda a: a.reshape(-1, 1)),
+    "ptr-length": ("follower_ptr", lambda a: np.append(a, a[-1])),
+    "ptr-start": ("follower_ptr", lambda a: _set(a, 0, 1)),
+    "ptr-decreasing": ("follower_ptr", lambda a: _set(a, 1, a[2] + 1)),
+    "ptr-end-vs-ts": ("follower_ptr", lambda a: _set(a, -1, a[-1] - 1)),
+    "ts-vs-count": ("follower_count", lambda a: a[:-1]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(MISS_RULES))
+def test_cache_array_breaking_a_rule_is_a_miss(tmp_path, columns, rule):
+    name, corrupt = MISS_RULES[rule]
+    cache = tmp_path / "cache"
+    columns.save(str(cache), "deadbeef")
+    assert EventColumns.load(str(cache), "deadbeef") is not None
+    np.save(cache / f"{name}.npy", corrupt(np.load(cache / f"{name}.npy")))
+    assert EventColumns.load(str(cache), "deadbeef") is None

@@ -79,15 +79,35 @@ def test_traced_growth_fit_and_simulate_record_every_model_layer(tmp_path):
     synth_tiny(out, 150, 15, 120, 3000)
     assert run(["align", "--out", out, "--unfiltered"]) == 0
     expected = {
-        "growth": ("growth.window_growth_rate",),
-        "fit": CASCADE_LAYERS + ("sir.fit_parameters", "sir.nelder_mead_1d"),
+        "growth": ("growth.window_growth_rate", "store.follower_logs"),
+        "fit": CASCADE_LAYERS + ("sir.fit_parameters", "sir.nelder_mead_1d", "store.follower_logs"),
         "simulate": CASCADE_LAYERS,
     }
     flags = {"fit": ("--runs", "5"), "simulate": ("--delta", "0.05", "--r0", "1.5", "--runs", "5")}
     for stage, names in expected.items():
-        calls = traced_calls(tmp_path, stage, "--out", out, *flags.get(stage, ()))
+        calls, counters = traced_run(tmp_path, stage, "--out", out, *flags.get(stage, ()))
         for name in names:
             assert calls.get(name, 0) >= 1, (stage, name, calls)
+        assert (counters.get("store.cache_hits"), counters.get("store.cache_misses", 0)) == (1, 0), (stage, counters)
+
+
+def test_growth_and_fit_read_the_cached_follower_table(tmp_path, monkeypatch):
+    from swaynet.store import EventColumns
+
+    out = str(tmp_path / "run")
+    synth_tiny(out, 150, 15, 120, 3000)
+    assert run(["align", "--out", out, "--unfiltered"]) == 0
+    builds = []
+    build = EventColumns._build_follower_table
+    monkeypatch.setattr(EventColumns, "_build_follower_table", lambda self: builds.append(1) or build(self))
+    assert run(["growth", "--out", out]) == 0
+    assert run(["fit", "--out", out, "--runs", "5"]) == 0
+    assert builds == []
+    # A miss in any stage rebuilds the table, once, and writes it back.
+    os.remove(os.path.join(out, "events_cache", "cache_meta.json"))
+    assert run(["growth", "--out", out]) == 0
+    assert builds == [1]
+    assert EventColumns.load(os.path.join(out, "events_cache")) is not None
 
 
 def test_traced_fit_counts_one_graph_per_window_and_class(tmp_path):
