@@ -7,7 +7,7 @@ randomness flows from --seed; outputs embed the seed and content hashes of
 their inputs, and re-running a stage with identical inputs and seed yields
 byte-identical files.
 
-Exit codes: 0 ok, 1 validation error, 2 missing input, 3 runtime failure.
+Exit codes: 0 ok, 1 validation error, 2 missing or unreadable input, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class ConfigError(Exception):
 
 
 class MissingInput(Exception):
-    """Missing upstream artifact; maps to exit code 2."""
+    """Missing or unreadable upstream artifact; maps to exit code 2."""
 
 
 @dataclass
@@ -300,6 +300,14 @@ def _require(config: PipelineConfig, name: str, produced_by: str) -> str:
     return path
 
 
+def _load_backbone(config: PipelineConfig) -> WeightedDigraph:
+    path = _require(config, BACKBONE_FILE, "backbone")
+    try:
+        return load_binary(path)
+    except ValueError as exc:  # truncated, padded or not a graph file: unreadable, as good as missing
+        raise MissingInput(f"{exc}; run the `backbone` stage again") from None
+
+
 def _write_meta(
     config: PipelineConfig, stage: str, params: dict, inputs: list[str], hashes: dict[str, str] | None = None
 ) -> None:
@@ -372,11 +380,16 @@ def _load_labels(config: PipelineConfig, columns: EventColumns) -> tuple[np.ndar
 
 
 def _backbone_pair_mask(columns: EventColumns, backbone: WeightedDigraph) -> np.ndarray:
-    """Mask of events whose aggregated edge survived the filter."""
-    ids = columns.ids(backbone.labels)
+    """Mask of events whose aggregated edge survived the filter, matched a
+    block of events at a time: no event-long pair code or sort temporary."""
+    ids, n_users = columns.ids(backbone.labels), len(columns.users)
     src, dst = ids[backbone.edge_src], ids[backbone.edge_dst]
     known = (src >= 0) & (dst >= 0)
-    return np.isin(columns.pair_codes(), src[known] * len(columns.users) + dst[known], kind="sort")
+    codes, mask = src[known] * n_users + dst[known], np.empty(len(columns), dtype=bool)
+    for lo in range(0, len(mask), 1 << 16):
+        block = slice(lo, lo + (1 << 16))
+        mask[block] = np.isin(columns.src[block] * n_users + columns.dst[block], codes, kind="sort")
+    return mask
 
 
 # -- stages ---------------------------------------------------------------------
@@ -465,23 +478,24 @@ def cmd_synth(config: PipelineConfig) -> str:
         result = synthesize(synth_config, config.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    columns = result.columns()
+    columns, truth, n_users = result.columns(), result.truth(), len(result.user_labels)
+    del result  # its source arrays would sit beside the columns while they are written
     _write_events(config, columns)
     with open(_path(config, TRUTH_FILE), "w") as fh:
-        json.dump(result.truth(), fh, sort_keys=True, indent=1)
+        json.dump(truth, fh, sort_keys=True, indent=1)
     _write_meta(
         config,
         "synth",
         {
-            "n_events": len(result),
-            "n_users": len(result.user_labels),
+            "n_events": len(columns),
+            "n_users": n_users,
             "ts_min": int(columns.ts.min()) if len(columns) else None,
             "ts_max": int(columns.ts.max()) if len(columns) else None,
             "purity": synth_config.purity,
         },
         [],
     )
-    return f"synth: {len(result)} events, {len(result.user_labels)} users, seed {config.seed} -> {config.out}"
+    return f"synth: {len(columns)} events, {n_users} users, seed {config.seed} -> {config.out}"
 
 
 def _optional_class_table(config: PipelineConfig, prefix: str) -> dict[str, tuple[float, ...]] | None:
@@ -570,7 +584,7 @@ def cmd_align(config: PipelineConfig) -> str:
     columns = _load_columns(config, hashes)
     src, dst, cls_idx = columns.src, columns.dst, columns.content_class_idx
     if not config.unfiltered:
-        backbone = load_binary(_require(config, BACKBONE_FILE, "backbone"))
+        backbone = _load_backbone(config)
         retained = _backbone_pair_mask(columns, backbone)
         src, dst, cls_idx = src[retained], dst[retained], cls_idx[retained]
     involvement = involvement_profiles(src, dst, cls_idx, len(columns.users))
@@ -781,7 +795,7 @@ def cmd_fit(config: PipelineConfig) -> str:
 def cmd_report(config: PipelineConfig) -> str:
     hashes: dict[str, str] = {}
     columns = _load_columns(config, hashes)
-    backbone = load_binary(_require(config, BACKBONE_FILE, "backbone"))
+    backbone = _load_backbone(config)
     _require(config, LABELS_FILE, "align")
     _require(config, GROWTH_FILE, "growth")
     out_dir = _path(config, "report")

@@ -348,7 +348,6 @@ def parse_events_csv(
     return EventColumns.from_events(row_chunks(rows())), errors
 
 
-_JSONL_ROW = '{"ts":%d,"src":%s,"dst":%s,"cat":%s,"src_followers":%d,"dst_followers":%d,%s}\n'
 _WRITE_CHUNK = 4096  # rows per write: its lists stay under the 64 KiB mmap threshold (cli.pin_mmap_threshold)
 
 
@@ -367,7 +366,8 @@ def write_events_jsonl(columns: EventColumns, handle: TextIO) -> int:
         handle.write(
             "".join(
                 [
-                    _JSONL_ROW % (ts, labels[s], labels[d], cats[c], sf, df, flag_fields[f])
+                    f'{{"ts":{ts},"src":{labels[s]},"dst":{labels[d]},"cat":{cats[c]},'
+                    f'"src_followers":{sf},"dst_followers":{df},{flag_fields[f]}}}\n'
                     for ts, s, d, c, sf, df, f in chunk
                 ]
             )

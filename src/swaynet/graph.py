@@ -215,19 +215,32 @@ def save_binary(g: WeightedDigraph, path: str) -> None:
 
 
 def load_binary(path: str) -> WeightedDigraph:
+    """Read a `save_binary` file; a ValueError naming the path when it has a
+    bad magic or version, fewer bytes than its header promises, or bytes
+    after the edge weights."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"not a graph file: bad magic {magic!r}")
-        version, n_nodes, n_edges = struct.unpack("<HQQ", fh.read(18))
-        if version != _BINARY_VERSION:
-            raise ValueError(f"unsupported graph format version {version}")
-        labels = []
-        for _ in range(n_nodes):
-            (ln,) = struct.unpack("<H", fh.read(2))
-            labels.append(fh.read(ln).decode("utf-8"))
-        src = np.frombuffer(fh.read(4 * n_edges), dtype="<u4").astype(np.int64)
-        dst = np.frombuffer(fh.read(4 * n_edges), dtype="<u4").astype(np.int64)
-        w = np.frombuffer(fh.read(8 * n_edges), dtype="<u8").astype(np.int64)
-    return WeightedDigraph(labels, src, dst, w)
+        data = fh.read()
+    pos = 0
 
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise ValueError(f"{path}: truncated graph file ({len(data)} bytes)")
+        pos += n
+        return data[pos - n : pos]
+
+    if data[:4] != _BINARY_MAGIC:
+        raise ValueError(f"{path}: not a graph file: bad magic {data[:4]!r}")
+    version, n_nodes, n_edges = struct.unpack("<4sHQQ", take(22))[1:]
+    if version != _BINARY_VERSION:
+        raise ValueError(f"{path}: unsupported graph format version {version}")
+    try:
+        labels = [take(struct.unpack("<H", take(2))[0]).decode("utf-8") for _ in range(n_nodes)]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: bad node label: {exc}") from None
+    src = np.frombuffer(take(4 * n_edges), dtype="<u4").astype(np.int64)
+    dst = np.frombuffer(take(4 * n_edges), dtype="<u4").astype(np.int64)
+    w = np.frombuffer(take(8 * n_edges), dtype="<u8").astype(np.int64)
+    if pos != len(data):
+        raise ValueError(f"{path}: {len(data) - pos} bytes after the edge weights")
+    return WeightedDigraph(labels, src, dst, w)

@@ -9,6 +9,7 @@ source file by content hash.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import json
@@ -34,6 +35,7 @@ from .graph import WeightedDigraph
 _COLUMNS = ("ts", "src", "dst", "cat", "src_followers", "dst_followers", "flags")
 _DTYPES = (np.int64, np.int64, np.int64, np.int8, np.int64, np.int64, np.uint8)
 _TABLE = ("ptr", "ts", "count")  # the FollowerSnapshots arrays, cached as follower_<name>.npy
+_FILES = _COLUMNS + tuple(f"follower_{n}" for n in _TABLE)
 _CACHE_FORMAT = 3  # 1 kept users.txt, one label per line, which broke on line-break labels; 2 had no follower table
 _USERS_FILE = "users.json"
 _CLASS_INDEX = {cls: i for i, cls in enumerate(CONTENT_CLASSES)}
@@ -110,7 +112,10 @@ class EventColumns(_UserTable):
             ids = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
             for part, values, dtype in zip(parts, (ts, ids[0::2], ids[1::2], *rest), _DTYPES):
                 part.append(np.asarray(values, dtype=dtype))
-        columns = [np.concatenate(p) if p else np.zeros(0, dtype) for p, dtype in zip(parts, _DTYPES)]
+        columns = []
+        for part, dtype in zip(parts, _DTYPES):  # a column at a time, its parts freed once joined
+            columns.append(np.concatenate(part) if part else np.zeros(0, dtype))
+            part.clear()
         return cls(list(index), *columns)
 
     # -- persistence ----------------------------------------------------------
@@ -136,8 +141,10 @@ class EventColumns(_UserTable):
     def load(cls, directory: str, expected_hash: str | None = None) -> "EventColumns | None":
         """The cached columns and follower table, or None (a miss) when the
         cache is absent, stale, of another format, unreadable, holds an array
-        of the wrong dtype or shape, or disagrees with its meta counts. The
-        table is mapped read-only and only its `ptr` is read here."""
+        of the wrong dtype or shape, or disagrees with its meta counts. Every
+        array is mapped read-only, so a stage pages in only what it reads, and
+        kept as a plain ndarray view: indexing a view skips np.memmap's Python
+        `__getitem__`. Only the table's `ptr` is read here."""
         try:
             with open(os.path.join(directory, "cache_meta.json")) as fh:
                 meta = json.load(fh)
@@ -147,10 +154,11 @@ class EventColumns(_UserTable):
                 return None
             with open(os.path.join(directory, _USERS_FILE)) as fh:
                 users = json.load(fh)
-            cols = {name: np.load(os.path.join(directory, f"{name}.npy")) for name in _COLUMNS}
-            ptr, ts, count = (np.load(os.path.join(directory, f"follower_{n}.npy"), mmap_mode="r") for n in _TABLE)
+            mapped = {n: np.load(os.path.join(directory, f"{n}.npy"), mmap_mode="r").view(np.ndarray) for n in _FILES}
         except (OSError, ValueError):
             return None
+        cols = {name: mapped[name] for name in _COLUMNS}
+        ptr, ts, count = (mapped[f"follower_{n}"] for n in _TABLE)
         typed = [*zip(cols.values(), _DTYPES), (ptr, np.int64), (ts, np.int64), (count, np.int64)]
         if len(users) != meta.get("n_users") or any(a.dtype != dtype or a.ndim != 1 for a, dtype in typed):
             return None
@@ -172,33 +180,33 @@ class EventColumns(_UserTable):
         return mask
 
     @cached_property
-    def _class_time_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stable order of the events by (class, ts), their ts in that order,
-        and the offset of each class's run."""
+    def _class_time_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stable order of the events by (class, ts) and the offset of each class's run."""
         cls_idx = self.content_class_idx
-        order = np.lexsort((self.ts, cls_idx))
         offsets = np.zeros(len(CONTENT_CLASSES) + 1, dtype=np.int64)
         np.cumsum(np.bincount(cls_idx, minlength=len(CONTENT_CLASSES)), out=offsets[1:])
-        return order, self.ts[order], offsets
+        return np.lexsort((self.ts, cls_idx)), offsets
 
     def class_time_rows(self, content_class: str, start: int, end: int) -> np.ndarray:
         """Rows of the class's events with start <= ts < end, ascending in ts:
-        the rows `event_mask((start, end), content_class)` selects."""
-        order, ts, offsets = self._class_time_order
+        the rows `event_mask((start, end), content_class)` selects. Found by
+        bisecting the class's run through `ts`, so no ts copy in that order is kept."""
+        order, offsets = self._class_time_order
         c = _CLASS_INDEX[content_class]
-        lo, hi = offsets[c] + np.searchsorted(ts[offsets[c] : offsets[c + 1]], (start, end))
+        lo, hi = (bisect.bisect_left(order, t, offsets[c], offsets[c + 1], key=self.ts.__getitem__) for t in (start, end))
         return order[lo:hi]
 
     def build_graph(self, rows: np.ndarray | None = None) -> WeightedDigraph:
         """Aggregate the given rows (a mask or indices; all events when None)
         into a graph, one edge per (src, dst) pair, whatever the row order.
         Edge weights sum to the number of rows; nodes are their endpoints."""
-        src, dst = (self.src, self.dst) if rows is None else (self.src[rows], self.dst[rows])
         n_users = len(self.users)
+        pair = self.src * n_users if rows is None else self.src[rows] * n_users
+        pair += self.dst if rows is None else self.dst[rows]
         # Sort and diff: NumPy 2.x answers a plain np.unique through a hash
         # table, tens of times slower than a sort on a million int64 codes.
-        pair = np.sort(src * n_users + dst)
-        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        pair.sort()  # in place, and run starts marked in bytes: one row-long int64 array at a time
+        starts = np.flatnonzero(np.r_[len(pair) > 0, pair[1:] != pair[:-1]])  # row 0 starts a run, if any
         u_src, u_dst = np.divmod(pair[starts], n_users)
         counts = np.diff(starts, append=len(pair))
         is_node = np.zeros(n_users, dtype=bool)
@@ -206,9 +214,6 @@ class EventColumns(_UserTable):
         is_node[u_dst] = True
         remap = np.cumsum(is_node) - 1
         return WeightedDigraph(self.users, remap[u_src], remap[u_dst], counts, np.flatnonzero(is_node))
-
-    def pair_codes(self) -> np.ndarray:
-        return self.src * len(self.users) + self.dst
 
     def follower_logs(self) -> FollowerSnapshots:
         """Every user's follower-count log from activity-moment snapshots: the
@@ -220,9 +225,11 @@ class EventColumns(_UserTable):
     def _build_follower_table(self) -> FollowerSnapshots:
         # Rows in (user, ts, event, role) order, the retweetee observation of
         # an event first: a stable sort by ts, then by user of the observations
-        # interleaved src, dst per event. Temporaries are freed once used.
-        by_time = np.argsort(self.ts, kind="stable")
-        user = np.empty(2 * len(by_time), dtype=np.int64)
+        # interleaved src, dst per event. Temporaries are freed once used, and
+        # event and user indices are int32 while they fit.
+        index = np.int32 if 2 * len(self.ts) + len(self.users) < 2**31 else np.int64
+        by_time = np.argsort(self.ts, kind="stable").astype(index, copy=False)
+        user = np.empty(2 * len(by_time), dtype=index)
         user[0::2], user[1::2] = self.src[by_time], self.dst[by_time]
         bounds = np.zeros(len(self.users) + 1, dtype=np.int64)  # each user's rows before the collapse
         np.cumsum(np.bincount(user, minlength=len(self.users)), out=bounds[1:])
@@ -232,17 +239,22 @@ class EventColumns(_UserTable):
         obs >>= 1
         event = by_time[obs]
         del obs, by_time
-        ts = self.ts[event]
         # Keep the last record of each (user, ts) run.
+        ts = self.ts[event]
         keep = np.ones(len(ts), dtype=bool)
         keep[:-1] = ts[1:] != ts[:-1]
         keep[bounds[1:] - 1] = True  # every interned user has rows, so each bound ends a run
-        ptr = np.searchsorted(np.flatnonzero(keep), bounds)  # kept rows before each bound
-        ts = ts[keep]
-        event = event[keep]
-        role = role[keep]
+        del ts
+        kept = np.flatnonzero(keep)
+        ptr = np.searchsorted(kept, bounds)  # kept rows before each bound
+        event, role = event[kept], role[kept]
+        del kept, keep
         count = self.src_followers[event]
-        np.copyto(count, self.dst_followers[event], where=role)
+        for lo in range(0, len(event), 1 << 16):  # retweeter counts a block at a time: no table-long temporary
+            block = slice(lo, lo + (1 << 16))
+            np.copyto(count[block], self.dst_followers[event[block]], where=role[block])
+        del role
+        ts = self.ts[event]
         return FollowerSnapshots(self.users, ptr, ts, count)
 
     def flag_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,12 +264,12 @@ class EventColumns(_UserTable):
         some event, so no count is 0.
         """
         n_users = len(self.users)
-        user = np.concatenate([self.src, self.dst])
-        bot = np.concatenate([(self.flags & SRC_BOT) > 0, (self.flags & DST_BOT) > 0])
-        ver = np.concatenate([(self.flags & SRC_VERIFIED) > 0, (self.flags & DST_VERIFIED) > 0])
-        total = np.bincount(user, minlength=n_users)
-        bots = np.bincount(user, weights=bot, minlength=n_users)
-        vers = np.bincount(user, weights=ver, minlength=n_users)
+        total = np.bincount(self.src, minlength=n_users) + np.bincount(self.dst, minlength=n_users)
+        bots, vers = (  # integer counts per role: no 2N-row concatenation, no float weights
+            np.bincount(self.src[(self.flags & src_bit) > 0], minlength=n_users)
+            + np.bincount(self.dst[(self.flags & dst_bit) > 0], minlength=n_users)
+            for src_bit, dst_bit in ((SRC_BOT, DST_BOT), (SRC_VERIFIED, DST_VERIFIED))
+        )
         return total, bots / total, vers / total
 
     def daily_counts_by_class(self, aligned_class: np.ndarray) -> dict[str, dict[int, int]]:
@@ -265,13 +277,12 @@ class EventColumns(_UserTable):
         users; `aligned_class` holds each user's class index, -1 for none."""
         from .growth import SECONDS_PER_DAY
 
-        day = self.ts // SECONDS_PER_DAY
         cls_idx = self.content_class_idx
         out: dict[str, dict[int, int]] = {}
         for c, cls in enumerate(CONTENT_CLASSES):
             member = aligned_class == c
             mask = (cls_idx == c) & (member[self.src] | member[self.dst])
-            days, counts = np.unique(day[mask], return_counts=True)
+            days, counts = np.unique(self.ts[mask] // SECONDS_PER_DAY, return_counts=True)
             out[cls] = {int(d): int(c) for d, c in zip(days, counts)}
         return out
 

@@ -343,12 +343,10 @@ def synthesize(config: SynthConfig, seed: int) -> SynthResult:
                 cols_cat.append(np.full(n_mix, cls_of[cls], dtype=np.int8))
 
     if cols_ts:
-        ts = np.concatenate(cols_ts)
-        src = np.concatenate(cols_src).astype(np.int64)
-        dst = np.concatenate(cols_dst).astype(np.int64)
-        cat = np.concatenate(cols_cat)
+        ts = _concat_ordered(cols_ts)
         order = np.argsort(ts, kind="stable")
-        ts, src, dst, cat = ts[order], src[order], dst[order], cat[order]
+        ts = ts[order]
+        src, dst, cat = (_concat_ordered(parts, order) for parts in (cols_src, cols_dst, cols_cat))
     else:
         ts = np.zeros(0, dtype=np.int64)
         src = dst = np.zeros(0, dtype=np.int64)
@@ -375,6 +373,13 @@ def synthesize(config: SynthConfig, seed: int) -> SynthResult:
     )
 
 
+def _concat_ordered(parts: list[np.ndarray], order: np.ndarray | None = None) -> np.ndarray:
+    """The parts joined, then reordered; the list is emptied so each part is freed once joined."""
+    column = np.concatenate(parts)
+    parts.clear()
+    return column if order is None else column[order]
+
+
 def _follower_counts(
     config: SynthConfig,
     users: np.ndarray,
@@ -387,19 +392,15 @@ def _follower_counts(
     """Follower snapshot per event endpoint; aligned users follow their
     class growth curve (log-linear between segment knots), swayable users
     stay at their baseline."""
-    counts = f0[users].astype(np.float64)
-    if len(ts) == 0:
-        return counts.astype(np.int64)
+    counts = f0[users]
     edges = np.asarray(seg_edges, dtype=np.int64)
-    seg = np.clip(np.searchsorted(edges, ts, side="right") - 1, 0, len(edges) - 2)
-    frac = (ts - edges[seg]) / (edges[seg + 1] - edges[seg])
     for cls, (lo, hi) in aligned_index.items():
-        if hi == lo:
+        rows = np.flatnonzero((users >= lo) & (users < hi))
+        if not len(rows):
             continue
-        mask = (users >= lo) & (users < hi)
-        if not mask.any():
-            continue
+        t = ts[rows]  # segment and fraction only on the class's aligned rows
+        seg = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+        frac = (t - edges[seg]) / (edges[seg + 1] - edges[seg])
         lk = log_knots[cls]
-        log_factor = lk[seg[mask]] + frac[mask] * (lk[seg[mask] + 1] - lk[seg[mask]])
-        counts[mask] = np.rint(counts[mask] * np.exp(log_factor))
-    return np.maximum(counts, 0).astype(np.int64)
+        counts[rows] = np.rint(counts[rows] * np.exp(lk[seg] + frac * (lk[seg + 1] - lk[seg])))
+    return counts

@@ -562,7 +562,7 @@ def backbone_pair_mask_by_search(columns: EventColumns, backbone: WeightedDigrap
     wanted = np.unique(src[known] * len(columns.users) + dst[known])
     if not len(wanted):
         return np.zeros(len(columns), dtype=bool)
-    codes = columns.pair_codes()
+    codes = columns.src * len(columns.users) + columns.dst
     pos = np.searchsorted(wanted, codes)
     np.minimum(pos, len(wanted) - 1, out=pos)
     return wanted[pos] == codes

@@ -128,6 +128,14 @@ class TestValidateConfig:
         assert len(violations) >= 3
 
 
+@pytest.fixture(scope="module")
+def backbone_tree(tmp_path_factory):
+    out = tmp_path_factory.mktemp("backbone_tree")
+    assert run(synth_args(out)) == 0
+    assert run(["backbone", "--out", str(out), "--alpha", "0.05"]) == 0
+    return out
+
+
 class TestExitCodes:
     def test_theta_out_of_range_exits_1(self, tmp_path):
         assert run(["align", "--out", str(tmp_path), "--theta", "1.5"]) == 1
@@ -216,6 +224,17 @@ class TestExitCodes:
         )
         users = [row[0] for row in read_csv_rows(run_dir / "flag_rates.csv")]
         assert users == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("damage", ["padded-24", "cut-13", "cut-16", "empty"])
+    def test_unreadable_backbone_exits_2_and_names_stage(self, backbone_tree, tmp_path, capsys, damage):
+        run_dir = tmp_path / "run"
+        shutil.copytree(backbone_tree, run_dir)
+        path = run_dir / "backbone.bin"
+        data = path.read_bytes()
+        path.write_bytes({"padded-24": data + bytes(24), "cut-13": data[:-13], "cut-16": data[:-16], "empty": b""}[damage])
+        assert run(["align", "--out", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "`backbone` stage" in err
 
     def test_align_before_backbone_names_stage(self, tmp_path, capsys):
         assert run(synth_args(tmp_path)) == 0

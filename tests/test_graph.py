@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,25 @@ class TestSerialization:
         g2 = load_binary(path)
         assert g2.labels == g.labels
         assert list(g2.edges()) == list(g.edges())
+
+    @pytest.mark.parametrize("cut", ["padded-24", "cut-13", "cut-16", "cut-into-labels", "empty"])
+    def test_truncated_or_padded_file_rejected(self, tmp_path, cut):
+        g = graph_of(("a", "b", 3), ("b", "c", 1), ("c", "a", 23000), ("a", "a", 2))
+        path = str(tmp_path / "graph.bin")
+        save_binary(g, path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        data = {
+            "padded-24": data + bytes(24),
+            "cut-13": data[:-13],
+            "cut-16": data[:-16],  # two whole weights short, which a short read would not notice
+            "cut-into-labels": data[:30],
+            "empty": b"",
+        }[cut]
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(ValueError, match=re.escape(path)):
+            load_binary(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.bin")

@@ -1,0 +1,21 @@
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_every_stage_exits_0_at_the_smallest_scale(tmp_path):
+    # c10 x 0.001: 1,000 events over the c10 users, every stage in its own process.
+    script = os.path.join(ROOT, "tools", "stage_peaks.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--scale", "0.001", "--seed", "5", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "c10 x 0.001: 1000 events, seed 5"
+    stages = [line.split()[0] for line in lines[2:]]
+    assert stages == ["import", "synth", "backbone", "align", "growth", "report", "fit", "ingest"]
+    assert all(float(line.split()[2]) > 0 for line in lines[2:])
+    assert (tmp_path / "synth" / "fit.json").exists() and (tmp_path / "ingest" / "events.jsonl").exists()

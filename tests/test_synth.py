@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,3 +152,23 @@ class TestPlantedStructure:
         # Nested prefixes: the misleading pool sits inside the factual pool.
         assert sw_mis <= sw_fac
 
+
+def test_peak_memory_per_event():
+    # A c10-shaped config (6k aligned users, 20k swayable, 360 days) at 200k
+    # events. Keeping every chunk list and each unordered column alive until
+    # the end, and segment and fraction columns for all rows, peaked near 120
+    # bytes per event; about 53 of them are the result itself.
+    n = 200_000
+    config = base_config(
+        end=360 * DAY,
+        aligned_users={cls: 2000 for cls in CONTENT_CLASSES},
+        swayable_users=20_000,
+        events_per_class={"factual": n * 334 // 1000, "misleading": n * 333 // 1000, "uncertain": n * 333 // 1000},
+    )
+    tracemalloc.start()
+    try:
+        result = synthesize(config, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == n and peak <= 85 * n, peak / n
