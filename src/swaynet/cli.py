@@ -49,7 +49,6 @@ FLAGS_FILE = "flag_rates.csv"
 TRUTH_FILE = "truth.json"
 PARSE_ERRORS_FILE = "parse_errors.csv"
 BACKBONE_FILE = "backbone.bin"
-BACKBONE_META = "backbone_meta.json"
 LABELS_FILE = "alignment_labels.csv"
 GROWTH_FILE = "growth.csv"
 FIT_FILE = "fit.json"
@@ -293,44 +292,54 @@ def _path(config: PipelineConfig, name: str) -> str:
     return os.path.join(config.out, name)
 
 
-def _require(config: PipelineConfig, name: str, produced_by: str) -> str:
-    path = _path(config, name)
-    if not os.path.exists(path):
-        raise MissingInput(f"{path} not found; run the `{produced_by}` stage first")
-    return path
+# The stage that writes each upstream artifact, named when one is missing.
+_PRODUCER = {
+    EVENTS_FILE: "ingest or synth",
+    BACKBONE_FILE: "backbone",
+    LABELS_FILE: "align",
+    "ternary.csv": "align",
+    "coverage.csv": "align",
+    GROWTH_FILE: "growth",
+    FIT_FILE: "fit",
+}
 
 
-def _load_backbone(config: PipelineConfig) -> WeightedDigraph:
-    path = _require(config, BACKBONE_FILE, "backbone")
-    try:
-        return load_binary(path)
-    except ValueError as exc:  # truncated, padded or not a graph file: unreadable, as good as missing
-        raise MissingInput(f"{exc}; run the `backbone` stage again") from None
+class _Inputs:
+    """The upstream artifacts one stage reads. A stage gets each only from
+    here, so the meta records exactly what the stage read."""
 
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.digests: dict[str, str | None] = {}  # path read -> SHA-256, or None until the meta is written
 
-def _write_meta(
-    config: PipelineConfig, stage: str, params: dict, inputs: list[str], hashes: dict[str, str] | None = None
-) -> None:
-    """`hashes` holds input digests the stage already took, keyed by path."""
-    hashes = hashes or {}
-    meta = {
-        "stage": stage,
-        "seed": config.seed,
-        "params": params,
-        "inputs": {os.path.basename(p): hashes.get(p) or file_sha256(p) for p in inputs if os.path.isfile(p)},
-    }
-    with open(_path(config, f"{stage}_meta.json"), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
+    def record(self, path: str) -> str:
+        self.digests.setdefault(path, None)
+        return path
 
+    def require(self, name: str) -> str:
+        path = _path(self.config, name)
+        if not os.path.exists(path):
+            raise MissingInput(f"{path} not found; run the `{_PRODUCER[name]}` stage first")
+        return self.record(path)
 
-def _load_columns(config: PipelineConfig, hashes: dict[str, str] | None = None) -> EventColumns:
-    """The event columns. events.jsonl is hashed once, for the cache check,
-    and its digest is stored in `hashes` under its path for the stage meta."""
-    events_path = _require(config, EVENTS_FILE, "ingest or synth")
-    digest = file_sha256(events_path)
-    if hashes is not None:
-        hashes[events_path] = digest
-    return load_or_parse(events_path, _path(config, CACHE_DIR), digest)
+    def columns(self) -> EventColumns:
+        """The event columns; events.jsonl is hashed once, for the cache check and the meta."""
+        path = self.require(EVENTS_FILE)
+        self.digests[path] = digest = file_sha256(path)
+        return load_or_parse(path, _path(self.config, CACHE_DIR), digest)
+
+    def backbone(self) -> WeightedDigraph:
+        try:
+            return load_binary(self.require(BACKBONE_FILE))
+        except ValueError as exc:  # truncated, padded or not a graph file: unreadable, as good as missing
+            raise MissingInput(f"{exc}; run the `backbone` stage again") from None
+
+    def write_meta(self, stage: str, params: dict) -> None:
+        """Inputs not hashed yet are hashed now, so an in-place ingest records the file it wrote."""
+        inputs = {os.path.basename(p): d or file_sha256(p) for p, d in self.digests.items() if os.path.isfile(p)}
+        meta = {"stage": stage, "seed": self.config.seed, "params": params, "inputs": inputs}
+        with open(_path(self.config, f"{stage}_meta.json"), "w") as fh:
+            json.dump(meta, fh, sort_keys=True, indent=1)
 
 
 def _dataset_range(config: PipelineConfig, columns: EventColumns) -> tuple[int, int]:
@@ -367,16 +376,16 @@ def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
         write_flag_rates_csv(columns, fh)
 
 
-def _load_labels(config: PipelineConfig, columns: EventColumns) -> tuple[np.ndarray, float]:
+def _load_labels(inputs: _Inputs, columns: EventColumns) -> tuple[np.ndarray, float]:
     """Each user's aligned class index (-1 for none; labelled users the
     events lack are dropped) and the theta the labels were drawn at."""
-    with open(_require(config, LABELS_FILE, "align"), newline="") as fh:
+    with open(inputs.require(LABELS_FILE), newline="") as fh:
         rows = [(row["user"], row["label"], row["theta"]) for row in csv.DictReader(fh)]
     aligned_class = np.full(len(columns.users), -1, dtype=np.int64)
     for c, cls in enumerate(CONTENT_CLASSES):
         ids = columns.ids(user for user, label, _ in rows if label == cls)
         aligned_class[ids[ids >= 0]] = c
-    return aligned_class, float(rows[-1][2]) if rows else config.theta
+    return aligned_class, float(rows[-1][2]) if rows else inputs.config.theta
 
 
 def _backbone_pair_mask(columns: EventColumns, backbone: WeightedDigraph) -> np.ndarray:
@@ -406,11 +415,12 @@ def _clear_ingest_outputs(config: PipelineConfig) -> None:
             os.remove(path)
 
 
-def cmd_ingest(config: PipelineConfig) -> str:
+def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     if not config.events:
         raise ConfigError("events: input path is required for ingest")
     if not os.path.exists(config.events):
         raise MissingInput(f"input events file not found: {config.events}")
+    inputs.record(config.events)
     time_range = _time_range(config)
     try:
         if config.fmt == "csv" or (config.fmt is None and config.events.endswith(".csv")):
@@ -434,22 +444,17 @@ def cmd_ingest(config: PipelineConfig) -> str:
         if config.strict:
             raise InvalidEvents(f"{len(errors)} invalid lines (see {PARSE_ERRORS_FILE})")
     _write_events(config, columns)
-    _write_meta(
-        config,
-        "ingest",
-        {
-            "n_events": len(columns),
-            "n_users": len(columns.users),
-            "n_errors": len(errors),
-            "ts_min": int(columns.ts.min()) if len(columns) else None,
-            "ts_max": int(columns.ts.max()) if len(columns) else None,
-        },
-        [config.events],
-    )
-    return f"ingest: {len(columns)} events, {len(columns.users)} users, {len(errors)} invalid lines -> {config.out}"
+    params = {
+        "n_events": len(columns),
+        "n_users": len(columns.users),
+        "n_errors": len(errors),
+        "ts_min": int(columns.ts.min()) if len(columns) else None,
+        "ts_max": int(columns.ts.max()) if len(columns) else None,
+    }
+    return f"ingest: {len(columns)} events, {len(columns.users)} users, {len(errors)} invalid lines -> {config.out}", params
 
 
-def cmd_synth(config: PipelineConfig) -> str:
+def cmd_synth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     if config.range_start is None or config.range_end is None:
         raise ConfigError("range_start/range_end: required for synth")
     synth_config = SynthConfig(
@@ -483,19 +488,14 @@ def cmd_synth(config: PipelineConfig) -> str:
     _write_events(config, columns)
     with open(_path(config, TRUTH_FILE), "w") as fh:
         json.dump(truth, fh, sort_keys=True, indent=1)
-    _write_meta(
-        config,
-        "synth",
-        {
-            "n_events": len(columns),
-            "n_users": n_users,
-            "ts_min": int(columns.ts.min()) if len(columns) else None,
-            "ts_max": int(columns.ts.max()) if len(columns) else None,
-            "purity": synth_config.purity,
-        },
-        [],
-    )
-    return f"synth: {len(columns)} events, {n_users} users, seed {config.seed} -> {config.out}"
+    params = {
+        "n_events": len(columns),
+        "n_users": n_users,
+        "ts_min": int(columns.ts.min()) if len(columns) else None,
+        "ts_max": int(columns.ts.max()) if len(columns) else None,
+        "purity": synth_config.purity,
+    }
+    return f"synth: {len(columns)} events, {n_users} users, seed {config.seed} -> {config.out}", params
 
 
 def _optional_class_table(config: PipelineConfig, prefix: str) -> dict[str, tuple[float, ...]] | None:
@@ -507,13 +507,12 @@ def _optional_class_table(config: PipelineConfig, prefix: str) -> dict[str, tupl
     return table or None
 
 
-def cmd_backbone(config: PipelineConfig) -> str:
-    hashes: dict[str, str] = {}
-    columns = _load_columns(config, hashes)
+def cmd_backbone(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
+    columns = inputs.columns()
     g = columns.build_graph(columns.event_mask(_time_range(config)))
     filtered = disparity_filter(g, config.alpha)
     save_binary(filtered, _path(config, BACKBONE_FILE))
-    meta = {
+    params = {
         "alpha": config.alpha,
         "original": {"nodes": g.n_nodes, "edges": g.n_edges, "weight": g.total_weight},
         "filtered": {"nodes": filtered.n_nodes, "edges": filtered.n_edges, "weight": filtered.total_weight},
@@ -523,8 +522,6 @@ def cmd_backbone(config: PipelineConfig) -> str:
             "weight": filtered.total_weight / g.total_weight if g.total_weight else 0.0,
         },
     }
-    with open(_path(config, BACKBONE_META), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
     if config.alpha_grid:
         rep.emit_size_curve(_path(config, "size_curve.csv"), g, config.alpha_grid)
     if config.emit_significance:
@@ -533,17 +530,16 @@ def cmd_backbone(config: PipelineConfig) -> str:
             w.writerow(["src", "dst", "weight", "p_out", "p_in", "alpha_out", "alpha_in", "alpha"])
             values = [a.tolist() for a in significance_arrays(g)]
             w.writerows([s, d, weight] + [f"{x:.10g}" for x in xs] for (s, d, weight), *xs in zip(g.edges(), *values))
-    _write_meta(config, "backbone", meta, [_path(config, EVENTS_FILE)], hashes)
     return (
         f"backbone: alpha={config.alpha} kept {filtered.n_nodes}/{g.n_nodes} nodes, "
         f"{filtered.n_edges}/{g.n_edges} edges, {filtered.total_weight}/{g.total_weight} weight"
-    )
+    ), params
 
 
-def cmd_diagnose(config: PipelineConfig) -> str:
-    hashes: dict[str, str] = {}
-    columns = _load_columns(config, hashes)
-    g = columns.build_graph()
+def cmd_diagnose(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
+    g = inputs.columns().build_graph()
+    if g.n_nodes == 0:  # checked before any output: there is no topology to report
+        raise InvalidEvents(f"{EVENTS_FILE} holds no events, so the graph is empty; run `ingest` or `synth` on events")
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
     rep.emit_size_curve(_path(config, "size_curve.csv"), g, grid)
     disorder = strong_disorder_test(g, config.band_multiplier)
@@ -575,16 +571,14 @@ def cmd_diagnose(config: PipelineConfig) -> str:
                     overlap = int((above & in_backbone).sum()) / n_gtb
                 w.writerow([f"{level:.6f}", f"{q:.4f}", w_min, n_gtb, f"{overlap:.6f}"])
     params = {"band_multiplier": config.band_multiplier, "alpha_grid": list(grid)}
-    _write_meta(config, "diagnose", params, [_path(config, EVENTS_FILE)], hashes)
-    return f"diagnose: {len(disorder.k)} node sides, flagged fraction {disorder.flagged_fraction:.3f}"
+    return f"diagnose: {len(disorder.k)} node sides, flagged fraction {disorder.flagged_fraction:.3f}", params
 
 
-def cmd_align(config: PipelineConfig) -> str:
-    hashes: dict[str, str] = {}
-    columns = _load_columns(config, hashes)
+def cmd_align(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
+    columns = inputs.columns()
     src, dst, cls_idx = columns.src, columns.dst, columns.content_class_idx
     if not config.unfiltered:
-        backbone = _load_backbone(config)
+        backbone = inputs.backbone()
         retained = _backbone_pair_mask(columns, backbone)
         src, dst, cls_idx = src[retained], dst[retained], cls_idx[retained]
     involvement = involvement_profiles(src, dst, cls_idx, len(columns.users))
@@ -608,21 +602,13 @@ def cmd_align(config: PipelineConfig) -> str:
             curves[cls] = coverage_curve(props[:, c], src[in_class], dst[in_class], config.theta_grid)
     rep.emit_coverage(_path(config, "coverage.csv"), curves)
     counts = {cls: int(np.count_nonzero(labels == c)) for c, cls in enumerate(CONTENT_CLASSES)}
-    _write_meta(
-        config,
-        "align",
-        {"theta": config.theta, "unfiltered": config.unfiltered, "bins": config.bins, "aligned_counts": counts},
-        [_path(config, EVENTS_FILE)] + ([] if config.unfiltered else [_path(config, BACKBONE_FILE)]),
-        hashes,
-    )
-    total_aligned = sum(counts.values())
-    return f"align: theta={config.theta} -> {total_aligned} aligned users " + str(counts)
+    params = {"theta": config.theta, "unfiltered": config.unfiltered, "bins": config.bins, "aligned_counts": counts}
+    return f"align: theta={config.theta} -> {sum(counts.values())} aligned users {counts}", params
 
 
-def cmd_growth(config: PipelineConfig) -> str:
-    hashes: dict[str, str] = {}
-    columns = _load_columns(config, hashes)
-    aligned_class, theta = _load_labels(config, columns)
+def cmd_growth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
+    columns = inputs.columns()
+    aligned_class, theta = _load_labels(inputs, columns)
     start, end = _dataset_range(config, columns)
     windows = _windows(config, start, end)
     table = columns.follower_logs()
@@ -659,14 +645,8 @@ def cmd_growth(config: PipelineConfig) -> str:
             for p, value in zip(defined, smoothed.values):
                 w.writerow([p.window.start, cls, f"{value:.8f}", int(smoothed.polynomial_applied)])
     n_defined = sum(1 for ps in points_by_class.values() for p in ps if p.rate is not None)
-    _write_meta(
-        config,
-        "growth",
-        {"windows": len(windows), "theta": theta, "defined_points": n_defined},
-        [_path(config, EVENTS_FILE), _path(config, LABELS_FILE)],
-        hashes,
-    )
-    return f"growth: {len(windows)} windows x {len(CONTENT_CLASSES)} classes, {n_defined} defined points"
+    params = {"windows": len(windows), "theta": theta, "defined_points": n_defined}
+    return f"growth: {len(windows)} windows x {len(CONTENT_CLASSES)} classes, {n_defined} defined points", params
 
 
 def _windows(config: PipelineConfig, start: int, end: int) -> list[TimeWindow]:
@@ -701,12 +681,11 @@ def _build_setups(config: PipelineConfig, columns: EventColumns, aligned_class: 
     }
 
 
-def cmd_simulate(config: PipelineConfig) -> str:
+def cmd_simulate(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     if config.delta is None or config.r0 is None:
         raise ConfigError("delta/r0: both are required for simulate")
-    hashes: dict[str, str] = {}
-    columns = _load_columns(config, hashes)
-    setups = _build_setups(config, columns, _load_labels(config, columns)[0])
+    columns = inputs.columns()
+    setups = _build_setups(config, columns, _load_labels(inputs, columns)[0])
     with open(_path(config, "simulate.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "class", "delta", "r0", "r_hat_mean", "r_hat_std", "n_aligned", "n_swayable"])
@@ -718,20 +697,14 @@ def cmd_simulate(config: PipelineConfig) -> str:
                     r_hat = config.delta * sample_rho(setup, [config.r0], config.runs, config.seed, w_start, cls)[0]
                     stats = [f"{r_hat.mean():.8f}", f"{r_hat.std():.8f}"]
                 w.writerow([w_start, cls, config.delta, config.r0, *stats, len(setup.f_a), len(setup.f_sw)])
-    _write_meta(
-        config,
-        "simulate",
-        {"delta": config.delta, "r0": config.r0, "runs": config.runs, "lookback": config.lookback},
-        [_path(config, EVENTS_FILE), _path(config, LABELS_FILE)],
-        hashes,
-    )
-    return f"simulate: delta={config.delta} r0={config.r0} over {len(setups)} windows"
+    params = {"delta": config.delta, "r0": config.r0, "runs": config.runs, "lookback": config.lookback}
+    return f"simulate: delta={config.delta} r0={config.r0} over {len(setups)} windows", params
 
 
-def _growth_points(config: PipelineConfig) -> dict[str, list[GrowthPoint]]:
+def _growth_points(inputs: _Inputs) -> dict[str, list[GrowthPoint]]:
     """growth.csv as points per class, in file order."""
     points: dict[str, list[GrowthPoint]] = {cls: [] for cls in CONTENT_CLASSES}
-    with open(_require(config, GROWTH_FILE, "growth"), newline="") as fh:
+    with open(inputs.require(GROWTH_FILE), newline="") as fh:
         for row in csv.DictReader(fh):
             window = TimeWindow(int(row["window_start"]), int(row["window_end"]), bool(int(row["partial"])))
             rate = float(row["rate"]) if row["rate"] != "" else None
@@ -751,11 +724,10 @@ def _empirical(points_by_class: dict[str, list[GrowthPoint]]) -> dict[int, dict[
     return empirical
 
 
-def cmd_fit(config: PipelineConfig) -> str:
-    hashes: dict[str, str] = {}
-    columns = _load_columns(config, hashes)
-    aligned_class, _ = _load_labels(config, columns)
-    empirical = _empirical(_growth_points(config))
+def cmd_fit(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
+    columns = inputs.columns()
+    aligned_class, _ = _load_labels(inputs, columns)
+    empirical = _empirical(_growth_points(inputs))
     setups = _build_setups(config, columns, aligned_class)
     fit_config = FitConfig(
         r0_min=config.r0_min,
@@ -772,32 +744,27 @@ def cmd_fit(config: PipelineConfig) -> str:
         json.dump(doc, fh, sort_keys=True, indent=1)
     rep.emit_fit_rates(_path(config, "fig4_rates.csv"), doc, empirical)
     rep.emit_fit_r0(_path(config, "fig4_r0.csv"), doc)
-    _write_meta(
-        config,
-        "fit",
-        {
-            "delta": result.delta,
-            "objective": result.objective,
-            "n_windows": len(result.windows),
-            "n_excluded": len(result.excluded),
-            "tolerance": config.tolerance,
-            "lookback": config.lookback,
-        },
-        [_path(config, EVENTS_FILE), _path(config, LABELS_FILE), _path(config, GROWTH_FILE)],
-        hashes,
-    )
+    params = {
+        "delta": result.delta,
+        "objective": result.objective,
+        "n_windows": len(result.windows),
+        "n_excluded": len(result.excluded),
+        "tolerance": config.tolerance,
+        "lookback": config.lookback,
+    }
     return (
         f"fit: delta={result.delta:.6f} objective={result.objective:.6g} "
         f"windows={len(result.windows)} excluded={len(result.excluded)}"
-    )
+    ), params
 
 
-def cmd_report(config: PipelineConfig) -> str:
-    hashes: dict[str, str] = {}
-    columns = _load_columns(config, hashes)
-    backbone = _load_backbone(config)
-    _require(config, LABELS_FILE, "align")
-    _require(config, GROWTH_FILE, "growth")
+def cmd_report(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
+    columns = inputs.columns()
+    backbone = inputs.backbone()
+    for name in (LABELS_FILE, GROWTH_FILE, "ternary.csv", "coverage.csv"):  # before report/ is made
+        inputs.require(name)
+    if backbone.n_nodes == 0:  # likewise: there is no topology to report
+        raise InvalidEvents(f"{BACKBONE_FILE} is an empty graph; run the `backbone` stage again with a larger alpha")
     out_dir = _path(config, "report")
     os.makedirs(out_dir, exist_ok=True)
     schemas = rep.load_schemas()
@@ -814,20 +781,20 @@ def cmd_report(config: PipelineConfig) -> str:
     rep.emit_retention(out("fig1b_retention.csv"), columns, retained)
     rep.emit_temporal(out("fig1c_temporal.csv"), columns, retained)
 
-    # Fig 2: copy the align stage's tables into the bundle layout.
-    _copy_csv(_path(config, "ternary.csv"), out("fig2a_ternary.csv"))
-    _copy_csv(_path(config, "coverage.csv"), out("fig2b_coverage.csv"))
+    # Fig 2: byte copies of the align stage's tables.
+    shutil.copyfile(inputs.require("ternary.csv"), out("fig2a_ternary.csv"))
+    shutil.copyfile(inputs.require("coverage.csv"), out("fig2b_coverage.csv"))
 
     # Fig 3 from the growth stage.
-    aligned_class, _ = _load_labels(config, columns)
-    points_by_class = _growth_points(config)
+    aligned_class, _ = _load_labels(inputs, columns)
+    points_by_class = _growth_points(inputs)
     rep.emit_daily(out("fig3a_daily.csv"), columns.daily_counts_by_class(aligned_class))
     rep.emit_growth_with_trend(out("fig3b_growth.csv"), points_by_class)
 
     # Fig 4 only when the fit stage ran.
-    fit_path = _path(config, FIT_FILE)
-    if os.path.exists(fit_path):
-        with open(fit_path) as fh:
+    fit_included = os.path.exists(_path(config, FIT_FILE))
+    if fit_included:
+        with open(inputs.require(FIT_FILE)) as fh:
             fit_doc = json.load(fh)
         rep.emit_fit_rates(out("fig4_rates.csv"), fit_doc, _empirical(points_by_class))
         rep.emit_fit_r0(out("fig4_r0.csv"), fit_doc)
@@ -845,21 +812,7 @@ def cmd_report(config: PipelineConfig) -> str:
 
     for path in emitted:
         rep.validate_table(path, schemas)
-    _write_meta(
-        config,
-        "report",
-        {"n_tables": len(emitted) + 1, "fit_included": os.path.exists(fit_path)},
-        [_path(config, EVENTS_FILE), _path(config, BACKBONE_FILE), _path(config, LABELS_FILE), _path(config, GROWTH_FILE)],
-        hashes,
-    )
-    return f"report: {len(emitted) + 1} tables -> {out_dir}"
-
-
-def _copy_csv(src: str, dst: str) -> None:
-    if not os.path.exists(src):
-        raise MissingInput(f"{src} not found; run the `align` stage first")
-    with open(src) as fin, open(dst, "w") as fout:
-        fout.write(fin.read())
+    return f"report: {len(emitted) + 1} tables -> {out_dir}", {"n_tables": len(emitted) + 1, "fit_included": fit_included}
 
 
 # -- entry point ------------------------------------------------------------------
@@ -974,7 +927,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         config = _check(resolve_config(args))
         os.makedirs(config.out, exist_ok=True)
-        summary = _STAGES[args.stage](config)
+        inputs = _Inputs(config)
+        summary, params = _STAGES[args.stage](config, inputs)
+        inputs.write_meta(args.stage, params)
         print(summary)
         return 0
     except ConfigError as exc:

@@ -264,8 +264,7 @@ def synthesize(config: SynthConfig, seed: int) -> SynthResult:
     else:
         favourites = np.zeros((max(n_aligned_total, 1), _FAVOURITES_PER_USER), dtype=np.int64)
 
-    cls_of = {cls: i for i, cls in enumerate(CONTENT_CLASSES)}
-    cols_ts, cols_src, cols_dst, cols_cat = [], [], [], []
+    cols_ts, cols_src, cols_dst = [], [], []
 
     for cls in CONTENT_CLASSES:
         volume = config.events_per_class.get(cls, 0)
@@ -318,7 +317,6 @@ def synthesize(config: SynthConfig, seed: int) -> SynthResult:
                 cols_src.append(np.where(aligned_src, member, partner))
                 cols_dst.append(np.where(aligned_src, partner, member))
                 cols_ts.append(gen.integers(seg_edges[s], seg_edges[s + 1], size=n_spread))
-                cols_cat.append(np.full(n_spread, cls_of[cls], dtype=np.int8))
 
             if n_intra:
                 lo = aligned_index[cls][0]
@@ -329,7 +327,6 @@ def synthesize(config: SynthConfig, seed: int) -> SynthResult:
                 cols_src.append(lo + src_r)
                 cols_dst.append(lo + dst_r)
                 cols_ts.append(gen.integers(seg_edges[s], seg_edges[s + 1], size=n_intra))
-                cols_cat.append(np.full(n_intra, cls_of[cls], dtype=np.int8))
 
             if n_mix:
                 zone = max(2, min(fav_zone, config.swayable_users))
@@ -340,13 +337,15 @@ def synthesize(config: SynthConfig, seed: int) -> SynthResult:
                 cols_src.append(sw_base + src_r)
                 cols_dst.append(sw_base + dst_r)
                 cols_ts.append(gen.integers(seg_edges[s], seg_edges[s + 1], size=n_mix))
-                cols_cat.append(np.full(n_mix, cls_of[cls], dtype=np.int8))
 
     if cols_ts:
         ts = _concat_ordered(cols_ts)
         order = np.argsort(ts, kind="stable")
         ts = ts[order]
-        src, dst, cat = (_concat_ordered(parts, order) for parts in (cols_src, cols_dst, cols_cat))
+        src, dst = (_concat_ordered(parts, order) for parts in (cols_src, cols_dst))
+        # Each class is generated in CONTENT_CLASSES order to exactly its volume.
+        volumes = [config.events_per_class.get(cls, 0) for cls in CONTENT_CLASSES]
+        cat = np.repeat(np.arange(len(CONTENT_CLASSES), dtype=np.int8), volumes)[order]
     else:
         ts = np.zeros(0, dtype=np.int64)
         src = dst = np.zeros(0, dtype=np.int64)

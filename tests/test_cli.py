@@ -241,6 +241,38 @@ class TestExitCodes:
         assert run(["align", "--out", str(tmp_path)]) == 2
         assert "backbone" in capsys.readouterr().err
 
+    def test_diagnose_of_an_empty_event_stream_exits_1_before_writing(self, tmp_path, capsys):
+        (tmp_path / "empty.jsonl").write_text("")
+        run_dir = tmp_path / "run"
+        assert run(["ingest", "--out", str(run_dir), "--events", str(tmp_path / "empty.jsonl")]) == 0
+        before = sorted(os.listdir(run_dir))
+        assert run(["diagnose", "--out", str(run_dir)]) == 1
+        assert "empty" in capsys.readouterr().err
+        assert sorted(os.listdir(run_dir)) == before
+
+    def test_report_of_an_empty_backbone_exits_1_before_writing(self, tmp_path, capsys):
+        out = ["--out", str(tmp_path)]
+        assert run(synth_args(tmp_path)) == 0
+        assert run(["backbone", "--alpha", "1e-300", *out]) == 0
+        assert run(["align", *out]) == 0
+        assert run(["growth", *out]) == 0
+        assert run(["report", *out]) == 1
+        assert "backbone.bin is an empty graph" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+        assert not (tmp_path / "report_meta.json").exists()
+
+    @pytest.mark.parametrize("name", ["ternary.csv", "coverage.csv"])
+    def test_report_without_an_align_table_exits_2_before_writing(self, tmp_path, capsys, name):
+        out = ["--out", str(tmp_path)]
+        assert run(synth_args(tmp_path)) == 0
+        assert run(["backbone", *out]) == 0
+        assert run(["align", *out]) == 0
+        assert run(["growth", *out]) == 0
+        os.remove(tmp_path / name)
+        assert run(["report", *out]) == 2
+        assert f"{name} not found; run the `align` stage first" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, tmp_path):
@@ -347,6 +379,11 @@ class TestPipeline:
         assert (report / "supp_size_curve.csv").exists()
         assert (report / "supp_topology.json").exists()
 
+    def test_fig2_tables_are_byte_copies(self, tmp_path):
+        run_pipeline(tmp_path, with_fit=False)
+        for source, copy in (("ternary.csv", "fig2a_ternary.csv"), ("coverage.csv", "fig2b_coverage.csv")):
+            assert (tmp_path / "report" / copy).read_bytes() == (tmp_path / source).read_bytes(), copy
+
     def test_report_without_fit_omits_fig4(self, tmp_path):
         run_pipeline(tmp_path, with_fit=False)
         report = tmp_path / "report"
@@ -445,8 +482,9 @@ class TestPipeline:
             ["simulate", "--out", str(tmp_path), "--delta", "0.05", "--r0", "2.0", "--runs", "10", "--seed", "9"]
         ) == 0
         config = PipelineConfig(out=str(tmp_path), seed=9, runs=10)
-        columns = cli._load_columns(config)
-        setups = cli._build_setups(config, columns, cli._load_labels(config, columns)[0])
+        inputs = cli._Inputs(config)
+        columns = inputs.columns()
+        setups = cli._build_setups(config, columns, cli._load_labels(inputs, columns)[0])
         grid = FitConfig().r0_grid()
         assert grid[40] == 2.0
         with open(tmp_path / "simulate.csv", newline="") as fh:
@@ -468,8 +506,9 @@ class TestPipeline:
             ["simulate", "--out", str(tmp_path), "--delta", str(delta), "--r0", str(r0), "--runs", str(runs), "--seed", str(seed)]
         ) == 0
         config = PipelineConfig(out=str(tmp_path), seed=seed, runs=runs)
-        columns = cli._load_columns(config)
-        setups = cli._build_setups(config, columns, cli._load_labels(config, columns)[0])
+        inputs = cli._Inputs(config)
+        columns = inputs.columns()
+        setups = cli._build_setups(config, columns, cli._load_labels(inputs, columns)[0])
         with open(tmp_path / "simulate.csv", newline="") as fh:
             rows = [r for r in csv.DictReader(fh) if r["r_hat_mean"] != ""]
         assert rows
@@ -492,6 +531,70 @@ class TestPipeline:
         assert meta["seed"] == 9
         assert "events.jsonl" in meta["inputs"]
         assert len(meta["inputs"]["events.jsonl"]) == 64
+
+
+EVENTS, BACKBONE, LABELS, GROWTH = "events.jsonl", "backbone.bin", "alignment_labels.csv", "growth.csv"
+
+# Run in order on one tree: (row id, argv after `--out OUT`, inputs the stage's meta must record).
+# `{out}` in an argument is the tree itself.
+STAGE_INPUT_ROWS = [
+    ("synth", synth_args("{out}")[3:], set()),
+    ("ingest-in-place", ["--events", "{out}/events.jsonl"], {EVENTS}),
+    ("backbone", ["--alpha", "0.05"], {EVENTS}),
+    ("diagnose", [], {EVENTS}),
+    ("align-unfiltered", ["--unfiltered"], {EVENTS}),
+    ("align", [], {EVENTS, BACKBONE}),
+    ("growth", [], {EVENTS, LABELS}),
+    ("simulate", ["--delta", "0.05", "--r0", "1.5", "--runs", "5"], {EVENTS, LABELS}),
+    ("report-without-fit", [], {EVENTS, BACKBONE, LABELS, GROWTH, "ternary.csv", "coverage.csv"}),
+    ("fit", ["--runs", "5"], {EVENTS, LABELS, GROWTH}),
+    ("report", [], {EVENTS, BACKBONE, LABELS, GROWTH, "ternary.csv", "coverage.csv", "fit.json"}),
+]
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def stage_metas(tmp_path_factory):
+    """Row id -> (the stage's meta, the SHA-256 of every file in the tree) just after the row ran."""
+    out = tmp_path_factory.mktemp("stage_inputs")
+    seen = {}
+    for row, args, _ in STAGE_INPUT_ROWS:
+        stage = row.split("-")[0]
+        assert run([stage, "--out", str(out), *(a.format(out=out) for a in args)]) == 0, row
+        meta = json.loads((out / f"{stage}_meta.json").read_text())
+        seen[row] = meta, {p.name: sha256_of(p) for p in out.iterdir() if p.is_file()}
+    return seen
+
+
+class TestStageInputs:
+    @pytest.mark.parametrize("row,expected", [pytest.param(row, expected, id=row) for row, _, expected in STAGE_INPUT_ROWS])
+    def test_meta_records_every_input_the_stage_read(self, stage_metas, row, expected):
+        meta, digests = stage_metas[row]
+        assert set(meta["inputs"]) == expected
+        assert meta["inputs"] == {name: digests[name] for name in expected}
+
+    @pytest.mark.parametrize("stage", ["backbone", "align", "growth", "fit", "report"])
+    def test_each_input_is_hashed_once(self, backbone_tree, tmp_path, monkeypatch, stage):
+        from swaynet import cli, store
+
+        run_dir = tmp_path / "run"
+        shutil.copytree(backbone_tree, run_dir)
+        out = ["--out", str(run_dir)]
+        assert run(["align", *out]) == 0
+        assert run(["growth", *out]) == 0
+        assert run(["fit", "--runs", "5", *out]) == 0
+        calls = []
+        sha256 = store.file_sha256
+        for owner in (cli, store):
+            monkeypatch.setattr(owner, "file_sha256", lambda path: calls.append(os.path.basename(path)) or sha256(path))
+        assert run([stage, *out, *(["--runs", "5"] if stage == "fit" else [])]) == 0
+        inputs = json.loads((run_dir / f"{stage}_meta.json").read_text())["inputs"]
+        assert EVENTS in inputs
+        assert sorted(calls) == sorted(inputs)
 
 
 def write_daily_jsonl(path, n_days=100):
@@ -656,10 +759,10 @@ class TestBackbonePairMask:
 
 class TestReportBackboneLabels:
     def test_backbone_label_the_events_lack_changes_no_flag_retention(self, tmp_path):
-        from swaynet.cli import _load_columns
+        from swaynet.cli import _Inputs
 
         run_pipeline(tmp_path, with_fit=False)
-        last = _load_columns(PipelineConfig(out=str(tmp_path))).users[-1]
+        last = _Inputs(PipelineConfig(out=str(tmp_path))).columns().users[-1]
         edges = [e for e in load_binary(str(tmp_path / "backbone.bin")).edges() if last not in e[:2]]
         save_binary(digraph_of(edges), str(tmp_path / "backbone.bin"))
         assert run(["report", "--out", str(tmp_path)]) == 0

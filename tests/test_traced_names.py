@@ -111,7 +111,7 @@ def test_growth_and_fit_read_the_cached_follower_table(tmp_path, monkeypatch):
 
 
 def test_traced_fit_counts_one_graph_per_window_and_class(tmp_path):
-    from swaynet.cli import PipelineConfig, _fit_windows, _load_columns
+    from swaynet.cli import PipelineConfig, _fit_windows, _Inputs
     from swaynet.events import CONTENT_CLASSES
 
     out = str(tmp_path / "run")
@@ -120,7 +120,7 @@ def test_traced_fit_counts_one_graph_per_window_and_class(tmp_path):
     assert run(["growth", "--out", out]) == 0
     calls, counters = traced_run(tmp_path, "fit", "--out", out, "--runs", "5")
     config = PipelineConfig(out=out)
-    columns = _load_columns(config)
+    columns = _Inputs(config).columns()
     graphs = [
         columns.build_graph(columns.event_mask((window.start - 30 * DAY, window.start), cls))
         for window in _fit_windows(config, columns)
