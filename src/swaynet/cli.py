@@ -226,7 +226,7 @@ def load_config_file(path: str) -> dict[str, tuple[str, int]]:
     if not os.path.exists(path):
         raise MissingInput(f"config file not found: {path}")
     values: dict[str, tuple[str, int]] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -338,7 +338,7 @@ class _Inputs:
         """Inputs not hashed yet are hashed now, so an in-place ingest records the file it wrote."""
         inputs = {os.path.basename(p): d or file_sha256(p) for p, d in self.digests.items() if os.path.isfile(p)}
         meta = {"stage": stage, "seed": self.config.seed, "params": params, "inputs": inputs}
-        with open(_path(self.config, f"{stage}_meta.json"), "w") as fh:
+        with open(_path(self.config, f"{stage}_meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
 
 
@@ -367,19 +367,19 @@ def _time_range(config: PipelineConfig) -> tuple[float, float] | None:
 def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
     """events.jsonl, its column cache, follower logs and flag rates; the
     cache and follower_logs.csv share one follower table."""
-    with open(_path(config, EVENTS_FILE), "w") as fh:
+    with open(_path(config, EVENTS_FILE), "w", encoding="utf-8") as fh:
         write_events_jsonl(columns, fh)
     columns.save(_path(config, CACHE_DIR), file_sha256(_path(config, EVENTS_FILE)))
-    with open(_path(config, LOGS_FILE), "w", newline="") as fh:
+    with open(_path(config, LOGS_FILE), "w", newline="", encoding="utf-8") as fh:
         write_follower_logs_csv(columns.follower_logs(), fh)
-    with open(_path(config, FLAGS_FILE), "w", newline="") as fh:
+    with open(_path(config, FLAGS_FILE), "w", newline="", encoding="utf-8") as fh:
         write_flag_rates_csv(columns, fh)
 
 
 def _load_labels(inputs: _Inputs, columns: EventColumns) -> tuple[np.ndarray, float]:
     """Each user's aligned class index (-1 for none; labelled users the
     events lack are dropped) and the theta the labels were drawn at."""
-    with open(inputs.require(LABELS_FILE), newline="") as fh:
+    with open(inputs.require(LABELS_FILE), newline="", encoding="utf-8") as fh:
         rows = [(row["user"], row["label"], row["theta"]) for row in csv.DictReader(fh)]
     aligned_class = np.full(len(columns.users), -1, dtype=np.int64)
     for c, cls in enumerate(CONTENT_CLASSES):
@@ -415,6 +415,18 @@ def _clear_ingest_outputs(config: PipelineConfig) -> None:
             os.remove(path)
 
 
+def _undecodable_line(path: str) -> int:
+    """The number of the first line of `path` that is not UTF-8; a newline
+    byte never sits inside a multi-byte sequence, so lines decode alone."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    raise ValueError(f"{path} decodes as UTF-8 line by line")
+
+
 def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     if not config.events:
         raise ConfigError("events: input path is required for ingest")
@@ -424,19 +436,21 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     time_range = _time_range(config)
     try:
         if config.fmt == "csv" or (config.fmt is None and config.events.endswith(".csv")):
-            with open(config.events, newline="") as fh:
+            with open(config.events, newline="", encoding="utf-8") as fh:
                 from .events import parse_events_csv
 
                 columns, errors = parse_events_csv(fh, time_range)
         else:
-            with open(config.events) as fh:
+            with open(config.events, encoding="utf-8") as fh:
                 from .events import parse_events
 
                 columns, errors = parse_events(fh, time_range)
+    except UnicodeDecodeError as exc:  # raised while a block is read, ahead of the line being parsed
+        raise InvalidEvents(f"{config.events}: line {_undecodable_line(config.events)}: not UTF-8 text ({exc.reason})") from None
     finally:
         _clear_ingest_outputs(config)
     if errors:
-        with open(_path(config, PARSE_ERRORS_FILE), "w", newline="") as fh:
+        with open(_path(config, PARSE_ERRORS_FILE), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["line_no", "message"])
             for err in errors:
@@ -486,7 +500,7 @@ def cmd_synth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     columns, truth, n_users = result.columns(), result.truth(), len(result.user_labels)
     del result  # its source arrays would sit beside the columns while they are written
     _write_events(config, columns)
-    with open(_path(config, TRUTH_FILE), "w") as fh:
+    with open(_path(config, TRUTH_FILE), "w", encoding="utf-8") as fh:
         json.dump(truth, fh, sort_keys=True, indent=1)
     params = {
         "n_events": len(columns),
@@ -525,7 +539,7 @@ def cmd_backbone(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     if config.alpha_grid:
         rep.emit_size_curve(_path(config, "size_curve.csv"), g, config.alpha_grid)
     if config.emit_significance:
-        with open(_path(config, "significance.csv"), "w", newline="") as fh:
+        with open(_path(config, "significance.csv"), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["src", "dst", "weight", "p_out", "p_in", "alpha_out", "alpha_in", "alpha"])
             values = [a.tolist() for a in significance_arrays(g)]
@@ -543,7 +557,7 @@ def cmd_diagnose(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
     rep.emit_size_curve(_path(config, "size_curve.csv"), g, grid)
     disorder = strong_disorder_test(g, config.band_multiplier)
-    with open(_path(config, "heterogeneity.csv"), "w", newline="") as fh:
+    with open(_path(config, "heterogeneity.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["node", "direction", "k", "upsilon", "null_mean", "null_std", "flagged"])
         labels = g.labels
@@ -554,7 +568,7 @@ def cmd_diagnose(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         )
     rep.emit_heterogeneity_summary(_path(config, "heterogeneity_buckets.csv"), disorder)
     rep.emit_topology(_path(config, "topology.json"), g, config.fit_range)
-    with open(_path(config, "gtb_overlap.csv"), "w", newline="") as fh:
+    with open(_path(config, "gtb_overlap.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["alpha", "weight_quantile", "w_min", "gtb_edges", "overlap_fraction"])
         weights = g.edge_weight
@@ -588,7 +602,7 @@ def cmd_align(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     involved = np.flatnonzero(total > 0)
     names = (*CONTENT_CLASSES, UNALIGNED)  # label -1 picks the last
     theta = f"{config.theta:.4f}"
-    with open(_path(config, LABELS_FILE), "w", newline="") as fh:
+    with open(_path(config, LABELS_FILE), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["user", "label", "theta", "prop_factual", "prop_misleading", "prop_uncertain", "total"])
         users = [columns.users[u] for u in involved.tolist()]
@@ -616,7 +630,7 @@ def cmd_growth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     for c, cls in enumerate(CONTENT_CLASSES):
         aligned = np.flatnonzero(aligned_class == c)
         points_by_class[cls] = [window_growth_rate(table, aligned, win, cls, config.min_obs) for win in windows]
-    with open(_path(config, GROWTH_FILE), "w", newline="") as fh:
+    with open(_path(config, GROWTH_FILE), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "window_end", "partial", "class", "rate", "n_active", "f_first", "f_last"])
         for cls in CONTENT_CLASSES:
@@ -634,7 +648,7 @@ def cmd_growth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
                     ]
                 )
     rep.emit_daily(_path(config, "daily_counts.csv"), columns.daily_counts_by_class(aligned_class))
-    with open(_path(config, "trend.csv"), "w", newline="") as fh:
+    with open(_path(config, "trend.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "class", "trend", "polynomial_applied"])
         for cls in CONTENT_CLASSES:
@@ -686,7 +700,7 @@ def cmd_simulate(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         raise ConfigError("delta/r0: both are required for simulate")
     columns = inputs.columns()
     setups = _build_setups(config, columns, _load_labels(inputs, columns)[0])
-    with open(_path(config, "simulate.csv"), "w", newline="") as fh:
+    with open(_path(config, "simulate.csv"), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["window_start", "class", "delta", "r0", "r_hat_mean", "r_hat_std", "n_aligned", "n_swayable"])
         for w_start in sorted(setups):
@@ -704,7 +718,7 @@ def cmd_simulate(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
 def _growth_points(inputs: _Inputs) -> dict[str, list[GrowthPoint]]:
     """growth.csv as points per class, in file order."""
     points: dict[str, list[GrowthPoint]] = {cls: [] for cls in CONTENT_CLASSES}
-    with open(inputs.require(GROWTH_FILE), newline="") as fh:
+    with open(inputs.require(GROWTH_FILE), newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             window = TimeWindow(int(row["window_start"]), int(row["window_end"]), bool(int(row["partial"])))
             rate = float(row["rate"]) if row["rate"] != "" else None
@@ -740,7 +754,7 @@ def cmd_fit(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     )
     result = fit_parameters(setups, empirical, fit_config, threads=config.threads)
     doc = result.to_json_dict()
-    with open(_path(config, FIT_FILE), "w") as fh:
+    with open(_path(config, FIT_FILE), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
     rep.emit_fit_rates(_path(config, "fig4_rates.csv"), doc, empirical)
     rep.emit_fit_r0(_path(config, "fig4_r0.csv"), doc)
@@ -794,7 +808,7 @@ def cmd_report(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     # Fig 4 only when the fit stage ran.
     fit_included = os.path.exists(_path(config, FIT_FILE))
     if fit_included:
-        with open(inputs.require(FIT_FILE)) as fh:
+        with open(inputs.require(FIT_FILE), encoding="utf-8") as fh:
             fit_doc = json.load(fh)
         rep.emit_fit_rates(out("fig4_rates.csv"), fit_doc, _empirical(points_by_class))
         rep.emit_fit_r0(out("fig4_r0.csv"), fit_doc)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -209,7 +209,18 @@ def _reject(errors: list[ParseError], line_no: int, exc: ValueError, strict: boo
 _PARSE_CHUNK = 16384
 
 _first_char = itemgetter(slice(None, 1))
+_last_char = itemgetter(slice(-1, None))
 _last_two = itemgetter(slice(-2, None))
+
+
+def _intern(src: Sequence[str], dst: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A chunk's user table, in order of first appearance (src before dst
+    within a row), and each row's src and dst index into it."""
+    labels = [""] * (2 * len(src))
+    labels[0::2], labels[1::2] = src, dst
+    index = {u: i for i, u in enumerate(dict.fromkeys(labels))}
+    ids = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    return list(index), ids[0::2], ids[1::2]
 
 
 def row_chunks(rows: Iterable[tuple]) -> Iterator[tuple]:
@@ -217,7 +228,9 @@ def row_chunks(rows: Iterable[tuple]) -> Iterator[tuple]:
     `EventColumns.from_events`, _PARSE_CHUNK rows at a time."""
     it = iter(rows)
     while chunk := list(islice(it, _PARSE_CHUNK)):
-        yield tuple(zip(*chunk))
+        ts, src, dst, *rest = zip(*chunk)
+        users, src_ids, dst_ids = _intern(src, dst)
+        yield users, ts, src_ids, dst_ids, *rest
 
 
 def _line_rows(
@@ -289,7 +302,233 @@ def _batch_columns(lines: list[str], time_range: tuple[int, int] | None) -> tupl
     flags = np.zeros(n, dtype=np.uint8)
     for col, (_, bit) in zip(flag_cols, FLAG_BITS):
         flags[np.array(col, dtype=bool)] |= bit
-    return ts, src, dst, np.fromiter(map(codes.__getitem__, cat), np.int8, n), src_f, dst_f, flags
+    users, src, dst = _intern(src, dst)
+    return users, ts, src, dst, np.fromiter(map(codes.__getitem__, cat), np.int8, n), src_f, dst_f, flags
+
+
+# -- the byte tier: canonical lines read by position -------------------------------
+#
+# After simdjson (Langdale & Lemire, "Parsing Gigabytes of JSON per Second",
+# VLDB J. 2019): find a chunk's structural bytes in bulk, then read each
+# value at its position. A "word" is the 8 bytes at a position, as one
+# little-endian uint64. Arrays are (field, line): row k holds field k of
+# every line of the chunk. Arrays are updated in place where they can be:
+# under the CLI's pinned mmap threshold every fresh array of 64 KiB or more
+# is a new mapping, paid for in page faults.
+
+_QUOTES_PER_LINE = 26  # the ten keys and the three string values
+_PAD = " " * 24  # around a chunk: a segment's words reach 23 bytes past its start
+_LOW = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)  # the first m bytes of a word
+_HIGH = _LOW[8] - _LOW[::-1]  # the last m bytes
+_ZEROS = 0x3030303030303030  # "00000000"
+_NIBBLES = 0xF0F0F0F0F0F0F0F0
+_FLAG_VALUES = np.array([[bit] for _, bit in FLAG_BITS], dtype=np.uint8)
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
+_MAX_STRING = 128  # longest label or category taken, in bytes: keys cost 8 bytes per value per word of the longest
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+class _WireLayout:
+    """One wire style of a line: the fixed bytes (segments) around its ten
+    values, where each value sits relative to the line's quotes, and the
+    words that check every segment byte."""
+
+    def __init__(self, colon: str, comma: str):
+        segments, close = [], ""
+        for i, field in enumerate(EVENT_FIELDS):
+            quote = '"' if field in ("src", "dst", "cat") else ""
+            segments.append(f'{close}{comma if i else "{"}"{field}"{colon}{quote}')
+            close = quote
+        segments.append(close + "}\n")
+        # Value k starts just after the last quote of segment k and stops at
+        # the first quote of segment k + 1; the last value stops at "}\n".
+        seen = np.cumsum([s.count('"') for s in segments]).tolist()
+        self.starts = [(seen[k] - 1, len(s) - s.rindex('"')) for k, s in enumerate(segments[:-1])]  # (quote, offset)
+        self.stops = [(seen[k], s.index('"')) for k, s in enumerate(segments[1:-1])]
+        checks = [(k, o, s[o : o + 8].encode()) for k, s in enumerate(segments) for o in range(0, len(s), 8)]
+        self.word_segment = np.array([k for k, _, _ in checks])
+        self.word_offset = np.array([[o] for _, o, _ in checks])
+        self.word_mask = _LOW[[[len(w)] for _, _, w in checks]]
+        self.word = np.array([[_word(w)] for _, _, w in checks], dtype=np.uint64)
+
+
+# By the byte after `"ts":`: write_events_jsonl's compact style, or json.dumps' default.
+_LAYOUTS = {False: _WireLayout(":", ","), True: _WireLayout(": ", ", ")}
+
+
+def _eight_digits(word: np.ndarray) -> np.ndarray:
+    """The value of eight ASCII digits per word, the first digit in the
+    lowest byte (Lemire's parse_eight_digits_unrolled), computed in `word`."""
+    word -= np.uint64(_ZEROS)
+    part = word >> np.uint64(8)
+    word *= np.uint64(10)
+    word += part
+    low = np.uint64(0x000000FF000000FF)
+    np.right_shift(word, np.uint64(16), out=part)
+    part &= low
+    part *= np.uint64(1 + (10000 << 32))
+    word &= low
+    word *= np.uint64(100 + (1000000 << 32))
+    word += part
+    word >>= np.uint64(32)
+    return word.view(np.int64)
+
+
+def _read_integers(b: np.ndarray, words: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
+    """The integers spelled in [start, stop), or None unless each is 1 to 18
+    ASCII digits with no leading zero (so it is JSON and fits int64)."""
+    length = stop - start
+    if length.min() < 1 or length.max() > 18 or ((b[start] == ord("0")) & (length > 1)).any():
+        return None
+    value = np.zeros(length.shape, dtype=np.int64)
+    for group in range(-(-int(length.max()) // 8)):  # 8 digits a word, the last ones first
+        at = stop - 8 * (group + 1)
+        np.maximum(at, 0, out=at)
+        word = words[at]
+        np.subtract(length, 8 * group, out=at)
+        high = _HIGH[np.clip(at, 0, 8, out=at)]  # where the group's digits sit
+        word &= high
+        high = np.invert(high, out=high)
+        high &= np.uint64(_ZEROS)
+        word |= high  # "0" in front of the digits
+        np.bitwise_and(word, np.uint64(_NIBBLES), out=high)
+        bad = (high != np.uint64(_ZEROS)).any()
+        np.add(word, np.uint64(0x0606060606060606), out=high)
+        high &= np.uint64(_NIBBLES)
+        if bad or (high != np.uint64(_ZEROS)).any():
+            return None  # some byte is not 0-9
+        digits = _eight_digits(word)
+        digits *= 10 ** (8 * group)
+        value += digits
+    return value
+
+
+def _distinct_strings(b: np.ndarray, words: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple[list[str], np.ndarray] | None:
+    """The distinct strings among the string values [start, stop), in order
+    of first appearance, and each value's index into them.
+
+    Values are grouped by a hash of their length and words, and each group
+    is checked word for word against its first member; None on a hash
+    collision or a value longer than _MAX_STRING bytes. The distinct values
+    are gathered with the closing quote after each, decoded at once and
+    split at the quotes, which no value holds."""
+    length = stop - start
+    if length.max() > _MAX_STRING:
+        return None
+    keys = [length.view(np.uint64)]
+    for offset in range(0, int(length.max()), 8):
+        at = start + offset
+        np.minimum(at, stop, out=at)  # a value that ends before this word reads its closing quote, masked off
+        key = words[at]
+        np.subtract(length, offset, out=at)
+        key &= _LOW[np.clip(at, 0, 8, out=at)]
+        keys.append(key)
+    digest = np.zeros(len(start), dtype=np.uint64)
+    for key in keys:
+        digest ^= key
+        digest *= _HASH_MULTIPLIER
+        digest ^= digest >> np.uint64(29)
+    order = np.argsort(digest)  # groups of equal digests; a stable sort costs twice as much
+    ranked = digest[order]
+    head = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    first = np.minimum.reduceat(order, head)  # each group's first value
+    group = np.empty(len(start), dtype=np.int64)
+    group[order] = np.repeat(np.arange(len(head)), np.diff(head, append=len(start)))
+    member = first[group]
+    if any((key != key[member]).any() for key in keys):
+        return None
+    appearance = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[appearance] = np.arange(len(first))
+    first = first[appearance]
+    spans = length[first] + 1  # with the closing quote
+    ends = np.cumsum(spans)
+    at = np.repeat(start[first] - (ends - spans), spans) + np.arange(ends[-1])
+    return b[at].tobytes().decode().split('"')[:-1], rank[group]
+
+
+def _byte_columns(lines: list[str], time_range: tuple[int, int] | None) -> tuple | None:
+    """A chunk's columns read by byte position, or None.
+
+    Taken only when every line is one object with the ten EVENT_FIELDS keys
+    in wire order, in write_events_jsonl's compact style or json.dumps'
+    default one (one style per chunk): no escape and no control byte but
+    the newline ending each line, 26 quotes per line, every byte around the
+    values equal to that style's, `ts` and counts of 1-18 digits with no
+    sign or leading zero, flags `true` or `false`, known categories and
+    `ts` inside `time_range`. json.loads of such a line gives the values at
+    these positions; None sends the chunk on to _batch_columns.
+    """
+    if set(map(_last_char, lines)) != {"\n"}:
+        return None
+    try:
+        data = "".join([_PAD, *lines, _PAD]).encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    if b"\\" in data:
+        return None
+    n, b = len(lines), np.frombuffer(data, dtype=np.uint8)
+    found = b < 0x20  # one mask for both scans
+    ends = np.flatnonzero(found)
+    if len(ends) != n:  # every line ends in a newline, so the newlines must be all the control bytes
+        return None
+    quotes = np.flatnonzero(np.equal(b, ord('"'), out=found))
+    del found
+    if len(quotes) != _QUOTES_PER_LINE * n:
+        return None
+    quotes = quotes.reshape(n, _QUOTES_PER_LINE).T
+    layout = _LAYOUTS[bool(b[quotes[1, 0] + 2] == ord(" "))]
+    # Segment k of a line starts where value k - 1 stops; segment 0 at the line's start.
+    segment = np.empty((len(layout.stops) + 2, n), dtype=np.intp)
+    segment[0, 0] = len(_PAD)
+    np.add(ends[:-1], 1, out=segment[0, 1:])
+    if (quotes[0] < segment[0]).any() or (quotes[-1] > ends).any():
+        return None  # some line holds another line's quotes
+    for row, (quote, offset) in enumerate(layout.stops, start=1):
+        np.subtract(quotes[quote], offset, out=segment[row])
+    np.subtract(ends, 1, out=segment[-1])
+    stop = segment[1:]
+    start = np.empty_like(stop)
+    for row, (quote, offset) in enumerate(layout.starts):
+        np.add(quotes[quote], offset, out=start[row])
+    del quotes
+    # Every segment byte is checked. Then each value starts where its segment
+    # ends, for the segment's quotes are the line's quotes counted from its
+    # first one, so the values and segments tile the line exactly; a value of
+    # negative length fails its own check below.
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    at = segment[layout.word_segment]
+    at += layout.word_offset
+    word = words[at]
+    del at
+    word &= layout.word_mask
+    if (word != layout.word).any():
+        return None
+    del word
+    numbers = _read_integers(b, words, start[[0, 4, 5]], stop[[0, 4, 5]])
+    if numbers is None:
+        return None
+    ts, src_f, dst_f = (row.copy() for row in numbers)  # apart, so each column's parts free once joined
+    if time_range is not None and not (time_range[0] <= int(ts.min()) and int(ts.max()) < time_range[1]):
+        return None
+    length, flag = stop[6:] - start[6:], words[start[6:]]
+    true = (length == 4) & ((flag & _LOW[4]) == _word(b"true"))
+    if not (true | ((length == 5) & ((flag & _LOW[5]) == _word(b"false")))).all():
+        return None
+    labels = _distinct_strings(b, words, start[1:3].T.ravel(), stop[1:3].T.ravel())  # src, dst of each line in turn
+    tokens = _distinct_strings(b, words, start[3], stop[3])
+    if labels is None or tokens is None:
+        return None
+    try:
+        codes = np.array([CATEGORY_INDEX[canonical_category(t)] for t in tokens[0]], dtype=np.int8)
+    except ValueError:
+        return None
+    users, ids = labels
+    flags = (true * _FLAG_VALUES).sum(axis=0, dtype=np.uint8)
+    return users, ts, ids[0::2], ids[1::2], codes[tokens[1]], src_f, dst_f, flags
 
 
 def parse_events(
@@ -302,8 +541,10 @@ def parse_events(
     Invalid lines are reported with their 1-based line number; with
     strict=True the first bad line raises instead. I/O errors from the
     underlying stream propagate (stream-level failure aborts the parse).
-    Lines are decoded _PARSE_CHUNK at a time in one batch; a chunk the batch
-    cannot vouch for is parsed line by line, which decides every error.
+    Lines are decoded _PARSE_CHUNK at a time by the first of three tiers
+    that vouches for the whole chunk: the byte tier (_byte_columns) for
+    canonical lines, one json.loads of the chunk (_batch_columns), and the
+    per-line parse, which decides every error.
     """
     from .store import EventColumns
 
@@ -313,7 +554,9 @@ def parse_events(
         it = iter(lines)
         line_no = 1
         while chunk := list(islice(it, _PARSE_CHUNK)):
-            columns = _batch_columns(chunk, time_range)
+            columns = _byte_columns(chunk, time_range)
+            if columns is None:
+                columns = _batch_columns(chunk, time_range)
             if columns is not None:
                 yield columns
             else:

@@ -22,7 +22,7 @@ from .store import EventColumns
 
 
 def load_schemas() -> dict:
-    with resources.files("swaynet").joinpath("schemas.json").open() as fh:
+    with resources.files("swaynet").joinpath("schemas.json").open(encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -32,14 +32,14 @@ def validate_table(path: str, schemas: Mapping[str, dict]) -> None:
     schema = schemas.get(name)
     if schema is None:
         raise ValueError(f"no schema registered for {name}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])
     if header != schema["columns"]:
         raise ValueError(f"{name}: header {header} != schema {schema['columns']}")
 
 
 def _writer(path: str):
-    fh = open(path, "w", newline="")
+    fh = open(path, "w", newline="", encoding="utf-8")
     return fh, csv.writer(fh)
 
 
@@ -209,7 +209,7 @@ def emit_topology(path: str, g: WeightedDigraph, fit_range: tuple[float, float] 
         "out_degree_ccdf": [[k, p] for k, p in rep.out_degree_ccdf],
         "weight_distribution": [[v, c] for v, c in rep.weight_distribution],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
 
 

@@ -96,21 +96,18 @@ class EventColumns(_UserTable):
 
     @classmethod
     def from_events(cls, chunks: Iterable[Sequence[Sequence]]) -> "EventColumns":
-        """Columns from column chunks (ts, src, dst, category index,
-        src_followers, dst_followers, flag bits), labels in src and dst, as
-        `events.row_chunks` and the batched JSONL parse make them.
+        """Columns from column chunks (users, ts, src, dst, category index,
+        src_followers, dst_followers, flag bits), as `events.row_chunks` and
+        the JSONL parse tiers make them: src and dst index the chunk's own
+        `users`, which lists its labels in order of first appearance.
 
         Users are interned in first-appearance order, src before dst.
         """
         index: dict[str, int] = {}
         parts: list[list[np.ndarray]] = [[] for _ in _COLUMNS]
-        for ts, src, dst, *rest in chunks:
-            labels = [""] * (2 * len(src))
-            labels[0::2], labels[1::2] = src, dst
-            for u in dict.fromkeys(labels):  # first appearances, in order
-                index.setdefault(u, len(index))
-            ids = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
-            for part, values, dtype in zip(parts, (ts, ids[0::2], ids[1::2], *rest), _DTYPES):
+        for users, ts, src, dst, *rest in chunks:
+            ids = np.array([index.setdefault(u, len(index)) for u in users], dtype=np.int64)
+            for part, values, dtype in zip(parts, (ts, ids[src], ids[dst], *rest), _DTYPES):
                 part.append(np.asarray(values, dtype=dtype))
         columns = []
         for part, dtype in zip(parts, _DTYPES):  # a column at a time, its parts freed once joined
@@ -129,12 +126,12 @@ class EventColumns(_UserTable):
             with open(path + ".tmp", "wb") as fh:
                 np.save(fh, values)
             os.replace(path + ".tmp", path)
-        with open(os.path.join(directory, _USERS_FILE), "w") as fh:
+        with open(os.path.join(directory, _USERS_FILE), "w", encoding="utf-8") as fh:
             json.dump(self.users, fh)
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(directory, "users.txt"))  # the first format's user table
         meta = {"format": _CACHE_FORMAT, "n_events": len(self.ts), "n_users": len(self.users), "source_sha256": source_hash}
-        with open(os.path.join(directory, "cache_meta.json"), "w") as fh:
+        with open(os.path.join(directory, "cache_meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
 
     @classmethod
@@ -146,13 +143,13 @@ class EventColumns(_UserTable):
         kept as a plain ndarray view: indexing a view skips np.memmap's Python
         `__getitem__`. Only the table's `ptr` is read here."""
         try:
-            with open(os.path.join(directory, "cache_meta.json")) as fh:
+            with open(os.path.join(directory, "cache_meta.json"), encoding="utf-8") as fh:
                 meta = json.load(fh)
             if meta.get("format") != _CACHE_FORMAT:
                 return None
             if expected_hash is not None and meta.get("source_sha256") != expected_hash:
                 return None
-            with open(os.path.join(directory, _USERS_FILE)) as fh:
+            with open(os.path.join(directory, _USERS_FILE), encoding="utf-8") as fh:
                 users = json.load(fh)
             mapped = {n: np.load(os.path.join(directory, f"{n}.npy"), mmap_mode="r").view(np.ndarray) for n in _FILES}
         except (OSError, ValueError):
@@ -344,7 +341,7 @@ def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | 
             return cached
     from .events import parse_events
 
-    with open(events_path) as fh:
+    with open(events_path, encoding="utf-8") as fh:
         columns, errors = parse_events(fh)
     if errors:
         first = errors[0]

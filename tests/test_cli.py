@@ -26,7 +26,7 @@ from oracles import (
 )
 from swaynet.backbone import disparity_filter
 from swaynet.cli import DEFAULT_THETA_GRID, PipelineConfig, run, validate_config
-from swaynet.events import CLASS_BY_CATEGORY, CONTENT_CLASSES
+from swaynet.events import CLASS_BY_CATEGORY, CONTENT_CLASSES, EVENT_FIELDS
 from swaynet.graph import WeightedDigraph, load_binary, save_binary
 
 DAY = 86_400
@@ -224,6 +224,48 @@ class TestExitCodes:
         )
         users = [row[0] for row in read_csv_rows(run_dir / "flag_rates.csv")]
         assert users == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_input_that_is_not_utf8_exits_1_and_names_the_line(self, tmp_path, capsys, fmt):
+        write_jsonl(tmp_path / "good.jsonl", 50, 40, ["a", "b", "c"])
+        lines = (tmp_path / "good.jsonl").read_bytes().splitlines(keepends=True)
+        if fmt == "csv":
+            lines = [",".join(EVENT_FIELDS).encode() + b"\n"] + [
+                ",".join(str(v) for v in json.loads(line).values()).encode() + b"\n" for line in lines
+            ]
+        lines[2] = lines[2][:5] + b"\xe9" + lines[2][5:]  # Latin-1 for "é"
+        bad = tmp_path / f"bad.{fmt}"
+        bad.write_bytes(b"".join(lines))
+        run_dir = tmp_path / "run"
+        assert run(["ingest", "--out", str(run_dir), "--events", str(tmp_path / "good.jsonl")]) == 0
+        assert run(["ingest", "--out", str(run_dir), "--events", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: line 3: not UTF-8 text" in err
+        assert os.listdir(run_dir) == []  # the earlier ingest's outputs are gone, and nothing new was written
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_ingest_reads_utf8_whatever_the_locale(self, tmp_path, fmt):
+        events = tmp_path / f"in.{fmt}"
+        records = [
+            {"ts": 5 + i, "src": src, "dst": dst, "cat": "SCIENCE", "src_followers": 1, "dst_followers": 2}
+            | {"src_bot": False, "dst_bot": False, "src_verified": False, "dst_verified": False}
+            for i, (src, dst) in enumerate([("café", "b"), ("b", "ünï"), ("café", "ünï")])
+        ]
+        with open(events, "w", encoding="utf-8", newline="") as fh:
+            if fmt == "jsonl":
+                fh.writelines(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+            else:
+                writer = csv.DictWriter(fh, EVENT_FIELDS)
+                writer.writeheader()
+                writer.writerows(records)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        c_locale = tmp_path / "c_locale"
+        args = ["ingest", "--events", str(events), "--out", str(c_locale)]
+        proc = subprocess.run([sys.executable, "-m", "swaynet.cli", *args], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert run(["ingest", "--events", str(events), "--out", str(tmp_path / "default")]) == 0
+        assert tree_digest(c_locale) == tree_digest(tmp_path / "default")
+        assert "café" in (c_locale / "flag_rates.csv").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("damage", ["padded-24", "cut-13", "cut-16", "empty"])
     def test_unreadable_backbone_exits_2_and_names_stage(self, backbone_tree, tmp_path, capsys, damage):

@@ -425,7 +425,15 @@ def outcome(lines, time_range, strict):
 
 def per_line_outcome(lines, time_range, strict, monkeypatch):
     with monkeypatch.context() as m:
+        m.setattr(events_module, "_byte_columns", lambda lines, time_range: None)
         m.setattr(events_module, "_batch_columns", lambda lines, time_range: None)
+        return outcome(lines, time_range, strict)
+
+
+def json_tiers_outcome(lines, time_range, strict, monkeypatch):
+    """The parse with the byte tier off: one json.loads per chunk, then the per-line parse."""
+    with monkeypatch.context() as m:
+        m.setattr(events_module, "_byte_columns", lambda lines, time_range: None)
         return outcome(lines, time_range, strict)
 
 
@@ -465,6 +473,9 @@ class TestBatchedParse:
         cut = third.index(',"dst"')
         lines = [first + "," + second + "\n", third[:cut] + "\n", third[cut + 1 :] + "\n"]
         assert len(json.loads("[" + "\n,".join(lines) + "]")) == 3
+        # Three lines' worth of quotes in all: the byte tier must reject them line by line.
+        assert sum(line.count('"') for line in lines) == 3 * 26
+        assert events_module._byte_columns(lines, None) is None
         columns, errors = parse_events(lines)
         assert len(columns) == 0
         assert [e.line_no for e in errors] == [1, 2, 3]
@@ -484,3 +495,166 @@ class TestBatchedParse:
         lines = [make_line(ts=1) + "\n", make_line(ts=2**64) + "\n"]
         assert outcome(lines, None, False) == per_line_outcome(lines, None, False, monkeypatch)
         assert outcome(lines, None, False)[0] is OverflowError
+
+
+# -- the byte tier against the JSON tiers and the per-line parse -------------------
+
+WIRE_LABELS = ["plain", "ünï", "", " ", 'quo"te', "back\\slash", "line\u2028sep", "tab\tname", "del\x7f", "😀", "x" * 40, "y" * 129]
+WIRE_COUNTS = [0, 1, 9, 10, 10**8 - 1, 10**8, 10**16, 10**17, 10**18 - 1, 10**18, 2**63 - 1]
+
+
+@st.composite
+def wire_columns(draw):
+    small = draw(st.booleans())  # every number one the byte tier reads
+    top, bottom = (10**18 - 1, 0) if small else (2**63 - 1, -(10**6))
+    counts = st.sampled_from([c for c in WIRE_COUNTS if c <= top]) | st.integers(0, top)
+    stamps = st.sampled_from([t for t in (0, 7, 10**17, 10**18 - 1, 10**18, -3) if bottom <= t <= top]) | st.integers(bottom, 10**12)
+    labels = st.sampled_from(draw(st.lists(st.sampled_from(WIRE_LABELS) | st.text(max_size=12), min_size=1, max_size=4)))
+    events = []
+    for _ in range(draw(st.integers(0, 20))):
+        cat = draw(st.sampled_from(CATEGORY_TOKENS))
+        flags = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        events.append(RetweetEvent(draw(stamps), draw(labels), draw(labels), cat, classify_category(cat), draw(counts), draw(counts), *flags))
+    return columns_of(events)
+
+
+def wire_record(e):
+    return {
+        "ts": e.timestamp,
+        "src": e.retweetee,
+        "dst": e.retweeter,
+        "cat": e.raw_category,
+        "src_followers": e.retweetee_followers,
+        "dst_followers": e.retweeter_followers,
+        "src_bot": e.retweetee_bot,
+        "dst_bot": e.retweeter_bot,
+        "src_verified": e.retweetee_verified,
+        "dst_verified": e.retweeter_verified,
+    }
+
+
+def render_stream(columns, style):
+    """The stream as write_events_jsonl writes it, or each record through json.dumps:
+    its default separators, or UTF-8 left unescaped in either style."""
+    if style == "writer":
+        buf = io.StringIO()
+        write_events_jsonl(columns, buf)
+        return buf.getvalue()
+    separators = {"spaced": None, "raw-spaced": None, "raw-compact": (",", ":")}[style]
+    ascii_only = style == "spaced"
+    return "".join(json.dumps(wire_record(e), separators=separators, ensure_ascii=ascii_only) + "\n" for e in to_events(columns))
+
+
+def byte_tier_reads(columns, style):
+    """Whether every line of the stream is one the byte tier must take."""
+    ascii_only = style in ("writer", "spaced")
+
+    def plain(label):
+        escaped = any(ch in '"\\' or ch < " " or (ascii_only and ch > "~") for ch in label)
+        return not escaped and len(label.encode()) <= events_module._MAX_STRING
+
+    numbers = np.concatenate((columns.ts, columns.src_followers, columns.dst_followers))
+    return len(columns) > 0 and all(map(plain, columns.users)) and numbers.min() >= 0 and numbers.max() < 10**18
+
+
+def refuse(*args):
+    raise AssertionError("a chunk the byte tier should have read reached the JSON tier")
+
+
+class TestByteTier:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        columns=wire_columns(),
+        style=st.sampled_from(["writer", "spaced", "raw-spaced", "raw-compact"]),
+        chunk=st.integers(1, 6),
+        time_range=st.sampled_from([None, (0, 10**17 + 1), (-(2**80), 2**80)]),
+    )
+    def test_written_streams_parse_alike_in_every_tier(self, monkeypatch, columns, style, chunk, time_range):
+        monkeypatch.setattr(events_module, "_PARSE_CHUNK", chunk)
+        lines = io.StringIO(render_stream(columns, style)).readlines()  # split at "\n" only
+        every_tier = outcome(lines, time_range, False)
+        assert same_outcome(every_tier, json_tiers_outcome(lines, time_range, False, monkeypatch))
+        assert same_outcome(every_tier, per_line_outcome(lines, time_range, False, monkeypatch))
+        if time_range is None:
+            assert columns_equal(every_tier[0], columns)
+        if time_range is None and byte_tier_reads(columns, style):
+            with monkeypatch.context() as m:
+                m.setattr(events_module, "_batch_columns", refuse)
+                assert same_outcome(outcome(lines, None, False), every_tier)
+
+    @pytest.mark.parametrize("style", ["writer", "spaced"])
+    def test_canonical_chunks_never_reach_the_json_tier(self, monkeypatch, style):
+        # Three chunks of 16,384 lines; all values the byte tier reads.
+        n = 2 * events_module._PARSE_CHUNK + 100
+        rng = np.random.default_rng(5)
+        labels = ["plain", "", " ", "mis000001", "sw/014343", "x" * 30]
+        ends = rng.integers(len(labels), size=(n, 2)).tolist()
+        ts = rng.integers(0, 10**10, size=n).tolist()
+        counts = rng.integers(0, 10**17, size=(n, 2)).tolist()
+        flags = rng.integers(0, 2, size=(n, 4)).astype(bool).tolist()
+        cats = rng.integers(len(CATEGORY_TOKENS), size=n).tolist()
+        events = [
+            RetweetEvent(t, labels[s], labels[d], CATEGORY_TOKENS[c], classify_category(CATEGORY_TOKENS[c]), *f, *b)
+            for t, (s, d), c, f, b in zip(ts, ends, cats, counts, flags)
+        ]
+        columns = columns_of(events)
+        monkeypatch.setattr(events_module, "_batch_columns", refuse)
+        again, errors = parse_events(io.StringIO(render_stream(columns, style)))
+        assert errors == [] and columns_equal(again, columns)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"ts":5,', '"ts":-5,'),  # a sign
+            ('"src_followers":10,', '"src_followers":10.0,'),  # a fraction
+            ('"src_followers":10,', '"src_followers":1e3,'),  # an exponent
+            ('"src_followers":10,', f'"src_followers":{10**18},'),  # 19 digits
+            ('"dst_followers":20,', '"dst_followers":020,'),  # a leading zero
+            ('"dst_followers":20,', '"dst_followers":2;,'),  # a byte just past the digits
+            ('"cat":"SCIENCE"', '"cat":null'),
+            ('"cat":"SCIENCE"', '"cat":"BLOG"'),
+            ('"src":"a"', '"src":"\\u0061"'),  # an escape
+            ('"src":"a"', '"src":"a\tb"'),  # a control byte
+            ('"src":"a"', '"src":7'),
+            ('"src":"a"', '"src":"' + "a" * 129 + '"'),  # longer than _MAX_STRING
+            ('"src_bot":false', '"src_bot":False'),
+            ('"src_bot":false', '"src_bot":0'),
+            ('"src_bot":false', '"src_bot": false'),  # two styles in one line
+            ('"ts":5,"src"', '"src":"a","ts":5,"src"'),  # keys out of order
+            ('"src":"a","dst":"b"', '"dst":"a","src":"b"'),  # keys swapped, lengths kept
+            ('"cat"', '"cot"'),
+            ('"ts":5', '"ts";5'),
+            ("{", " {"),
+            ("}\n", "}\r\n"),
+            ("}\n", "}"),  # the last line without a newline
+        ],
+    )
+    def test_refuses_what_it_cannot_vouch_for(self, monkeypatch, old, new):
+        line = json.dumps(json.loads(make_line(ts=5)), separators=(",", ":")) + "\n"
+        lines = [line, line.replace(old, new, 1)]
+        assert lines[1] != line
+        assert events_module._byte_columns(lines, None) is None
+        assert events_module._byte_columns([line, line], None) is not None
+        assert same_outcome(outcome(lines, None, False), per_line_outcome(lines, None, False, monkeypatch))
+
+    def test_refuses_a_line_that_holds_a_newline(self, monkeypatch):
+        # As many newlines as lines, but not one at the end of each line.
+        line = json.dumps(json.loads(make_line(ts=5)), separators=(",", ":")) + "\n"
+        lines = [line + line[:50], line[50:]]
+        assert events_module._byte_columns(lines, None) is None
+        assert same_outcome(outcome(lines, None, False), per_line_outcome(lines, None, False, monkeypatch))
+
+    def test_a_hash_collision_sends_the_chunk_on(self, monkeypatch):
+        lines = [make_line(ts=1, src="a", dst="b") + "\n", make_line(ts=2, src="b", dst="a") + "\n"]
+        assert events_module._byte_columns(lines, None) is not None
+        monkeypatch.setattr(events_module, "_HASH_MULTIPLIER", np.uint64(0))  # every string hashes alike
+        assert events_module._byte_columns(lines, None) is None
+        assert events_module._byte_columns([lines[0].replace('"b"', '"a"')], None) is not None  # one distinct label
+        assert same_outcome(outcome(lines, None, False), per_line_outcome(lines, None, False, monkeypatch))
+
+    @pytest.mark.parametrize("extra,time_range", [(["\n"], None), (["  \n"], None), (["{}\n"], None), ([], (0, 5)), ([], (6, 9))])
+    def test_refuses_blank_lines_and_timestamps_outside_the_range(self, monkeypatch, extra, time_range):
+        line = json.dumps(json.loads(make_line(ts=5)), separators=(",", ":")) + "\n"
+        lines = [line, *extra]
+        assert events_module._byte_columns(lines, time_range) is None
+        assert same_outcome(outcome(lines, time_range, False), per_line_outcome(lines, time_range, False, monkeypatch))
