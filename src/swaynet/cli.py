@@ -140,6 +140,8 @@ def validate_config(config: PipelineConfig) -> list[str]:
         v.append(f"theta: must be in [0.5, 1), got {config.theta}")
     if any(not (0.5 <= t < 1.0) for t in config.theta_grid):
         v.append("theta_grid: thresholds must be in [0.5, 1)")
+    if any(b < a for a, b in zip(config.theta_grid, config.theta_grid[1:])):
+        v.append("theta_grid: must be sorted ascending")
     if config.bins < 1:
         v.append(f"bins: must be >= 1, got {config.bins}")
     if config.min_involvement < 0:

@@ -155,9 +155,15 @@ def _coerce_count(value, field: str) -> int:
 
 
 def _coerce_user(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"bad {field}: {value!r}")
-    return value
+    """A string label that encodes as UTF-8: json.loads also gives a lone
+    surrogate ("\\ud800"), which no file swaynet writes can hold."""
+    if isinstance(value, str):
+        try:
+            value.encode()
+            return value
+        except UnicodeEncodeError:
+            pass
+    raise ValueError(f"bad {field}: {value!r}")
 
 
 _TRUE = {"true", "1", "t", "yes"}
@@ -205,12 +211,10 @@ def _reject(errors: list[ParseError], line_no: int, exc: ValueError, strict: boo
     errors.append(ParseError(line_no, str(exc)))
 
 
-# Lines per batched decode. Larger chunks cost more peak memory than they save time.
+# Lines per decoded chunk. Larger chunks cost more peak memory than they save time.
 _PARSE_CHUNK = 16384
 
-_first_char = itemgetter(slice(None, 1))
 _last_char = itemgetter(slice(-1, None))
-_last_two = itemgetter(slice(-2, None))
 
 
 def _intern(src: Sequence[str], dst: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -253,57 +257,6 @@ def _line_rows(
             _reject(errors, line_no, exc, strict)
             continue
         yield row
-
-
-# Value types the batch path takes per field, in EVENT_FIELDS order. Any
-# other type (a float or string ts or count, a numeric label, a flag spelled
-# as a string or number) goes through event_row, which coerces or rejects it.
-_BATCH_TYPES = ({int}, {str}, {str}, {str, type(None)}, {int}, {int}, {bool}, {bool}, {bool}, {bool})
-
-
-def _batch_columns(lines: list[str], time_range: tuple[int, int] | None) -> tuple | None:
-    """A chunk's columns from one json.loads of all its lines, or None.
-
-    None sends the chunk to the per-line parse: the batch is not provably the
-    same as decoding each line alone, or some value needs event_row to coerce
-    or reject it. The proof: every non-blank line starts with `{` and ends
-    with `}` (before an optional newline), the chunk holds no other brace and
-    no bracket, and lines are joined by a separator holding a newline, which
-    no JSON string can contain. So each `{` opens a flat object that the `}`
-    of its own line closes, and the array holds exactly the per-line objects.
-    """
-    if set(map(_first_char, lines)) != {"{"}:
-        lines = [line for line in lines if line.strip()]
-        if set(map(_first_char, lines)) != {"{"}:
-            return None
-    if any(end != "}\n" and end[-1] != "}" for end in set(map(_last_two, lines))):
-        return None
-    text = "\n,".join(lines)
-    n = len(lines)
-    if text.count("{") != n or text.count("}") != n or "[" in text or "]" in text:
-        return None
-    try:
-        records = json.loads(f"[{text}]")
-        columns = [list(map(itemgetter(field), records)) for field in EVENT_FIELDS]
-    except (ValueError, KeyError):
-        return None
-    if any(not set(map(type, col)) <= types for col, types in zip(columns, _BATCH_TYPES)):
-        return None
-    ts, src, dst, cat, src_f, dst_f, *flag_cols = columns
-    try:
-        ts, src_f, dst_f = (np.array(col, dtype=np.int64) for col in (ts, src_f, dst_f))
-        codes = {c: CATEGORY_INDEX[canonical_category(c)] for c in set(cat)}
-    except (OverflowError, ValueError):
-        return None
-    if src_f.min() < 0 or dst_f.min() < 0:
-        return None
-    if time_range is not None and not (time_range[0] <= int(ts.min()) and int(ts.max()) < time_range[1]):
-        return None
-    flags = np.zeros(n, dtype=np.uint8)
-    for col, (_, bit) in zip(flag_cols, FLAG_BITS):
-        flags[np.array(col, dtype=bool)] |= bit
-    users, src, dst = _intern(src, dst)
-    return users, ts, src, dst, np.fromiter(map(codes.__getitem__, cat), np.int8, n), src_f, dst_f, flags
 
 
 # -- the byte tier: canonical lines read by position -------------------------------
@@ -460,7 +413,7 @@ def _byte_columns(lines: list[str], time_range: tuple[int, int] | None) -> tuple
     values equal to that style's, `ts` and counts of 1-18 digits with no
     sign or leading zero, flags `true` or `false`, known categories and
     `ts` inside `time_range`. json.loads of such a line gives the values at
-    these positions; None sends the chunk on to _batch_columns.
+    these positions; None sends the chunk on to the per-line parse.
     """
     if set(map(_last_char, lines)) != {"\n"}:
         return None
@@ -541,10 +494,9 @@ def parse_events(
     Invalid lines are reported with their 1-based line number; with
     strict=True the first bad line raises instead. I/O errors from the
     underlying stream propagate (stream-level failure aborts the parse).
-    Lines are decoded _PARSE_CHUNK at a time by the first of three tiers
-    that vouches for the whole chunk: the byte tier (_byte_columns) for
-    canonical lines, one json.loads of the chunk (_batch_columns), and the
-    per-line parse, which decides every error.
+    Lines are decoded _PARSE_CHUNK at a time: by the byte tier
+    (_byte_columns) when it vouches for the whole chunk, which it does for
+    canonical lines, else by the per-line parse, which decides every error.
     """
     from .store import EventColumns
 
@@ -555,8 +507,6 @@ def parse_events(
         line_no = 1
         while chunk := list(islice(it, _PARSE_CHUNK)):
             columns = _byte_columns(chunk, time_range)
-            if columns is None:
-                columns = _batch_columns(chunk, time_range)
             if columns is not None:
                 yield columns
             else:
@@ -596,7 +546,7 @@ _WRITE_CHUNK = 4096  # rows per write: its lists stay under the 64 KiB mmap thre
 
 def write_events_jsonl(columns: EventColumns, handle: TextIO) -> int:
     """Serialize columns one JSON object per line; returns the line count."""
-    labels = [json.dumps(u) for u in columns.users]
+    labels = [json.dumps(u, ensure_ascii=False) for u in columns.users]  # UTF-8, so the byte tier reads it back
     cats = [json.dumps(tok) for tok in CATEGORY_TOKENS]
     flag_fields = [
         ",".join(f'"{field}":{"true" if flags & bit else "false"}' for field, bit in FLAG_BITS)

@@ -140,6 +140,14 @@ class TestExitCodes:
     def test_theta_out_of_range_exits_1(self, tmp_path):
         assert run(["align", "--out", str(tmp_path), "--theta", "1.5"]) == 1
 
+    def test_unsorted_theta_grid_exits_1_before_writing(self, backbone_tree, tmp_path, capsys):
+        out = tmp_path / "tree"
+        shutil.copytree(backbone_tree, out)
+        before = tree_digest(out)
+        assert run(["align", "--out", str(out), "--theta-grid", "0.9,0.6"]) == 1
+        assert "theta_grid: must be sorted ascending" in capsys.readouterr().err
+        assert tree_digest(out) == before
+
     def test_missing_upstream_exits_2(self, tmp_path):
         assert run(["backbone", "--out", str(tmp_path), "--alpha", "0.05"]) == 2
 
@@ -224,6 +232,22 @@ class TestExitCodes:
         )
         users = [row[0] for row in read_csv_rows(run_dir / "flag_rates.csv")]
         assert users == ["a", "b", "c"]
+
+    def test_lone_surrogate_label_is_a_bad_line(self, tmp_path, capsys):
+        # json.loads gives "\ud800" as a lone surrogate, which no UTF-8 file can hold.
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        good = {"ts": 5, "src": "a", "dst": "b", "cat": "NA", "src_followers": 1, "dst_followers": 2}
+        good.update(src_bot=False, dst_bot=False, src_verified=False, dst_verified=False)
+        with open(tmp_path / "in.jsonl", "a") as fh:
+            fh.write(json.dumps({**good, "src": "\ud800"}) + "\n")
+        run_dir = tmp_path / "run"
+        out = ["--out", str(run_dir), "--events", str(tmp_path / "in.jsonl")]
+        assert run(["ingest", "--strict", *out]) == 1
+        assert "1 invalid lines" in capsys.readouterr().err
+        assert sorted(os.listdir(run_dir)) == ["parse_errors.csv"]
+        assert run(["ingest", *out]) == 0
+        assert (run_dir / "parse_errors.csv").read_bytes() == b"line_no,message\r\n51,bad src: '\\ud800'\r\n"
+        assert run(["backbone", "--out", str(run_dir), "--alpha", "0.05"]) == 0
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_input_that_is_not_utf8_exits_1_and_names_the_line(self, tmp_path, capsys, fmt):
@@ -499,6 +523,23 @@ class TestPipeline:
             assert run(["backbone", "--out", str(out), "--alpha", "0.05"]) == 0
         assert (cached / "backbone.bin").read_bytes() == (parsed / "backbone.bin").read_bytes()
         assert tree_digest(cached) == tree_digest(parsed)
+
+    def test_non_ascii_events_file_stays_on_the_byte_tier(self, tmp_path, monkeypatch):
+        from swaynet import events
+
+        labels = ["café", "ünï", "😀", "plain", "a\u2028b"]
+        write_jsonl(tmp_path / "in.jsonl", 60, 40, labels)
+        out = tmp_path / "run"
+        assert run(["ingest", "--out", str(out), "--events", str(tmp_path / "in.jsonl")]) == 0
+        written = (out / "events.jsonl").read_bytes()
+        assert b"\\u" not in written and all(label.encode() in written for label in labels)
+        shutil.rmtree(out / "events_cache")
+
+        def refuse(*args):
+            raise AssertionError("a chunk of events.jsonl reached the per-line parse")
+
+        monkeypatch.setattr(events, "_line_rows", refuse)
+        assert run(["backbone", "--out", str(out), "--alpha", "0.05"]) == 0
 
     def test_ingest_roundtrip_of_synth_output(self, tmp_path):
         assert run(synth_args(tmp_path)) == 0

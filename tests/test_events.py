@@ -322,6 +322,7 @@ class TestColumnRoundtrip:
                     "dst_verified": e.retweeter_verified,
                 },
                 separators=(",", ":"),
+                ensure_ascii=False,
             )
             + "\n"
             for e in to_events(columns)
@@ -344,7 +345,7 @@ class TestColumnRoundtrip:
         assert write_events_jsonl(columns, buf) == 0 and buf.getvalue() == ""
 
 
-# -- batched decoding against the per-line parse ---------------------------------
+# -- the chunked parse against the per-line parse --------------------------------
 
 GOOD_RECORD = st.fixed_dictionaries(
     {
@@ -362,8 +363,8 @@ GOOD_RECORD = st.fixed_dictionaries(
 )
 ODD_VALUES = {
     "ts": st.sampled_from([2.5, -3.7, 5.0, "12", " 7 ", "1_0", "soon", True, None, 2**63, -(2**63) - 1, 2**70]),
-    "src": st.sampled_from([3, None, True, 1.5, "x{", "}y", "{}", "[z]"]),
-    "dst": st.sampled_from([0, False, "q]", "w[", "{"]),
+    "src": st.sampled_from([3, None, True, 1.5, "x{", "}y", "{}", "[z]", "\ud800"]),
+    "dst": st.sampled_from([0, False, "q]", "w[", "{", "a\udfff"]),
     "cat": st.sampled_from(["BLOG", "science", 1, True, "Conspiracy and junk science"]),
     "src_followers": st.sampled_from([-1, "12", "x", 3.7, 2.0, True, None, 2**63, -(2**64)]),
     "dst_followers": st.sampled_from([-5, " 4", 1.5, False, 2**64]),
@@ -426,14 +427,6 @@ def outcome(lines, time_range, strict):
 def per_line_outcome(lines, time_range, strict, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(events_module, "_byte_columns", lambda lines, time_range: None)
-        m.setattr(events_module, "_batch_columns", lambda lines, time_range: None)
-        return outcome(lines, time_range, strict)
-
-
-def json_tiers_outcome(lines, time_range, strict, monkeypatch):
-    """The parse with the byte tier off: one json.loads per chunk, then the per-line parse."""
-    with monkeypatch.context() as m:
-        m.setattr(events_module, "_byte_columns", lambda lines, time_range: None)
         return outcome(lines, time_range, strict)
 
 
@@ -460,11 +453,6 @@ class TestBatchedParse:
     def test_every_odd_value_matches_per_line_parse(self, monkeypatch, rec, spaced, time_range):
         lines = [render(rec, spaced, True)]
         assert same_outcome(outcome(lines, time_range, False), per_line_outcome(lines, time_range, False, monkeypatch))
-
-    def test_clean_chunks_take_the_batch(self):
-        lines = [make_line(ts=i) + "\n" for i in range(5)] + [make_line(ts=9)]
-        assert events_module._batch_columns(lines, None) is not None
-        assert events_module._batch_columns(lines + ["\n", "  \n"], (0, 500)) is not None
 
     def test_two_objects_on_one_line_and_one_split_across_two(self):
         # Decoded as one array these three lines give three valid records, so
@@ -497,7 +485,7 @@ class TestBatchedParse:
         assert outcome(lines, None, False)[0] is OverflowError
 
 
-# -- the byte tier against the JSON tiers and the per-line parse -------------------
+# -- the byte tier against the per-line parse ----------------------------------------
 
 WIRE_LABELS = ["plain", "ünï", "", " ", 'quo"te', "back\\slash", "line\u2028sep", "tab\tname", "del\x7f", "😀", "x" * 40, "y" * 129]
 WIRE_COUNTS = [0, 1, 9, 10, 10**8 - 1, 10**8, 10**16, 10**17, 10**18 - 1, 10**18, 2**63 - 1]
@@ -534,8 +522,9 @@ def wire_record(e):
 
 
 def render_stream(columns, style):
-    """The stream as write_events_jsonl writes it, or each record through json.dumps:
-    its default separators, or UTF-8 left unescaped in either style."""
+    """The stream as write_events_jsonl writes it (compact, UTF-8 unescaped), or
+    each record through json.dumps: its default separators and escapes, or
+    UTF-8 left unescaped in either style."""
     if style == "writer":
         buf = io.StringIO()
         write_events_jsonl(columns, buf)
@@ -547,7 +536,7 @@ def render_stream(columns, style):
 
 def byte_tier_reads(columns, style):
     """Whether every line of the stream is one the byte tier must take."""
-    ascii_only = style in ("writer", "spaced")
+    ascii_only = style == "spaced"
 
     def plain(label):
         escaped = any(ch in '"\\' or ch < " " or (ascii_only and ch > "~") for ch in label)
@@ -558,7 +547,7 @@ def byte_tier_reads(columns, style):
 
 
 def refuse(*args):
-    raise AssertionError("a chunk the byte tier should have read reached the JSON tier")
+    raise AssertionError("a chunk the byte tier should have read reached the per-line parse")
 
 
 class TestByteTier:
@@ -573,17 +562,16 @@ class TestByteTier:
         monkeypatch.setattr(events_module, "_PARSE_CHUNK", chunk)
         lines = io.StringIO(render_stream(columns, style)).readlines()  # split at "\n" only
         every_tier = outcome(lines, time_range, False)
-        assert same_outcome(every_tier, json_tiers_outcome(lines, time_range, False, monkeypatch))
         assert same_outcome(every_tier, per_line_outcome(lines, time_range, False, monkeypatch))
         if time_range is None:
             assert columns_equal(every_tier[0], columns)
         if time_range is None and byte_tier_reads(columns, style):
             with monkeypatch.context() as m:
-                m.setattr(events_module, "_batch_columns", refuse)
+                m.setattr(events_module, "_line_rows", refuse)
                 assert same_outcome(outcome(lines, None, False), every_tier)
 
     @pytest.mark.parametrize("style", ["writer", "spaced"])
-    def test_canonical_chunks_never_reach_the_json_tier(self, monkeypatch, style):
+    def test_canonical_chunks_never_reach_the_per_line_parse(self, monkeypatch, style):
         # Three chunks of 16,384 lines; all values the byte tier reads.
         n = 2 * events_module._PARSE_CHUNK + 100
         rng = np.random.default_rng(5)
@@ -598,7 +586,7 @@ class TestByteTier:
             for t, (s, d), c, f, b in zip(ts, ends, cats, counts, flags)
         ]
         columns = columns_of(events)
-        monkeypatch.setattr(events_module, "_batch_columns", refuse)
+        monkeypatch.setattr(events_module, "_line_rows", refuse)
         again, errors = parse_events(io.StringIO(render_stream(columns, style)))
         assert errors == [] and columns_equal(again, columns)
 
