@@ -39,7 +39,7 @@ from .sir import (
     sample_rho,
     temporal_network,
 )
-from .store import EventColumns, file_sha256, load_or_parse
+from .store import EventColumns, Sha256Writer, file_sha256, load_or_parse
 from .synth import SynthConfig, synthesize
 
 EVENTS_FILE = "events.jsonl"
@@ -367,15 +367,18 @@ def _time_range(config: PipelineConfig) -> tuple[float, float] | None:
 
 
 def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
-    """events.jsonl, its column cache, follower logs and flag rates; the
-    cache and follower_logs.csv share one follower table."""
-    with open(_path(config, EVENTS_FILE), "w", encoding="utf-8") as fh:
-        write_events_jsonl(columns, fh)
-    columns.save(_path(config, CACHE_DIR), file_sha256(_path(config, EVENTS_FILE)))
-    with open(_path(config, LOGS_FILE), "w", newline="", encoding="utf-8") as fh:
-        write_follower_logs_csv(columns.follower_logs(), fh)
+    """events.jsonl, hashed as it is written, then flag rates, the column
+    cache and follower logs. Saving the cache streams the follower table
+    into it and maps the columns and table in place of the arrays, so the
+    table never sits beside the columns and follower_logs.csv is written from
+    the mapped table."""
+    with open(_path(config, EVENTS_FILE), "wb") as fh:
+        write_events_jsonl(columns, sink := Sha256Writer(fh))
     with open(_path(config, FLAGS_FILE), "w", newline="", encoding="utf-8") as fh:
         write_flag_rates_csv(columns, fh)
+    columns.save(_path(config, CACHE_DIR), sink.hexdigest())
+    with open(_path(config, LOGS_FILE), "w", newline="", encoding="utf-8") as fh:
+        write_follower_logs_csv(columns.follower_logs(), fh)
 
 
 def _load_labels(inputs: _Inputs, columns: EventColumns) -> tuple[np.ndarray, float]:
@@ -406,14 +409,20 @@ def _backbone_pair_mask(columns: EventColumns, backbone: WeightedDigraph) -> np.
 # -- stages ---------------------------------------------------------------------
 
 
-def _clear_ingest_outputs(config: PipelineConfig) -> None:
-    """Remove what an earlier ingest left in --out, so a failed one leaves
-    nothing a later stage could read as current; the input file is kept."""
-    for name in (EVENTS_FILE, CACHE_DIR, LOGS_FILE, FLAGS_FILE, "ingest_meta.json", PARSE_ERRORS_FILE):
+# Every file or directory that ingest or synth writes into --out.
+_EVENT_OUTPUTS = (EVENTS_FILE, CACHE_DIR, LOGS_FILE, FLAGS_FILE, TRUTH_FILE, PARSE_ERRORS_FILE, "ingest_meta.json", "synth_meta.json")
+
+
+def _clear_event_outputs(config: PipelineConfig) -> None:
+    """Remove what an earlier ingest or synth left in --out, so a failed
+    stage leaves nothing a later stage could read as current, and neither
+    leaves the other's outputs beside its own; an ingest's input is kept."""
+    kept = config.events if config.events and os.path.exists(config.events) else None
+    for name in _EVENT_OUTPUTS:
         path = _path(config, name)
         if os.path.isdir(path):
             shutil.rmtree(path)
-        elif os.path.isfile(path) and not os.path.samefile(path, config.events):
+        elif os.path.isfile(path) and not (kept and os.path.samefile(path, kept)):
             os.remove(path)
 
 
@@ -450,7 +459,7 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     except UnicodeDecodeError as exc:  # raised while a block is read, ahead of the line being parsed
         raise InvalidEvents(f"{config.events}: line {_undecodable_line(config.events)}: not UTF-8 text ({exc.reason})") from None
     finally:
-        _clear_ingest_outputs(config)
+        _clear_event_outputs(config)
     if errors:
         with open(_path(config, PARSE_ERRORS_FILE), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -459,7 +468,6 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
                 w.writerow([err.line_no, err.message])
         if config.strict:
             raise InvalidEvents(f"{len(errors)} invalid lines (see {PARSE_ERRORS_FILE})")
-    _write_events(config, columns)
     params = {
         "n_events": len(columns),
         "n_users": len(columns.users),
@@ -467,6 +475,7 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         "ts_min": int(columns.ts.min()) if len(columns) else None,
         "ts_max": int(columns.ts.max()) if len(columns) else None,
     }
+    _write_events(config, columns)
     return f"ingest: {len(columns)} events, {len(columns.users)} users, {len(errors)} invalid lines -> {config.out}", params
 
 
@@ -501,9 +510,7 @@ def cmd_synth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         raise ConfigError(str(exc)) from None
     columns, truth, n_users = result.columns(), result.truth(), len(result.user_labels)
     del result  # its source arrays would sit beside the columns while they are written
-    _write_events(config, columns)
-    with open(_path(config, TRUTH_FILE), "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, sort_keys=True, indent=1)
+    _clear_event_outputs(config)
     params = {
         "n_events": len(columns),
         "n_users": n_users,
@@ -511,6 +518,9 @@ def cmd_synth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         "ts_max": int(columns.ts.max()) if len(columns) else None,
         "purity": synth_config.purity,
     }
+    _write_events(config, columns)
+    with open(_path(config, TRUTH_FILE), "w", encoding="utf-8") as fh:
+        json.dump(truth, fh, sort_keys=True, indent=1)
     return f"synth: {len(columns)} events, {n_users} users, seed {config.seed} -> {config.out}", params
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import bisect
 import contextlib
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +41,8 @@ _CACHE_FORMAT = 3  # 1 kept users.txt, one label per line, which broke on line-b
 _USERS_FILE = "users.json"
 _CLASS_INDEX = {cls: i for i, cls in enumerate(CONTENT_CLASSES)}
 CLASS_OF_CAT = np.array([_CLASS_INDEX[CLASS_BY_CATEGORY[tok]] for tok in CATEGORY_TOKENS], dtype=np.int8)
+_FOLLOWER_BLOCKS = 16  # id-contiguous user blocks the follower table is built in, about 1/16 of the observations each
+_KEY_BITS = 63  # a block's sort keys are non-negative int64
 
 
 def file_sha256(path: str) -> str:
@@ -48,6 +51,39 @@ def file_sha256(path: str) -> str:
         while n := fh.readinto(buf):
             h.update(memoryview(buf)[:n])
     return h.hexdigest()
+
+
+class Sha256Writer:
+    """A text sink that writes UTF-8 bytes to a binary file and feeds the
+    same bytes to one SHA-256, so a file is hashed as it is written."""
+
+    def __init__(self, handle: BinaryIO):
+        self.handle, self.sha256 = handle, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode("utf-8")
+        self.sha256.update(data)
+        return self.handle.write(data)
+
+    def hexdigest(self) -> str:
+        return self.sha256.hexdigest()
+
+
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[BinaryIO]:
+    """A binary file written beside `path` and moved onto it once closed,
+    so a map of the old file stays readable."""
+    with open(path + ".tmp", "wb") as fh:
+        yield fh
+    os.replace(path + ".tmp", path)
+
+
+def _int64_npy_header(length: int) -> bytes:
+    """The header `np.save` writes for a 1-D int64 array of `length`."""
+    header = io.BytesIO()
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.int64))
+    np.lib.format.write_array_header_1_0(header, {"descr": descr, "fortran_order": False, "shape": (length,)})
+    return header.getvalue()
 
 
 class _UserTable:
@@ -118,14 +154,19 @@ class EventColumns(_UserTable):
     # -- persistence ----------------------------------------------------------
 
     def save(self, directory: str, source_hash: str) -> None:
+        """Write the columns, follower table and user table into the cache
+        at `directory` and map them back: on return every column and table
+        array is a read-only map of its cache file, as `load` gives it, and
+        the arrays held before are released. Each column is mapped once
+        written, and the table is built from the mapped columns and streamed
+        into its files a block of users at a time, never joined."""
         os.makedirs(directory, exist_ok=True)
-        table = self.follower_logs()
-        arrays = [(name, getattr(self, name)) for name in _COLUMNS] + [(f"follower_{n}", getattr(table, n)) for n in _TABLE]
-        for name, values in arrays:  # written aside, then moved in: a mapped old file stays readable
+        for name in _COLUMNS:
             path = os.path.join(directory, f"{name}.npy")
-            with open(path + ".tmp", "wb") as fh:
-                np.save(fh, values)
-            os.replace(path + ".tmp", path)
+            with _replacing(path) as fh:
+                np.save(fh, getattr(self, name))
+            setattr(self, name, np.load(path, mmap_mode="r").view(np.ndarray))
+        self._stream_follower_table(directory)
         with open(os.path.join(directory, _USERS_FILE), "w", encoding="utf-8") as fh:
             json.dump(self.users, fh)
         with contextlib.suppress(FileNotFoundError):
@@ -133,6 +174,38 @@ class EventColumns(_UserTable):
         meta = {"format": _CACHE_FORMAT, "n_events": len(self.ts), "n_users": len(self.users), "source_sha256": source_hash}
         with open(os.path.join(directory, "cache_meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
+        mapped = self._mapped(directory, meta, self.users)
+        if mapped is None:
+            raise OSError(f"{directory}: the cache just written does not read back")
+        for name in _COLUMNS:
+            setattr(self, name, getattr(mapped, name))
+        self.follower_table = mapped.follower_table
+
+    def _stream_follower_table(self, directory: str) -> None:
+        """follower_*.npy with np.save's bytes, each block of `_follower_blocks`
+        written from its own buffer; the ts and count headers, whose size does
+        not depend on the length, are rewritten once the length is known."""
+        ends, rows, placeholder = [np.zeros(1, dtype=np.int64)], 0, _int64_npy_header(0)
+        with (
+            _replacing(os.path.join(directory, "follower_ts.npy")) as ts_fh,
+            _replacing(os.path.join(directory, "follower_count.npy")) as count_fh,
+        ):
+            ts_fh.write(placeholder)
+            count_fh.write(placeholder)
+            for block_ends, ts, count in self._follower_blocks():
+                ends.append(block_ends)
+                ts_fh.write(memoryview(ts))
+                count_fh.write(memoryview(count))
+                rows += len(ts)
+                del ts, count
+            header = _int64_npy_header(rows)
+            if len(header) != len(placeholder):
+                raise ValueError(f"an .npy header for {rows} rows is not {len(placeholder)} bytes long")
+            for fh in (ts_fh, count_fh):
+                fh.seek(0)
+                fh.write(header)
+        with _replacing(os.path.join(directory, "follower_ptr.npy")) as fh:
+            np.save(fh, np.concatenate(ends))
 
     @classmethod
     def load(cls, directory: str, expected_hash: str | None = None) -> "EventColumns | None":
@@ -151,6 +224,15 @@ class EventColumns(_UserTable):
                 return None
             with open(os.path.join(directory, _USERS_FILE), encoding="utf-8") as fh:
                 users = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        return cls._mapped(directory, meta, users)
+
+    @classmethod
+    def _mapped(cls, directory: str, meta: dict, users: list[str]) -> "EventColumns | None":
+        """The cache's column and table files mapped read-only, or None when
+        one is unreadable or breaks a rule of `load`."""
+        try:
             mapped = {n: np.load(os.path.join(directory, f"{n}.npy"), mmap_mode="r").view(np.ndarray) for n in _FILES}
         except (OSError, ValueError):
             return None
@@ -214,45 +296,92 @@ class EventColumns(_UserTable):
 
     def follower_logs(self) -> FollowerSnapshots:
         """Every user's follower-count log from activity-moment snapshots: the
-        cached table when the columns came from the cache, else built once."""
+        cached table when the columns came from the cache or were saved, else
+        built once from `_follower_blocks` into arrays sized for every
+        observation and shrunk in place to the rows kept."""
         if self.follower_table is None:
-            self.follower_table = self._build_follower_table()
+            ends, rows = [np.zeros(1, dtype=np.int64)], 0
+            ts, count = np.empty(2 * len(self.ts), dtype=np.int64), np.empty(2 * len(self.ts), dtype=np.int64)
+            for block_ends, block_ts, block_count in self._follower_blocks():
+                ends.append(block_ends)
+                ts[rows : rows + len(block_ts)] = block_ts
+                count[rows : rows + len(block_ts)] = block_count
+                rows += len(block_ts)
+                del block_ts, block_count
+            ts.resize(rows, refcheck=False)  # no view of either array exists
+            count.resize(rows, refcheck=False)
+            self.follower_table = FollowerSnapshots(self.users, np.concatenate(ends), ts, count)
         return self.follower_table
 
-    def _build_follower_table(self) -> FollowerSnapshots:
-        # Rows in (user, ts, event, role) order, the retweetee observation of
-        # an event first: a stable sort by ts, then by user of the observations
-        # interleaved src, dst per event. Temporaries are freed once used, and
-        # event and user indices are int32 while they fit.
-        index = np.int32 if 2 * len(self.ts) + len(self.users) < 2**31 else np.int64
-        by_time = np.argsort(self.ts, kind="stable").astype(index, copy=False)
-        user = np.empty(2 * len(by_time), dtype=index)
-        user[0::2], user[1::2] = self.src[by_time], self.dst[by_time]
-        bounds = np.zeros(len(self.users) + 1, dtype=np.int64)  # each user's rows before the collapse
-        np.cumsum(np.bincount(user, minlength=len(self.users)), out=bounds[1:])
-        obs = np.argsort(user, kind="stable")  # 2 * (position in by_time) + role
-        del user
-        role = (obs & 1).astype(bool)  # True for the retweeter (dst)
-        obs >>= 1
-        event = by_time[obs]
-        del obs, by_time
-        # Keep the last record of each (user, ts) run.
-        ts = self.ts[event]
-        keep = np.ones(len(ts), dtype=bool)
-        keep[:-1] = ts[1:] != ts[:-1]
-        keep[bounds[1:] - 1] = True  # every interned user has rows, so each bound ends a run
-        del ts
-        kept = np.flatnonzero(keep)
-        ptr = np.searchsorted(kept, bounds)  # kept rows before each bound
-        event, role = event[kept], role[kept]
-        del kept, keep
-        count = self.src_followers[event]
-        for lo in range(0, len(event), 1 << 16):  # retweeter counts a block at a time: no table-long temporary
-            block = slice(lo, lo + (1 << 16))
-            np.copyto(count[block], self.dst_followers[event[block]], where=role[block])
-        del role
-        ts = self.ts[event]
-        return FollowerSnapshots(self.users, ptr, ts, count)
+    def _follower_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The follower table a block of users at a time: for each of
+        `_FOLLOWER_BLOCKS` id-contiguous user blocks, in id order, the table
+        row that ends each block user's segment (`ptr[lo + 1 : hi + 1]`) and
+        the block's `ts` and `count` rows.
+
+        Blocks hold about equal numbers of observations, two per event, and
+        are selected by one compare per role against each event's block ids.
+        A block's observations are put in (user, ts, event, role) order, the
+        retweetee observation of an event first, by one sort of int64 keys
+        packing the user's offset in the block, the event's rank in stable ts
+        order and the role; the last observation of each (user, ts) run is
+        kept. Only the ranks and block ids are event-long.
+        """
+        n, n_users = len(self.ts), len(self.users)
+        rank = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
+        by_time = np.argsort(self.ts, kind="stable")
+        for lo in range(0, n, 1 << 16):  # no event-long arange beside the order
+            rank[by_time[lo : lo + (1 << 16)]] = np.arange(lo, min(lo + (1 << 16), n), dtype=rank.dtype)
+        del by_time
+        observations = np.bincount(self.src, minlength=n_users) + np.bincount(self.dst, minlength=n_users)
+        bounds = np.zeros(_FOLLOWER_BLOCKS + 1, dtype=np.int64)
+        targets = np.arange(1, _FOLLOWER_BLOCKS) * (2 * n / _FOLLOWER_BLOCKS)
+        bounds[1:-1] = np.searchsorted(np.cumsum(observations), targets, side="right")
+        bounds[-1] = n_users
+        block_of = np.repeat(np.arange(_FOLLOWER_BLOCKS, dtype=np.uint8), np.diff(bounds))
+        src_block, dst_block = block_of[self.src], block_of[self.dst]
+        del block_of
+        rank_bits, end = max(n - 1, 0).bit_length(), 0
+        for b, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            as_src, as_dst = np.flatnonzero(src_block == b), np.flatnonzero(dst_block == b)
+            n_src, event = len(as_src), np.concatenate([as_src, as_dst])
+            key = np.empty(len(event), dtype=np.int64)
+            np.take(self.src, as_src, out=key[:n_src])
+            np.take(self.dst, as_dst, out=key[n_src:])
+            del as_src, as_dst
+            key -= lo  # the user's offset in the block
+            if (hi - lo - 1).bit_length() + rank_bits + 1 <= _KEY_BITS:
+                key <<= rank_bits
+                key |= rank[event]
+                key <<= 1
+                key[n_src:] |= 1
+                order = np.argsort(key)
+            else:
+                order = np.lexsort((np.arange(len(key)) >= n_src, rank[event], key))
+            del key
+            event = event[order]
+            is_dst = order >= n_src  # the retweeter observation
+            del order
+            # Keep the last row of each (user, ts) run; each user's rows end
+            # at the running sum of its observation counts.
+            ts = self.ts[event]
+            user_ends = np.cumsum(observations[lo:hi])
+            keep = np.ones(len(ts), dtype=bool)
+            keep[:-1] = ts[1:] != ts[:-1]
+            keep[user_ends[user_ends > 0] - 1] = True
+            kept = np.flatnonzero(keep)
+            del keep
+            ends = end + np.searchsorted(kept, user_ends)
+            ts = ts[kept]  # one array at a time, each freed as its copy replaces it
+            event = event[kept]
+            is_dst = is_dst[kept]
+            del kept
+            count = np.take(self.src_followers, event)
+            np.copyto(count, np.take(self.dst_followers, event), where=is_dst)
+            del event, is_dst
+            end += len(ts)
+            yield ends, ts, count
+            del ts, count  # a block's rows live no longer than its sink needs them
 
     def flag_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n_observations, bot_rate, verification_rate), aligned with `users`.
@@ -332,8 +461,8 @@ class FollowerSnapshots(_UserTable):
 
 def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | None = None) -> EventColumns:
     """Load the cache when fresh, else parse the canonical stream strictly
-    and write the parsed columns back to the cache. `digest` is the file's
-    SHA-256 when the caller already took it."""
+    and write the parsed columns back to the cache, which leaves them mapped
+    from it. `digest` is the file's SHA-256 when the caller already took it."""
     digest = digest or file_sha256(events_path)
     if cache_dir is not None:
         cached = EventColumns.load(cache_dir, digest)

@@ -215,6 +215,31 @@ class TestExitCodes:
         assert run(["ingest", "--out", str(run_dir), "--events", str(run_dir / "events.jsonl")]) == 0
         assert (run_dir / "events.jsonl").read_bytes() == before
 
+    def test_ingest_over_a_synth_tree_leaves_no_synth_output(self, tmp_path):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert run(["ingest", "--out", str(fresh), "--events", str(tmp_path / "in.jsonl")]) == 0
+        assert run(synth_args(reused)) == 0
+        assert run(["ingest", "--out", str(reused), "--events", str(tmp_path / "in.jsonl")]) == 0
+        assert not (reused / "truth.json").exists() and not (reused / "synth_meta.json").exists()
+        assert tree_digest(reused) == tree_digest(fresh)
+
+    def test_synth_over_an_ingest_tree_leaves_no_ingest_output(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        with open(tmp_path / "in.jsonl", "a") as fh:
+            fh.write('{"ts": "soon"}\n')
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert run(synth_args(fresh, seed=8)) == 0
+        assert run(["ingest", "--out", str(reused), "--events", str(tmp_path / "in.jsonl")]) == 0
+        ingested = tree_digest(reused)
+        # A config error found by the generator leaves the old tree whole.
+        assert run(synth_args(reused, seed=8, extra=("--synth-swayable", "1"))) == 1
+        assert "swayable" in capsys.readouterr().err
+        assert tree_digest(reused) == ingested
+        assert run(synth_args(reused, seed=8)) == 0
+        assert not (reused / "parse_errors.csv").exists() and not (reused / "ingest_meta.json").exists()
+        assert tree_digest(reused) == tree_digest(fresh)
+
     def test_non_string_user_and_fractional_count_are_bad_lines(self, tmp_path, capsys):
         write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
         good = {"ts": 5, "src": "a", "dst": "b", "cat": "NA", "src_followers": 1, "dst_followers": 2}

@@ -1,9 +1,13 @@
+import io
 import json
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     RetweetEvent,
@@ -21,7 +25,9 @@ from oracles import (
     to_events,
     user_flag_rates,
 )
-from swaynet.store import EventColumns, file_sha256, load_or_parse
+from swaynet import store
+from swaynet.events import write_events_jsonl
+from swaynet.store import EventColumns, Sha256Writer, file_sha256, load_or_parse
 from swaynet.synth import SynthConfig, synthesize
 
 DAY = 86_400
@@ -64,8 +70,10 @@ def events(result):
     return synth_events(result)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def columns(result):
+    # Fresh arrays per test: `save` maps a caller's columns onto the cache
+    # files, which some tests then corrupt in place.
     return result.columns()
 
 
@@ -123,9 +131,13 @@ class TestCacheFormat:
         (cache / "users.json").write_text(json.dumps(columns.users[:-1]))
         assert EventColumns.load(str(cache), "deadbeef") is None
         columns.save(str(cache), "deadbeef")
+        # `save` maps the columns onto these files: a corrupt file replaces
+        # its old one, which is never rewritten in place under the map.
+        os.remove(cache / "dst.npy")
         np.save(cache / "dst.npy", columns.dst[:-1])
         assert EventColumns.load(str(cache), "deadbeef") is None
         columns.save(str(cache), "deadbeef")
+        os.remove(cache / "flags.npy")
         (cache / "flags.npy").write_bytes(b"truncated")
         assert EventColumns.load(str(cache), "deadbeef") is None
 
@@ -246,8 +258,8 @@ class TestFollowerTableBuilder:
     def test_built_once_per_columns(self, monkeypatch):
         columns = columns_of(random_events(1, 50, 4, 5))
         builds = []
-        build = EventColumns._build_follower_table
-        monkeypatch.setattr(EventColumns, "_build_follower_table", lambda self: builds.append(1) or build(self))
+        build = EventColumns._follower_blocks
+        monkeypatch.setattr(EventColumns, "_follower_blocks", lambda self: builds.append(1) or build(self))
         assert columns.follower_logs() is columns.follower_logs()
         assert builds == [1]
 
@@ -292,13 +304,14 @@ class TestFollowerTableCache:
         loaded = EventColumns.load(str(tmp_path / "cache"), "deadbeef")
         assert loaded is not None and columns_equal(loaded, columns)
         assert tables_equal(loaded.follower_logs(), follower_table_by_lexsort(columns))
-        table = loaded.follower_logs()
-        arrays = {name: getattr(loaded, name) for name in COLUMN_NAMES}
-        arrays.update((f"follower_{k}", getattr(table, k)) for k in ("ptr", "ts", "count"))
-        for name, values in arrays.items():  # plain views of read-only maps of the cache files
-            assert type(values) is np.ndarray and not values.flags.writeable, name
-            assert isinstance(values.base, np.memmap), name
-            assert os.path.samefile(values.base.filename, tmp_path / "cache" / f"{name}.npy"), name
+        assert_mapped_from(loaded, tmp_path / "cache")
+
+    def test_saved_columns_and_table_are_maps_of_what_was_written(self, tmp_path, columns):
+        expected = follower_table_by_lexsort(columns)
+        columns.save(str(tmp_path / "cache"), "deadbeef")
+        assert_mapped_from(columns, tmp_path / "cache")
+        assert tables_equal(columns.follower_logs(), expected)
+        assert columns_equal(columns, EventColumns.load(str(tmp_path / "cache"), "deadbeef"))
 
     def test_empty_stream_is_a_hit(self, tmp_path):
         empty = columns_of([])
@@ -337,6 +350,115 @@ class TestFollowerTableCache:
         columns.save(str(fresh), digest)
         assert sorted(os.listdir(cache)) == sorted(os.listdir(fresh))
         assert all((cache / name).read_bytes() == (fresh / name).read_bytes() for name in os.listdir(fresh))
+
+
+def assert_mapped_from(columns, cache):
+    """Every column and table array is a plain view of a read-only map of its cache file."""
+    table = columns.follower_logs()
+    arrays = {name: getattr(columns, name) for name in COLUMN_NAMES}
+    arrays.update((f"follower_{k}", getattr(table, k)) for k in ("ptr", "ts", "count"))
+    for name, values in arrays.items():
+        assert type(values) is np.ndarray and not values.flags.writeable, name
+        assert isinstance(values.base, np.memmap), name
+        assert os.path.samefile(values.base.filename, cache / f"{name}.npy"), name
+
+
+def stream(rows, n_users=None):
+    """EventColumns over (ts, src, dst, src_followers, dst_followers) rows of
+    user indices; users u0.. number `n_users`, by default one past the largest index."""
+    ts, src, dst, src_f, dst_f = (np.array(c, dtype=np.int64) for c in zip(*rows)) if rows else [np.zeros(0, np.int64)] * 5
+    if n_users is None:
+        n_users = int(max(src.max(initial=-1), dst.max(initial=-1))) + 1
+    cat, flags = np.zeros(len(ts), np.int8), np.zeros(len(ts), np.uint8)
+    return EventColumns([f"u{i}" for i in range(n_users)], ts, src, dst, cat, src_f, dst_f, flags)
+
+
+def npy_bytes(values):
+    buf = io.BytesIO()
+    np.save(buf, values)
+    return buf.getvalue()
+
+
+def assert_streams_like_lexsort(columns, directory):
+    """Saved, the follower_*.npy files carry np.save's bytes of the lexsort
+    oracle, whether or not the table was built in memory first."""
+    expected = follower_table_by_lexsort(columns)
+    copy = lambda: EventColumns(columns.users, *(getattr(columns, n) for n in COLUMN_NAMES))  # noqa: E731
+    built = copy()
+    assert tables_equal(built.follower_logs(), expected)
+    for name, saved in (("streamed", copy()), ("built", built)):
+        saved.save(os.path.join(directory, name), "deadbeef")
+        for k in ("ptr", "ts", "count"):
+            with open(os.path.join(directory, name, f"follower_{k}.npy"), "rb") as fh:
+                assert fh.read() == npy_bytes(getattr(expected, k)), (name, k)
+
+
+def _edge_streams():
+    rng = np.random.default_rng(11)
+    n = 400
+    skewed = np.where(rng.random(n) < 0.9, 0, rng.integers(1, 60, n))
+    return {
+        "empty": stream([]),
+        "one-user": stream([(t % 3, 0, 0, t, 100 - t) for t in range(9)]),
+        "self-retweets": stream([(int(t), int(u), int(u), i, -i) for i, (t, u) in enumerate(zip(rng.integers(0, 5, n), rng.integers(0, 40, n)))]),
+        "one-ts": stream([(7, int(s), int(d), i, i + 1) for i, (s, d) in enumerate(rng.integers(0, 50, (n, 2)))]),
+        "one-user-most-rows": stream([(int(t), int(s), int(d), i, 2 * i) for i, (t, s, d) in enumerate(zip(rng.integers(0, 20, n), skewed, rng.permutation(skewed)))]),
+        "fewer-users-than-blocks": stream([(int(t), int(s), int(d), i, i) for i, (t, s, d) in enumerate(rng.integers(0, 5, (n, 3)))]),
+        "users-without-events": stream([(5 - t, 3, 9, t, 7) for t in range(6)], n_users=30),
+        "many-users": stream([(int(t), int(s), int(d), i, i) for i, (t, s, d) in enumerate(rng.integers(0, 300, (n, 3)))]),
+    }
+
+
+class TestStreamedFollowerTable:
+    @pytest.mark.parametrize("key_bits", [63, 4], ids=["packed-keys", "lexsort"])
+    @pytest.mark.parametrize("name", sorted(_edge_streams()))
+    def test_edge_streams_match_lexsort(self, tmp_path, monkeypatch, name, key_bits):
+        monkeypatch.setattr(store, "_KEY_BITS", key_bits)  # 4 bits fit no key: every block takes the lexsort
+        assert_streams_like_lexsort(_edge_streams()[name], str(tmp_path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n_users: st.lists(
+                st.tuples(st.integers(0, 6), st.integers(0, n_users - 1), st.integers(0, n_users - 1), st.integers(0, 99), st.integers(0, 99)),
+                max_size=120,
+            ).map(lambda rows: stream(rows, n_users))
+        )
+    )
+    def test_random_streams_match_lexsort(self, columns):
+        with tempfile.TemporaryDirectory() as directory:
+            assert_streams_like_lexsort(columns, directory)
+
+    def test_header_that_would_change_size_is_refused(self, tmp_path, monkeypatch, columns):
+        # The table's length is known only once streamed; its header is then
+        # written over the placeholder, which must be of the same size.
+        header = store._int64_npy_header
+        monkeypatch.setattr(store, "_int64_npy_header", lambda length: header(length) + b" " * (length > 0))
+        with pytest.raises(ValueError, match="header"):
+            columns.save(str(tmp_path / "cache"), "deadbeef")
+
+    def test_save_peak_memory_per_event(self, tmp_path):
+        # Building the whole table beside the columns, then writing it, peaked
+        # near 41 bytes per event. Streamed a block of users at a time from
+        # the mapped columns, the save peaks near 15: the time ranks, the
+        # block ids and one block's transients.
+        columns = unordered_stream()
+        assert traced_peak(lambda: columns.save(str(tmp_path / "cache"), "deadbeef")) <= 20 * len(columns)
+
+
+@pytest.mark.parametrize("labels", [["a", "b c", "d"], ["ünï", "日本", "e\u2028f"]], ids=["ascii", "non-ascii"])
+def test_sha256_writer_digest_is_the_file_digest(tmp_path, labels):
+    flags = (False,) * 4
+    events = [RetweetEvent(i, labels[i % 3], labels[(i + 1) % 3], "NA", "uncertain", i, 2 * i, *flags) for i in range(60)]
+    columns = columns_of(events)
+    path = tmp_path / "events.jsonl"
+    with open(path, "wb") as fh:
+        sink = Sha256Writer(fh)
+        write_events_jsonl(columns, sink)
+    assert sink.hexdigest() == file_sha256(str(path))
+    text = io.StringIO()
+    write_events_jsonl(columns, text)
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
 
 
 def _set(values, i, v):

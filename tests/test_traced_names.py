@@ -98,8 +98,8 @@ def test_growth_and_fit_read_the_cached_follower_table(tmp_path, monkeypatch):
     synth_tiny(out, 150, 15, 120, 3000)
     assert run(["align", "--out", out, "--unfiltered"]) == 0
     builds = []
-    build = EventColumns._build_follower_table
-    monkeypatch.setattr(EventColumns, "_build_follower_table", lambda self: builds.append(1) or build(self))
+    build = EventColumns._follower_blocks
+    monkeypatch.setattr(EventColumns, "_follower_blocks", lambda self: builds.append(1) or build(self))
     assert run(["growth", "--out", out]) == 0
     assert run(["fit", "--out", out, "--runs", "5"]) == 0
     assert builds == []

@@ -8,8 +8,9 @@ DIR/synth, runs backbone, align, growth, report and fit --runs 10 on that
 tree, then ingests its events.jsonl into DIR/ingest. Each stage is its own
 ``python -m swaynet.cli STAGE ... --threads 1`` process running from this
 checkout's src/, measured with os.wait4. One line per stage gives its wall
-seconds, its peak RSS (ru_maxrss) and that peak per event; a process that
-only imports swaynet.cli gives the baseline. A stage that does not exit 0
+seconds, its peak RSS (ru_maxrss), that peak per event, and the bytes of
+its tree (DIR/synth or DIR/ingest) per event once it has run; a process that
+only imports swaynet.cli gives the baseline, and has no tree. A stage that does not exit 0
 stops the run: its output is printed and the script exits 1.
 """
 
@@ -41,7 +42,12 @@ def measure(args: list[str], log_path: str) -> tuple[int, float, float]:
     return proc.returncode, wall, usage.ru_maxrss / 1024.0
 
 
-def stages(scale: float, seed: int, out: str) -> list[tuple[str, list[str]]]:
+def tree_bytes(root: str) -> int:
+    """The size of every file under `root`."""
+    return sum(os.path.getsize(os.path.join(d, name)) for d, _, names in os.walk(root) for name in names)
+
+
+def stages(scale: float, seed: int, out: str) -> list[tuple[str, list[str], str]]:
     synth, ingest = os.path.join(out, "synth"), os.path.join(out, "ingest")
     events = [f"--synth-events-{cls}={round(n * scale)}" for cls, n in C10_EVENTS.items()]
     common = ["--seed", str(seed), "--threads", "1"]
@@ -54,8 +60,8 @@ def stages(scale: float, seed: int, out: str) -> list[tuple[str, list[str]]]:
         ("fit", ["fit", "--runs", "10"]),
     ]
     cli = ["-m", "swaynet.cli"]
-    return [(name, [*cli, *argv, "--out", synth, *common]) for name, argv in rows] + [
-        ("ingest", [*cli, "ingest", "--events", os.path.join(synth, "events.jsonl"), "--out", ingest, *common])
+    return [(name, [*cli, *argv, "--out", synth, *common], synth) for name, argv in rows] + [
+        ("ingest", [*cli, "ingest", "--events", os.path.join(synth, "events.jsonl"), "--out", ingest, *common], ingest)
     ]
 
 
@@ -70,12 +76,13 @@ def main() -> int:
         shutil.rmtree(os.path.join(args.out, tree), ignore_errors=True)
     os.makedirs(args.out, exist_ok=True)
     print(f"c10 x {args.scale:g}: {n_events} events, seed {args.seed}")
-    print(f"{'stage':<10}{'wall_s':>9}{'peak_MiB':>10}{'B/event':>9}")
-    runs = [("import", ["-c", "import swaynet.cli"])] + stages(args.scale, args.seed, args.out)
-    for name, argv in runs:
+    print(f"{'stage':<10}{'wall_s':>9}{'peak_MiB':>10}{'B/event':>9}{'disk_B/event':>14}")
+    runs = [("import", ["-c", "import swaynet.cli"], None)] + stages(args.scale, args.seed, args.out)
+    for name, argv, tree in runs:
         log_path = os.path.join(args.out, f"{name}.log")
         code, wall, rss = measure(argv, log_path)
-        print(f"{name:<10}{wall:>9.2f}{rss:>10.1f}{rss * 2**20 / max(n_events, 1):>9.0f}", flush=True)
+        disk = "-" if tree is None else f"{tree_bytes(tree) / max(n_events, 1):.0f}"
+        print(f"{name:<10}{wall:>9.2f}{rss:>10.1f}{rss * 2**20 / max(n_events, 1):>9.0f}{disk:>14}", flush=True)
         if code != 0:
             with open(log_path) as fh:
                 print(f"{name} exited {code}:\n{fh.read()}", file=sys.stderr)
