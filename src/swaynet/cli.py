@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import report as rep
+from . import events, report as rep
 from .alignment import UNALIGNED, classify_all, coverage_curve, involvement_profiles, proportions, ternary_histogram
 from .backbone import disparity_filter, significance_arrays, strong_disorder_test
 from .events import CONTENT_CLASSES, InvalidEvents, write_events_jsonl, write_flag_rates_csv, write_follower_logs_csv
@@ -118,6 +118,14 @@ class PipelineConfig:
     synth_reach_uncertain: tuple[float, ...] | None = None
 
 
+# Each key's declared type less its "| None": it picks the key's converter
+# and whether its flag takes a value.
+_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(PipelineConfig)}
+# The values a key allows; argparse and validate_config both read them, so a
+# flag and a config file accept the same ones.
+_CHOICES = {"fmt": ("jsonl", "csv")}
+
+
 def validate_config(config: PipelineConfig) -> list[str]:
     """Every violated invariant, named by its offending key; empty means ok."""
     v: list[str] = []
@@ -168,25 +176,19 @@ def validate_config(config: PipelineConfig) -> list[str]:
         v.append("gtb_quantiles: must be in (0, 1)")
     if config.range_start is not None and config.range_end is not None and config.range_start >= config.range_end:
         v.append("range_start/range_end: empty range")
-    for name in ("synth_purity",):
-        val = getattr(config, name)
-        if not (1 / 3 < val <= 1.0):
-            v.append(f"{name}: must be in (1/3, 1], got {val}")
+    if not (1 / 3 < config.synth_purity <= 1.0):
+        v.append(f"synth_purity: must be in (1/3, 1], got {config.synth_purity}")
     for name in ("synth_bot_rate", "synth_verified_rate"):
         val = getattr(config, name)
         if not (0.0 <= val <= 1.0):
             v.append(f"{name}: must be in [0, 1], got {val}")
-    for name in (
-        "synth_aligned_factual",
-        "synth_aligned_misleading",
-        "synth_aligned_uncertain",
-        "synth_swayable",
-        "synth_events_factual",
-        "synth_events_misleading",
-        "synth_events_uncertain",
-    ):
+    for name in (key for key, kind in _TYPES.items() if key.startswith("synth_") and kind == "int"):
         if getattr(config, name) < 0:
             v.append(f"{name}: must be >= 0")
+    for name, allowed in _CHOICES.items():
+        val = getattr(config, name)
+        if val is not None and val not in allowed:
+            v.append(f"{name}: must be one of {', '.join(allowed)}, got {val!r}")
     return v
 
 
@@ -225,10 +227,12 @@ def _parse_bool(text: str) -> bool:
 def load_config_file(path: str) -> dict[str, tuple[str, int]]:
     """Flat key = value format; '#' starts a comment. Maps each key to its
     raw value and line number."""
-    if not os.path.exists(path):
-        raise MissingInput(f"config file not found: {path}")
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise MissingInput(f"cannot read config file {path}: {exc.strerror}") from None
     values: dict[str, tuple[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -250,10 +254,7 @@ _PARSERS = {
     "tuple[float, ...]": _parse_floats,
     "tuple[float, float]": _parse_range,
 }
-_CONVERTERS = {
-    f.name: parse_time if f.name in ("range_start", "range_end") else _PARSERS[f.type.removesuffix(" | None")]
-    for f in fields(PipelineConfig)
-}
+_CONVERTERS = {key: parse_time if key in ("range_start", "range_end") else _PARSERS[kind] for key, kind in _TYPES.items()}
 
 
 def _convert(key: str, raw: str, where: str):
@@ -274,7 +275,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     for key in _CONVERTERS:
         value = getattr(args, key, None)
         if isinstance(value, str):  # a flag's text; store_const flags are already True
-            value = _convert(key, value, "--" + key.replace("_", "-"))
+            value = _convert(key, value, _flags(key)[0])
         if value is not None:
             setattr(config, key, value)
     return config
@@ -426,38 +427,20 @@ def _clear_event_outputs(config: PipelineConfig) -> None:
             os.remove(path)
 
 
-def _undecodable_line(path: str) -> int:
-    """The number of the first line of `path` that is not UTF-8; a newline
-    byte never sits inside a multi-byte sequence, so lines decode alone."""
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    raise ValueError(f"{path} decodes as UTF-8 line by line")
-
-
 def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     if not config.events:
         raise ConfigError("events: input path is required for ingest")
-    if not os.path.exists(config.events):
-        raise MissingInput(f"input events file not found: {config.events}")
+    is_csv = config.fmt == "csv" or (config.fmt is None and config.events.endswith(".csv"))
+    try:  # opened before the old outputs are cleared, so an unreadable input leaves them
+        fh = open(config.events, newline="" if is_csv else None, encoding="utf-8")
+    except OSError as exc:
+        raise MissingInput(f"cannot read input events file {config.events}: {exc.strerror}") from None
     inputs.record(config.events)
-    time_range = _time_range(config)
     try:
-        if config.fmt == "csv" or (config.fmt is None and config.events.endswith(".csv")):
-            with open(config.events, newline="", encoding="utf-8") as fh:
-                from .events import parse_events_csv
-
-                columns, errors = parse_events_csv(fh, time_range)
-        else:
-            with open(config.events, encoding="utf-8") as fh:
-                from .events import parse_events
-
-                columns, errors = parse_events(fh, time_range)
+        with fh:
+            columns, errors = (events.parse_events_csv if is_csv else events.parse_events)(fh, _time_range(config))
     except UnicodeDecodeError as exc:  # raised while a block is read, ahead of the line being parsed
-        raise InvalidEvents(f"{config.events}: line {_undecodable_line(config.events)}: not UTF-8 text ({exc.reason})") from None
+        raise events.not_utf8(config.events, exc) from None
     finally:
         _clear_event_outputs(config)
     if errors:
@@ -485,22 +468,14 @@ def cmd_synth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     synth_config = SynthConfig(
         start=config.range_start,
         end=config.range_end,
-        aligned_users={
-            "factual": config.synth_aligned_factual,
-            "misleading": config.synth_aligned_misleading,
-            "uncertain": config.synth_aligned_uncertain,
-        },
+        aligned_users=_class_table(config, "synth_aligned"),
         swayable_users=config.synth_swayable,
-        events_per_class={
-            "factual": config.synth_events_factual,
-            "misleading": config.synth_events_misleading,
-            "uncertain": config.synth_events_uncertain,
-        },
+        events_per_class=_class_table(config, "synth_events"),
         purity=config.synth_purity,
         follower_mu=config.synth_follower_mu,
         follower_sigma=config.synth_follower_sigma,
-        planted_rates=_optional_class_table(config, "synth_rates"),
-        swayable_reach=_optional_class_table(config, "synth_reach"),
+        planted_rates=_class_table(config, "synth_rates"),
+        swayable_reach=_class_table(config, "synth_reach"),
         bot_rate=config.synth_bot_rate,
         verified_rate=config.synth_verified_rate,
     )
@@ -524,13 +499,9 @@ def cmd_synth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     return f"synth: {len(columns)} events, {n_users} users, seed {config.seed} -> {config.out}", params
 
 
-def _optional_class_table(config: PipelineConfig, prefix: str) -> dict[str, tuple[float, ...]] | None:
-    table = {}
-    for cls in CONTENT_CLASSES:
-        values = getattr(config, f"{prefix}_{cls}")
-        if values is not None:
-            table[cls] = tuple(values)
-    return table or None
+def _class_table(config: PipelineConfig, prefix: str) -> dict | None:
+    """Class -> the value of key `<prefix>_<class>`, over the classes that set one; None if none does."""
+    return {cls: value for cls in CONTENT_CLASSES if (value := getattr(config, f"{prefix}_{cls}")) is not None} or None
 
 
 def cmd_backbone(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
@@ -844,98 +815,61 @@ def cmd_report(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
 # -- entry point ------------------------------------------------------------------
 
 
+# The flags every stage takes ahead of its own; `config` is the one that is
+# not a PipelineConfig key.
+_COMMON = ("out", "config", "seed", "threads", "range_start", "range_end")
+# Each stage's command, help line, and the PipelineConfig keys it takes as flags.
 _STAGES = {
-    "ingest": cmd_ingest,
-    "synth": cmd_synth,
-    "backbone": cmd_backbone,
-    "diagnose": cmd_diagnose,
-    "align": cmd_align,
-    "growth": cmd_growth,
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "report": cmd_report,
+    "ingest": (cmd_ingest, "parse, validate and label a raw event stream", ("events", "fmt", "strict")),
+    "synth": (
+        cmd_synth,
+        "generate a synthetic dataset with planted structure",
+        (
+            *(f"synth_aligned_{cls}" for cls in CONTENT_CLASSES),
+            "synth_swayable",
+            *(f"synth_events_{cls}" for cls in CONTENT_CLASSES),
+            "synth_purity",
+        ),
+    ),
+    "backbone": (cmd_backbone, "extract the disparity-filter backbone", ("alpha", "alpha_grid", "emit_significance")),
+    "diagnose": (
+        cmd_diagnose,
+        "heterogeneity, topology, and size-curve diagnostics",
+        ("alpha_grid", "band_multiplier", "fit_range"),
+    ),
+    "align": (cmd_align, "classify highly aligned users", ("theta", "theta_grid", "bins", "min_involvement", "unfiltered")),
+    "growth": (cmd_growth, "measure windowed follower growth", ("min_obs",)),
+    "simulate": (cmd_simulate, "simulate growth rates at fixed delta and R0", ("delta", "r0", "runs", "lookback")),
+    "fit": (
+        cmd_fit,
+        "fit delta and per-window R0 against empirical rates",
+        ("lookback", "tolerance", "runs", "r0_min", "r0_max", "r0_step"),
+    ),
+    "report": (cmd_report, "consolidated plot-ready bundle", ("alpha_grid", "band_multiplier", "fit_range")),
+}
+# A key's flags, where they are not `--` and the key with dashes.
+_FLAGS = {"fmt": ("--format",), "lookback": ("--lookback", "--n")}
+_HELP = {
+    "out": "artifacts directory",
+    "config": "flat key = value config file; flags override",
+    "events": "input .jsonl or .csv event file",
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="artifacts directory")
-    p.add_argument("--config", help="flat key = value config file; flags override")
-    p.add_argument("--seed")
-    p.add_argument("--threads")
-    p.add_argument("--range-start", dest="range_start")
-    p.add_argument("--range-end", dest="range_end")
+def _flags(key: str) -> tuple[str, ...]:
+    return _FLAGS.get(key, ("--" + key.replace("_", "-"),))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per stage; a flag's value stays text until resolve_config
+    converts it, and a bool key's flag takes no value."""
     parser = argparse.ArgumentParser(prog="swaynet", description=__doc__)
     sub = parser.add_subparsers(dest="stage", required=True)
-
-    p = sub.add_parser("ingest", help="parse, validate and label a raw event stream")
-    _add_common(p)
-    p.add_argument("--events", help="input .jsonl or .csv event file")
-    p.add_argument("--format", dest="fmt", choices=["jsonl", "csv"])
-    p.add_argument("--strict", action="store_const", const=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset with planted structure")
-    _add_common(p)
-    for name in (
-        "synth-aligned-factual",
-        "synth-aligned-misleading",
-        "synth-aligned-uncertain",
-        "synth-swayable",
-        "synth-events-factual",
-        "synth-events-misleading",
-        "synth-events-uncertain",
-    ):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"))
-    p.add_argument("--synth-purity", dest="synth_purity")
-
-    p = sub.add_parser("backbone", help="extract the disparity-filter backbone")
-    _add_common(p)
-    p.add_argument("--alpha")
-    p.add_argument("--alpha-grid", dest="alpha_grid")
-    p.add_argument("--emit-significance", dest="emit_significance", action="store_const", const=True)
-
-    p = sub.add_parser("diagnose", help="heterogeneity, topology, and size-curve diagnostics")
-    _add_common(p)
-    p.add_argument("--alpha-grid", dest="alpha_grid")
-    p.add_argument("--band-multiplier", dest="band_multiplier")
-    p.add_argument("--fit-range", dest="fit_range")
-
-    p = sub.add_parser("align", help="classify highly aligned users")
-    _add_common(p)
-    p.add_argument("--theta")
-    p.add_argument("--theta-grid", dest="theta_grid")
-    p.add_argument("--bins")
-    p.add_argument("--min-involvement", dest="min_involvement")
-    p.add_argument("--unfiltered", action="store_const", const=True)
-
-    p = sub.add_parser("growth", help="measure windowed follower growth")
-    _add_common(p)
-    p.add_argument("--min-obs", dest="min_obs")
-
-    p = sub.add_parser("simulate", help="simulate growth rates at fixed delta and R0")
-    _add_common(p)
-    p.add_argument("--delta")
-    p.add_argument("--r0")
-    p.add_argument("--runs")
-    p.add_argument("--lookback", "--n", dest="lookback")
-
-    p = sub.add_parser("fit", help="fit delta and per-window R0 against empirical rates")
-    _add_common(p)
-    p.add_argument("--lookback", "--n", dest="lookback")
-    p.add_argument("--tolerance")
-    p.add_argument("--runs")
-    p.add_argument("--r0-min", dest="r0_min")
-    p.add_argument("--r0-max", dest="r0_max")
-    p.add_argument("--r0-step", dest="r0_step")
-
-    p = sub.add_parser("report", help="consolidated plot-ready bundle")
-    _add_common(p)
-    p.add_argument("--alpha-grid", dest="alpha_grid")
-    p.add_argument("--band-multiplier", dest="band_multiplier")
-    p.add_argument("--fit-range", dest="fit_range")
-
+    for stage, (_, help_line, keys) in _STAGES.items():
+        p = sub.add_parser(stage, help=help_line)
+        for key in (*_COMMON, *keys):
+            kind = {"action": "store_const", "const": True} if _TYPES.get(key) == "bool" else {"choices": _CHOICES.get(key)}
+            p.add_argument(*_flags(key), dest=key, help=_HELP.get(key), **kind)
     return parser
 
 
@@ -954,7 +888,7 @@ def run(argv: list[str] | None = None) -> int:
         config = _check(resolve_config(args))
         os.makedirs(config.out, exist_ok=True)
         inputs = _Inputs(config)
-        summary, params = _STAGES[args.stage](config, inputs)
+        summary, params = _STAGES[args.stage][0](config, inputs)
         inputs.write_meta(args.stage, params)
         print(summary)
         return 0

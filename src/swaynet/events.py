@@ -115,6 +115,21 @@ class InvalidEvents(ValueError):
     """An event stream with invalid lines: a data error, not a runtime failure."""
 
 
+def not_utf8(path: str, exc: UnicodeDecodeError) -> InvalidEvents:
+    """The error for a file whose text read raised `exc`, naming its first
+    line that is not UTF-8. Lines are counted as a text read splits them, at
+    `\n`, `\r\n` or a bare `\r`; none of these bytes sits inside a multi-byte
+    sequence, so each line decodes alone."""
+    with open(path, "rb") as fh:
+        lines = (part for raw in fh for part in raw.splitlines(keepends=True))
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return InvalidEvents(f"{path}: line {line_no}: not UTF-8 text ({exc.reason})")
+    raise ValueError(f"{path} decodes as UTF-8 line by line")
+
+
 @dataclass(frozen=True, slots=True)
 class ParseError:
     line_no: int

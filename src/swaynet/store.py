@@ -30,6 +30,7 @@ from .events import (
     SRC_BOT,
     SRC_VERIFIED,
     InvalidEvents,
+    not_utf8,
 )
 from .graph import WeightedDigraph
 
@@ -470,8 +471,11 @@ def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | 
             return cached
     from .events import parse_events
 
-    with open(events_path, encoding="utf-8") as fh:
-        columns, errors = parse_events(fh)
+    try:
+        with open(events_path, encoding="utf-8") as fh:
+            columns, errors = parse_events(fh)
+    except UnicodeDecodeError as exc:  # raised while a block is read, ahead of the line being parsed
+        raise not_utf8(events_path, exc) from None
     if errors:
         first = errors[0]
         raise InvalidEvents(f"{events_path}: {len(errors)} invalid lines (first: line {first.line_no}: {first.message})")

@@ -6,6 +6,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from oracles import (
     RetweetEvent,
     ternary_cells,
 )
+from swaynet import cli
 from swaynet.backbone import disparity_filter
 from swaynet.cli import DEFAULT_THETA_GRID, PipelineConfig, run, validate_config
 from swaynet.events import CLASS_BY_CATEGORY, CONTENT_CLASSES, EVENT_FIELDS
@@ -153,6 +156,32 @@ class TestExitCodes:
 
     def test_missing_events_file_exits_2(self, tmp_path):
         assert run(["ingest", "--out", str(tmp_path), "--events", str(tmp_path / "nope.jsonl")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--events", "--config"])
+    def test_input_that_cannot_be_opened_exits_2_and_leaves_the_tree(self, tmp_path, capsys, flag):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        run_dir, folder = tmp_path / "run", tmp_path / "a-directory"
+        folder.mkdir()
+        assert run(["ingest", "--out", str(run_dir), "--events", str(tmp_path / "in.jsonl")]) == 0
+        before = tree_digest(run_dir)
+        events = folder if flag == "--events" else tmp_path / "in.jsonl"
+        config = ["--config", str(folder)] if flag == "--config" else []
+        assert run(["ingest", "--out", str(run_dir), "--events", str(events), *config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing input: cannot read ") and f"{folder}: Is a directory" in err
+        assert tree_digest(run_dir) == before
+
+    def test_ingest_reads_events_from_a_fifo(self, tmp_path):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        fifo = tmp_path / "events.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "in.jsonl").read_bytes(),), daemon=True)
+        writer.start()
+        assert run(["ingest", "--out", str(tmp_path / "piped"), "--events", str(fifo)]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert run(["ingest", "--out", str(tmp_path / "filed"), "--events", str(tmp_path / "in.jsonl")]) == 0
+        assert (tmp_path / "piped" / "events.jsonl").read_bytes() == (tmp_path / "filed" / "events.jsonl").read_bytes()
 
     def test_range_shorter_than_one_window_exits_1(self, tmp_path, capsys):
         write_jsonl(tmp_path / "in.jsonl", 300, 10, [f"u{i}" for i in range(20)])
@@ -292,6 +321,28 @@ class TestExitCodes:
         assert f"{bad}: line 3: not UTF-8 text" in err
         assert os.listdir(run_dir) == []  # the earlier ingest's outputs are gone, and nothing new was written
 
+    def test_reparse_of_an_events_file_that_is_not_utf8_exits_1_and_names_the_line(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "in.jsonl", 50, 40, ["a", "b", "c"])
+        run_dir = tmp_path / "run"
+        assert run(["ingest", "--out", str(run_dir), "--events", str(tmp_path / "in.jsonl")]) == 0
+        events = run_dir / "events.jsonl"
+        lines = events.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:5] + b"\xe9" + lines[2][5:]
+        events.write_bytes(b"".join(lines))  # a new digest: the cache misses and the stage parses the file
+        assert run(["backbone", "--out", str(run_dir)]) == 1
+        assert f"error: invalid data: {events}: line 3: not UTF-8 text (invalid continuation byte)" in capsys.readouterr().err
+
+    def test_undecodable_line_is_numbered_as_the_parse_numbers_lines(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "in.jsonl", 5, 40, ["a", "b", "c"])
+        lines = (tmp_path / "in.jsonl").read_bytes().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\r".join(lines[:2] + [b"not json"] + lines[3:]) + b"\r")  # bare carriage returns end lines
+        assert run(["ingest", "--out", str(tmp_path / "run"), "--events", str(bad)]) == 0
+        assert (tmp_path / "run" / "parse_errors.csv").read_bytes().startswith(b"line_no,message\r\n3,")
+        bad.write_bytes(b"\r".join(lines[:2] + [lines[2][:5] + b"\xe9" + lines[2][5:]] + lines[3:]) + b"\r")
+        assert run(["ingest", "--out", str(tmp_path / "run"), "--events", str(bad)]) == 1
+        assert f"{bad}: line 3: not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_ingest_reads_utf8_whatever_the_locale(self, tmp_path, fmt):
         events = tmp_path / f"in.{fmt}"
@@ -387,6 +438,19 @@ class TestConfigFile:
         assert run(["fit", "--out", str(tmp_path), "--config", str(cfg)]) == 1
 
 
+    @pytest.mark.parametrize("value", ["CSV", "xml"])
+    def test_format_outside_its_choices_exits_1_from_a_config_file(self, tmp_path, capsys, value):
+        write_jsonl(tmp_path / "in.csv", 20, 40, ["a", "b", "c"])  # JSON Lines under a .csv name
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"fmt = {value}\n")
+        args = ["ingest", "--out", str(tmp_path / "run"), "--events", str(tmp_path / "in.csv")]
+        assert run([*args, "--config", str(cfg)]) == 1
+        assert f"error: invalid config: fmt: must be one of jsonl, csv, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        with pytest.raises(SystemExit) as exc:
+            run([*args, "--format", value])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -425,16 +489,32 @@ class TestFlagValues:
         assert run([stage, "--out", str(tmp_path), flag, value]) == 1
         assert f"error: invalid config: {flag}: " in capsys.readouterr().err
 
-    def test_flag_and_config_file_values_convert_alike(self, tmp_path):
-        import swaynet.cli as cli
+    # A value for each key type that differs from every default; a bool key's flag takes none.
+    SAMPLES = {"str": "csv", "int": "7", "float": "0.5", "bool": "Yes", "tuple[float, ...]": "0.6,0.9", "tuple[float, float]": "1:50"}
 
+    @pytest.mark.parametrize("stage", list(cli._STAGES))
+    def test_flag_and_config_file_values_convert_alike(self, tmp_path, stage):
+        keys = [key for key in (*cli._COMMON, *cli._STAGES[stage][2]) if key != "config"]
+        text = {key: "2020-03-17" if key.startswith("range_") else self.SAMPLES[cli._TYPES[key]] for key in keys}
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("fit_range = 1:50\nrange_start = 2020-03-17\ndelta = 0.5\nr0 = 2\nbins = 7\nstrict = No\nunfiltered = Yes\n")
-        flags = ["--fit-range", "1:50", "--range-start", "2020-03-17"]
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in text.items()))
+        from_file = cli.resolve_config(cli.build_parser().parse_args([stage, "--config", str(cfg)]))
+        assert all(getattr(from_file, key) != getattr(PipelineConfig(), key) for key in keys)
+        for spelling in (0, -1):  # the first and the last flag of each key: --lookback and --n
+            flags = []
+            for key in keys:
+                flag = cli._flags(key)[spelling]
+                flags += [flag] if cli._TYPES[key] == "bool" else [flag, text[key]]
+            assert cli.resolve_config(cli.build_parser().parse_args([stage, *flags])) == from_file
+        if "range_start" in keys:
+            assert from_file.range_start == 1584403200
+        if "fit_range" in keys:
+            assert from_file.fit_range == (1.0, 50.0)
+
+    def test_config_file_sets_keys_its_stage_has_no_flag_for(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 0.5\nr0 = 2\nbins = 7\nstrict = No\nunfiltered = Yes\n")
         from_file = cli.resolve_config(cli.build_parser().parse_args(["diagnose", "--out", "x", "--config", str(cfg)]))
-        from_flags = cli.resolve_config(cli.build_parser().parse_args(["diagnose", "--out", "x", *flags]))
-        assert from_file.fit_range == from_flags.fit_range == (1.0, 50.0)
-        assert from_file.range_start == from_flags.range_start == 1584403200
         assert (from_file.delta, from_file.r0, from_file.bins) == (0.5, 2.0, 7)
         assert (from_file.strict, from_file.unfiltered) == (False, True)
 
@@ -444,10 +524,50 @@ class TestFlagValues:
         assert run(["simulate", "--out", str(tmp_path), "--config", str(cfg)]) == 2
         assert "missing input" in capsys.readouterr().err
 
-    def test_unknown_flag_stays_a_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("argv", [["backbone", "--bogus", "1"], ["fit", "--alpha", "0.1"]], ids=["backbone-bogus", "fit-alpha"])
+    def test_unknown_flag_stays_a_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
-            run(["backbone", "--out", str(tmp_path), "--bogus", "1"])
+            run([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+# Keys a config file can set but no stage takes as a flag; README's
+# "Configuration" section lists each.
+CONFIG_ONLY_KEYS = {
+    "window_days",
+    "step_days",
+    "gtb_quantiles",
+    "synth_follower_mu",
+    "synth_follower_sigma",
+    "synth_bot_rate",
+    "synth_verified_rate",
+    *(f"synth_{kind}_{cls}" for kind in ("rates", "reach") for cls in CONTENT_CLASSES),
+}
+
+
+def readme_command_lines():
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```\n(.*?)^```", fh.read(), re.S | re.M)
+    return [line.split()[1:] for block in blocks for line in block.splitlines() if line.startswith("swaynet ")]
+
+
+class TestDocumentedCommandLine:
+    def test_readme_holds_the_pipeline_command_lines(self):
+        stages = [argv[0] for argv in readme_command_lines()]
+        assert stages == ["synth", "backbone", "align", "growth", "fit", "report", "ingest"]
+
+    @pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
+    def test_readme_command_line_parses_and_validates(self, argv):
+        assert validate_config(cli.resolve_config(cli.build_parser().parse_args(argv))) == []
+
+    def test_keys_no_flag_sets_are_the_documented_config_only_keys(self):
+        flagged = set(cli._COMMON).union(*(keys for _, _, keys in cli._STAGES.values()))
+        assert {f.name for f in fields(PipelineConfig)} - flagged == CONFIG_ONLY_KEYS
+        with open(README, encoding="utf-8") as fh:
+            section = fh.read().partition("### Configuration")[2].partition("\n### ")[0]
+        assert [key for key in sorted(CONFIG_ONLY_KEYS) if f"`{key}`" not in section] == []
 
 
 class TestPipeline:
