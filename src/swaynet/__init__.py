@@ -20,6 +20,7 @@ from .backbone import (
 )
 from .events import (
     CONTENT_CLASSES,
+    ByteChunks,
     ParseError,
     classify_category,
     parse_events,

@@ -228,19 +228,23 @@ def load_config_file(path: str) -> dict[str, tuple[str, int]]:
     """Flat key = value format; '#' starts a comment. Maps each key to its
     raw value and line number."""
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise MissingInput(f"cannot read config file {path}: {exc.strerror}") from None
     values: dict[str, tuple[str, int]] = {}
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = (value.strip(), line_no)
+    for line_no, raw in enumerate(data.splitlines(keepends=True), start=1):  # at \n, \r\n or \r, as a text read splits lines
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = (value.strip(), line_no)
     return values
 
 
@@ -338,7 +342,7 @@ class _Inputs:
             raise MissingInput(f"{exc}; run the `backbone` stage again") from None
 
     def write_meta(self, stage: str, params: dict) -> None:
-        """Inputs not hashed yet are hashed now, so an in-place ingest records the file it wrote."""
+        """Inputs not hashed yet are hashed now."""
         inputs = {os.path.basename(p): d or file_sha256(p) for p, d in self.digests.items() if os.path.isfile(p)}
         meta = {"stage": stage, "seed": self.config.seed, "params": params, "inputs": inputs}
         with open(_path(self.config, f"{stage}_meta.json"), "w", encoding="utf-8") as fh:
@@ -367,19 +371,24 @@ def _time_range(config: PipelineConfig) -> tuple[float, float] | None:
     return start, end
 
 
-def _write_events(config: PipelineConfig, columns: EventColumns) -> None:
-    """events.jsonl, hashed as it is written, then flag rates, the column
-    cache and follower logs. Saving the cache streams the follower table
+def _write_events(config: PipelineConfig, columns: EventColumns, digest: str | None = None) -> str:
+    """events.jsonl, hashed as it is written, unless `digest` is given: then
+    events.jsonl already holds what write_events_jsonl would write, with that
+    SHA-256. Then flag rates, the column cache and follower logs; returns the
+    digest of events.jsonl. Saving the cache streams the follower table
     into it and maps the columns and table in place of the arrays, so the
     table never sits beside the columns and follower_logs.csv is written from
     the mapped table."""
-    with open(_path(config, EVENTS_FILE), "wb") as fh:
-        write_events_jsonl(columns, sink := Sha256Writer(fh))
+    if digest is None:
+        with open(_path(config, EVENTS_FILE), "wb") as fh:
+            write_events_jsonl(columns, sink := Sha256Writer(fh))
+        digest = sink.hexdigest()
     with open(_path(config, FLAGS_FILE), "w", newline="", encoding="utf-8") as fh:
         write_flag_rates_csv(columns, fh)
-    columns.save(_path(config, CACHE_DIR), sink.hexdigest())
+    columns.save(_path(config, CACHE_DIR), digest)
     with open(_path(config, LOGS_FILE), "w", newline="", encoding="utf-8") as fh:
         write_follower_logs_csv(columns.follower_logs(), fh)
+    return digest
 
 
 def _load_labels(inputs: _Inputs, columns: EventColumns) -> tuple[np.ndarray, float]:
@@ -432,15 +441,18 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         raise ConfigError("events: input path is required for ingest")
     is_csv = config.fmt == "csv" or (config.fmt is None and config.events.endswith(".csv"))
     try:  # opened before the old outputs are cleared, so an unreadable input leaves them
-        fh = open(config.events, newline="" if is_csv else None, encoding="utf-8")
+        fh = open(config.events, "rb")
     except OSError as exc:
         raise MissingInput(f"cannot read input events file {config.events}: {exc.strerror}") from None
-    inputs.record(config.events)
+    reader = events.ByteChunks(fh)  # read once: it hashes the input as it is parsed
     try:
         with fh:
-            columns, errors = (events.parse_events_csv if is_csv else events.parse_events)(fh, _time_range(config))
-    except UnicodeDecodeError as exc:  # raised while a block is read, ahead of the line being parsed
-        raise events.not_utf8(config.events, exc) from None
+            if is_csv:
+                columns, errors = events.parse_events_csv(reader.text_lines(newline=""), _time_range(config))
+            else:
+                columns, errors = events.parse_events(reader, _time_range(config))
+    except events.NotUTF8 as exc:
+        raise InvalidEvents(f"{config.events}: {exc}") from None
     finally:
         _clear_event_outputs(config)
     if errors:
@@ -458,7 +470,15 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         "ts_min": int(columns.ts.min()) if len(columns) else None,
         "ts_max": int(columns.ts.max()) if len(columns) else None,
     }
-    _write_events(config, columns)
+    # Input that write_events_jsonl would give back byte for byte is copied, or
+    # left if it is --out's own events.jsonl, the one file the clearing kept.
+    digest, path = reader.hexdigest(), _path(config, EVENTS_FILE)
+    copyable = bool(reader.canonical) and os.path.isfile(config.events)  # a pipe cannot be read again
+    in_place = os.path.exists(path) and os.path.samefile(config.events, path)
+    if copyable and not in_place:
+        shutil.copyfile(config.events, path)
+    written = _write_events(config, columns, digest if copyable else None)
+    inputs.digests[config.events] = written if in_place else digest
     return f"ingest: {len(columns)} events, {len(columns.users)} users, {len(errors)} invalid lines -> {config.out}", params
 
 

@@ -10,12 +10,13 @@ same columns is accepted as an alternate input format.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -115,19 +116,11 @@ class InvalidEvents(ValueError):
     """An event stream with invalid lines: a data error, not a runtime failure."""
 
 
-def not_utf8(path: str, exc: UnicodeDecodeError) -> InvalidEvents:
-    """The error for a file whose text read raised `exc`, naming its first
-    line that is not UTF-8. Lines are counted as a text read splits them, at
-    `\n`, `\r\n` or a bare `\r`; none of these bytes sits inside a multi-byte
-    sequence, so each line decodes alone."""
-    with open(path, "rb") as fh:
-        lines = (part for raw in fh for part in raw.splitlines(keepends=True))
-        for line_no, line in enumerate(lines, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return InvalidEvents(f"{path}: line {line_no}: not UTF-8 text ({exc.reason})")
-    raise ValueError(f"{path} decodes as UTF-8 line by line")
+class NotUTF8(InvalidEvents):
+    """The first line of a byte stream that does not decode as UTF-8."""
+
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"line {line_no}: not UTF-8 text ({reason})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +219,7 @@ def _reject(errors: list[ParseError], line_no: int, exc: ValueError, strict: boo
     errors.append(ParseError(line_no, str(exc)))
 
 
-# Lines per decoded chunk. Larger chunks cost more peak memory than they save time.
+# str lines per decoded chunk. Larger chunks cost more peak memory than they save time.
 _PARSE_CHUNK = 16384
 
 _last_char = itemgetter(slice(-1, None))
@@ -242,11 +235,11 @@ def _intern(src: Sequence[str], dst: Sequence[str]) -> tuple[list[str], np.ndarr
     return list(index), ids[0::2], ids[1::2]
 
 
-def row_chunks(rows: Iterable[tuple]) -> Iterator[tuple]:
+def row_chunks(rows: Iterable[tuple], size: int | None = None) -> Iterator[tuple]:
     """Rows as `event_row` makes them, transposed into column chunks for
-    `EventColumns.from_events`, _PARSE_CHUNK rows at a time."""
+    `EventColumns.from_events`, `size` (or _PARSE_CHUNK) rows at a time."""
     it = iter(rows)
-    while chunk := list(islice(it, _PARSE_CHUNK)):
+    while chunk := list(islice(it, size or _PARSE_CHUNK)):
         ts, src, dst, *rest = zip(*chunk)
         users, src_ids, dst_ids = _intern(src, dst)
         yield users, ts, src_ids, dst_ids, *rest
@@ -285,7 +278,7 @@ def _line_rows(
 # is a new mapping, paid for in page faults.
 
 _QUOTES_PER_LINE = 26  # the ten keys and the three string values
-_PAD = " " * 24  # around a chunk: a segment's words reach 23 bytes past its start
+_PAD = b" " * 24  # around a chunk: a segment's words reach 23 bytes past its start
 _LOW = np.array([(1 << 8 * m) - 1 for m in range(9)], dtype=np.uint64)  # the first m bytes of a word
 _HIGH = _LOW[8] - _LOW[::-1]  # the last m bytes
 _ZEROS = 0x3030303030303030  # "00000000"
@@ -380,9 +373,10 @@ def _distinct_strings(b: np.ndarray, words: np.ndarray, start: np.ndarray, stop:
 
     Values are grouped by a hash of their length and words, and each group
     is checked word for word against its first member; None on a hash
-    collision or a value longer than _MAX_STRING bytes. The distinct values
-    are gathered with the closing quote after each, decoded at once and
-    split at the quotes, which no value holds."""
+    collision, a value longer than _MAX_STRING bytes or one that is not
+    UTF-8. The distinct values are gathered with the closing quote after
+    each, decoded at once and split at the quotes, which no value holds and
+    no multi-byte sequence can."""
     length = stop - start
     if length.max() > _MAX_STRING:
         return None
@@ -415,40 +409,44 @@ def _distinct_strings(b: np.ndarray, words: np.ndarray, start: np.ndarray, stop:
     spans = length[first] + 1  # with the closing quote
     ends = np.cumsum(spans)
     at = np.repeat(start[first] - (ends - spans), spans) + np.arange(ends[-1])
-    return b[at].tobytes().decode().split('"')[:-1], rank[group]
+    try:
+        return b[at].tobytes().decode().split('"')[:-1], rank[group]
+    except UnicodeDecodeError:  # the per-line parse names the line
+        return None
 
 
-def _byte_columns(lines: list[str], time_range: tuple[int, int] | None) -> tuple | None:
-    """A chunk's columns read by byte position, or None.
+def _byte_columns(data: bytes | bytearray, time_range: tuple[int, int] | None) -> tuple[tuple, bool] | None:
+    """The columns of a chunk (`data` holds it between _PAD bytes) read by
+    byte position, and whether the chunk is canonical (write_events_jsonl of
+    its columns gives back its bytes); or None.
 
     Taken only when every line is one object with the ten EVENT_FIELDS keys
     in wire order, in write_events_jsonl's compact style or json.dumps'
     default one (one style per chunk): no escape and no control byte but
     the newline ending each line, 26 quotes per line, every byte around the
     values equal to that style's, `ts` and counts of 1-18 digits with no
-    sign or leading zero, flags `true` or `false`, known categories and
-    `ts` inside `time_range`. json.loads of such a line gives the values at
-    these positions; None sends the chunk on to the per-line parse.
+    sign or leading zero, flags `true` or `false`, known categories, labels
+    and categories that decode as UTF-8, and `ts` inside `time_range`.
+    json.loads of such a line gives the values at these positions; None
+    sends the chunk on to the per-line parse. A chunk taken is canonical
+    when it is in the compact style and every category is spelled as its
+    wire token.
     """
-    if set(map(_last_char, lines)) != {"\n"}:
+    if data[-len(_PAD) - 1] != ord("\n") or b"\\" in data:
         return None
-    try:
-        data = "".join([_PAD, *lines, _PAD]).encode()
-    except UnicodeEncodeError:  # a lone surrogate
-        return None
-    if b"\\" in data:
-        return None
-    n, b = len(lines), np.frombuffer(data, dtype=np.uint8)
+    b = np.frombuffer(data, dtype=np.uint8)
     found = b < 0x20  # one mask for both scans
     ends = np.flatnonzero(found)
-    if len(ends) != n:  # every line ends in a newline, so the newlines must be all the control bytes
+    n = len(ends)
+    if (b[ends] != ord("\n")).any():  # the chunk ends in a newline, which must be its only control byte
         return None
     quotes = np.flatnonzero(np.equal(b, ord('"'), out=found))
     del found
     if len(quotes) != _QUOTES_PER_LINE * n:
         return None
     quotes = quotes.reshape(n, _QUOTES_PER_LINE).T
-    layout = _LAYOUTS[bool(b[quotes[1, 0] + 2] == ord(" "))]
+    compact = bool(b[quotes[1, 0] + 2] != ord(" "))
+    layout = _LAYOUTS[not compact]
     # Segment k of a line starts where value k - 1 stops; segment 0 at the line's start.
     segment = np.empty((len(layout.stops) + 2, n), dtype=np.intp)
     segment[0, 0] = len(_PAD)
@@ -496,47 +494,160 @@ def _byte_columns(lines: list[str], time_range: tuple[int, int] | None) -> tuple
         return None
     users, ids = labels
     flags = (true * _FLAG_VALUES).sum(axis=0, dtype=np.uint8)
-    return users, ts, ids[0::2], ids[1::2], codes[tokens[1]], src_f, dst_f, flags
+    canonical = compact and all(t in CATEGORY_INDEX for t in tokens[0])
+    return (users, ts, ids[0::2], ids[1::2], codes[tokens[1]], src_f, dst_f, flags), canonical
+
+
+# Bytes per read of a binary stream; a chunk is a read plus the rest of its last
+# line. 2 MiB holds about 11,000 c10 lines, so each int64 column part of a chunk
+# is over the 64 KiB mmap threshold (cli.pin_mmap_threshold) and off the heap;
+# 4 MiB parses no faster and raises the per-line parse's peak.
+_CHUNK_BYTES = 1 << 21
+
+
+class ByteChunks:
+    """A binary stream read once, in chunks of whole lines, and hashed as it
+    is read. `parse_events` takes it as its lines and sets `canonical`:
+    whether write_events_jsonl of the parsed columns gives back exactly the
+    bytes read."""
+
+    def __init__(self, handle: BinaryIO):
+        self.handle, self.sha256 = handle, hashlib.sha256()
+        self.canonical: bool | None = None
+
+    def padded(self) -> Iterator[bytearray]:
+        """Each chunk between _PAD bytes, as the byte tier reads it: a read of
+        _CHUNK_BYTES completed to its next newline (the last chunk may lack
+        one), read into place in one fresh buffer."""
+        pad = len(_PAD)
+        while True:
+            buf = bytearray(pad + _CHUNK_BYTES)
+            buf[:pad] = _PAD
+            with memoryview(buf) as view:
+                n = self.handle.readinto(view[pad:])
+            if not n:
+                return
+            del buf[pad + n :]
+            if buf[-1] != ord("\n"):
+                buf += self.handle.readline()
+            with memoryview(buf) as view:
+                self.sha256.update(view[pad:])
+            buf += _PAD
+            yield buf
+
+    def hexdigest(self) -> str:
+        return self.sha256.hexdigest()
+
+    def text_lines(self, newline: str | None = None) -> Iterator[str]:
+        """The stream's lines as a UTF-8 text read with `newline` gives them."""
+        line_no = 1
+        for data in self.padded():
+            lines = _text_lines(data[len(_PAD) : -len(_PAD)], line_no, newline)
+            line_no += len(lines)
+            yield from lines
+
+
+def _text_lines(chunk: bytes | bytearray, first_line_no: int, newline: str | None = None) -> list[str]:
+    """A chunk's lines as a UTF-8 text read with `newline` gives them, or
+    NotUTF8 naming the first line that does not decode. bytes.splitlines
+    splits where a text read does, at `\n`, `\r\n` or a bare `\r`, and
+    with newline=None each line end reads as `\n`. None of these bytes sits
+    inside a multi-byte sequence, so each line decodes alone."""
+    lines = []
+    for line_no, raw in enumerate(chunk.splitlines(keepends=True), start=first_line_no):
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise NotUTF8(line_no, exc.reason) from None
+        if newline is None and line[-1] == "\r":
+            line = line[:-1] + "\n"
+        elif newline is None and line[-2:] == "\r\n":
+            line = line[:-2] + "\n"
+        lines.append(line)
+    return lines
+
+
+def _encoded(lines: list[str]) -> bytes | None:
+    """str lines between _PAD bytes, as the byte tier reads them, or None
+    unless each line ends in the only newline it holds and all of them
+    encode (a lone surrogate does not)."""
+    if set(map(_last_char, lines)) != {"\n"}:
+        return None
+    pad = " " * len(_PAD)
+    try:
+        data = "".join([pad, *lines, pad]).encode()
+    except UnicodeEncodeError:
+        return None
+    return data if data.count(b"\n") == len(lines) else None
+
+
+def _chunks(lines: Iterable[str] | ByteChunks) -> Iterator[tuple[bytes | bytearray | None, list[str] | None]]:
+    """Each chunk between _PAD bytes, or None where str lines cannot be one,
+    and its str lines, or None for a chunk read as bytes; str lines come
+    _PARSE_CHUNK at a time."""
+    if isinstance(lines, ByteChunks):
+        yield from ((data, None) for data in lines.padded())
+        return
+    it = iter(lines)
+    while chunk := list(islice(it, _PARSE_CHUNK)):
+        yield _encoded(chunk), chunk
 
 
 def parse_events(
-    lines: Iterable[str],
+    lines: Iterable[str] | ByteChunks,
     time_range: tuple[int, int] | None = None,
     strict: bool = False,
 ) -> tuple[EventColumns, list[ParseError]]:
     """Parse JSON Lines into EventColumns, preserving input order.
 
-    Invalid lines are reported with their 1-based line number; with
-    strict=True the first bad line raises instead. I/O errors from the
-    underlying stream propagate (stream-level failure aborts the parse).
-    Lines are decoded _PARSE_CHUNK at a time: by the byte tier
-    (_byte_columns) when it vouches for the whole chunk, which it does for
-    canonical lines, else by the per-line parse, which decides every error.
+    `lines` is str lines or a ByteChunks reader. Byte chunks count their
+    lines as a text read does, at `\n`, `\r\n` or a bare `\r`, and a chunk
+    that is not UTF-8 raises NotUTF8 naming its line. Invalid lines are
+    reported with their 1-based line number; with strict=True the first bad
+    line raises instead. I/O errors from the underlying stream propagate
+    (stream-level failure aborts the parse). Each chunk (str lines
+    _PARSE_CHUNK at a time) is decoded by the byte tier (_byte_columns) when
+    it vouches for the whole chunk, which it does for canonical lines, else
+    by the per-line parse, which decides every error. A ByteChunks reader
+    gets its `canonical` verdict once every chunk is parsed.
     """
     from .store import EventColumns
 
     errors: list[ParseError] = []
+    canonical = True
 
     def chunks() -> Iterator[tuple]:
-        it = iter(lines)
+        nonlocal canonical
         line_no = 1
-        while chunk := list(islice(it, _PARSE_CHUNK)):
-            columns = _byte_columns(chunk, time_range)
-            if columns is not None:
+        for data, text in _chunks(lines):
+            taken = None if data is None else _byte_columns(data, time_range)
+            if taken is not None:
+                columns, vouched = taken
+                canonical &= vouched
                 yield columns
+                line_no += len(columns[1])
             else:
-                yield from row_chunks(_line_rows(chunk, line_no, time_range, errors, strict))
-            line_no += len(chunk)
+                canonical = False
+                if text is None:
+                    text = _text_lines(data[len(_PAD) : -len(_PAD)], line_no)
+                # One column chunk per chunk, as the byte tier makes: its columns stay
+                # over the mmap threshold (cli.pin_mmap_threshold), off the heap.
+                yield from row_chunks(_line_rows(text, line_no, time_range, errors, strict), len(text))
+                line_no += len(text)
 
-    return EventColumns.from_events(chunks()), errors
+    parsed = EventColumns.from_events(chunks())
+    if isinstance(lines, ByteChunks):
+        lines.canonical = canonical
+    return parsed, errors
 
 
 def parse_events_csv(
-    handle: TextIO,
+    handle: Iterable[str],
     time_range: tuple[int, int] | None = None,
     strict: bool = False,
 ) -> tuple[EventColumns, list[ParseError]]:
-    """Parse the CSV alternate format (header row, same columns)."""
+    """Parse the CSV alternate format (header row, same columns) from str
+    lines as a text read with newline="" gives them."""
     from .store import EventColumns
 
     errors: list[ParseError] = []

@@ -29,8 +29,9 @@ from .events import (
     DST_VERIFIED,
     SRC_BOT,
     SRC_VERIFIED,
+    ByteChunks,
     InvalidEvents,
-    not_utf8,
+    NotUTF8,
 )
 from .graph import WeightedDigraph
 
@@ -472,10 +473,10 @@ def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | 
     from .events import parse_events
 
     try:
-        with open(events_path, encoding="utf-8") as fh:
-            columns, errors = parse_events(fh)
-    except UnicodeDecodeError as exc:  # raised while a block is read, ahead of the line being parsed
-        raise not_utf8(events_path, exc) from None
+        with open(events_path, "rb") as fh:
+            columns, errors = parse_events(ByteChunks(fh))
+    except NotUTF8 as exc:
+        raise InvalidEvents(f"{events_path}: {exc}") from None
     if errors:
         first = errors[0]
         raise InvalidEvents(f"{events_path}: {len(errors)} invalid lines (first: line {first.line_no}: {first.message})")

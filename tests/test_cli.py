@@ -451,6 +451,12 @@ class TestConfigFile:
             run([*args, "--format", value])
         assert exc.value.code == 2
 
+    def test_config_file_that_is_not_utf8_exits_1_naming_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# sweep\r\nalpha = 0.1 # caf\xe9\n")  # Latin-1 for "é"
+        assert run(["backbone", "--out", str(tmp_path), "--config", str(cfg)]) == 1
+        assert f"error: invalid config: {cfg}:2: not UTF-8 text (invalid continuation byte)" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -823,6 +829,95 @@ class TestStageInputs:
         inputs = json.loads((run_dir / f"{stage}_meta.json").read_text())["inputs"]
         assert EVENTS in inputs
         assert sorted(calls) == sorted(inputs)
+
+
+def tree_files(root):
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestIngestReadsOnce:
+    """ingest reads its input once, as bytes: it hashes the input while it
+    parses it, and copies an input that is already canonical."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Paths given to file_sha256, and the number of write_events_jsonl calls."""
+        from swaynet import store
+
+        calls = {"file_sha256": [], "write_events_jsonl": 0}
+        sha256, write = store.file_sha256, cli.write_events_jsonl
+        for owner in (cli, store):
+            monkeypatch.setattr(owner, "file_sha256", lambda path: calls["file_sha256"].append(path) or sha256(path))
+
+        def counted(*args):
+            calls["write_events_jsonl"] += 1
+            return write(*args)
+
+        monkeypatch.setattr(cli, "write_events_jsonl", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", ["copied", "rewritten", "in-place-left", "in-place-rewritten"])
+    def test_ingest_hashes_each_file_once(self, tmp_path, spy, case):
+        assert run(synth_args(tmp_path / "synth")) == 0
+        source = tmp_path / "synth" / "events.jsonl"
+        if case.endswith("rewritten"):
+            source = tmp_path / "spaced.jsonl"
+            write_jsonl(source, 200, 40, ["a", "b", "c", "d"])  # json.dumps' default style
+        run_dir = tmp_path / "run"
+        if case.startswith("in-place"):
+            run_dir.mkdir()
+            shutil.copyfile(source, run_dir / EVENTS)
+            source = run_dir / EVENTS
+        before = source.read_bytes()
+        spy["file_sha256"].clear()
+        spy["write_events_jsonl"] = 0
+        assert run(["ingest", "--out", str(run_dir), "--events", str(source)]) == 0
+        assert spy["file_sha256"] == []
+        assert spy["write_events_jsonl"] == (1 if case.endswith("rewritten") else 0)
+        assert ((run_dir / EVENTS).read_bytes() == before) == (not case.endswith("rewritten"))
+        meta = json.loads((run_dir / "ingest_meta.json").read_text())
+        cache_meta = json.loads((run_dir / "events_cache" / "cache_meta.json").read_text())
+        assert meta["inputs"] == {source.name: sha256_of(source)}
+        assert cache_meta["source_sha256"] == sha256_of(run_dir / EVENTS)
+        assert run(["backbone", "--out", str(run_dir)]) == 0
+        assert spy["file_sha256"] == [str(run_dir / EVENTS)]  # hashed again, and the cache hits
+        assert json.loads((run_dir / "backbone_meta.json").read_text())["inputs"] == {EVENTS: sha256_of(run_dir / EVENTS)}
+
+    def test_canonical_input_from_a_fifo_is_written_not_copied(self, tmp_path, spy):
+        assert run(synth_args(tmp_path / "synth")) == 0
+        data = (tmp_path / "synth" / "events.jsonl").read_bytes()
+        fifo = tmp_path / "events.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        spy["write_events_jsonl"] = 0
+        assert run(["ingest", "--out", str(tmp_path / "piped"), "--events", str(fifo)]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert spy["write_events_jsonl"] == 1 and spy["file_sha256"] == []
+        assert (tmp_path / "piped" / EVENTS).read_bytes() == data
+
+    def test_copy_and_rewrite_give_the_same_tree(self, tmp_path, monkeypatch, spy):
+        from swaynet import events
+
+        assert run(synth_args(tmp_path / "synth")) == 0
+        source = tmp_path / "synth" / "events.jsonl"
+        spy["write_events_jsonl"] = 0
+        assert run(["ingest", "--out", str(tmp_path / "copied"), "--events", str(source)]) == 0
+        assert spy["write_events_jsonl"] == 0
+        byte_columns = events._byte_columns
+
+        def never_canonical(data, time_range):
+            taken = byte_columns(data, time_range)
+            return taken and (taken[0], False)
+
+        monkeypatch.setattr(events, "_byte_columns", never_canonical)
+        assert run(["ingest", "--out", str(tmp_path / "rewritten"), "--events", str(source)]) == 0
+        assert spy["write_events_jsonl"] == 1
+        copied, rewritten = tree_files(tmp_path / "copied"), tree_files(tmp_path / "rewritten")
+        assert {"ingest_meta.json", "events_cache/cache_meta.json", EVENTS} <= set(copied)
+        assert copied == rewritten
 
 
 def write_daily_jsonl(path, n_days=100):

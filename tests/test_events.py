@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -12,7 +13,10 @@ from oracles import RetweetEvent, columns_equal, columns_of, logs_of, to_events,
 from swaynet.events import (
     CATEGORY_TOKENS,
     CONTENT_CLASSES,
+    ByteChunks,
     InvalidEvents,
+    NotUTF8,
+    canonical_category,
     classify_category,
     parse_events,
     parse_events_csv,
@@ -424,6 +428,12 @@ def outcome(lines, time_range, strict):
     return columns, errors
 
 
+def byte_tier(lines, time_range):
+    """The byte tier's verdict on str lines, as parse_events takes them to it."""
+    data = events_module._encoded(lines)
+    return None if data is None else events_module._byte_columns(data, time_range)
+
+
 def per_line_outcome(lines, time_range, strict, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(events_module, "_byte_columns", lambda lines, time_range: None)
@@ -463,7 +473,7 @@ class TestBatchedParse:
         assert len(json.loads("[" + "\n,".join(lines) + "]")) == 3
         # Three lines' worth of quotes in all: the byte tier must reject them line by line.
         assert sum(line.count('"') for line in lines) == 3 * 26
-        assert events_module._byte_columns(lines, None) is None
+        assert byte_tier(lines, None) is None
         columns, errors = parse_events(lines)
         assert len(columns) == 0
         assert [e.line_no for e in errors] == [1, 2, 3]
@@ -621,28 +631,190 @@ class TestByteTier:
         line = json.dumps(json.loads(make_line(ts=5)), separators=(",", ":")) + "\n"
         lines = [line, line.replace(old, new, 1)]
         assert lines[1] != line
-        assert events_module._byte_columns(lines, None) is None
-        assert events_module._byte_columns([line, line], None) is not None
+        assert byte_tier(lines, None) is None
+        assert byte_tier([line, line], None) is not None
         assert same_outcome(outcome(lines, None, False), per_line_outcome(lines, None, False, monkeypatch))
 
     def test_refuses_a_line_that_holds_a_newline(self, monkeypatch):
         # As many newlines as lines, but not one at the end of each line.
         line = json.dumps(json.loads(make_line(ts=5)), separators=(",", ":")) + "\n"
         lines = [line + line[:50], line[50:]]
-        assert events_module._byte_columns(lines, None) is None
+        assert byte_tier(lines, None) is None
         assert same_outcome(outcome(lines, None, False), per_line_outcome(lines, None, False, monkeypatch))
 
     def test_a_hash_collision_sends_the_chunk_on(self, monkeypatch):
         lines = [make_line(ts=1, src="a", dst="b") + "\n", make_line(ts=2, src="b", dst="a") + "\n"]
-        assert events_module._byte_columns(lines, None) is not None
+        assert byte_tier(lines, None) is not None
         monkeypatch.setattr(events_module, "_HASH_MULTIPLIER", np.uint64(0))  # every string hashes alike
-        assert events_module._byte_columns(lines, None) is None
-        assert events_module._byte_columns([lines[0].replace('"b"', '"a"')], None) is not None  # one distinct label
+        assert byte_tier(lines, None) is None
+        assert byte_tier([lines[0].replace('"b"', '"a"')], None) is not None  # one distinct label
         assert same_outcome(outcome(lines, None, False), per_line_outcome(lines, None, False, monkeypatch))
 
     @pytest.mark.parametrize("extra,time_range", [(["\n"], None), (["  \n"], None), (["{}\n"], None), ([], (0, 5)), ([], (6, 9))])
     def test_refuses_blank_lines_and_timestamps_outside_the_range(self, monkeypatch, extra, time_range):
         line = json.dumps(json.loads(make_line(ts=5)), separators=(",", ":")) + "\n"
         lines = [line, *extra]
-        assert events_module._byte_columns(lines, time_range) is None
+        assert byte_tier(lines, time_range) is None
         assert same_outcome(outcome(lines, time_range, False), per_line_outcome(lines, time_range, False, monkeypatch))
+
+
+# -- binary chunks and the copy verdict ------------------------------------------------
+
+PLAIN_LABELS = ["a", "b", "c d", "", " ", "ünï", "😀", "a\u2028b", "del\x7f", "x" * 128]
+ODD_LABELS = ['quo"te', "back\\slash", "tab\tname", "x" * 129]
+ALIASES = ["science", "Mainstream media", "fake or hoax", " MSM", None]
+
+
+def copy_record(labels, cats, numbers):
+    flags = {field: st.booleans() for field, _ in events_module.FLAG_BITS}
+    return st.fixed_dictionaries(
+        {
+            "ts": numbers,
+            "src": st.sampled_from(labels),
+            "dst": st.sampled_from(labels),
+            "cat": st.sampled_from(cats),
+            "src_followers": numbers,
+            "dst_followers": numbers,
+            **flags,
+        }
+    )
+
+
+PLAIN_RECORD = copy_record(PLAIN_LABELS, CATEGORY_TOKENS, st.integers(0, 10**6) | st.just(10**18 - 1))
+ANY_RECORD = copy_record(
+    PLAIN_LABELS + ODD_LABELS, [*CATEGORY_TOKENS, *ALIASES], st.integers(0, 10**6) | st.sampled_from([-1, 10**18])
+)
+
+
+def wire_order(rec):
+    return {field: rec[field] for field in events_module.EVENT_FIELDS}
+
+
+def written_line(rec):
+    """The line write_events_jsonl writes for a record."""
+    rec = wire_order({**rec, "cat": canonical_category(rec["cat"])})
+    return json.dumps(rec, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+def byte_tier_takes(rec):
+    def plain(label):
+        return not any(ch in '"\\' or ch < " " for ch in label) and len(label.encode()) <= events_module._MAX_STRING
+
+    return plain(rec["src"]) and plain(rec["dst"]) and all(0 <= rec[k] < 10**18 for k in ("ts", "src_followers", "dst_followers"))
+
+
+@st.composite
+def byte_streams(draw):
+    """A JSON Lines file as bytes, with the `ts` of each record line and
+    whether the file is canonical: each line as write_events_jsonl writes it,
+    with values the byte tier reads and a `\n` at its end. A canonical file
+    gets up to three departures, each of a kind the copy verdict must see:
+    another style, category spelling, label or number, a `\r\n` or bare
+    `\r` line end, a blank, bad or undecodable line, or no final newline."""
+    records = draw(st.lists(PLAIN_RECORD, max_size=8))
+    lines, stamps = [written_line(rec).encode() for rec in records], [rec["ts"] for rec in records]
+    canonical = True
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):  # mostly one, so each condition is seen alone
+        kind = draw(st.sampled_from(["alias", "spaced", "ascii", "odd", "crlf", "cr", "blank", "bad", "undecodable", "no-newline"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "no-newline":
+            canonical = False if lines and lines[-1].endswith(b"\n") else canonical
+            lines[-1:] = [line[:-1] for line in lines[-1:]]
+            continue
+        if kind in ("blank", "bad"):
+            line = draw(st.sampled_from(["\n", "  \n", "\r\n"] if kind == "blank" else ["not json\n", '{"ts": "soon"}\n', "{}\n"]))
+            lines.insert(at, line.encode())
+            canonical = False
+            continue
+        rec = draw(ANY_RECORD if kind in ("alias", "odd") else PLAIN_RECORD)
+        if kind == "alias":
+            rec["cat"] = draw(st.sampled_from(ALIASES))
+        line = written_line(rec)
+        if kind in ("alias", "spaced", "ascii"):
+            separators = None if kind == "spaced" else (",", ":")
+            line = json.dumps(wire_order(rec), separators=separators, ensure_ascii=kind != "alias") + "\n"
+        elif kind in ("crlf", "cr"):
+            line = line[:-1] + {"crlf": "\r\n", "cr": "\r"}[kind]
+        canonical &= line == written_line(rec) and byte_tier_takes(rec)
+        line = line.encode()
+        if kind == "undecodable":  # Latin-1 "é" in a label of a line otherwise canonical
+            line = line.replace(b'"src":"', b'"src":"\xe9', 1)
+        lines.insert(at, line)
+        stamps.append(rec["ts"])
+    return b"".join(lines), stamps, canonical
+
+
+def decodes(line):
+    try:
+        line.decode()
+        return True
+    except UnicodeDecodeError:
+        return False
+
+
+class TestByteChunks:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(stream=byte_streams(), chunk=st.integers(1, 400), time_range=st.sampled_from([None, (0, 500_000)]))
+    def test_copy_is_chosen_exactly_when_the_writer_gives_back_the_input(self, monkeypatch, stream, chunk, time_range):
+        data, stamps, canonical = stream
+        monkeypatch.setattr(events_module, "_CHUNK_BYTES", chunk)
+        reader = ByteChunks(io.BytesIO(data))
+        if not decodes(data):
+            with pytest.raises(NotUTF8):
+                parse_events(reader, time_range)
+            return
+        columns, errors = parse_events(reader, time_range)
+        assert reader.hexdigest() == hashlib.sha256(data).hexdigest()
+        buf = io.StringIO()
+        write_events_jsonl(columns, buf)
+        if reader.canonical:  # the oracle of the copy path
+            assert buf.getvalue().encode() == data
+        kept = time_range is None or all(time_range[0] <= ts < time_range[1] for ts in stamps)
+        assert reader.canonical == (canonical and kept)
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        stream=byte_streams(),
+        chunk=st.integers(1, 400),
+        lines_per_chunk=st.integers(1, 6),
+        time_range=st.sampled_from([None, (0, 500_000)]),
+        strict=st.booleans(),
+    )
+    def test_str_lines_and_byte_chunks_parse_alike(self, monkeypatch, stream, chunk, lines_per_chunk, time_range, strict):
+        data = stream[0]
+        monkeypatch.setattr(events_module, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(events_module, "_PARSE_CHUNK", lines_per_chunk)
+        for newline in (None, ""):  # as ingest reads JSON Lines and CSV
+            try:
+                text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline).readlines()
+            except UnicodeDecodeError as exc:
+                reason = exc.reason
+                with pytest.raises(NotUTF8) as raised:
+                    list(ByteChunks(io.BytesIO(data)).text_lines(newline))
+            else:
+                assert list(ByteChunks(io.BytesIO(data)).text_lines(newline)) == text
+        if not decodes(data):
+            # The first line that does not decode alone, counted as a text read counts lines.
+            line_no = next(i for i, line in enumerate(data.splitlines(), start=1) if not decodes(line))
+            assert str(raised.value) == f"line {line_no}: not UTF-8 text ({reason})"
+            with pytest.raises(NotUTF8, match=f"^line {line_no}: "):
+                parse_events(ByteChunks(io.BytesIO(data)), time_range)
+            return
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+        assert same_outcome(outcome(lines, time_range, strict), outcome(ByteChunks(io.BytesIO(data)), time_range, strict))
+
+    @pytest.mark.parametrize("tail,canonical", [(b"", True), (b"  ", False), (b"\n", False), (b" \r\n", False)])
+    def test_only_a_file_that_ends_with_its_last_line_is_canonical(self, tail, canonical):
+        line = written_line(json.loads(make_line(ts=5))).encode()
+        reader = ByteChunks(io.BytesIO(line * 2 + tail))
+        columns, errors = parse_events(reader)
+        assert len(columns) == 2 and errors == [] and reader.canonical is canonical
+
+    def test_a_label_that_is_not_utf8_is_never_taken(self):
+        line = written_line({**json.loads(make_line(ts=5)), "src": "caf"}).encode()
+        data = line + line.replace(b'"caf"', b'"caf\xe9"') + line  # Latin-1 "é" in the second line's label
+        assert events_module._byte_columns(events_module._PAD + data + events_module._PAD, None) is None
+        reader = ByteChunks(io.BytesIO(data))
+        with pytest.raises(NotUTF8, match=r"^line 2: not UTF-8 text \(invalid continuation byte\)$"):
+            parse_events(reader, None)
+        assert reader.canonical is None
