@@ -444,17 +444,27 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         fh = open(config.events, "rb")
     except OSError as exc:
         raise MissingInput(f"cannot read input events file {config.events}: {exc.strerror}") from None
-    reader = events.ByteChunks(fh)  # read once: it hashes the input as it is parsed
-    try:
-        with fh:
+    with fh:
+        reader = events.ByteChunks(fh)  # read once: it hashes the input as it is parsed
+        try:
             if is_csv:
                 columns, errors = events.parse_events_csv(reader.text_lines(newline=""), _time_range(config))
             else:
                 columns, errors = events.parse_events(reader, _time_range(config))
-    except events.NotUTF8 as exc:
-        raise InvalidEvents(f"{config.events}: {exc}") from None
-    finally:
-        _clear_event_outputs(config)
+        except events.NotUTF8 as exc:
+            raise InvalidEvents(f"{config.events}: {exc}") from None
+        finally:
+            _clear_event_outputs(config)
+        # Input that write_events_jsonl would give back byte for byte is copied
+        # from the open file, the one parsed and hashed, or left if that file is
+        # --out's own events.jsonl, the one file the clearing kept.
+        digest, path = reader.hexdigest(), _path(config, EVENTS_FILE)
+        copyable = bool(reader.canonical) and fh.seekable()  # a pipe cannot be read again
+        in_place = os.path.exists(path) and os.path.samestat(os.fstat(fh.fileno()), os.stat(path))
+        if copyable and not in_place:
+            fh.seek(0)
+            with open(path, "wb") as out:
+                shutil.copyfileobj(fh, out)
     if errors:
         with open(_path(config, PARSE_ERRORS_FILE), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -470,13 +480,6 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         "ts_min": int(columns.ts.min()) if len(columns) else None,
         "ts_max": int(columns.ts.max()) if len(columns) else None,
     }
-    # Input that write_events_jsonl would give back byte for byte is copied, or
-    # left if it is --out's own events.jsonl, the one file the clearing kept.
-    digest, path = reader.hexdigest(), _path(config, EVENTS_FILE)
-    copyable = bool(reader.canonical) and os.path.isfile(config.events)  # a pipe cannot be read again
-    in_place = os.path.exists(path) and os.path.samefile(config.events, path)
-    if copyable and not in_place:
-        shutil.copyfile(config.events, path)
     written = _write_events(config, columns, digest if copyable else None)
     inputs.digests[config.events] = written if in_place else digest
     return f"ingest: {len(columns)} events, {len(columns.users)} users, {len(errors)} invalid lines -> {config.out}", params

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from itertools import islice
@@ -235,11 +236,11 @@ def _intern(src: Sequence[str], dst: Sequence[str]) -> tuple[list[str], np.ndarr
     return list(index), ids[0::2], ids[1::2]
 
 
-def row_chunks(rows: Iterable[tuple], size: int | None = None) -> Iterator[tuple]:
+def row_chunks(rows: Iterable[tuple]) -> Iterator[tuple]:
     """Rows as `event_row` makes them, transposed into column chunks for
-    `EventColumns.from_events`, `size` (or _PARSE_CHUNK) rows at a time."""
+    `EventColumns.from_events`, _PARSE_CHUNK rows at a time."""
     it = iter(rows)
-    while chunk := list(islice(it, size or _PARSE_CHUNK)):
+    while chunk := list(islice(it, _PARSE_CHUNK)):
         ts, src, dst, *rest = zip(*chunk)
         users, src_ids, dst_ids = _intern(src, dst)
         yield users, ts, src_ids, dst_ids, *rest
@@ -498,10 +499,11 @@ def _byte_columns(data: bytes | bytearray, time_range: tuple[int, int] | None) -
     return (users, ts, ids[0::2], ids[1::2], codes[tokens[1]], src_f, dst_f, flags), canonical
 
 
-# Bytes per read of a binary stream; a chunk is a read plus the rest of its last
-# line. 2 MiB holds about 11,000 c10 lines, so each int64 column part of a chunk
-# is over the 64 KiB mmap threshold (cli.pin_mmap_threshold) and off the heap;
-# 4 MiB parses no faster and raises the per-line parse's peak.
+# Bytes per read of a binary stream; a chunk is what the last read left after
+# its last line end plus one read, cut after its own last line end. 2 MiB holds
+# about 11,000 c10 lines, so each int64 column part of a chunk is over the
+# 64 KiB mmap threshold (cli.pin_mmap_threshold) and off the heap; 4 MiB
+# parses no faster and raises the per-line parse's peak.
 _CHUNK_BYTES = 1 << 21
 
 
@@ -516,20 +518,27 @@ class ByteChunks:
         self.canonical: bool | None = None
 
     def padded(self) -> Iterator[bytearray]:
-        """Each chunk between _PAD bytes, as the byte tier reads it: a read of
-        _CHUNK_BYTES completed to its next newline (the last chunk may lack
-        one), read into place in one fresh buffer."""
-        pad = len(_PAD)
+        """Each chunk between _PAD bytes, as the byte tier reads it, read into
+        place in one fresh buffer. A chunk ends after its last `\n` or `\r`
+        (only the last chunk may lack one) and the bytes after it start the
+        next, so a chunk is about _CHUNK_BYTES whatever ends its lines; a
+        line longer than a read grows its chunk."""
+        pad, rest = len(_PAD), b""
         while True:
-            buf = bytearray(pad + _CHUNK_BYTES)
-            buf[:pad] = _PAD
+            start = pad + len(rest)
+            buf = bytearray(start + _CHUNK_BYTES)
+            buf[:start] = _PAD + rest
             with memoryview(buf) as view:
-                n = self.handle.readinto(view[pad:])
-            if not n:
+                n = self.handle.readinto(view[start:])
+            del buf[start + n :]
+            while not (cut := _line_end(buf, start - 1, eof=not n)):  # no line end yet
+                start = len(buf)
+                buf += (more := self.handle.read(_CHUNK_BYTES))
+                n = len(more)
+            if cut == pad:
                 return
-            del buf[pad + n :]
-            if buf[-1] != ord("\n"):
-                buf += self.handle.readline()
+            rest = bytes(buf[cut:])
+            del buf[cut:]
             with memoryview(buf) as view:
                 self.sha256.update(view[pad:])
             buf += _PAD
@@ -547,24 +556,31 @@ class ByteChunks:
             yield from lines
 
 
+def _line_end(buf: bytearray, start: int, eof: bool) -> int:
+    """Where the last whole line of `buf` ends, searching from `start`: after
+    its last `\n` or `\r`, but before a closing `\r` that the next read may
+    follow with `\n`; 0 if there is none, and at eof the end of `buf`."""
+    if eof:
+        return len(buf)
+    stop = len(buf) - (buf[-1] == ord("\r"))
+    newline = buf.rfind(b"\n", start, stop)
+    return max(newline, buf.rfind(b"\r", max(newline, start), stop)) + 1
+
+
 def _text_lines(chunk: bytes | bytearray, first_line_no: int, newline: str | None = None) -> list[str]:
     """A chunk's lines as a UTF-8 text read with `newline` gives them, or
-    NotUTF8 naming the first line that does not decode. bytes.splitlines
-    splits where a text read does, at `\n`, `\r\n` or a bare `\r`, and
-    with newline=None each line end reads as `\n`. None of these bytes sits
-    inside a multi-byte sequence, so each line decodes alone."""
-    lines = []
-    for line_no, raw in enumerate(chunk.splitlines(keepends=True), start=first_line_no):
+    NotUTF8 naming the line of the first byte that does not decode, counted
+    as such a read counts lines: at `\n`, `\r\n` or a bare `\r`. None of
+    these bytes sits inside a multi-byte sequence."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(chunk), encoding="utf-8", newline=newline).readlines()
+    except UnicodeDecodeError:
         try:
-            line = raw.decode()
+            chunk.decode()  # the same failure, at its place in the chunk
         except UnicodeDecodeError as exc:
-            raise NotUTF8(line_no, exc.reason) from None
-        if newline is None and line[-1] == "\r":
-            line = line[:-1] + "\n"
-        elif newline is None and line[-2:] == "\r\n":
-            line = line[:-2] + "\n"
-        lines.append(line)
-    return lines
+            head = chunk[: exc.start]
+            raise NotUTF8(first_line_no + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n"), exc.reason) from None
+        raise
 
 
 def _encoded(lines: list[str]) -> bytes | None:
@@ -601,8 +617,9 @@ def parse_events(
     """Parse JSON Lines into EventColumns, preserving input order.
 
     `lines` is str lines or a ByteChunks reader. Byte chunks count their
-    lines as a text read does, at `\n`, `\r\n` or a bare `\r`, and a chunk
-    that is not UTF-8 raises NotUTF8 naming its line. Invalid lines are
+    lines as a text read does, at `\n`, `\r\n` or a bare `\r`, and like
+    such a read the byte tier takes each of these as `\n`; a chunk that is
+    not UTF-8 raises NotUTF8 naming its line. Invalid lines are
     reported with their 1-based line number; with strict=True the first bad
     line raises instead. I/O errors from the underlying stream propagate
     (stream-level failure aborts the parse). Each chunk (str lines
@@ -621,6 +638,10 @@ def parse_events(
         line_no = 1
         for data, text in _chunks(lines):
             taken = None if data is None else _byte_columns(data, time_range)
+            if taken is None and text is None and b"\r" in data:  # as a text read, which ends each line in "\n"
+                taken = _byte_columns(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"), time_range)
+                if taken is not None:
+                    taken = taken[0], False  # the bytes read are not the bytes written
             if taken is not None:
                 columns, vouched = taken
                 canonical &= vouched
@@ -630,9 +651,7 @@ def parse_events(
                 canonical = False
                 if text is None:
                     text = _text_lines(data[len(_PAD) : -len(_PAD)], line_no)
-                # One column chunk per chunk, as the byte tier makes: its columns stay
-                # over the mmap threshold (cli.pin_mmap_threshold), off the heap.
-                yield from row_chunks(_line_rows(text, line_no, time_range, errors, strict), len(text))
+                yield from row_chunks(_line_rows(text, line_no, time_range, errors, strict))
                 line_no += len(text)
 
     parsed = EventColumns.from_events(chunks())

@@ -464,7 +464,8 @@ class FollowerSnapshots(_UserTable):
 def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | None = None) -> EventColumns:
     """Load the cache when fresh, else parse the canonical stream strictly
     and write the parsed columns back to the cache, which leaves them mapped
-    from it. `digest` is the file's SHA-256 when the caller already took it."""
+    from it. `digest` is the file's SHA-256 when the caller already took it;
+    the parse hashes the bytes it reads again and raises if they differ."""
     digest = digest or file_sha256(events_path)
     if cache_dir is not None:
         cached = EventColumns.load(cache_dir, digest)
@@ -474,9 +475,11 @@ def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | 
 
     try:
         with open(events_path, "rb") as fh:
-            columns, errors = parse_events(ByteChunks(fh))
+            columns, errors = parse_events(reader := ByteChunks(fh))
     except NotUTF8 as exc:
         raise InvalidEvents(f"{events_path}: {exc}") from None
+    if reader.hexdigest() != digest:  # the bytes parsed are not the bytes hashed: never cache them under that digest
+        raise RuntimeError(f"{events_path} changed while it was read; run the stage again")
     if errors:
         first = errors[0]
         raise InvalidEvents(f"{events_path}: {len(errors)} invalid lines (first: line {first.line_no}: {first.message})")

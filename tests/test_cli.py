@@ -898,6 +898,31 @@ class TestIngestReadsOnce:
         assert spy["write_events_jsonl"] == 1 and spy["file_sha256"] == []
         assert (tmp_path / "piped" / EVENTS).read_bytes() == data
 
+    def test_input_replaced_during_ingest_is_copied_as_it_was_parsed(self, tmp_path, monkeypatch, spy):
+        from swaynet import events
+
+        assert run(synth_args(tmp_path / "synth")) == 0
+        source = tmp_path / "events.jsonl"
+        shutil.copyfile(tmp_path / "synth" / EVENTS, source)
+        parsed = source.read_bytes()
+        newer = tmp_path / "newer.jsonl"
+        newer.write_bytes(parsed[: parsed.index(b"\n") + 1])
+        parse = events.parse_events
+
+        def then_replaced(*args):
+            result = parse(*args)
+            os.replace(newer, source)  # as swaynet's own writers replace a file
+            return result
+
+        monkeypatch.setattr(events, "parse_events", then_replaced)
+        spy["write_events_jsonl"] = 0
+        assert run(["ingest", "--out", str(tmp_path / "run"), "--events", str(source)]) == 0
+        assert spy["write_events_jsonl"] == 0
+        assert (tmp_path / "run" / EVENTS).read_bytes() == parsed
+        digest = hashlib.sha256(parsed).hexdigest()
+        assert json.loads((tmp_path / "run" / "ingest_meta.json").read_text())["inputs"] == {source.name: digest}
+        assert json.loads((tmp_path / "run" / "events_cache" / "cache_meta.json").read_text())["source_sha256"] == digest
+
     def test_copy_and_rewrite_give_the_same_tree(self, tmp_path, monkeypatch, spy):
         from swaynet import events
 

@@ -713,18 +713,18 @@ def byte_streams(draw):
     `\r` line end, a blank, bad or undecodable line, or no final newline."""
     records = draw(st.lists(PLAIN_RECORD, max_size=8))
     lines, stamps = [written_line(rec).encode() for rec in records], [rec["ts"] for rec in records]
-    canonical = True
+    canonical = [True] * len(lines)  # of each line
+    no_newline = False
     for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):  # mostly one, so each condition is seen alone
         kind = draw(st.sampled_from(["alias", "spaced", "ascii", "odd", "crlf", "cr", "blank", "bad", "undecodable", "no-newline"]))
         at = draw(st.integers(0, len(lines)))
-        if kind == "no-newline":
-            canonical = False if lines and lines[-1].endswith(b"\n") else canonical
-            lines[-1:] = [line[:-1] for line in lines[-1:]]
+        if kind == "no-newline":  # applied once every line is in, to the line that ends the file
+            no_newline = True
             continue
         if kind in ("blank", "bad"):
             line = draw(st.sampled_from(["\n", "  \n", "\r\n"] if kind == "blank" else ["not json\n", '{"ts": "soon"}\n', "{}\n"]))
             lines.insert(at, line.encode())
-            canonical = False
+            canonical.insert(at, False)
             continue
         rec = draw(ANY_RECORD if kind in ("alias", "odd") else PLAIN_RECORD)
         if kind == "alias":
@@ -735,13 +735,17 @@ def byte_streams(draw):
             line = json.dumps(wire_order(rec), separators=separators, ensure_ascii=kind != "alias") + "\n"
         elif kind in ("crlf", "cr"):
             line = line[:-1] + {"crlf": "\r\n", "cr": "\r"}[kind]
-        canonical &= line == written_line(rec) and byte_tier_takes(rec)
+        canonical.insert(at, line == written_line(rec) and byte_tier_takes(rec))
         line = line.encode()
         if kind == "undecodable":  # Latin-1 "é" in a label of a line otherwise canonical
             line = line.replace(b'"src":"', b'"src":"\xe9', 1)
         lines.insert(at, line)
         stamps.append(rec["ts"])
-    return b"".join(lines), stamps, canonical
+    if no_newline and lines and lines[-1].endswith(b"\n"):
+        lines[-1], canonical[-1] = lines[-1][:-1], False
+        if not lines[-1]:  # a blank "\n" is gone, and the line before it ends the file
+            del lines[-1], canonical[-1]
+    return b"".join(lines), stamps, all(canonical)
 
 
 def decodes(line):
@@ -802,6 +806,43 @@ class TestByteChunks:
             return
         lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
         assert same_outcome(outcome(lines, time_range, strict), outcome(ByteChunks(io.BytesIO(data)), time_range, strict))
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_chunks_stay_near_a_read_whatever_ends_the_lines(self, monkeypatch, end):
+        monkeypatch.setattr(events_module, "_CHUNK_BYTES", 200)
+        line = written_line(json.loads(make_line(ts=5)))[:-1].encode() + end
+        data = line * 30
+        reader = ByteChunks(io.BytesIO(data))
+        chunks = [bytes(c[len(events_module._PAD) : -len(events_module._PAD)]) for c in reader.padded()]
+        assert len(chunks) > 1 and b"".join(chunks) == data
+        assert all(len(c) < 200 + len(line) for c in chunks)
+        assert all(c.endswith(end) for c in chunks)  # no chunk splits a line, nor a "\r\n"
+        assert reader.hexdigest() == hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_lines_a_text_read_ends_in_newline_take_the_byte_tier(self, monkeypatch, end):
+        def no_line_rows(*args):
+            raise AssertionError("the per-line parse was called")
+
+        monkeypatch.setattr(events_module, "_line_rows", no_line_rows)
+        lines = [written_line(json.loads(make_line(ts=ts, src=f"u{ts}"))) for ts in range(5)]
+        reader = ByteChunks(io.BytesIO(b"".join(line[:-1].encode() + end for line in lines)))
+        columns, errors = parse_events(reader)
+        assert errors == [] and reader.canonical is False
+        assert columns_equal(columns, parse_events(lines)[0])
+
+    def test_an_undecodable_line_is_numbered_past_every_kind_of_line_end(self):
+        data = b"a\r\nb\rc\n\r\nd\xe9\n"  # lines 1-4 end in "\r\n", "\r", "\n", "\r\n"
+        with pytest.raises(NotUTF8, match=r"^line 5: not UTF-8 text \(invalid continuation byte\)$"):
+            list(ByteChunks(io.BytesIO(data)).text_lines())
+        with pytest.raises(NotUTF8, match=r"^line 5: "):
+            parse_events(ByteChunks(io.BytesIO(data)))
+
+    def test_a_line_longer_than_a_read_is_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(events_module, "_CHUNK_BYTES", 7)
+        data = b"x" * 40 + b"\r" + b"y" * 30 + b"\r\n" + b"z" * 20
+        chunks = [bytes(c[len(events_module._PAD) : -len(events_module._PAD)]) for c in ByteChunks(io.BytesIO(data)).padded()]
+        assert chunks == [b"x" * 40 + b"\r", b"y" * 30 + b"\r\n", b"z" * 20]
 
     @pytest.mark.parametrize("tail,canonical", [(b"", True), (b"  ", False), (b"\n", False), (b" \r\n", False)])
     def test_only_a_file_that_ends_with_its_last_line_is_canonical(self, tail, canonical):

@@ -99,6 +99,15 @@ class TestRoundtrip:
         columns = load_or_parse(str(path), str(tmp_path / "cache"))
         assert to_events(columns) == events
 
+    def test_parse_of_bytes_that_are_not_the_bytes_hashed_is_not_cached(self, tmp_path, result):
+        path = tmp_path / "events.jsonl"
+        with open(path, "w") as fh:
+            result.write_jsonl(fh)
+        cache = tmp_path / "cache"
+        with pytest.raises(RuntimeError, match="changed while it was read"):
+            load_or_parse(str(path), str(cache), "00" * 32)  # hashed before a writer replaced the file
+        assert not cache.exists()
+
     def test_miss_writes_cache_back(self, tmp_path, result, columns):
         # A stale cache is a miss: the parse replaces it, and the next call hits.
         path = tmp_path / "events.jsonl"
