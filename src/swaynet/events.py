@@ -15,7 +15,6 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence, TextIO
 
@@ -220,10 +219,8 @@ def _reject(errors: list[ParseError], line_no: int, exc: ValueError, strict: boo
     errors.append(ParseError(line_no, str(exc)))
 
 
-# str lines per decoded chunk. Larger chunks cost more peak memory than they save time.
+# Rows per `row_chunks` chunk. Larger chunks cost more peak memory than they save time.
 _PARSE_CHUNK = 16384
-
-_last_char = itemgetter(slice(-1, None))
 
 
 def _intern(src: Sequence[str], dst: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -509,7 +506,7 @@ _CHUNK_BYTES = 1 << 21
 
 class ByteChunks:
     """A binary stream read once, in chunks of whole lines, and hashed as it
-    is read. `parse_events` takes it as its lines and sets `canonical`:
+    is read. `parse_events` reads it and sets `canonical`:
     whether write_events_jsonl of the parsed columns gives back exactly the
     bytes read."""
 
@@ -583,50 +580,23 @@ def _text_lines(chunk: bytes | bytearray, first_line_no: int, newline: str | Non
         raise
 
 
-def _encoded(lines: list[str]) -> bytes | None:
-    """str lines between _PAD bytes, as the byte tier reads them, or None
-    unless each line ends in the only newline it holds and all of them
-    encode (a lone surrogate does not)."""
-    if set(map(_last_char, lines)) != {"\n"}:
-        return None
-    pad = " " * len(_PAD)
-    try:
-        data = "".join([pad, *lines, pad]).encode()
-    except UnicodeEncodeError:
-        return None
-    return data if data.count(b"\n") == len(lines) else None
-
-
-def _chunks(lines: Iterable[str] | ByteChunks) -> Iterator[tuple[bytes | bytearray | None, list[str] | None]]:
-    """Each chunk between _PAD bytes, or None where str lines cannot be one,
-    and its str lines, or None for a chunk read as bytes; str lines come
-    _PARSE_CHUNK at a time."""
-    if isinstance(lines, ByteChunks):
-        yield from ((data, None) for data in lines.padded())
-        return
-    it = iter(lines)
-    while chunk := list(islice(it, _PARSE_CHUNK)):
-        yield _encoded(chunk), chunk
-
-
 def parse_events(
-    lines: Iterable[str] | ByteChunks,
+    reader: ByteChunks,
     time_range: tuple[int, int] | None = None,
     strict: bool = False,
 ) -> tuple[EventColumns, list[ParseError]]:
     """Parse JSON Lines into EventColumns, preserving input order.
 
-    `lines` is str lines or a ByteChunks reader. Byte chunks count their
-    lines as a text read does, at `\n`, `\r\n` or a bare `\r`, and like
-    such a read the byte tier takes each of these as `\n`; a chunk that is
-    not UTF-8 raises NotUTF8 naming its line. Invalid lines are
-    reported with their 1-based line number; with strict=True the first bad
-    line raises instead. I/O errors from the underlying stream propagate
-    (stream-level failure aborts the parse). Each chunk (str lines
-    _PARSE_CHUNK at a time) is decoded by the byte tier (_byte_columns) when
-    it vouches for the whole chunk, which it does for canonical lines, else
-    by the per-line parse, which decides every error. A ByteChunks reader
-    gets its `canonical` verdict once every chunk is parsed.
+    The reader's chunks count their lines as a text read does, at `\n`,
+    `\r\n` or a bare `\r`, and like such a read the byte tier takes each of
+    these as `\n`; a chunk that is not UTF-8 raises NotUTF8 naming its line.
+    Invalid lines are reported with their 1-based line number; with
+    strict=True the first bad line raises instead. I/O errors from the
+    underlying stream propagate (stream-level failure aborts the parse).
+    Each chunk is decoded by the byte tier (_byte_columns) when it vouches
+    for the whole chunk, which it does for canonical lines, else by the
+    per-line parse, which decides every error. The reader gets its
+    `canonical` verdict once every chunk is parsed.
     """
     from .store import EventColumns
 
@@ -636,9 +606,9 @@ def parse_events(
     def chunks() -> Iterator[tuple]:
         nonlocal canonical
         line_no = 1
-        for data, text in _chunks(lines):
-            taken = None if data is None else _byte_columns(data, time_range)
-            if taken is None and text is None and b"\r" in data:  # as a text read, which ends each line in "\n"
+        for data in reader.padded():
+            taken = _byte_columns(data, time_range)
+            if taken is None and b"\r" in data:  # as a text read, which ends each line in "\n"
                 taken = _byte_columns(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"), time_range)
                 if taken is not None:
                     taken = taken[0], False  # the bytes read are not the bytes written
@@ -649,14 +619,12 @@ def parse_events(
                 line_no += len(columns[1])
             else:
                 canonical = False
-                if text is None:
-                    text = _text_lines(data[len(_PAD) : -len(_PAD)], line_no)
+                text = _text_lines(data[len(_PAD) : -len(_PAD)], line_no)
                 yield from row_chunks(_line_rows(text, line_no, time_range, errors, strict))
                 line_no += len(text)
 
     parsed = EventColumns.from_events(chunks())
-    if isinstance(lines, ByteChunks):
-        lines.canonical = canonical
+    reader.canonical = canonical
     return parsed, errors
 
 

@@ -519,16 +519,14 @@ class FollowerSnapshots(_UserTable):
         return counts, fallback
 
 
-def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | None = None) -> EventColumns:
+def load_or_parse(events_path: str, cache_dir: str, digest: str) -> EventColumns:
     """Load the cache when fresh, else parse the canonical stream strictly
     and write the parsed columns back to the cache, which leaves them mapped
-    from it. `digest` is the file's SHA-256 when the caller already took it;
-    the parse hashes the bytes it reads again and raises if they differ."""
-    digest = digest or file_sha256(events_path)
-    if cache_dir is not None:
-        cached = EventColumns.load(cache_dir, digest)
-        if cached is not None:
-            return cached
+    from it. `digest` is the file's SHA-256 as the caller took it; the parse
+    hashes the bytes it reads again and raises if they differ."""
+    cached = EventColumns.load(cache_dir, digest)
+    if cached is not None:
+        return cached
     from .events import parse_events
 
     try:
@@ -541,6 +539,5 @@ def load_or_parse(events_path: str, cache_dir: str | None = None, digest: str | 
     if errors:
         first = errors[0]
         raise InvalidEvents(f"{events_path}: {len(errors)} invalid lines (first: line {first.line_no}: {first.message})")
-    if cache_dir is not None:
-        columns.save(cache_dir, digest)
+    columns.save(cache_dir, digest)
     return columns

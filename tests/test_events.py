@@ -42,6 +42,13 @@ def make_line(ts=100, src="a", dst="b", cat="SCIENCE", src_f=10, dst_f=20, **fla
     return json.dumps(rec)
 
 
+def jsonl(lines):
+    """str items as JSON Lines bytes in a ByteChunks reader: each item is one
+    line, ended in `\n` unless it already ends in one."""
+    data = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+    return ByteChunks(io.BytesIO(data.encode()))
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -80,39 +87,39 @@ class TestClassify:
 
 class TestParse:
     def test_well_formed_science_line(self):
-        columns, errors = parse_events([make_line(cat="SCIENCE")])
+        columns, errors = parse_events(jsonl([make_line(cat="SCIENCE")]))
         events = to_events(columns)
         assert errors == []
         assert events[0].content_class == "factual"
         assert events[0].retweetee == "a" and events[0].retweeter == "b"
 
     def test_null_category_becomes_na_uncertain(self):
-        columns, errors = parse_events([make_line(cat=None)])
+        columns, errors = parse_events(jsonl([make_line(cat=None)]))
         events = to_events(columns)
         assert errors == []
         assert events[0].raw_category == "NA"
         assert events[0].content_class == "uncertain"
 
     def test_malformed_timestamp_names_the_line(self):
-        columns, errors = parse_events([make_line(), make_line(ts="not-a-date")])
+        columns, errors = parse_events(jsonl([make_line(), make_line(ts="not-a-date")]))
         assert len(columns) == 1
         assert len(errors) == 1
         assert errors[0].line_no == 2
         assert "timestamp" in errors[0].message
 
     def test_negative_follower_count_rejected(self):
-        _, errors = parse_events([make_line(src_f=-1)])
+        _, errors = parse_events(jsonl([make_line(src_f=-1)]))
         assert len(errors) == 1 and "src_followers" in errors[0].message
 
     @pytest.mark.parametrize("field,value", [("src", None), ("src", True), ("src", 3), ("dst", None), ("dst", 1.5)])
     def test_user_id_that_is_not_a_string_rejected(self, field, value):
-        columns, errors = parse_events([make_line(**{field: value}), make_line(src="x", dst="y")])
+        columns, errors = parse_events(jsonl([make_line(**{field: value}), make_line(src="x", dst="y")]))
         assert [(e.line_no, e.message) for e in errors] == [(1, f"bad {field}: {value!r}")]
         assert columns.users == ["x", "y"]
 
     @pytest.mark.parametrize("value", [3.7, 0.5, float("inf")])
     def test_fractional_follower_count_rejected(self, value):
-        columns, errors = parse_events([make_line(src_f=value), make_line(dst_f=value)])
+        columns, errors = parse_events(jsonl([make_line(src_f=value), make_line(dst_f=value)]))
         assert [(e.line_no, e.message) for e in errors] == [
             (1, f"bad src_followers: {value!r}"),
             (2, f"bad dst_followers: {value!r}"),
@@ -120,38 +127,38 @@ class TestParse:
         assert len(columns) == 0
 
     def test_integral_float_and_digit_string_counts_accepted(self):
-        columns, errors = parse_events([make_line(src_f=3.0, dst_f="12")])
+        columns, errors = parse_events(jsonl([make_line(src_f=3.0, dst_f="12")]))
         assert errors == []
         assert (columns.src_followers.tolist(), columns.dst_followers.tolist()) == ([3], [12])
 
     def test_unknown_category_rejected_per_line(self):
-        _, errors = parse_events([make_line(cat="BLOG")])
+        _, errors = parse_events(jsonl([make_line(cat="BLOG")]))
         assert len(errors) == 1
 
     def test_strict_mode_raises(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_events([make_line(ts="bad")], strict=True)
+            parse_events(jsonl([make_line(ts="bad")]), strict=True)
 
     def test_out_of_range_timestamp(self):
-        _, errors = parse_events([make_line(ts=999)], time_range=(0, 500))
+        _, errors = parse_events(jsonl([make_line(ts=999)]), time_range=(0, 500))
         assert len(errors) == 1 and "range" in errors[0].message
 
     def test_events_in_input_order(self):
         lines = [make_line(ts=t) for t in (5, 3, 9)]
-        columns, _ = parse_events(lines)
+        columns, _ = parse_events(jsonl(lines))
         assert [e.timestamp for e in to_events(columns)] == [5, 3, 9]
 
     def test_parse_serialize_parse_identity(self):
         lines = [make_line(), make_line(ts=7, cat="Satire", src="x", dst="y", src_bot=True)]
-        columns, _ = parse_events(lines)
+        columns, _ = parse_events(jsonl(lines))
         buf = io.StringIO()
         write_events_jsonl(columns, buf)
-        again, errors = parse_events(buf.getvalue().splitlines())
+        again, errors = parse_events(jsonl(buf.getvalue().splitlines()))
         assert errors == []
         assert columns_equal(again, columns)
 
     def test_csv_roundtrip(self):
-        columns, _ = parse_events([make_line(), make_line(ts=7, cat="NA", dst_verified=True)])
+        columns, _ = parse_events(jsonl([make_line(), make_line(ts=7, cat="NA", dst_verified=True)]))
         buf = io.StringIO()
         write_events_csv(to_events(columns), buf)
         buf.seek(0)
@@ -294,7 +301,7 @@ class TestColumnRoundtrip:
         columns = odd_label_columns()
         buf = io.StringIO()
         assert write_events_jsonl(columns, buf) == len(columns)
-        again, errors = parse_events(buf.getvalue().splitlines())
+        again, errors = parse_events(jsonl(buf.getvalue().splitlines()))
         assert errors == []
         assert columns_equal(again, columns)
 
@@ -338,12 +345,12 @@ class TestColumnRoundtrip:
         columns = odd_label_columns(n=70_000, seed=8)
         buf = io.StringIO()
         write_events_jsonl(columns, buf)
-        again, errors = parse_events(buf.getvalue().splitlines())
+        again, errors = parse_events(jsonl(buf.getvalue().splitlines()))
         assert errors == []
         assert columns_equal(again, columns)
 
     def test_empty_stream(self):
-        columns, errors = parse_events([])
+        columns, errors = parse_events(jsonl([]))
         assert errors == [] and len(columns) == 0 and columns.users == []
         buf = io.StringIO()
         assert write_events_jsonl(columns, buf) == 0 and buf.getvalue() == ""
@@ -421,17 +428,19 @@ def event_lines(draw):
 
 
 def outcome(lines, time_range, strict):
+    """parse_events of str items, through jsonl, or of bytes as they are."""
+    reader = ByteChunks(io.BytesIO(lines)) if isinstance(lines, bytes) else jsonl(lines)
     try:
-        columns, errors = parse_events(lines, time_range, strict)
+        columns, errors = parse_events(reader, time_range, strict)
     except (InvalidEvents, OverflowError) as exc:
         return type(exc), str(exc)
     return columns, errors
 
 
 def byte_tier(lines, time_range):
-    """The byte tier's verdict on str lines, as parse_events takes them to it."""
-    data = events_module._encoded(lines)
-    return None if data is None else events_module._byte_columns(data, time_range)
+    """The byte tier's verdict on str lines joined as one chunk."""
+    pad = events_module._PAD
+    return events_module._byte_columns(pad + "".join(lines).encode() + pad, time_range)
 
 
 def per_line_outcome(lines, time_range, strict, monkeypatch):
@@ -450,12 +459,12 @@ class TestBatchedParse:
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         lines=event_lines(),
-        chunk=st.integers(1, 6),
+        chunk=st.integers(1, 1200),
         time_range=st.sampled_from([None, (0, 500), (-(2**80), 2**80)]),
         strict=st.booleans(),
     )
     def test_matches_per_line_parse(self, monkeypatch, lines, chunk, time_range, strict):
-        monkeypatch.setattr(events_module, "_PARSE_CHUNK", chunk)
+        monkeypatch.setattr(events_module, "_CHUNK_BYTES", chunk)
         assert same_outcome(outcome(lines, time_range, strict), per_line_outcome(lines, time_range, strict, monkeypatch))
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -474,7 +483,7 @@ class TestBatchedParse:
         # Three lines' worth of quotes in all: the byte tier must reject them line by line.
         assert sum(line.count('"') for line in lines) == 3 * 26
         assert byte_tier(lines, None) is None
-        columns, errors = parse_events(lines)
+        columns, errors = parse_events(jsonl(lines))
         assert len(columns) == 0
         assert [e.line_no for e in errors] == [1, 2, 3]
 
@@ -483,7 +492,8 @@ class TestBatchedParse:
         for i in (3, 17, 18, 39):
             lines[i] = make_line(src_f=-i) + "\n"
         lines[25] = "not json\n"
-        monkeypatch.setattr(events_module, "_PARSE_CHUNK", 8)
+        monkeypatch.setattr(events_module, "_CHUNK_BYTES", 8 * len(lines[0]))
+        assert len(list(jsonl(lines).padded())) > 2
         batched = outcome(lines, None, False)
         assert [e.line_no for e in batched[1]] == [4, 18, 19, 26, 40]
         assert same_outcome(batched, per_line_outcome(lines, None, False, monkeypatch))
@@ -565,11 +575,11 @@ class TestByteTier:
     @given(
         columns=wire_columns(),
         style=st.sampled_from(["writer", "spaced", "raw-spaced", "raw-compact"]),
-        chunk=st.integers(1, 6),
+        chunk=st.integers(1, 1200),
         time_range=st.sampled_from([None, (0, 10**17 + 1), (-(2**80), 2**80)]),
     )
     def test_written_streams_parse_alike_in_every_tier(self, monkeypatch, columns, style, chunk, time_range):
-        monkeypatch.setattr(events_module, "_PARSE_CHUNK", chunk)
+        monkeypatch.setattr(events_module, "_CHUNK_BYTES", chunk)
         lines = io.StringIO(render_stream(columns, style)).readlines()  # split at "\n" only
         every_tier = outcome(lines, time_range, False)
         assert same_outcome(every_tier, per_line_outcome(lines, time_range, False, monkeypatch))
@@ -582,8 +592,8 @@ class TestByteTier:
 
     @pytest.mark.parametrize("style", ["writer", "spaced"])
     def test_canonical_chunks_never_reach_the_per_line_parse(self, monkeypatch, style):
-        # Three chunks of 16,384 lines; all values the byte tier reads.
-        n = 2 * events_module._PARSE_CHUNK + 100
+        # At least three chunks; all values the byte tier reads.
+        n = 30_000
         rng = np.random.default_rng(5)
         labels = ["plain", "", " ", "mis000001", "sw/014343", "x" * 30]
         ends = rng.integers(len(labels), size=(n, 2)).tolist()
@@ -596,8 +606,10 @@ class TestByteTier:
             for t, (s, d), c, f, b in zip(ts, ends, cats, counts, flags)
         ]
         columns = columns_of(events)
+        data = render_stream(columns, style).encode()
+        assert len(list(ByteChunks(io.BytesIO(data)).padded())) >= 3
         monkeypatch.setattr(events_module, "_line_rows", refuse)
-        again, errors = parse_events(io.StringIO(render_stream(columns, style)))
+        again, errors = parse_events(ByteChunks(io.BytesIO(data)))
         assert errors == [] and columns_equal(again, columns)
 
     @pytest.mark.parametrize(
@@ -633,13 +645,6 @@ class TestByteTier:
         assert lines[1] != line
         assert byte_tier(lines, None) is None
         assert byte_tier([line, line], None) is not None
-        assert same_outcome(outcome(lines, None, False), per_line_outcome(lines, None, False, monkeypatch))
-
-    def test_refuses_a_line_that_holds_a_newline(self, monkeypatch):
-        # As many newlines as lines, but not one at the end of each line.
-        line = json.dumps(json.loads(make_line(ts=5)), separators=(",", ":")) + "\n"
-        lines = [line + line[:50], line[50:]]
-        assert byte_tier(lines, None) is None
         assert same_outcome(outcome(lines, None, False), per_line_outcome(lines, None, False, monkeypatch))
 
     def test_a_hash_collision_sends_the_chunk_on(self, monkeypatch):
@@ -780,14 +785,12 @@ class TestByteChunks:
     @given(
         stream=byte_streams(),
         chunk=st.integers(1, 400),
-        lines_per_chunk=st.integers(1, 6),
         time_range=st.sampled_from([None, (0, 500_000)]),
         strict=st.booleans(),
     )
-    def test_str_lines_and_byte_chunks_parse_alike(self, monkeypatch, stream, chunk, lines_per_chunk, time_range, strict):
+    def test_str_lines_and_byte_chunks_parse_alike(self, monkeypatch, stream, chunk, time_range, strict):
         data = stream[0]
         monkeypatch.setattr(events_module, "_CHUNK_BYTES", chunk)
-        monkeypatch.setattr(events_module, "_PARSE_CHUNK", lines_per_chunk)
         for newline in (None, ""):  # as ingest reads JSON Lines and CSV
             try:
                 text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline).readlines()
@@ -804,8 +807,7 @@ class TestByteChunks:
             with pytest.raises(NotUTF8, match=f"^line {line_no}: "):
                 parse_events(ByteChunks(io.BytesIO(data)), time_range)
             return
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
-        assert same_outcome(outcome(lines, time_range, strict), outcome(ByteChunks(io.BytesIO(data)), time_range, strict))
+        assert same_outcome(outcome(data, time_range, strict), per_line_outcome(data, time_range, strict, monkeypatch))
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
     def test_chunks_stay_near_a_read_whatever_ends_the_lines(self, monkeypatch, end):
@@ -829,7 +831,7 @@ class TestByteChunks:
         reader = ByteChunks(io.BytesIO(b"".join(line[:-1].encode() + end for line in lines)))
         columns, errors = parse_events(reader)
         assert errors == [] and reader.canonical is False
-        assert columns_equal(columns, parse_events(lines)[0])
+        assert columns_equal(columns, parse_events(jsonl(lines))[0])
 
     def test_an_undecodable_line_is_numbered_past_every_kind_of_line_end(self):
         data = b"a\r\nb\rc\n\r\nd\xe9\n"  # lines 1-4 end in "\r\n", "\r", "\n", "\r\n"

@@ -96,7 +96,7 @@ class TestRoundtrip:
         path = tmp_path / "events.jsonl"
         with open(path, "w") as fh:
             result.write_jsonl(fh)
-        columns = load_or_parse(str(path), str(tmp_path / "cache"))
+        columns = load_or_parse(str(path), str(tmp_path / "cache"), file_sha256(str(path)))
         assert to_events(columns) == events
 
     def test_parse_of_bytes_that_are_not_the_bytes_hashed_is_not_cached(self, tmp_path, result):
@@ -115,7 +115,7 @@ class TestRoundtrip:
             result.write_jsonl(fh)
         cache = str(tmp_path / "cache")
         columns_of([]).save(cache, "00ff")
-        parsed = load_or_parse(str(path), cache)
+        parsed = load_or_parse(str(path), cache, file_sha256(str(path)))
         assert columns_equal(parsed, columns)
         hit = EventColumns.load(cache, file_sha256(str(path)))
         assert hit is not None
@@ -167,7 +167,7 @@ class TestCacheFormat:
         meta = {"n_events": len(columns), "n_users": len(columns.users), "source_sha256": digest}
         (cache / "cache_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=1))
         assert EventColumns.load(str(cache), digest) is None
-        parsed = load_or_parse(str(path), str(cache))
+        parsed = load_or_parse(str(path), str(cache), digest)
         assert columns_equal(parsed, columns)
         hit = EventColumns.load(str(cache), digest)
         assert hit is not None and columns_equal(hit, columns)
@@ -193,7 +193,7 @@ class TestCacheFormat:
         del meta["dtypes"]
         (cache / "cache_meta.json").write_text(json.dumps(dict(meta, format=3), sort_keys=True, indent=1))
         assert EventColumns.load(str(cache), digest) is None
-        parsed = load_or_parse(str(path), str(cache))
+        parsed = load_or_parse(str(path), str(cache), digest)
         assert columns_equal(parsed, columns) and parsed.src.dtype == np.int32
         assert json.loads((cache / "cache_meta.json").read_text())["format"] == 4
         hit = EventColumns.load(str(cache), digest)
@@ -396,7 +396,7 @@ class TestFollowerTableCache:
         meta = json.loads((cache / "cache_meta.json").read_text())
         (cache / "cache_meta.json").write_text(json.dumps(dict(meta, format=2), sort_keys=True, indent=1))
         assert EventColumns.load(str(cache), digest) is None
-        parsed = load_or_parse(str(path), str(cache))
+        parsed = load_or_parse(str(path), str(cache), digest)
         assert columns_equal(parsed, columns)
         hit = EventColumns.load(str(cache), digest)
         assert hit is not None and tables_equal(hit.follower_logs(), follower_table_by_lexsort(columns))

@@ -63,7 +63,7 @@ class TestDeterminism:
         assert not np.array_equal(a.ts, b.ts)
 
     def test_events_match_jsonl(self):
-        from swaynet.events import parse_events
+        from swaynet.events import ByteChunks, parse_events
 
         # The narrow reach leaves swayable users out of every event; the
         # column user table, like a parse, lists only users that take part.
@@ -73,7 +73,7 @@ class TestDeterminism:
             result = synthesize(config, 3)
             buf = io.StringIO()
             result.write_jsonl(buf)
-            parsed, errors = parse_events(buf.getvalue().splitlines())
+            parsed, errors = parse_events(ByteChunks(io.BytesIO(buf.getvalue().encode())))
             assert errors == []
             assert columns_equal(parsed, result.columns())
             assert to_events(parsed) == synth_events(result)

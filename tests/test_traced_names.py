@@ -65,6 +65,27 @@ def test_traced_align_records_every_alignment_layer(tmp_path):
     assert calls.get("store.build_graph", 0) == 0
 
 
+def test_traced_ingest_records_one_parse_per_input(tmp_path):
+    from oracles import to_events, write_events_csv
+    from swaynet.events import ByteChunks, parse_events
+
+    out = str(tmp_path / "synth")
+    synth_tiny(out, 60, 4, 20, 300)
+    with open(os.path.join(out, "events.jsonl"), "rb") as fh:
+        lines = fh.readlines()
+        fh.seek(0)
+        columns, _ = parse_events(ByteChunks(fh))
+    jsonl_path, csv_path = tmp_path / "in.jsonl", tmp_path / "in.csv"
+    jsonl_path.write_bytes(b"".join(lines[:5] + [b"not json\n"] + lines[5:]))
+    with open(csv_path, "w", newline="") as fh:
+        write_events_csv(to_events(columns), fh)
+    # events.parse_lines counts the events and the invalid lines.
+    for path, parse, parsed in ((jsonl_path, "events.parse_events", len(columns) + 1), (csv_path, "events.parse_events_csv", len(columns))):
+        calls, counters = traced_run(tmp_path, "ingest", "--out", str(tmp_path / path.suffix[1:]), "--events", str(path))
+        assert (calls.get(parse), calls.get("store.from_events")) == (1, 1), (path, calls)
+        assert counters["events.parse_lines"] == parsed, (path, counters)
+
+
 CASCADE_LAYERS = (
     "sir.build_cascade_setup",
     "sir.FollowerSnapshots.at",
