@@ -20,8 +20,11 @@ import math
 import os
 import shutil
 import sys
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,35 +302,43 @@ def _path(config: PipelineConfig, name: str) -> str:
     return os.path.join(config.out, name)
 
 
-# The stage that writes each upstream artifact, named when one is missing.
-_PRODUCER = {
-    EVENTS_FILE: "ingest or synth",
-    BACKBONE_FILE: "backbone",
-    LABELS_FILE: "align",
-    "ternary.csv": "align",
-    "coverage.csv": "align",
-    GROWTH_FILE: "growth",
-    FIT_FILE: "fit",
-}
+class _If(str):
+    """An artifact that a stage reads or writes only under a condition; README's Outputs table names each condition."""
 
 
 class _Inputs:
-    """The upstream artifacts one stage reads. A stage gets each only from
-    here, so the meta records exactly what the stage read."""
+    """The artifacts in --out that one stage reads and writes. A stage gets
+    each path only from here, and only for a name its `_STAGES` row declares,
+    so the meta records exactly what the stage read."""
 
-    def __init__(self, config: PipelineConfig):
-        self.config = config
+    def __init__(self, config: PipelineConfig, stage: str):
+        self.config, self.stage, self.row = config, stage, _STAGES[stage]
         self.digests: dict[str, str | None] = {}  # path read -> SHA-256, or None until the meta is written
+        self.written: list[str] = []  # every output path handed out, in order
 
-    def record(self, path: str) -> str:
+    def _declared(self, name: str, names: tuple[str, ...], role: str) -> str:
+        if name not in names:
+            raise LookupError(f"the `{self.stage}` stage declares no {role} {name}")
+        return _path(self.config, name)
+
+    def require(self, name: str) -> str:
+        path = self._declared(name, self.row.reads, "input")
+        if not os.path.exists(path):
+            raise MissingInput(f"{path} not found; run the `{_PRODUCER[name]}` stage first")
         self.digests.setdefault(path, None)
         return path
 
-    def require(self, name: str) -> str:
-        path = _path(self.config, name)
-        if not os.path.exists(path):
-            raise MissingInput(f"{path} not found; run the `{_PRODUCER[name]}` stage first")
-        return self.record(path)
+    def output(self, name: str) -> str:
+        self.written.append(path := self._declared(name, self.row.writes, "output"))
+        return path
+
+    @contextmanager
+    def table(self, name: str, header: list[str]):
+        """A CSV writer on an output, its header row written."""
+        with open(self.output(name), "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            yield w
 
     def columns(self) -> EventColumns:
         """The event columns; events.jsonl is hashed once, for the cache check and the meta."""
@@ -341,11 +352,11 @@ class _Inputs:
         except ValueError as exc:  # truncated, padded or not a graph file: unreadable, as good as missing
             raise MissingInput(f"{exc}; run the `backbone` stage again") from None
 
-    def write_meta(self, stage: str, params: dict) -> None:
+    def write_meta(self, params: dict) -> None:
         """Inputs not hashed yet are hashed now."""
         inputs = {os.path.basename(p): d or file_sha256(p) for p, d in self.digests.items() if os.path.isfile(p)}
-        meta = {"stage": stage, "seed": self.config.seed, "params": params, "inputs": inputs}
-        with open(_path(self.config, f"{stage}_meta.json"), "w", encoding="utf-8") as fh:
+        meta = {"stage": self.stage, "seed": self.config.seed, "params": params, "inputs": inputs}
+        with open(_path(self.config, f"{self.stage}_meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
 
 
@@ -371,7 +382,7 @@ def _time_range(config: PipelineConfig) -> tuple[float, float] | None:
     return start, end
 
 
-def _write_events(config: PipelineConfig, columns: EventColumns, digest: str | None = None) -> str:
+def _write_events(inputs: _Inputs, columns: EventColumns, digest: str | None = None) -> str:
     """events.jsonl, hashed as it is written, unless `digest` is given: then
     events.jsonl already holds what write_events_jsonl would write, with that
     SHA-256. Then flag rates, the column cache and follower logs; returns the
@@ -380,13 +391,13 @@ def _write_events(config: PipelineConfig, columns: EventColumns, digest: str | N
     table never sits beside the columns and follower_logs.csv is written from
     the mapped table."""
     if digest is None:
-        with open(_path(config, EVENTS_FILE), "wb") as fh:
+        with open(inputs.output(EVENTS_FILE), "wb") as fh:
             write_events_jsonl(columns, sink := Sha256Writer(fh))
         digest = sink.hexdigest()
-    with open(_path(config, FLAGS_FILE), "w", newline="", encoding="utf-8") as fh:
+    with open(inputs.output(FLAGS_FILE), "w", newline="", encoding="utf-8") as fh:
         write_flag_rates_csv(columns, fh)
-    columns.save(_path(config, CACHE_DIR), digest)
-    with open(_path(config, LOGS_FILE), "w", newline="", encoding="utf-8") as fh:
+    columns.save(_path(inputs.config, CACHE_DIR), digest)
+    with open(inputs.output(LOGS_FILE), "w", newline="", encoding="utf-8") as fh:
         write_follower_logs_csv(columns.follower_logs(), fh)
     return digest
 
@@ -409,20 +420,21 @@ def _backbone_pair_mask(columns: EventColumns, backbone: WeightedDigraph) -> np.
     ids, n_users = columns.ids(backbone.labels), len(columns.users)
     src, dst = ids[backbone.edge_src], ids[backbone.edge_dst]
     known = (src >= 0) & (dst >= 0)
-    codes, mask = src[known] * n_users + dst[known], np.empty(len(columns), dtype=bool)
+    codes, mask = np.sort(src[known] * n_users + dst[known]), np.empty(len(columns), dtype=bool)
+    if len(codes) == 0:  # no edge to match, and no code for a clamped index to read
+        return np.zeros(len(columns), dtype=bool)
     for lo in range(0, len(mask), 1 << 16):
         block = slice(lo, lo + (1 << 16))
         pair = np.multiply(columns.src[block], n_users, dtype=np.int64)  # int64, as `codes` is: the codes reach n_users^2
         pair += columns.dst[block]
-        mask[block] = np.isin(pair, codes, kind="sort")
+        order = np.argsort(pair)  # searched in ascending order, each search starts where the one before ended
+        pair = pair[order]
+        found = np.minimum(np.searchsorted(codes, pair), len(codes) - 1)  # the first code >= pair, or the last code
+        mask[block][order] = codes[found] == pair
     return mask
 
 
 # -- stages ---------------------------------------------------------------------
-
-
-# Every file or directory that ingest or synth writes into --out.
-_EVENT_OUTPUTS = (EVENTS_FILE, CACHE_DIR, LOGS_FILE, FLAGS_FILE, TRUTH_FILE, PARSE_ERRORS_FILE, "ingest_meta.json", "synth_meta.json")
 
 
 def _clear_event_outputs(config: PipelineConfig) -> None:
@@ -461,7 +473,7 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         # Input that write_events_jsonl would give back byte for byte is copied
         # from the open file, the one parsed and hashed, or left if that file is
         # --out's own events.jsonl, the one file the clearing kept.
-        digest, path = reader.hexdigest(), _path(config, EVENTS_FILE)
+        digest, path = reader.hexdigest(), inputs.output(EVENTS_FILE)
         copyable = bool(reader.canonical) and fh.seekable()  # a pipe cannot be read again
         in_place = os.path.exists(path) and os.path.samestat(os.fstat(fh.fileno()), os.stat(path))
         if copyable and not in_place:
@@ -469,9 +481,7 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
             with open(path, "wb") as out:
                 shutil.copyfileobj(fh, out)
     if errors:
-        with open(_path(config, PARSE_ERRORS_FILE), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["line_no", "message"])
+        with inputs.table(PARSE_ERRORS_FILE, ["line_no", "message"]) as w:
             for err in errors:
                 w.writerow([err.line_no, err.message])
         if config.strict:
@@ -483,7 +493,7 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         "ts_min": int(columns.ts.min()) if len(columns) else None,
         "ts_max": int(columns.ts.max()) if len(columns) else None,
     }
-    written = _write_events(config, columns, digest if copyable else None)
+    written = _write_events(inputs, columns, digest if copyable else None)
     inputs.digests[config.events] = written if in_place else digest
     return f"ingest: {len(columns)} events, {len(columns.users)} users, {len(errors)} invalid lines -> {config.out}", params
 
@@ -519,8 +529,8 @@ def cmd_synth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         "ts_max": int(columns.ts.max()) if len(columns) else None,
         "purity": synth_config.purity,
     }
-    _write_events(config, columns)
-    with open(_path(config, TRUTH_FILE), "w", encoding="utf-8") as fh:
+    _write_events(inputs, columns)
+    with open(inputs.output(TRUTH_FILE), "w", encoding="utf-8") as fh:
         json.dump(truth, fh, sort_keys=True, indent=1)
     return f"synth: {len(columns)} events, {n_users} users, seed {config.seed} -> {config.out}", params
 
@@ -534,7 +544,7 @@ def cmd_backbone(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     columns = inputs.columns()
     g = columns.build_graph(columns.event_mask(_time_range(config)))
     filtered = disparity_filter(g, config.alpha)
-    save_binary(filtered, _path(config, BACKBONE_FILE))
+    save_binary(filtered, inputs.output(BACKBONE_FILE))
     params = {
         "alpha": config.alpha,
         "original": {"nodes": g.n_nodes, "edges": g.n_edges, "weight": g.total_weight},
@@ -546,11 +556,9 @@ def cmd_backbone(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         },
     }
     if config.alpha_grid:
-        rep.emit_size_curve(_path(config, "size_curve.csv"), g, config.alpha_grid)
+        rep.emit_size_curve(inputs.output("size_curve.csv"), g, config.alpha_grid)
     if config.emit_significance:
-        with open(_path(config, "significance.csv"), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["src", "dst", "weight", "p_out", "p_in", "alpha_out", "alpha_in", "alpha"])
+        with inputs.table("significance.csv", ["src", "dst", "weight", "p_out", "p_in", "alpha_out", "alpha_in", "alpha"]) as w:
             values = [a.tolist() for a in significance_arrays(g)]
             w.writerows([s, d, weight] + [f"{x:.10g}" for x in xs] for (s, d, weight), *xs in zip(g.edges(), *values))
     return (
@@ -564,22 +572,18 @@ def cmd_diagnose(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     if g.n_nodes == 0:  # checked before any output: there is no topology to report
         raise InvalidEvents(f"{EVENTS_FILE} holds no events, so the graph is empty; run `ingest` or `synth` on events")
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
-    rep.emit_size_curve(_path(config, "size_curve.csv"), g, grid)
+    rep.emit_size_curve(inputs.output("size_curve.csv"), g, grid)
     disorder = strong_disorder_test(g, config.band_multiplier)
-    with open(_path(config, "heterogeneity.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node", "direction", "k", "upsilon", "null_mean", "null_std", "flagged"])
+    with inputs.table("heterogeneity.csv", ["node", "direction", "k", "upsilon", "null_mean", "null_std", "flagged"]) as w:
         labels = g.labels
         fields = (disorder.node, disorder.direction, disorder.k, disorder.upsilon, disorder.null_mean, disorder.null_std, disorder.flagged)
         w.writerows(
             [labels[i], direction, k, f"{ups:.8g}", f"{mu:.8g}", f"{sigma:.8g}", int(flagged)]
             for i, direction, k, ups, mu, sigma, flagged in zip(*(a.tolist() for a in fields))
         )
-    rep.emit_heterogeneity_summary(_path(config, "heterogeneity_buckets.csv"), disorder)
-    rep.emit_topology(_path(config, "topology.json"), g, config.fit_range)
-    with open(_path(config, "gtb_overlap.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "weight_quantile", "w_min", "gtb_edges", "overlap_fraction"])
+    rep.emit_heterogeneity_summary(inputs.output("heterogeneity_buckets.csv"), disorder)
+    rep.emit_topology(inputs.output("topology.json"), g, config.fit_range)
+    with inputs.table("gtb_overlap.csv", ["alpha", "weight_quantile", "w_min", "gtb_edges", "overlap_fraction"]) as w:
         weights = g.edge_weight
         _, _, _, _, alpha = significance_arrays(g)
         for level in grid:
@@ -611,19 +615,17 @@ def cmd_align(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     involved = np.flatnonzero(total > 0)
     names = (*CONTENT_CLASSES, UNALIGNED)  # label -1 picks the last
     theta = f"{config.theta:.4f}"
-    with open(_path(config, LABELS_FILE), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "label", "theta", "prop_factual", "prop_misleading", "prop_uncertain", "total"])
+    with inputs.table(LABELS_FILE, ["user", "label", "theta", "prop_factual", "prop_misleading", "prop_uncertain", "total"]) as w:
         users = [columns.users[u] for u in involved.tolist()]
         rows = sorted(zip(users, labels[involved].tolist(), props[involved].tolist(), total[involved].tolist()))
         w.writerows([user, names[label], theta] + [f"{p:.6f}" for p in prop] + [n] for user, label, prop, n in rows)
-    rep.emit_ternary(_path(config, "ternary.csv"), ternary_histogram(involvement[involved], config.bins))
+    rep.emit_ternary(inputs.output("ternary.csv"), ternary_histogram(involvement[involved], config.bins))
     curves = {}
     for c, cls in enumerate(CONTENT_CLASSES):
         in_class = cls_idx == c
         if in_class.any():
             curves[cls] = coverage_curve(props[:, c], src[in_class], dst[in_class], config.theta_grid)
-    rep.emit_coverage(_path(config, "coverage.csv"), curves)
+    rep.emit_coverage(inputs.output("coverage.csv"), curves)
     counts = {cls: int(np.count_nonzero(labels == c)) for c, cls in enumerate(CONTENT_CLASSES)}
     params = {"theta": config.theta, "unfiltered": config.unfiltered, "bins": config.bins, "aligned_counts": counts}
     return f"align: theta={config.theta} -> {sum(counts.values())} aligned users {counts}", params
@@ -639,9 +641,7 @@ def cmd_growth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     for c, cls in enumerate(CONTENT_CLASSES):
         aligned = np.flatnonzero(aligned_class == c)
         points_by_class[cls] = [window_growth_rate(table, aligned, win, cls, config.min_obs) for win in windows]
-    with open(_path(config, GROWTH_FILE), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_start", "window_end", "partial", "class", "rate", "n_active", "f_first", "f_last"])
+    with inputs.table(GROWTH_FILE, ["window_start", "window_end", "partial", "class", "rate", "n_active", "f_first", "f_last"]) as w:
         for cls in CONTENT_CLASSES:
             for p in points_by_class[cls]:
                 w.writerow(
@@ -656,10 +656,8 @@ def cmd_growth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
                         p.f_last,
                     ]
                 )
-    rep.emit_daily(_path(config, "daily_counts.csv"), columns.daily_counts_by_class(aligned_class))
-    with open(_path(config, "trend.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_start", "class", "trend", "polynomial_applied"])
+    rep.emit_daily(inputs.output("daily_counts.csv"), columns.daily_counts_by_class(aligned_class))
+    with inputs.table("trend.csv", ["window_start", "class", "trend", "polynomial_applied"]) as w:
         for cls in CONTENT_CLASSES:
             defined = [p for p in points_by_class[cls] if p.rate is not None]
             if not defined:
@@ -709,9 +707,7 @@ def cmd_simulate(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         raise ConfigError("delta/r0: both are required for simulate")
     columns = inputs.columns()
     setups = _build_setups(config, columns, _load_labels(inputs, columns)[0])
-    with open(_path(config, "simulate.csv"), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_start", "class", "delta", "r0", "r_hat_mean", "r_hat_std", "n_aligned", "n_swayable"])
+    with inputs.table("simulate.csv", ["window_start", "class", "delta", "r0", "r_hat_mean", "r_hat_std", "n_aligned", "n_swayable"]) as w:
         for w_start in sorted(setups):
             for cls in CONTENT_CLASSES:
                 setup = setups[w_start][cls]
@@ -763,10 +759,10 @@ def cmd_fit(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     )
     result = fit_parameters(setups, empirical, fit_config, threads=config.threads)
     doc = result.to_json_dict()
-    with open(_path(config, FIT_FILE), "w", encoding="utf-8") as fh:
+    with open(inputs.output(FIT_FILE), "w", encoding="utf-8") as fh:
         rep.dump_json(doc, fh)
-    rep.emit_fit_rates(_path(config, "fig4_rates.csv"), doc, empirical)
-    rep.emit_fit_r0(_path(config, "fig4_r0.csv"), doc)
+    rep.emit_fit_rates(inputs.output("fig4_rates.csv"), doc, empirical)
+    rep.emit_fit_r0(inputs.output("fig4_r0.csv"), doc)
     params = {
         "delta": result.delta,
         "objective": result.objective,
@@ -784,58 +780,53 @@ def cmd_fit(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
 def cmd_report(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     columns = inputs.columns()
     backbone = inputs.backbone()
-    for name in (LABELS_FILE, GROWTH_FILE, "ternary.csv", "coverage.csv"):  # before report/ is made
+    for name in (read for read in inputs.row.reads if not isinstance(read, _If)):  # each found before report/ is made
         inputs.require(name)
     if backbone.n_nodes == 0:  # likewise: there is no topology to report
         raise InvalidEvents(f"{BACKBONE_FILE} is an empty graph; run the `backbone` stage again with a larger alpha")
     out_dir = _path(config, "report")
     os.makedirs(out_dir, exist_ok=True)
     schemas = rep.load_schemas()
-    emitted: list[str] = []
-
-    def out(name: str) -> str:
-        path = os.path.join(out_dir, name)
-        emitted.append(path)
-        return path
 
     g = columns.build_graph()
     retained = _backbone_pair_mask(columns, backbone)
-    rep.emit_components(out("fig1a_components.csv"), g, backbone)
-    rep.emit_retention(out("fig1b_retention.csv"), columns, retained)
-    rep.emit_temporal(out("fig1c_temporal.csv"), columns, retained)
+    rep.emit_components(inputs.output("report/fig1a_components.csv"), g, backbone)
+    rep.emit_retention(inputs.output("report/fig1b_retention.csv"), columns, retained)
+    rep.emit_temporal(inputs.output("report/fig1c_temporal.csv"), columns, retained)
 
     # Fig 2: byte copies of the align stage's tables.
-    shutil.copyfile(inputs.require("ternary.csv"), out("fig2a_ternary.csv"))
-    shutil.copyfile(inputs.require("coverage.csv"), out("fig2b_coverage.csv"))
+    shutil.copyfile(inputs.require("ternary.csv"), inputs.output("report/fig2a_ternary.csv"))
+    shutil.copyfile(inputs.require("coverage.csv"), inputs.output("report/fig2b_coverage.csv"))
 
     # Fig 3 from the growth stage.
     aligned_class, _ = _load_labels(inputs, columns)
     points_by_class = _growth_points(inputs)
-    rep.emit_daily(out("fig3a_daily.csv"), columns.daily_counts_by_class(aligned_class))
-    rep.emit_growth_with_trend(out("fig3b_growth.csv"), points_by_class)
+    rep.emit_daily(inputs.output("report/fig3a_daily.csv"), columns.daily_counts_by_class(aligned_class))
+    rep.emit_growth_with_trend(inputs.output("report/fig3b_growth.csv"), points_by_class)
 
     # Fig 4 only when the fit stage ran.
     fit_included = os.path.exists(_path(config, FIT_FILE))
     if fit_included:
         with open(inputs.require(FIT_FILE), encoding="utf-8") as fh:
             fit_doc = json.load(fh)
-        rep.emit_fit_rates(out("fig4_rates.csv"), fit_doc, _empirical(points_by_class))
-        rep.emit_fit_r0(out("fig4_r0.csv"), fit_doc)
+        rep.emit_fit_rates(inputs.output("report/fig4_rates.csv"), fit_doc, _empirical(points_by_class))
+        rep.emit_fit_r0(inputs.output("report/fig4_r0.csv"), fit_doc)
 
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
-    rep.emit_size_curve(out("supp_size_curve.csv"), g, grid)
-    rep.emit_heterogeneity_summary(out("supp_heterogeneity.csv"), rep.strong_disorder_test(g, config.band_multiplier))
-    rep.emit_topology(os.path.join(out_dir, "supp_topology.json"), backbone, config.fit_range)
+    rep.emit_size_curve(inputs.output("report/supp_size_curve.csv"), g, grid)
+    rep.emit_heterogeneity_summary(inputs.output("report/supp_heterogeneity.csv"), rep.strong_disorder_test(g, config.band_multiplier))
+    rep.emit_topology(inputs.output("report/supp_topology.json"), backbone, config.fit_range)
     _, bot_rate, verification_rate = columns.flag_rates()
     # Every interned user is an endpoint of the unfiltered graph g.
     original, kept = np.ones(len(columns.users), dtype=bool), np.zeros(len(columns.users), dtype=bool)
     ids = columns.ids(backbone.labels)
     kept[ids[ids >= 0]] = True
-    rep.emit_flag_retention(out("supp_flag_retention.csv"), bot_rate, verification_rate, original, kept)
+    rep.emit_flag_retention(inputs.output("report/supp_flag_retention.csv"), bot_rate, verification_rate, original, kept)
 
-    for path in emitted:
-        rep.validate_table(path, schemas)
-    return f"report: {len(emitted) + 1} tables -> {out_dir}", {"n_tables": len(emitted) + 1, "fit_included": fit_included}
+    for path in inputs.written:
+        if path.endswith(".csv"):
+            rep.validate_table(path, schemas)
+    return f"report: {len(inputs.written)} tables -> {out_dir}", {"n_tables": len(inputs.written), "fit_included": fit_included}
 
 
 # -- entry point ------------------------------------------------------------------
@@ -844,35 +835,49 @@ def cmd_report(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
 # The flags every stage takes ahead of its own; `config` is the one that is
 # not a PipelineConfig key.
 _COMMON = ("out", "config", "seed", "threads", "range_start", "range_end")
-# Each stage's command, help line, and the PipelineConfig keys it takes as flags.
+class _Stage(NamedTuple):
+    """A stage's command, help line and flag keys, and the artifacts in --out it reads and writes (_If marks a conditional
+    one). events_cache/ goes with reading events.jsonl: any stage rewrites it on a cache miss, so no row declares it."""
+
+    command: Callable[[PipelineConfig, _Inputs], tuple[str, dict]]
+    help: str
+    keys: tuple[str, ...]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
 _STAGES = {
-    "ingest": (cmd_ingest, "parse, validate and label a raw event stream", ("events", "fmt", "strict")),
-    "synth": (
-        cmd_synth,
-        "generate a synthetic dataset with planted structure",
-        (
-            *(f"synth_aligned_{cls}" for cls in CONTENT_CLASSES),
-            "synth_swayable",
-            *(f"synth_events_{cls}" for cls in CONTENT_CLASSES),
-            "synth_purity",
-        ),
-    ),
-    "backbone": (cmd_backbone, "extract the disparity-filter backbone", ("alpha", "alpha_grid", "emit_significance")),
-    "diagnose": (
-        cmd_diagnose,
-        "heterogeneity, topology, and size-curve diagnostics",
-        ("alpha_grid", "band_multiplier", "fit_range"),
-    ),
-    "align": (cmd_align, "classify highly aligned users", ("theta", "theta_grid", "bins", "min_involvement", "unfiltered")),
-    "growth": (cmd_growth, "measure windowed follower growth", ("min_obs",)),
-    "simulate": (cmd_simulate, "simulate growth rates at fixed delta and R0", ("delta", "r0", "runs", "lookback")),
-    "fit": (
-        cmd_fit,
-        "fit delta and per-window R0 against empirical rates",
-        ("lookback", "tolerance", "runs", "r0_min", "r0_max", "r0_step"),
-    ),
-    "report": (cmd_report, "consolidated plot-ready bundle", ("alpha_grid", "band_multiplier", "fit_range")),
+    "ingest": _Stage(cmd_ingest, "parse, validate and label a raw event stream", ("events", "fmt", "strict"),
+                     reads=(), writes=(EVENTS_FILE, FLAGS_FILE, LOGS_FILE, _If(PARSE_ERRORS_FILE))),
+    "synth": _Stage(cmd_synth, "generate a synthetic dataset with planted structure",
+                    (*(f"synth_aligned_{cls}" for cls in CONTENT_CLASSES), "synth_swayable",
+                     *(f"synth_events_{cls}" for cls in CONTENT_CLASSES), "synth_purity"),
+                    reads=(), writes=(EVENTS_FILE, FLAGS_FILE, LOGS_FILE, TRUTH_FILE)),
+    "backbone": _Stage(cmd_backbone, "extract the disparity-filter backbone", ("alpha", "alpha_grid", "emit_significance"),
+                       reads=(EVENTS_FILE,), writes=(BACKBONE_FILE, _If("size_curve.csv"), _If("significance.csv"))),
+    "diagnose": _Stage(cmd_diagnose, "heterogeneity, topology, and size-curve diagnostics", ("alpha_grid", "band_multiplier", "fit_range"),
+                       reads=(EVENTS_FILE,),
+                       writes=("size_curve.csv", "heterogeneity.csv", "heterogeneity_buckets.csv", "topology.json", "gtb_overlap.csv")),
+    "align": _Stage(cmd_align, "classify highly aligned users", ("theta", "theta_grid", "bins", "min_involvement", "unfiltered"),
+                    reads=(EVENTS_FILE, _If(BACKBONE_FILE)), writes=(LABELS_FILE, "ternary.csv", "coverage.csv")),
+    "growth": _Stage(cmd_growth, "measure windowed follower growth", ("min_obs",),
+                     reads=(EVENTS_FILE, LABELS_FILE), writes=(GROWTH_FILE, "daily_counts.csv", "trend.csv")),
+    "simulate": _Stage(cmd_simulate, "simulate growth rates at fixed delta and R0", ("delta", "r0", "runs", "lookback"),
+                       reads=(EVENTS_FILE, LABELS_FILE), writes=("simulate.csv",)),
+    "fit": _Stage(cmd_fit, "fit delta and per-window R0 against empirical rates",
+                  ("lookback", "tolerance", "runs", "r0_min", "r0_max", "r0_step"),
+                  reads=(EVENTS_FILE, LABELS_FILE, GROWTH_FILE), writes=(FIT_FILE, "fig4_rates.csv", "fig4_r0.csv")),
+    "report": _Stage(cmd_report, "consolidated plot-ready bundle", ("alpha_grid", "band_multiplier", "fit_range"),
+                     reads=(EVENTS_FILE, BACKBONE_FILE, LABELS_FILE, GROWTH_FILE, "ternary.csv", "coverage.csv", _If(FIT_FILE)),
+                     writes=("report/fig1a_components.csv", "report/fig1b_retention.csv", "report/fig1c_temporal.csv",
+                             "report/fig2a_ternary.csv", "report/fig2b_coverage.csv", "report/fig3a_daily.csv", "report/fig3b_growth.csv",
+                             _If("report/fig4_rates.csv"), _If("report/fig4_r0.csv"), "report/supp_size_curve.csv",
+                             "report/supp_heterogeneity.csv", "report/supp_topology.json", "report/supp_flag_retention.csv")),
 }
+# The stages that write each artifact, named when a stage finds it missing.
+_PRODUCER = {name: " or ".join(s for s, row in _STAGES.items() if name in row.writes) for row in _STAGES.values() for name in row.writes}
+# Every file or directory that ingest or synth writes into --out, which each clears first.
+_EVENT_OUTPUTS = tuple(dict.fromkeys(name for s in ("ingest", "synth") for name in (*_STAGES[s].writes, CACHE_DIR, f"{s}_meta.json")))
 # A key's flags, where they are not `--` and the key with dashes.
 _FLAGS = {"fmt": ("--format",), "lookback": ("--lookback", "--n")}
 _HELP = {
@@ -891,9 +896,9 @@ def build_parser() -> argparse.ArgumentParser:
     converts it, and a bool key's flag takes no value."""
     parser = argparse.ArgumentParser(prog="swaynet", description=__doc__)
     sub = parser.add_subparsers(dest="stage", required=True)
-    for stage, (_, help_line, keys) in _STAGES.items():
-        p = sub.add_parser(stage, help=help_line)
-        for key in (*_COMMON, *keys):
+    for stage, row in _STAGES.items():
+        p = sub.add_parser(stage, help=row.help)
+        for key in (*_COMMON, *row.keys):
             kind = {"action": "store_const", "const": True} if _TYPES.get(key) == "bool" else {"choices": _CHOICES.get(key)}
             p.add_argument(*_flags(key), dest=key, help=_HELP.get(key), **kind)
     return parser
@@ -923,9 +928,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         config = _check(resolve_config(args))
         os.makedirs(config.out, exist_ok=True)
-        inputs = _Inputs(config)
-        summary, params = _STAGES[args.stage][0](config, inputs)
-        inputs.write_meta(args.stage, params)
+        inputs = _Inputs(config, args.stage)
+        summary, params = inputs.row.command(config, inputs)
+        inputs.write_meta(params)
         print(summary)
         return 0
     except ConfigError as exc:

@@ -500,7 +500,7 @@ class TestFlagValues:
 
     @pytest.mark.parametrize("stage", list(cli._STAGES))
     def test_flag_and_config_file_values_convert_alike(self, tmp_path, stage):
-        keys = [key for key in (*cli._COMMON, *cli._STAGES[stage][2]) if key != "config"]
+        keys = [key for key in (*cli._COMMON, *cli._STAGES[stage].keys) if key != "config"]
         text = {key: "2020-03-17" if key.startswith("range_") else self.SAMPLES[cli._TYPES[key]] for key in keys}
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in text.items()))
@@ -568,8 +568,22 @@ class TestDocumentedCommandLine:
     def test_readme_command_line_parses_and_validates(self, argv):
         assert validate_config(cli.resolve_config(cli.build_parser().parse_args(argv))) == []
 
+    def test_readme_outputs_table_is_the_stage_table(self):
+        with open(README, encoding="utf-8") as fh:
+            section = fh.read().partition("### Outputs")[2].partition("\n## ")[0]
+
+        def documented(cell):  # artifact -> whether the cell gives it a condition
+            return {name: bool(condition) for name, condition in re.findall(r"`([\w/]+\.\w+)`( \([^)]*\))?", cell)}
+
+        def declared(names):
+            return {name: isinstance(name, cli._If) for name in names}
+
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$", section, re.M)
+        documented_rows = {stage: (documented(reads), documented(writes)) for stage, reads, writes in rows}
+        assert documented_rows == {stage: (declared(row.reads), declared(row.writes)) for stage, row in cli._STAGES.items()}
+
     def test_keys_no_flag_sets_are_the_documented_config_only_keys(self):
-        flagged = set(cli._COMMON).union(*(keys for _, _, keys in cli._STAGES.values()))
+        flagged = set(cli._COMMON).union(*(row.keys for row in cli._STAGES.values()))
         assert {f.name for f in fields(PipelineConfig)} - flagged == CONFIG_ONLY_KEYS
         with open(README, encoding="utf-8") as fh:
             section = fh.read().partition("### Configuration")[2].partition("\n### ")[0]
@@ -716,7 +730,7 @@ class TestPipeline:
             ["simulate", "--out", str(tmp_path), "--delta", "0.05", "--r0", "2.0", "--runs", "10", "--seed", "9"]
         ) == 0
         config = PipelineConfig(out=str(tmp_path), seed=9, runs=10)
-        inputs = cli._Inputs(config)
+        inputs = cli._Inputs(config, "simulate")
         columns = inputs.columns()
         setups = cli._build_setups(config, columns, cli._load_labels(inputs, columns)[0])
         grid = FitConfig().r0_grid()
@@ -740,7 +754,7 @@ class TestPipeline:
             ["simulate", "--out", str(tmp_path), "--delta", str(delta), "--r0", str(r0), "--runs", str(runs), "--seed", str(seed)]
         ) == 0
         config = PipelineConfig(out=str(tmp_path), seed=seed, runs=runs)
-        inputs = cli._Inputs(config)
+        inputs = cli._Inputs(config, "simulate")
         columns = inputs.columns()
         setups = cli._build_setups(config, columns, cli._load_labels(inputs, columns)[0])
         with open(tmp_path / "simulate.csv", newline="") as fh:
@@ -774,11 +788,14 @@ EVENTS, BACKBONE, LABELS, GROWTH = "events.jsonl", "backbone.bin", "alignment_la
 STAGE_INPUT_ROWS = [
     ("synth", synth_args("{out}")[3:], set()),
     ("ingest-in-place", ["--events", "{out}/events.jsonl"], {EVENTS}),
+    ("ingest-bad-line", ["--events", "{out}/bad_line.jsonl"], {"bad_line.jsonl"}),
     ("backbone", ["--alpha", "0.05"], {EVENTS}),
+    ("backbone-grid", ["--alpha", "0.05", "--alpha-grid", "0.01,0.05", "--emit-significance"], {EVENTS}),
     ("diagnose", [], {EVENTS}),
     ("align-unfiltered", ["--unfiltered"], {EVENTS}),
     ("align", [], {EVENTS, BACKBONE}),
     ("growth", [], {EVENTS, LABELS}),
+    ("growth-cache-miss", [], {EVENTS, LABELS}),
     ("simulate", ["--delta", "0.05", "--r0", "1.5", "--runs", "5"], {EVENTS, LABELS}),
     ("report-without-fit", [], {EVENTS, BACKBONE, LABELS, GROWTH, "ternary.csv", "coverage.csv"}),
     ("fit", ["--runs", "5"], {EVENTS, LABELS, GROWTH}),
@@ -791,17 +808,49 @@ def sha256_of(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+# What a row needs done to the tree before it runs, beyond what the rows ahead of it did.
+PREPARE = {
+    "ingest-bad-line": lambda out: (out / "bad_line.jsonl").write_bytes((out / EVENTS).read_bytes() + b"not json\n"),
+    "growth-cache-miss": lambda out: shutil.rmtree(out / "events_cache"),
+}
+# The conditional reads and writes in its stage's row that apply to a row id; the others apply to none.
+APPLIES = {
+    "ingest-bad-line": {"parse_errors.csv"},
+    "backbone-grid": {"size_curve.csv", "significance.csv"},
+    "align": {BACKBONE},
+    "report": {"fit.json", "report/fig4_rates.csv", "report/fig4_r0.csv"},
+}
+
+
+def tree_state(root):
+    """Every file under root, by its path relative to root, as (size, st_mtime_ns, SHA-256)."""
+    files = (p for p in sorted(root.rglob("*")) if p.is_file())
+    return {p.relative_to(root).as_posix(): (p.stat().st_size, p.stat().st_mtime_ns, sha256_of(p)) for p in files}
+
+
 @pytest.fixture(scope="module")
-def stage_metas(tmp_path_factory):
-    """Row id -> (the stage's meta, the SHA-256 of every file in the tree) just after the row ran."""
+def stage_runs(tmp_path_factory):
+    """Row id -> (the stage's meta, the state of the whole tree before the row ran, and after)."""
     out = tmp_path_factory.mktemp("stage_inputs")
     seen = {}
     for row, args, _ in STAGE_INPUT_ROWS:
         stage = row.split("-")[0]
+        if row in PREPARE:
+            PREPARE[row](out)
+        before = tree_state(out)
         assert run([stage, "--out", str(out), *(a.format(out=out) for a in args)]) == 0, row
         meta = json.loads((out / f"{stage}_meta.json").read_text())
-        seen[row] = meta, {p.name: sha256_of(p) for p in out.iterdir() if p.is_file()}
+        seen[row] = meta, before, tree_state(out)
     return seen
+
+
+@pytest.fixture(scope="module")
+def stage_metas(stage_runs):
+    """Row id -> (the stage's meta, the SHA-256 of every file in the tree) just after the row ran."""
+    return {
+        row: (meta, {path: sha256 for path, (_, _, sha256) in after.items() if "/" not in path})
+        for row, (meta, _, after) in stage_runs.items()
+    }
 
 
 class TestStageInputs:
@@ -810,6 +859,49 @@ class TestStageInputs:
         meta, digests = stage_metas[row]
         assert set(meta["inputs"]) == expected
         assert meta["inputs"] == {name: digests[name] for name in expected}
+
+    @pytest.mark.parametrize("row,args", [pytest.param(row, args, id=row) for row, args, _ in STAGE_INPUT_ROWS])
+    def test_stage_touches_exactly_what_its_row_declares(self, stage_runs, row, args):
+        stage = row.split("-")[0]
+        declared, applies = cli._STAGES[stage], APPLIES.get(row, set())
+
+        def applying(names):
+            return {name for name in names if not isinstance(name, cli._If) or name in applies}
+
+        meta, before, after = stage_runs[row]
+        changed = {path for path, state in after.items() if before.get(path) != state}  # created or rewritten
+        removed = set(before) - set(after)
+        cache = {path for path in changed | removed if path.startswith("events_cache/")}
+        writes = applying(declared.writes) | {f"{stage}_meta.json"}
+        if row == "ingest-in-place":
+            writes.remove(EVENTS)  # --events is --out's own events.jsonl, which ingest leaves as it is
+        assert changed - cache == writes
+        # The cache goes with events.jsonl: written by what writes events.jsonl, and by a stage that misses it.
+        assert bool(cache) == (EVENTS in declared.writes or row == "growth-cache-miss")
+        assert removed - cache <= (set(cli._EVENT_OUTPUTS) if EVENTS in declared.writes else set())
+        events_input = {os.path.basename(args[1])} if stage == "ingest" else set()  # --events, outside the row
+        assert set(meta["inputs"]) == applying(declared.reads) | events_input
+
+    def test_undeclared_read_or_write_is_refused(self, tmp_path):
+        inputs = cli._Inputs(PipelineConfig(out=str(tmp_path)), "growth")
+        with pytest.raises(LookupError, match="`growth` stage declares no input fit.json"):
+            inputs.require("fit.json")
+        with pytest.raises(LookupError, match="`growth` stage declares no output fit.json"):
+            inputs.output("fit.json")
+        assert inputs.digests == {} and inputs.written == []
+
+    def test_clear_set_is_what_ingest_and_synth_write(self):
+        assert set(cli._EVENT_OUTPUTS) == {
+            EVENTS,
+            "events_cache",
+            "follower_logs.csv",
+            "flag_rates.csv",
+            "truth.json",
+            "parse_errors.csv",
+            "ingest_meta.json",
+            "synth_meta.json",
+        }
+        assert cli._PRODUCER[EVENTS] == "ingest or synth"
 
     @pytest.mark.parametrize("stage", ["backbone", "align", "growth", "fit", "report"])
     def test_each_input_is_hashed_once(self, backbone_tree, tmp_path, monkeypatch, stage):
@@ -1085,6 +1177,7 @@ class TestBackbonePairMask:
         from swaynet.cli import _backbone_pair_mask
 
         rng = np.random.default_rng(41)
+        ends = [0, 0]  # cases with every backbone code below, and above, the events' codes
         for _ in range(30):
             users = [f"u{i}" for i in range(int(rng.integers(2, 15)))]
             events = [
@@ -1099,10 +1192,22 @@ class TestBackbonePairMask:
                 digraph_of([(s, d, w) for s, d, w in g.edges() if rng.random() < 0.5] + [("ghost", users[0], 1), (users[1], "ghost2", 2)]),
                 digraph_of([("ghost", "ghost2", 1)]),
             ]
+            # Backbones whose every pair code lies below, or above, every event's:
+            # each search lands past one end of the codes and is clamped there.
+            n, labels = len(columns.users), columns.users
+            pairs = columns.src.astype(np.int64) * n + columns.dst
+            outside = [range(pairs.min()), range(pairs.max() + 1, n * n)]
+            for side, codes in enumerate(outside):
+                if len(codes):
+                    backbones.append(digraph_of([(labels[c // n], labels[c % n], 1) for c in codes]))
+                    ends[side] += 1
             for backbone in backbones:
                 assert np.array_equal(_backbone_pair_mask(columns, backbone), backbone_pair_mask_by_search(columns, backbone))
+            for backbone in backbones[4:]:
+                assert not _backbone_pair_mask(columns, backbone).any()
             assert not _backbone_pair_mask(columns, backbones[1]).any()
             assert _backbone_pair_mask(columns, g).all()
+        assert min(ends) > 0, ends
 
 
 class TestReportBackboneLabels:
@@ -1110,7 +1215,7 @@ class TestReportBackboneLabels:
         from swaynet.cli import _Inputs
 
         run_pipeline(tmp_path, with_fit=False)
-        last = _Inputs(PipelineConfig(out=str(tmp_path))).columns().users[-1]
+        last = _Inputs(PipelineConfig(out=str(tmp_path)), "report").columns().users[-1]
         edges = [e for e in load_binary(str(tmp_path / "backbone.bin")).edges() if last not in e[:2]]
         save_binary(digraph_of(edges), str(tmp_path / "backbone.bin"))
         assert run(["report", "--out", str(tmp_path)]) == 0

@@ -404,14 +404,18 @@ def render(rec, spaced, newline):
 
 @st.composite
 def event_lines(draw):
-    """JSON Lines mostly of valid records, with every kind of line the parser rejects or skips."""
-    lines = []
+    """JSON Lines mostly of valid records, with every kind of line the parser rejects or skips.
+    The records share one style, spaced or compact, and one key order, drawn or the wire order,
+    so the byte tier can take a chunk of them ahead of a line it refuses."""
+    lines, spaced, wire = [], draw(st.booleans()), draw(st.booleans())
     for _ in range(draw(st.integers(0, 24))):
         kind = draw(st.sampled_from(["good"] * 12 + ["odd"] * 3 + ["tail", "blank", "junk", "split"]))
         newline = draw(st.booleans()) or kind == "split"
         if kind in ("good", "odd"):
             rec = draw(GOOD_RECORD if kind == "good" else odd_record())
-            lines.append(render(rec, draw(st.booleans()), newline))
+            if wire:
+                rec = {field: rec[field] for field in events_module.EVENT_FIELDS if field in rec}
+            lines.append(render(rec, spaced, newline))
         elif kind == "tail":  # a record with something after its closing brace
             tail = draw(st.sampled_from([",0", ' ,"s"', ",{}", " ", "x", "}"]))
             lines.append(render(draw(GOOD_RECORD), False, False) + tail + ("\n" if newline else ""))

@@ -141,7 +141,7 @@ def test_traced_fit_counts_one_graph_per_window_and_class(tmp_path):
     assert run(["growth", "--out", out]) == 0
     calls, counters = traced_run(tmp_path, "fit", "--out", out, "--runs", "5")
     config = PipelineConfig(out=out)
-    columns = _Inputs(config).columns()
+    columns = _Inputs(config, "fit").columns()
     graphs = [
         columns.build_graph(columns.event_mask((window.start - 30 * DAY, window.start), cls))
         for window in _fit_windows(config, columns)
