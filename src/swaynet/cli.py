@@ -20,11 +20,11 @@ import math
 import os
 import shutil
 import sys
-from collections.abc import Callable
-from contextlib import contextmanager
+from collections.abc import Callable, Iterator
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import NamedTuple
+from typing import IO, NamedTuple, TextIO
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .sir import (
     sample_rho,
     temporal_network,
 )
-from .store import EventColumns, Sha256Writer, file_sha256, load_or_parse
+from .store import EventColumns, Sha256Writer, _replacing, file_sha256, load_or_parse
 from .synth import SynthConfig, synthesize
 
 EVENTS_FILE = "events.jsonl"
@@ -308,8 +308,10 @@ class _If(str):
 
 class _Inputs:
     """The artifacts in --out that one stage reads and writes. A stage gets
-    each path only from here, and only for a name its `_STAGES` row declares,
-    so the meta records exactly what the stage read."""
+    each path it reads and each file it writes only from here, and only for a
+    name its `_STAGES` row declares, so the meta records exactly what the
+    stage read. Every output and the meta are written through
+    `store._replacing`: a write that fails leaves the old file as it was."""
 
     def __init__(self, config: PipelineConfig, stage: str):
         self.config, self.stage, self.row = config, stage, _STAGES[stage]
@@ -328,17 +330,29 @@ class _Inputs:
         self.digests.setdefault(path, None)
         return path
 
-    def output(self, name: str) -> str:
+    def output(self, name: str, binary: bool = False) -> AbstractContextManager[IO]:
+        """An output opened for writing: UTF-8 text with no newline translation, or bytes."""
         self.written.append(path := self._declared(name, self.row.writes, "output"))
-        return path
+        return _replacing(path) if binary else _replacing(path, "w", newline="", encoding="utf-8")
 
     @contextmanager
-    def table(self, name: str, header: list[str]):
-        """A CSV writer on an output, its header row written."""
-        with open(self.output(name), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            yield w
+    def table(self, name: str) -> Iterator[TextIO]:
+        """A CSV output, its header row, from its schemas.json entry, written."""
+        with self.output(name) as fh:
+            csv.writer(fh).writerow(rep.load_schemas()[os.path.basename(name)]["columns"])
+            yield fh
+
+    def emit(self, name: str, emitter: Callable[..., None], *args) -> None:
+        """`emitter(handle, *args)` on output `name`: a CSV table, its header row written, or a JSON document."""
+        with self.table(name) if name.endswith(".csv") else self.output(name) as fh:
+            emitter(fh, *args)
+
+    def remove_stale(self) -> None:
+        """Remove each conditional output of the row that this run did not write, unless another stage writes it too."""
+        for name in self.row.writes:
+            path = _path(self.config, name)
+            if isinstance(name, _If) and _PRODUCER[name] == self.stage and path not in self.written and os.path.exists(path):
+                os.remove(path)
 
     def columns(self) -> EventColumns:
         """The event columns; events.jsonl is hashed once, for the cache check and the meta."""
@@ -356,7 +370,7 @@ class _Inputs:
         """Inputs not hashed yet are hashed now."""
         inputs = {os.path.basename(p): d or file_sha256(p) for p, d in self.digests.items() if os.path.isfile(p)}
         meta = {"stage": self.stage, "seed": self.config.seed, "params": params, "inputs": inputs}
-        with open(_path(self.config, f"{self.stage}_meta.json"), "w", encoding="utf-8") as fh:
+        with _replacing(_path(self.config, f"{self.stage}_meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
 
 
@@ -391,13 +405,13 @@ def _write_events(inputs: _Inputs, columns: EventColumns, digest: str | None = N
     table never sits beside the columns and follower_logs.csv is written from
     the mapped table."""
     if digest is None:
-        with open(inputs.output(EVENTS_FILE), "wb") as fh:
+        with inputs.output(EVENTS_FILE, binary=True) as fh:
             write_events_jsonl(columns, sink := Sha256Writer(fh))
         digest = sink.hexdigest()
-    with open(inputs.output(FLAGS_FILE), "w", newline="", encoding="utf-8") as fh:
+    with inputs.table(FLAGS_FILE) as fh:
         write_flag_rates_csv(columns, fh)
     columns.save(_path(inputs.config, CACHE_DIR), digest)
-    with open(inputs.output(LOGS_FILE), "w", newline="", encoding="utf-8") as fh:
+    with inputs.table(LOGS_FILE) as fh:
         write_follower_logs_csv(columns.follower_logs(), fh)
     return digest
 
@@ -473,17 +487,16 @@ def cmd_ingest(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         # Input that write_events_jsonl would give back byte for byte is copied
         # from the open file, the one parsed and hashed, or left if that file is
         # --out's own events.jsonl, the one file the clearing kept.
-        digest, path = reader.hexdigest(), inputs.output(EVENTS_FILE)
+        digest, path = reader.hexdigest(), _path(config, EVENTS_FILE)
         copyable = bool(reader.canonical) and fh.seekable()  # a pipe cannot be read again
         in_place = os.path.exists(path) and os.path.samestat(os.fstat(fh.fileno()), os.stat(path))
         if copyable and not in_place:
             fh.seek(0)
-            with open(path, "wb") as out:
+            with inputs.output(EVENTS_FILE, binary=True) as out:
                 shutil.copyfileobj(fh, out)
     if errors:
-        with inputs.table(PARSE_ERRORS_FILE, ["line_no", "message"]) as w:
-            for err in errors:
-                w.writerow([err.line_no, err.message])
+        with inputs.table(PARSE_ERRORS_FILE) as out:
+            csv.writer(out).writerows([err.line_no, err.message] for err in errors)
         if config.strict:
             raise InvalidEvents(f"{len(errors)} invalid lines (see {PARSE_ERRORS_FILE})")
     params = {
@@ -530,7 +543,7 @@ def cmd_synth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         "purity": synth_config.purity,
     }
     _write_events(inputs, columns)
-    with open(inputs.output(TRUTH_FILE), "w", encoding="utf-8") as fh:
+    with inputs.output(TRUTH_FILE) as fh:
         json.dump(truth, fh, sort_keys=True, indent=1)
     return f"synth: {len(columns)} events, {n_users} users, seed {config.seed} -> {config.out}", params
 
@@ -544,7 +557,8 @@ def cmd_backbone(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     columns = inputs.columns()
     g = columns.build_graph(columns.event_mask(_time_range(config)))
     filtered = disparity_filter(g, config.alpha)
-    save_binary(filtered, inputs.output(BACKBONE_FILE))
+    with inputs.output(BACKBONE_FILE, binary=True) as fh:
+        save_binary(filtered, fh)
     params = {
         "alpha": config.alpha,
         "original": {"nodes": g.n_nodes, "edges": g.n_edges, "weight": g.total_weight},
@@ -556,11 +570,11 @@ def cmd_backbone(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         },
     }
     if config.alpha_grid:
-        rep.emit_size_curve(inputs.output("size_curve.csv"), g, config.alpha_grid)
+        inputs.emit("size_curve.csv", rep.emit_size_curve, g, config.alpha_grid)
     if config.emit_significance:
-        with inputs.table("significance.csv", ["src", "dst", "weight", "p_out", "p_in", "alpha_out", "alpha_in", "alpha"]) as w:
+        with inputs.table("significance.csv") as fh:
             values = [a.tolist() for a in significance_arrays(g)]
-            w.writerows([s, d, weight] + [f"{x:.10g}" for x in xs] for (s, d, weight), *xs in zip(g.edges(), *values))
+            csv.writer(fh).writerows([s, d, weight] + [f"{x:.10g}" for x in xs] for (s, d, weight), *xs in zip(g.edges(), *values))
     return (
         f"backbone: alpha={config.alpha} kept {filtered.n_nodes}/{g.n_nodes} nodes, "
         f"{filtered.n_edges}/{g.n_edges} edges, {filtered.total_weight}/{g.total_weight} weight"
@@ -572,19 +586,19 @@ def cmd_diagnose(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     if g.n_nodes == 0:  # checked before any output: there is no topology to report
         raise InvalidEvents(f"{EVENTS_FILE} holds no events, so the graph is empty; run `ingest` or `synth` on events")
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
-    rep.emit_size_curve(inputs.output("size_curve.csv"), g, grid)
+    inputs.emit("size_curve.csv", rep.emit_size_curve, g, grid)
     disorder = strong_disorder_test(g, config.band_multiplier)
-    with inputs.table("heterogeneity.csv", ["node", "direction", "k", "upsilon", "null_mean", "null_std", "flagged"]) as w:
+    with inputs.table("heterogeneity.csv") as fh:
         labels = g.labels
         fields = (disorder.node, disorder.direction, disorder.k, disorder.upsilon, disorder.null_mean, disorder.null_std, disorder.flagged)
-        w.writerows(
+        csv.writer(fh).writerows(
             [labels[i], direction, k, f"{ups:.8g}", f"{mu:.8g}", f"{sigma:.8g}", int(flagged)]
             for i, direction, k, ups, mu, sigma, flagged in zip(*(a.tolist() for a in fields))
         )
-    rep.emit_heterogeneity_summary(inputs.output("heterogeneity_buckets.csv"), disorder)
-    rep.emit_topology(inputs.output("topology.json"), g, config.fit_range)
-    with inputs.table("gtb_overlap.csv", ["alpha", "weight_quantile", "w_min", "gtb_edges", "overlap_fraction"]) as w:
-        weights = g.edge_weight
+    inputs.emit("heterogeneity_buckets.csv", rep.emit_heterogeneity_summary, disorder)
+    inputs.emit("topology.json", rep.emit_topology, g, config.fit_range)
+    with inputs.table("gtb_overlap.csv") as fh:
+        w, weights = csv.writer(fh), g.edge_weight
         _, _, _, _, alpha = significance_arrays(g)
         for level in grid:
             in_backbone = alpha < level  # the disparity filter's rule
@@ -615,17 +629,17 @@ def cmd_align(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     involved = np.flatnonzero(total > 0)
     names = (*CONTENT_CLASSES, UNALIGNED)  # label -1 picks the last
     theta = f"{config.theta:.4f}"
-    with inputs.table(LABELS_FILE, ["user", "label", "theta", "prop_factual", "prop_misleading", "prop_uncertain", "total"]) as w:
+    with inputs.table(LABELS_FILE) as fh:
         users = [columns.users[u] for u in involved.tolist()]
         rows = sorted(zip(users, labels[involved].tolist(), props[involved].tolist(), total[involved].tolist()))
-        w.writerows([user, names[label], theta] + [f"{p:.6f}" for p in prop] + [n] for user, label, prop, n in rows)
-    rep.emit_ternary(inputs.output("ternary.csv"), ternary_histogram(involvement[involved], config.bins))
+        csv.writer(fh).writerows([user, names[label], theta] + [f"{p:.6f}" for p in prop] + [n] for user, label, prop, n in rows)
+    inputs.emit("ternary.csv", rep.emit_ternary, ternary_histogram(involvement[involved], config.bins))
     curves = {}
     for c, cls in enumerate(CONTENT_CLASSES):
         in_class = cls_idx == c
         if in_class.any():
             curves[cls] = coverage_curve(props[:, c], src[in_class], dst[in_class], config.theta_grid)
-    rep.emit_coverage(inputs.output("coverage.csv"), curves)
+    inputs.emit("coverage.csv", rep.emit_coverage, curves)
     counts = {cls: int(np.count_nonzero(labels == c)) for c, cls in enumerate(CONTENT_CLASSES)}
     params = {"theta": config.theta, "unfiltered": config.unfiltered, "bins": config.bins, "aligned_counts": counts}
     return f"align: theta={config.theta} -> {sum(counts.values())} aligned users {counts}", params
@@ -641,23 +655,24 @@ def cmd_growth(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     for c, cls in enumerate(CONTENT_CLASSES):
         aligned = np.flatnonzero(aligned_class == c)
         points_by_class[cls] = [window_growth_rate(table, aligned, win, cls, config.min_obs) for win in windows]
-    with inputs.table(GROWTH_FILE, ["window_start", "window_end", "partial", "class", "rate", "n_active", "f_first", "f_last"]) as w:
-        for cls in CONTENT_CLASSES:
-            for p in points_by_class[cls]:
-                w.writerow(
-                    [
-                        p.window.start,
-                        p.window.end,
-                        int(p.window.partial),
-                        cls,
-                        "" if p.rate is None else f"{p.rate:.8f}",
-                        p.n_active,
-                        p.f_first,
-                        p.f_last,
-                    ]
-                )
-    rep.emit_daily(inputs.output("daily_counts.csv"), columns.daily_counts_by_class(aligned_class))
-    with inputs.table("trend.csv", ["window_start", "class", "trend", "polynomial_applied"]) as w:
+    with inputs.table(GROWTH_FILE) as fh:
+        csv.writer(fh).writerows(
+            [
+                p.window.start,
+                p.window.end,
+                int(p.window.partial),
+                cls,
+                "" if p.rate is None else f"{p.rate:.8f}",
+                p.n_active,
+                p.f_first,
+                p.f_last,
+            ]
+            for cls in CONTENT_CLASSES
+            for p in points_by_class[cls]
+        )
+    inputs.emit("daily_counts.csv", rep.emit_daily, columns.daily_counts_by_class(aligned_class))
+    with inputs.table("trend.csv") as fh:
+        w = csv.writer(fh)
         for cls in CONTENT_CLASSES:
             defined = [p for p in points_by_class[cls] if p.rate is not None]
             if not defined:
@@ -707,7 +722,8 @@ def cmd_simulate(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
         raise ConfigError("delta/r0: both are required for simulate")
     columns = inputs.columns()
     setups = _build_setups(config, columns, _load_labels(inputs, columns)[0])
-    with inputs.table("simulate.csv", ["window_start", "class", "delta", "r0", "r_hat_mean", "r_hat_std", "n_aligned", "n_swayable"]) as w:
+    with inputs.table("simulate.csv") as fh:
+        w = csv.writer(fh)
         for w_start in sorted(setups):
             for cls in CONTENT_CLASSES:
                 setup = setups[w_start][cls]
@@ -759,10 +775,10 @@ def cmd_fit(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
     )
     result = fit_parameters(setups, empirical, fit_config, threads=config.threads)
     doc = result.to_json_dict()
-    with open(inputs.output(FIT_FILE), "w", encoding="utf-8") as fh:
+    with inputs.output(FIT_FILE) as fh:
         rep.dump_json(doc, fh)
-    rep.emit_fit_rates(inputs.output("fig4_rates.csv"), doc, empirical)
-    rep.emit_fit_r0(inputs.output("fig4_r0.csv"), doc)
+    inputs.emit("fig4_rates.csv", rep.emit_fit_rates, doc, empirical)
+    inputs.emit("fig4_r0.csv", rep.emit_fit_r0, doc)
     params = {
         "delta": result.delta,
         "objective": result.objective,
@@ -790,38 +806,39 @@ def cmd_report(config: PipelineConfig, inputs: _Inputs) -> tuple[str, dict]:
 
     g = columns.build_graph()
     retained = _backbone_pair_mask(columns, backbone)
-    rep.emit_components(inputs.output("report/fig1a_components.csv"), g, backbone)
-    rep.emit_retention(inputs.output("report/fig1b_retention.csv"), columns, retained)
-    rep.emit_temporal(inputs.output("report/fig1c_temporal.csv"), columns, retained)
+    inputs.emit("report/fig1a_components.csv", rep.emit_components, g, backbone)
+    inputs.emit("report/fig1b_retention.csv", rep.emit_retention, columns, retained)
+    inputs.emit("report/fig1c_temporal.csv", rep.emit_temporal, columns, retained)
 
     # Fig 2: byte copies of the align stage's tables.
-    shutil.copyfile(inputs.require("ternary.csv"), inputs.output("report/fig2a_ternary.csv"))
-    shutil.copyfile(inputs.require("coverage.csv"), inputs.output("report/fig2b_coverage.csv"))
+    for source, copy in (("ternary.csv", "report/fig2a_ternary.csv"), ("coverage.csv", "report/fig2b_coverage.csv")):
+        with open(inputs.require(source), "rb") as fh, inputs.output(copy, binary=True) as out:
+            shutil.copyfileobj(fh, out)
 
     # Fig 3 from the growth stage.
     aligned_class, _ = _load_labels(inputs, columns)
     points_by_class = _growth_points(inputs)
-    rep.emit_daily(inputs.output("report/fig3a_daily.csv"), columns.daily_counts_by_class(aligned_class))
-    rep.emit_growth_with_trend(inputs.output("report/fig3b_growth.csv"), points_by_class)
+    inputs.emit("report/fig3a_daily.csv", rep.emit_daily, columns.daily_counts_by_class(aligned_class))
+    inputs.emit("report/fig3b_growth.csv", rep.emit_growth_with_trend, points_by_class)
 
     # Fig 4 only when the fit stage ran.
     fit_included = os.path.exists(_path(config, FIT_FILE))
     if fit_included:
         with open(inputs.require(FIT_FILE), encoding="utf-8") as fh:
             fit_doc = json.load(fh)
-        rep.emit_fit_rates(inputs.output("report/fig4_rates.csv"), fit_doc, _empirical(points_by_class))
-        rep.emit_fit_r0(inputs.output("report/fig4_r0.csv"), fit_doc)
+        inputs.emit("report/fig4_rates.csv", rep.emit_fit_rates, fit_doc, _empirical(points_by_class))
+        inputs.emit("report/fig4_r0.csv", rep.emit_fit_r0, fit_doc)
 
     grid = config.alpha_grid or DEFAULT_ALPHA_GRID
-    rep.emit_size_curve(inputs.output("report/supp_size_curve.csv"), g, grid)
-    rep.emit_heterogeneity_summary(inputs.output("report/supp_heterogeneity.csv"), rep.strong_disorder_test(g, config.band_multiplier))
-    rep.emit_topology(inputs.output("report/supp_topology.json"), backbone, config.fit_range)
+    inputs.emit("report/supp_size_curve.csv", rep.emit_size_curve, g, grid)
+    inputs.emit("report/supp_heterogeneity.csv", rep.emit_heterogeneity_summary, rep.strong_disorder_test(g, config.band_multiplier))
+    inputs.emit("report/supp_topology.json", rep.emit_topology, backbone, config.fit_range)
     _, bot_rate, verification_rate = columns.flag_rates()
     # Every interned user is an endpoint of the unfiltered graph g.
     original, kept = np.ones(len(columns.users), dtype=bool), np.zeros(len(columns.users), dtype=bool)
     ids = columns.ids(backbone.labels)
     kept[ids[ids >= 0]] = True
-    rep.emit_flag_retention(inputs.output("report/supp_flag_retention.csv"), bot_rate, verification_rate, original, kept)
+    inputs.emit("report/supp_flag_retention.csv", rep.emit_flag_retention, bot_rate, verification_rate, original, kept)
 
     for path in inputs.written:
         if path.endswith(".csv"):
@@ -930,6 +947,7 @@ def run(argv: list[str] | None = None) -> int:
         os.makedirs(config.out, exist_ok=True)
         inputs = _Inputs(config, args.stage)
         summary, params = inputs.row.command(config, inputs)
+        inputs.remove_stale()
         inputs.write_meta(params)
         print(summary)
         return 0

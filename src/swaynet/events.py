@@ -682,12 +682,13 @@ def write_events_jsonl(columns: EventColumns, handle: TextIO) -> int:
 
 
 def write_follower_logs_csv(table: FollowerSnapshots, handle: TextIO) -> None:
-    """One row per observation, users in label order, each user's rows by time.
+    """One row per observation, users in label order, each user's rows by time,
+    after the header row the handle already holds.
 
     The bytes equal csv.writer's: csv.writer quotes each label once, as a
     field that is not alone in its row, and rows are formatted a chunk at a time.
     """
-    order = np.array(sorted(range(len(table.users)), key=table.users.__getitem__), dtype=np.int64)
+    order = table.label_order
     lengths = np.diff(table.ptr)[order]
     ends = np.cumsum(lengths)  # output rows up to and including each user's block
     # Output row i inside a user's block reads table row i + ptr[user] - block start.
@@ -695,7 +696,6 @@ def write_follower_logs_csv(table: FollowerSnapshots, handle: TextIO) -> None:
     lines: list[str] = []
     csv.writer(SimpleNamespace(write=lines.append)).writerows((u, "") for u in table.users)
     labels = [line[:-3] for line in lines]  # drop the empty last field and ",\r\n"
-    handle.write("user,timestamp,followers\r\n")
     for lo in range(0, len(table.ts), _WRITE_CHUNK):  # index arrays a chunk long, never table-long
         out = np.arange(lo, min(lo + _WRITE_CHUNK, len(table.ts)))
         block = np.searchsorted(ends, out, side="right")
@@ -705,11 +705,8 @@ def write_follower_logs_csv(table: FollowerSnapshots, handle: TextIO) -> None:
 
 
 def write_flag_rates_csv(columns: EventColumns, handle: TextIO) -> None:
-    """One row per user, in label order, from `EventColumns.flag_rates`."""
+    """One row per user, in label order, from `EventColumns.flag_rates`, after
+    the header row the handle already holds."""
     n, bot, ver = (a.tolist() for a in columns.flag_rates())
-    writer = csv.writer(handle)
-    writer.writerow(["user", "bot_rate", "verification_rate", "n_observations"])
     users = columns.users
-    writer.writerows(
-        [users[i], f"{bot[i]:.6f}", f"{ver[i]:.6f}", n[i]] for i in sorted(range(len(users)), key=users.__getitem__)
-    )
+    csv.writer(handle).writerows([users[i], f"{bot[i]:.6f}", f"{ver[i]:.6f}", n[i]] for i in columns.label_order.tolist())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -196,22 +196,21 @@ def _closure(g: WeightedDigraph, starts: np.ndarray, role: str, ptr: np.ndarray,
 # -- serialization ----------------------------------------------------------
 
 
-def save_binary(g: WeightedDigraph, path: str) -> None:
-    """Binary edge list: header (counts, version), node table, edge triples."""
+def save_binary(g: WeightedDigraph, fh: BinaryIO) -> None:
+    """Binary edge list on an open handle: header (counts, version), node table, edge triples."""
     if g.n_nodes >= 1 << 32:
         raise ValueError("binary format limited to < 2^32 nodes")
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<HQQ", _BINARY_VERSION, g.n_nodes, g.n_edges))
-        for label in g.labels:
-            data = label.encode("utf-8")
-            if len(data) >= 1 << 16:
-                raise ValueError(f"node label too long: {label[:32]!r}...")
-            fh.write(struct.pack("<H", len(data)))
-            fh.write(data)
-        fh.write(g.edge_src.astype("<u4").tobytes())
-        fh.write(g.edge_dst.astype("<u4").tobytes())
-        fh.write(g.edge_weight.astype("<u8").tobytes())
+    fh.write(_BINARY_MAGIC)
+    fh.write(struct.pack("<HQQ", _BINARY_VERSION, g.n_nodes, g.n_edges))
+    for label in g.labels:
+        data = label.encode("utf-8")
+        if len(data) >= 1 << 16:
+            raise ValueError(f"node label too long: {label[:32]!r}...")
+        fh.write(struct.pack("<H", len(data)))
+        fh.write(data)
+    fh.write(g.edge_src.astype("<u4").tobytes())
+    fh.write(g.edge_dst.astype("<u4").tobytes())
+    fh.write(g.edge_weight.astype("<u8").tobytes())
 
 
 def load_binary(path: str) -> WeightedDigraph:

@@ -1,7 +1,9 @@
 """Plot-ready data bundles mirroring the analysis figures.
 
-Each emitter writes one CSV/JSON table; the consolidated report validates
-every emitted table against the shipped schemas file. No rendering happens
+Each CSV emitter writes the rows of one table to an open handle that
+already holds the table's header row, spelled once in the shipped schemas
+file; `emit_topology` writes one JSON document. The consolidated report
+validates every emitted table against that file. No rendering happens
 here: plotting is left to the user's tooling.
 """
 
@@ -11,7 +13,7 @@ import csv
 import json
 import math
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .store import EventColumns, day_counts
 
 
 def load_schemas() -> dict:
+    """schemas.json: each CSV table's columns and description, keyed by basename."""
     with resources.files("swaynet").joinpath("schemas.json").open(encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -85,162 +88,127 @@ def _json_key(key) -> str:
     return json.encoder.encode_basestring_ascii(key if isinstance(key, str) else _json_text(key, ""))
 
 
-def _writer(path: str):
-    fh = open(path, "w", newline="", encoding="utf-8")
-    return fh, csv.writer(fh)
+def emit_components(fh: TextIO, original: WeightedDigraph, filtered: WeightedDigraph) -> None:
+    w = csv.writer(fh)
+    for net_name, g in (("original", original), ("filtered", filtered)):
+        part = creator_consumer_partition(g)
+        for comp, frac in sorted(part.node_fractions().items()):
+            w.writerow([net_name, "node_share", comp, "", f"{frac:.6f}"])
+        for (a, b), frac in sorted(part.cross_weight_fractions.items()):
+            w.writerow([net_name, "flow_share", a, b, f"{frac:.6f}"])
 
 
-def emit_components(path: str, original: WeightedDigraph, filtered: WeightedDigraph) -> None:
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["network", "kind", "source", "target", "value"])
-        for net_name, g in (("original", original), ("filtered", filtered)):
-            part = creator_consumer_partition(g)
-            for comp, frac in sorted(part.node_fractions().items()):
-                w.writerow([net_name, "node_share", comp, "", f"{frac:.6f}"])
-            for (a, b), frac in sorted(part.cross_weight_fractions.items()):
-                w.writerow([net_name, "flow_share", a, b, f"{frac:.6f}"])
-
-
-def emit_retention(path: str, columns: EventColumns, retained_mask: np.ndarray) -> None:
-    fh, w = _writer(path)
+def emit_retention(fh: TextIO, columns: EventColumns, retained_mask: np.ndarray) -> None:
+    w = csv.writer(fh)
     cls_idx = columns.content_class_idx
-    with fh:
-        w.writerow(["class", "original_weight", "retained_weight", "retained_fraction"])
-        for ci, cls in enumerate(CONTENT_CLASSES):
-            in_cls = cls_idx == ci
-            total = int(in_cls.sum())
-            kept = int((in_cls & retained_mask).sum())
-            frac = kept / total if total else 0.0
-            w.writerow([cls, total, kept, f"{frac:.6f}"])
+    for ci, cls in enumerate(CONTENT_CLASSES):
+        in_cls = cls_idx == ci
+        total = int(in_cls.sum())
+        kept = int((in_cls & retained_mask).sum())
+        frac = kept / total if total else 0.0
+        w.writerow([cls, total, kept, f"{frac:.6f}"])
 
 
-def emit_temporal(path: str, columns: EventColumns, retained_mask: np.ndarray) -> None:
-    fh, w = _writer(path)
+def emit_temporal(fh: TextIO, columns: EventColumns, retained_mask: np.ndarray) -> None:
     kept_map = dict(zip(*(a.tolist() for a in day_counts(columns.ts, retained_mask))))
     days, orig = day_counts(columns.ts)
-    with fh:
-        w.writerow(["day", "original_count", "retained_count"])
-        for d, c in zip(days.tolist(), orig.tolist()):
-            w.writerow([d, c, kept_map.get(d, 0)])
+    csv.writer(fh).writerows([d, c, kept_map.get(d, 0)] for d, c in zip(days.tolist(), orig.tolist()))
 
 
-def emit_ternary(path: str, hist: Mapping[tuple[int, int], int]) -> None:
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["i", "j", "count"])
-        for (i, j), count in sorted(hist.items()):
-            w.writerow([i, j, count])
+def emit_ternary(fh: TextIO, hist: Mapping[tuple[int, int], int]) -> None:
+    csv.writer(fh).writerows([i, j, count] for (i, j), count in sorted(hist.items()))
 
 
-def emit_coverage(path: str, curves: Mapping[str, Sequence[tuple[float, float]]]) -> None:
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["class", "theta", "fraction"])
-        for cls in CONTENT_CLASSES:
-            for theta, frac in curves.get(cls, []):
-                w.writerow([cls, f"{theta:.4f}", f"{frac:.6f}"])
+def emit_coverage(fh: TextIO, curves: Mapping[str, Sequence[tuple[float, float]]]) -> None:
+    w = csv.writer(fh)
+    for cls in CONTENT_CLASSES:
+        for theta, frac in curves.get(cls, []):
+            w.writerow([cls, f"{theta:.4f}", f"{frac:.6f}"])
 
 
-def emit_daily(path: str, counts_by_class: Mapping[str, Mapping[int, int]]) -> None:
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["day", "class", "count"])
-        for cls in CONTENT_CLASSES:
-            for day, count in sorted(counts_by_class.get(cls, {}).items()):
-                w.writerow([day, cls, count])
+def emit_daily(fh: TextIO, counts_by_class: Mapping[str, Mapping[int, int]]) -> None:
+    w = csv.writer(fh)
+    for cls in CONTENT_CLASSES:
+        for day, count in sorted(counts_by_class.get(cls, {}).items()):
+            w.writerow([day, cls, count])
 
 
-def emit_growth_with_trend(path: str, points_by_class: Mapping[str, Sequence[GrowthPoint]]) -> None:
+def emit_growth_with_trend(fh: TextIO, points_by_class: Mapping[str, Sequence[GrowthPoint]]) -> None:
     """Growth series merged with trend values computed on the defined points."""
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["window_start", "class", "rate", "n_active", "f_first", "f_last", "trend"])
-        for cls in CONTENT_CLASSES:
-            points = points_by_class.get(cls, [])
-            defined = [p for p in points if p.rate is not None]
-            trend_map = {}
-            if defined:
-                smoothed = trend_line([p.rate for p in defined])
-                trend_map = {p.window.start: v for p, v in zip(defined, smoothed.values)}
-            for p in points:
-                w.writerow(
-                    [
-                        p.window.start,
-                        cls,
-                        "" if p.rate is None else f"{p.rate:.8f}",
-                        p.n_active,
-                        p.f_first,
-                        p.f_last,
-                        "" if p.window.start not in trend_map else f"{trend_map[p.window.start]:.8f}",
-                    ]
-                )
+    w = csv.writer(fh)
+    for cls in CONTENT_CLASSES:
+        points = points_by_class.get(cls, [])
+        defined = [p for p in points if p.rate is not None]
+        trend_map = {}
+        if defined:
+            smoothed = trend_line([p.rate for p in defined])
+            trend_map = {p.window.start: v for p, v in zip(defined, smoothed.values)}
+        for p in points:
+            w.writerow(
+                [
+                    p.window.start,
+                    cls,
+                    "" if p.rate is None else f"{p.rate:.8f}",
+                    p.n_active,
+                    p.f_first,
+                    p.f_last,
+                    "" if p.window.start not in trend_map else f"{trend_map[p.window.start]:.8f}",
+                ]
+            )
 
 
 def emit_fit_rates(
-    path: str,
+    fh: TextIO,
     fit_doc: Mapping,
     empirical: Mapping[int, Mapping[str, float | None]],
 ) -> None:
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["window_start", "class", "empirical_rate", "simulated_mean", "simulated_std"])
-        for wf in fit_doc["windows"]:
-            start = wf["window_start"]
-            for cls in CONTENT_CLASSES:
-                sim = wf["simulated_rates"].get(cls)
-                emp = empirical.get(start, {}).get(cls)
-                w.writerow(
-                    [
-                        start,
-                        cls,
-                        "" if emp is None else f"{emp:.8f}",
-                        "" if sim is None else f"{sim['mean']:.8f}",
-                        "" if sim is None else f"{sim['std']:.8f}",
-                    ]
-                )
-
-
-def emit_fit_r0(path: str, fit_doc: Mapping) -> None:
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["window_start", "r0_mean", "r0_std", "n_accepted", "delta"])
-        for wf in fit_doc["windows"]:
+    w = csv.writer(fh)
+    for wf in fit_doc["windows"]:
+        start = wf["window_start"]
+        for cls in CONTENT_CLASSES:
+            sim = wf["simulated_rates"].get(cls)
+            emp = empirical.get(start, {}).get(cls)
             w.writerow(
                 [
-                    wf["window_start"],
-                    f"{wf['r0_mean']:.6f}",
-                    f"{wf['r0_std']:.6f}",
-                    wf["n_accepted"],
-                    f"{fit_doc['delta']:.8f}",
+                    start,
+                    cls,
+                    "" if emp is None else f"{emp:.8f}",
+                    "" if sim is None else f"{sim['mean']:.8f}",
+                    "" if sim is None else f"{sim['std']:.8f}",
                 ]
             )
 
 
-def emit_size_curve(path: str, g: WeightedDigraph, alpha_grid: Sequence[float]) -> None:
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["alpha", "node_fraction", "edge_fraction", "weight_fraction"])
-        for point in backbone_size_curve(g, alpha_grid):
-            w.writerow(
-                [
-                    f"{point.alpha:.6f}",
-                    f"{point.node_fraction:.6f}",
-                    f"{point.edge_fraction:.6f}",
-                    f"{point.weight_fraction:.6f}",
-                ]
-            )
+def emit_fit_r0(fh: TextIO, fit_doc: Mapping) -> None:
+    csv.writer(fh).writerows(
+        [
+            wf["window_start"],
+            f"{wf['r0_mean']:.6f}",
+            f"{wf['r0_std']:.6f}",
+            wf["n_accepted"],
+            f"{fit_doc['delta']:.8f}",
+        ]
+        for wf in fit_doc["windows"]
+    )
 
 
-def emit_heterogeneity_summary(path: str, disorder: HeterogeneityReport) -> None:
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["degree_bucket", "n", "flagged_fraction"])
-        for bucket, (n, flagged) in disorder.degree_buckets.items():
-            w.writerow([bucket, n, f"{flagged / n:.6f}"])
+def emit_size_curve(fh: TextIO, g: WeightedDigraph, alpha_grid: Sequence[float]) -> None:
+    csv.writer(fh).writerows(
+        [
+            f"{point.alpha:.6f}",
+            f"{point.node_fraction:.6f}",
+            f"{point.edge_fraction:.6f}",
+            f"{point.weight_fraction:.6f}",
+        ]
+        for point in backbone_size_curve(g, alpha_grid)
+    )
 
 
-def emit_topology(path: str, g: WeightedDigraph, fit_range: tuple[float, float] | None = None) -> None:
+def emit_heterogeneity_summary(fh: TextIO, disorder: HeterogeneityReport) -> None:
+    csv.writer(fh).writerows([bucket, n, f"{flagged / n:.6f}"] for bucket, (n, flagged) in disorder.degree_buckets.items())
+
+
+def emit_topology(fh: TextIO, g: WeightedDigraph, fit_range: tuple[float, float] | None = None) -> None:
     rep = topology_report(g, fit_range)
     doc = {
         "average_clustering": rep.average_clustering,
@@ -255,12 +223,11 @@ def emit_topology(path: str, g: WeightedDigraph, fit_range: tuple[float, float] 
         "out_degree_ccdf": [[k, p] for k, p in rep.out_degree_ccdf],
         "weight_distribution": [[v, c] for v, c in rep.weight_distribution],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_json(doc, fh)
+    dump_json(doc, fh)
 
 
 def emit_flag_retention(
-    path: str,
+    fh: TextIO,
     bot_rate: np.ndarray,
     verification_rate: np.ndarray,
     original: np.ndarray,
@@ -271,12 +238,10 @@ def emit_flag_retention(
     The rates and the two user masks are aligned arrays, one entry per user.
     Buckets are tenths: rint rounds half to even, as Python's round does.
     """
-    fh, w = _writer(path)
-    with fh:
-        w.writerow(["kind", "rate_bucket", "original_users", "retained_users"])
-        for kind, rate in (("bot", bot_rate), ("verified", verification_rate)):
-            bucket = np.minimum(np.rint(rate * 10), 10).astype(np.int64)
-            orig = np.bincount(bucket[original], minlength=11)
-            kept = np.bincount(bucket[original & retained], minlength=11)
-            for b in range(11):
-                w.writerow([kind, f"{b / 10:.1f}", int(orig[b]), int(kept[b])])
+    w = csv.writer(fh)
+    for kind, rate in (("bot", bot_rate), ("verified", verification_rate)):
+        bucket = np.minimum(np.rint(rate * 10), 10).astype(np.int64)
+        orig = np.bincount(bucket[original], minlength=11)
+        kept = np.bincount(bucket[original & retained], minlength=11)
+        for b in range(11):
+            w.writerow([kind, f"{b / 10:.1f}", int(orig[b]), int(kept[b])])

@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import IO, BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,11 +90,17 @@ class Sha256Writer:
 
 
 @contextlib.contextmanager
-def _replacing(path: str) -> Iterator[BinaryIO]:
-    """A binary file written beside `path` and moved onto it once closed,
-    so a map of the old file stays readable."""
-    with open(path + ".tmp", "wb") as fh:
-        yield fh
+def _replacing(path: str, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """A file (`open`'s mode and keywords) written beside `path` and moved onto
+    it once closed, so a reader, or a map of the old file, never sees a partial
+    one; a write that fails removes it and leaves `path` as it was."""
+    try:
+        with open(path + ".tmp", mode, **kwargs) as fh:
+            yield fh
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path + ".tmp")
+        raise
     os.replace(path + ".tmp", path)
 
 
@@ -121,11 +127,16 @@ class _UserTable:
         return np.array([index.get(u, -1) for u in labels], dtype=np.int64)
 
     @cached_property
+    def label_order(self) -> np.ndarray:
+        """User ids in label order: Python's string order, not numpy's, as a
+        `U` array drops trailing NULs before comparing."""
+        return np.array(sorted(range(len(self.users)), key=self.users.__getitem__), dtype=np.int64)
+
+    @cached_property
     def label_rank(self) -> np.ndarray:
-        """Each user's position in label order. Python's string order, not
-        numpy's: a `U` array drops trailing NULs before comparing."""
+        """Each user's position in label order."""
         rank = np.empty(len(self.users), dtype=np.int64)
-        rank[sorted(range(len(self.users)), key=self.users.__getitem__)] = np.arange(len(self.users))
+        rank[self.label_order] = np.arange(len(self.users))
         return rank
 
 
@@ -198,7 +209,7 @@ class EventColumns(_UserTable):
                 np.save(fh, getattr(self, name))
             setattr(self, name, np.load(path, mmap_mode="r").view(np.ndarray))
         self._stream_follower_table(directory)
-        with open(os.path.join(directory, _USERS_FILE), "w", encoding="utf-8") as fh:
+        with _replacing(os.path.join(directory, _USERS_FILE), "w", encoding="utf-8") as fh:
             json.dump(self.users, fh)
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(directory, "users.txt"))  # the first format's user table
@@ -211,7 +222,7 @@ class EventColumns(_UserTable):
             "n_users": len(self.users),
             "source_sha256": source_hash,
         }
-        with open(os.path.join(directory, "cache_meta.json"), "w", encoding="utf-8") as fh:
+        with _replacing(os.path.join(directory, "cache_meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, sort_keys=True, indent=1)
         mapped = self._mapped(directory, meta, self.users)
         if mapped is None:

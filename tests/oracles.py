@@ -15,7 +15,7 @@ observation columns at once, and `acceptance_losses_by_axis_sum` the loss
 expression that summed over the class axis.
 The label-space section holds what the id code replaced: reachability
 and cascade populations on label sets, the follower-table search by one
-global key array, and the backbone mask by searchsorted over int64 codes,
+global key array, and the backbone mask by a set of label pairs,
 plus helpers that turn label sets into the ids and masks swaynet takes.
 `simulate_growth_rate` draws one cascade replicate at a time, the scalar
 form of the sampler that fit and simulate share. The alignment
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -48,6 +49,7 @@ from swaynet.events import (
 )
 from swaynet.graph import WeightedDigraph
 from swaynet.growth import GrowthPoint, TimeWindow
+from swaynet.report import load_schemas
 from swaynet.sir import final_size, swayable_recovered_count
 from swaynet.store import EventColumns, FollowerSnapshots
 
@@ -221,6 +223,13 @@ def write_events_csv(events: Iterable[RetweetEvent], handle: TextIO) -> int:
         )
         n += 1
     return n
+
+
+def write_header(fh: TextIO, name: str) -> TextIO:
+    """`fh` with the header row of table `name` (a path or basename) from
+    schemas.json written, as a stage's `_Inputs.table` hands a writer its handle."""
+    csv.writer(fh).writerow(load_schemas()[os.path.basename(name)]["columns"])
+    return fh
 
 
 # -- derivations, one event at a time --------------------------------------------
@@ -553,19 +562,12 @@ def first_at_or_after_by_keys(table: FollowerSnapshots, ids: np.ndarray, t: int)
     return np.searchsorted(keys, np.asarray(ids) * (len(times) + 1) + np.searchsorted(times, t))
 
 
-def backbone_pair_mask_by_search(columns: EventColumns, backbone: WeightedDigraph) -> np.ndarray:
-    """Mask of events whose (src, dst) pair is a backbone edge, by searchsorted
-    of every event's pair code in the sorted backbone codes."""
-    ids = columns.ids(backbone.labels)
-    src, dst = ids[backbone.edge_src], ids[backbone.edge_dst]
-    known = (src >= 0) & (dst >= 0)
-    wanted = np.unique(src[known] * len(columns.users) + dst[known])
-    if not len(wanted):
-        return np.zeros(len(columns), dtype=bool)
-    codes = columns.src.astype(np.int64) * len(columns.users) + columns.dst  # int64 codes, whatever the id width
-    pos = np.searchsorted(wanted, codes)
-    np.minimum(pos, len(wanted) - 1, out=pos)
-    return wanted[pos] == codes
+def backbone_pair_mask_by_label_set(columns: EventColumns, backbone: WeightedDigraph) -> np.ndarray:
+    """Mask of events whose (src label, dst label) pair is a backbone edge,
+    one event at a time against the set of the backbone's label pairs: no
+    pair code, sort or search."""
+    pairs, users = edge_set(backbone), columns.users
+    return np.array([(users[s], users[d]) in pairs for s, d in zip(columns.src.tolist(), columns.dst.tolist())], dtype=bool)
 
 
 def window_loss(r_hat_by_class: Mapping[str, float], r_by_class: Mapping[str, float]) -> float:

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import (
     backbone_overlap,
-    backbone_pair_mask_by_search,
+    backbone_pair_mask_by_label_set,
     classify_users,
     columns_of,
     digraph_of,
@@ -31,6 +31,7 @@ from swaynet.backbone import disparity_filter
 from swaynet.cli import DEFAULT_THETA_GRID, PipelineConfig, run, validate_config
 from swaynet.events import CLASS_BY_CATEGORY, CONTENT_CLASSES, EVENT_FIELDS
 from swaynet.graph import WeightedDigraph, load_binary, save_binary
+from swaynet.report import load_schemas
 
 DAY = 86_400
 
@@ -142,6 +143,25 @@ def backbone_tree(tmp_path_factory):
 class TestExitCodes:
     def test_theta_out_of_range_exits_1(self, tmp_path):
         assert run(["align", "--out", str(tmp_path), "--theta", "1.5"]) == 1
+
+    def test_failed_write_leaves_the_old_file_and_no_partial_one(self, backbone_tree, tmp_path, monkeypatch):
+        from swaynet import report
+
+        out = tmp_path / "tree"
+        shutil.copytree(backbone_tree, out)
+        for stage in ("align", "growth", "report"):
+            assert run([stage, "--out", str(out)]) == 0
+        before = tree_files(out)
+        size_curve = report.backbone_size_curve
+
+        def failing(*args):  # the first row of report/supp_size_curve.csv, then a failure
+            yield next(iter(size_curve(*args)))
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(report, "backbone_size_curve", failing)
+        assert run(["report", "--out", str(out)]) == 3
+        assert tree_files(out) == before
+        assert not list(out.rglob("*.tmp"))
 
     def test_unsorted_theta_grid_exits_1_before_writing(self, backbone_tree, tmp_path, capsys):
         out = tmp_path / "tree"
@@ -800,6 +820,7 @@ STAGE_INPUT_ROWS = [
     ("report-without-fit", [], {EVENTS, BACKBONE, LABELS, GROWTH, "ternary.csv", "coverage.csv"}),
     ("fit", ["--runs", "5"], {EVENTS, LABELS, GROWTH}),
     ("report", [], {EVENTS, BACKBONE, LABELS, GROWTH, "ternary.csv", "coverage.csv", "fit.json"}),
+    ("report-after-fit-removed", [], {EVENTS, BACKBONE, LABELS, GROWTH, "ternary.csv", "coverage.csv"}),
 ]
 
 
@@ -812,6 +833,7 @@ def sha256_of(path):
 PREPARE = {
     "ingest-bad-line": lambda out: (out / "bad_line.jsonl").write_bytes((out / EVENTS).read_bytes() + b"not json\n"),
     "growth-cache-miss": lambda out: shutil.rmtree(out / "events_cache"),
+    "report-after-fit-removed": lambda out: (out / "fit.json").unlink(),
 }
 # The conditional reads and writes in its stage's row that apply to a row id; the others apply to none.
 APPLIES = {
@@ -819,6 +841,12 @@ APPLIES = {
     "backbone-grid": {"size_curve.csv", "significance.csv"},
     "align": {BACKBONE},
     "report": {"fit.json", "report/fig4_rates.csv", "report/fig4_r0.csv"},
+}
+# What a row removes from the tree outside events_cache/: ingest clears what synth wrote, and report
+# drops the Fig 4 tables of a fit.json that is gone. Every other row removes nothing.
+REMOVES = {
+    "ingest-in-place": {"truth.json", "synth_meta.json"},
+    "report-after-fit-removed": {"report/fig4_rates.csv", "report/fig4_r0.csv"},
 }
 
 
@@ -829,9 +857,15 @@ def tree_state(root):
 
 
 @pytest.fixture(scope="module")
-def stage_runs(tmp_path_factory):
+def stage_tree(tmp_path_factory):
+    """The tree `stage_runs` runs every row on."""
+    return tmp_path_factory.mktemp("stage_inputs")
+
+
+@pytest.fixture(scope="module")
+def stage_runs(stage_tree):
     """Row id -> (the stage's meta, the state of the whole tree before the row ran, and after)."""
-    out = tmp_path_factory.mktemp("stage_inputs")
+    out = stage_tree
     seen = {}
     for row, args, _ in STAGE_INPUT_ROWS:
         stage = row.split("-")[0]
@@ -878,9 +912,28 @@ class TestStageInputs:
         assert changed - cache == writes
         # The cache goes with events.jsonl: written by what writes events.jsonl, and by a stage that misses it.
         assert bool(cache) == (EVENTS in declared.writes or row == "growth-cache-miss")
-        assert removed - cache <= (set(cli._EVENT_OUTPUTS) if EVENTS in declared.writes else set())
+        assert removed - cache == REMOVES.get(row, set())
         events_input = {os.path.basename(args[1])} if stage == "ingest" else set()  # --events, outside the row
         assert set(meta["inputs"]) == applying(declared.reads) | events_input
+
+    def test_every_table_has_its_schema_header(self, stage_runs, stage_tree):
+        # Every CSV the rows leave in --out has its schemas.json entry's header, and every entry is a table some stage writes.
+        schemas, tables = load_schemas(), sorted(stage_tree.rglob("*.csv"))
+        for path in tables:
+            assert path.name in schemas, path
+            with open(path, newline="", encoding="utf-8") as fh:
+                assert next(csv.reader(fh)) == schemas[path.name]["columns"], path
+        assert {path.name for path in tables} == set(schemas)
+        assert set(schemas) <= {os.path.basename(name) for row in cli._STAGES.values() for name in row.writes}
+
+    def test_stage_removes_only_its_own_stale_conditional_outputs(self, backbone_tree, tmp_path):
+        out = tmp_path / "tree"
+        shutil.copytree(backbone_tree, out)
+        assert run(["backbone", "--out", str(out), "--alpha-grid", "0.01,0.05", "--emit-significance"]) == 0
+        assert (out / "significance.csv").exists() and (out / "size_curve.csv").exists()
+        assert run(["backbone", "--out", str(out)]) == 0
+        assert not (out / "significance.csv").exists()
+        assert (out / "size_curve.csv").exists()  # diagnose writes it too, so a backbone run leaves it
 
     def test_undeclared_read_or_write_is_refused(self, tmp_path):
         inputs = cli._Inputs(PipelineConfig(out=str(tmp_path)), "growth")
@@ -1202,7 +1255,7 @@ class TestBackbonePairMask:
                     backbones.append(digraph_of([(labels[c // n], labels[c % n], 1) for c in codes]))
                     ends[side] += 1
             for backbone in backbones:
-                assert np.array_equal(_backbone_pair_mask(columns, backbone), backbone_pair_mask_by_search(columns, backbone))
+                assert np.array_equal(_backbone_pair_mask(columns, backbone), backbone_pair_mask_by_label_set(columns, backbone))
             for backbone in backbones[4:]:
                 assert not _backbone_pair_mask(columns, backbone).any()
             assert not _backbone_pair_mask(columns, backbones[1]).any()
@@ -1217,10 +1270,12 @@ class TestReportBackboneLabels:
         run_pipeline(tmp_path, with_fit=False)
         last = _Inputs(PipelineConfig(out=str(tmp_path)), "report").columns().users[-1]
         edges = [e for e in load_binary(str(tmp_path / "backbone.bin")).edges() if last not in e[:2]]
-        save_binary(digraph_of(edges), str(tmp_path / "backbone.bin"))
+        with open(tmp_path / "backbone.bin", "wb") as fh:
+            save_binary(digraph_of(edges), fh)
         assert run(["report", "--out", str(tmp_path)]) == 0
         expected = (tmp_path / "report" / "supp_flag_retention.csv").read_bytes()
-        save_binary(digraph_of(edges + [(edges[0][0], "ghost", 1), ("ghost2", "ghost", 3)]), str(tmp_path / "backbone.bin"))
+        with open(tmp_path / "backbone.bin", "wb") as fh:
+            save_binary(digraph_of(edges + [(edges[0][0], "ghost", 1), ("ghost2", "ghost", 3)]), fh)
         assert run(["report", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "report" / "supp_flag_retention.csv").read_bytes() == expected
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import swaynet.events as events_module
-from oracles import RetweetEvent, columns_equal, columns_of, logs_of, to_events, write_events_csv
+from oracles import RetweetEvent, columns_equal, columns_of, logs_of, to_events, write_events_csv, write_header
 from swaynet.events import (
     CATEGORY_TOKENS,
     CONTENT_CLASSES,
@@ -220,7 +220,7 @@ class TestFollowerLogs:
         logs = logs_of(table)
         for user in sorted(logs):
             writer.writerows((user, t, c) for t, c in logs[user].observations)
-        got = io.StringIO(newline="")
+        got = write_header(io.StringIO(newline=""), "follower_logs.csv")
         write_follower_logs_csv(table, got)
         # Row lists rather than one string: a failing diff of the whole text is too slow.
         got_rows, expected_rows = got.getvalue().split("\r\n"), expected.getvalue().split("\r\n")
@@ -230,10 +230,10 @@ class TestFollowerLogs:
     def test_csv_skips_users_without_rows(self):
         # Users with no rows, first, last and between others in label order.
         table = FollowerSnapshots(["b", "a", "d", "c", "e"], np.array([0, 2, 2, 3, 3, 3]), np.array([1, 5, 2]), np.array([10, 11, 12]))
-        got = io.StringIO(newline="")
+        got = write_header(io.StringIO(newline=""), "follower_logs.csv")
         write_follower_logs_csv(table, got)
         assert got.getvalue() == "user,timestamp,followers\r\nb,1,10\r\nb,5,11\r\nd,2,12\r\n"
-        empty = io.StringIO(newline="")
+        empty = write_header(io.StringIO(newline=""), "follower_logs.csv")
         write_follower_logs_csv(FollowerSnapshots([], np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)), empty)
         assert empty.getvalue() == "user,timestamp,followers\r\n"
 

@@ -252,7 +252,8 @@ class TestSerialization:
     def test_binary_roundtrip(self, tmp_path):
         g = graph_of(("a", "b", 3), ("b", "c", 1), ("c", "a", 23000), ("a", "a", 2))
         path = str(tmp_path / "graph.bin")
-        save_binary(g, path)
+        with open(path, "wb") as fh:
+            save_binary(g, fh)
         g2 = load_binary(path)
         assert g2.labels == g.labels
         assert list(g2.edges()) == list(g.edges())
@@ -261,7 +262,8 @@ class TestSerialization:
     def test_truncated_or_padded_file_rejected(self, tmp_path, cut):
         g = graph_of(("a", "b", 3), ("b", "c", 1), ("c", "a", 23000), ("a", "a", 2))
         path = str(tmp_path / "graph.bin")
-        save_binary(g, path)
+        with open(path, "wb") as fh:
+            save_binary(g, fh)
         with open(path, "rb") as fh:
             data = fh.read()
         data = {

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swaynet import report as rep
-from oracles import RetweetEvent, columns_of, digraph_of
+from oracles import RetweetEvent, columns_of, digraph_of, write_header
 from swaynet.growth import GrowthPoint, TimeWindow
 
 DAY = 86_400
@@ -32,6 +33,13 @@ def columns():
     return columns_of(events)
 
 
+@contextmanager
+def table(path):
+    """A CSV table at `path` opened for an emitter, its header row written."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        yield write_header(fh, path)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -41,7 +49,8 @@ class TestComponents:
     def test_node_shares_sum_to_one(self, tmp_path, columns):
         g = columns.build_graph()
         path = str(tmp_path / "fig1a_components.csv")
-        rep.emit_components(path, g, g)
+        with table(path) as fh:
+            rep.emit_components(fh, g, g)
         rows = read_rows(path)
         for network in ("original", "filtered"):
             shares = [float(r["value"]) for r in rows if r["network"] == network and r["kind"] == "node_share"]
@@ -52,7 +61,8 @@ class TestComponents:
     def test_schema_validates(self, tmp_path, columns):
         g = columns.build_graph()
         path = str(tmp_path / "fig1a_components.csv")
-        rep.emit_components(path, g, g)
+        with table(path) as fh:
+            rep.emit_components(fh, g, g)
         rep.validate_table(path, rep.load_schemas())
 
     def test_schema_mismatch_detected(self, tmp_path):
@@ -68,7 +78,8 @@ class TestRetentionAndTemporal:
         # Keep only the (a, b) edge: 2 factual events of 3 total factual.
         retained = np.array([True, True, False, False, False])
         path = str(tmp_path / "fig1b_retention.csv")
-        rep.emit_retention(path, columns, retained)
+        with table(path) as fh:
+            rep.emit_retention(fh, columns, retained)
         rows = {r["class"]: r for r in read_rows(path)}
         assert rows["factual"]["original_weight"] == "3"
         assert rows["factual"]["retained_weight"] == "2"
@@ -78,7 +89,8 @@ class TestRetentionAndTemporal:
     def test_temporal_day_buckets(self, tmp_path, columns):
         retained = np.array([True, False, True, False, False])
         path = str(tmp_path / "fig1c_temporal.csv")
-        rep.emit_temporal(path, columns, retained)
+        with table(path) as fh:
+            rep.emit_temporal(fh, columns, retained)
         rows = {int(r["day"]): r for r in read_rows(path)}
         assert int(rows[0]["original_count"]) == 2 and int(rows[0]["retained_count"]) == 1
         assert int(rows[2]["original_count"]) == 2 and int(rows[2]["retained_count"]) == 1
@@ -95,7 +107,8 @@ class TestGrowthEmit:
             ]
         }
         path = str(tmp_path / "fig3b_growth.csv")
-        rep.emit_growth_with_trend(path, points)
+        with table(path) as fh:
+            rep.emit_growth_with_trend(fh, points)
         rows = read_rows(path)
         fac = [r for r in rows if r["class"] == "factual"]
         assert fac[0]["trend"] != "" and fac[2]["trend"] != ""
@@ -108,7 +121,8 @@ class TestFlagRetention:
         # Users u1, u2, u3: all in the original graph, only u1 retained.
         bot, verified = np.array([0.0, 1.0, 0.52]), np.array([1.0, 0.0, 0.0])
         path = str(tmp_path / "supp_flag_retention.csv")
-        rep.emit_flag_retention(path, bot, verified, np.ones(3, dtype=bool), np.array([True, False, False]))
+        with table(path) as fh:
+            rep.emit_flag_retention(fh, bot, verified, np.ones(3, dtype=bool), np.array([True, False, False]))
         rows = read_rows(path)
         bot = {r["rate_bucket"]: r for r in rows if r["kind"] == "bot"}
         assert bot["0.0"]["original_users"] == "1" and bot["0.0"]["retained_users"] == "1"
@@ -124,7 +138,8 @@ class TestFlagRetention:
         verified = rng.permutation(bot)
         original, retained = rng.random(400) < 0.9, rng.random(400) < 0.5
         path = str(tmp_path / "supp_flag_retention.csv")
-        rep.emit_flag_retention(path, bot, verified, original, retained)
+        with table(path) as fh:
+            rep.emit_flag_retention(fh, bot, verified, original, retained)
         expected: dict[tuple[str, str], list[int]] = {}
         for kind, rates in (("bot", bot), ("verified", verified)):
             for i in np.flatnonzero(original):
@@ -159,13 +174,15 @@ class TestFitEmitters:
         }
         empirical = {0: {"factual": 0.12, "misleading": 0.06, "uncertain": None}}
         rates_path = str(tmp_path / "fig4_rates.csv")
-        rep.emit_fit_rates(rates_path, fit_doc, empirical)
+        with table(rates_path) as fh:
+            rep.emit_fit_rates(fh, fit_doc, empirical)
         rows = {r["class"]: r for r in read_rows(rates_path)}
         assert rows["factual"]["empirical_rate"].startswith("0.12")
         assert rows["uncertain"]["empirical_rate"] == ""  # gap preserved
         assert rows["misleading"]["simulated_mean"].startswith("0.07")
         r0_path = str(tmp_path / "fig4_r0.csv")
-        rep.emit_fit_r0(r0_path, fit_doc)
+        with table(r0_path) as fh:
+            rep.emit_fit_r0(fh, fit_doc)
         (row,) = read_rows(r0_path)
         assert row["n_accepted"] == "101"
         assert float(row["delta"]) == 0.05
@@ -177,7 +194,8 @@ class TestTopologyEmit:
     def test_topology_json_shape(self, tmp_path):
         g = digraph_of([("a", "b", 1), ("b", "c", 2), ("c", "a", 4)])
         path = str(tmp_path / "supp_topology.json")
-        rep.emit_topology(path, g)
+        with open(path, "w", encoding="utf-8") as fh:
+            rep.emit_topology(fh, g)
         doc = json.loads(open(path).read())
         assert doc["average_clustering"] == pytest.approx(1.0)
         assert doc["weight_distribution"] == [[1, 1], [2, 1], [4, 1]]

@@ -17,7 +17,7 @@ import pytest
 
 from oracles import (
     RetweetEvent,
-    backbone_pair_mask_by_search,
+    backbone_pair_mask_by_label_set,
     build_network,
     columns_equal,
     columns_of,
@@ -78,7 +78,7 @@ def test_backbone_pair_mask_matches_int64_search(columns):
     g = columns.build_graph()
     kept = g.subgraph_from_edge_mask(np.arange(g.n_edges) % 3 == 0)
     mask = cli._backbone_pair_mask(columns, kept)
-    assert mask.sum() > 0 and np.array_equal(mask, backbone_pair_mask_by_search(columns, kept))
+    assert mask.sum() > 0 and np.array_equal(mask, backbone_pair_mask_by_label_set(columns, kept))
 
 
 def test_involvement_profiles_match_per_event_count(events, columns):
